@@ -20,43 +20,69 @@ class PathCover:
         return len(self.paths)
 
 
-def min_path_cover(g, greedy=False):
-    """Dipath cover of an acyclic digraph.
+def min_path_cover(g, order=None):
+    """Minimum dipath cover of an acyclic digraph.
 
-    The default cover is minimum: kappa = n - |maximum matching| on the
-    split bipartite graph, found by augmenting paths. With greedy=True a
-    longest-path-peeling cover is returned instead (faster on large
-    inputs, possibly more paths; every consumer is cover-agnostic).
+    kappa = n - |maximum matching| on the split bipartite graph (each arc
+    u -> v joins u's out-copy to v's in-copy). The matching is an
+    iterative Hopcroft-Karp: O(m sqrt n) time, no recursion. `order` is a
+    topological order of g when the caller already has one; without it
+    one is computed to reject cyclic inputs.
     """
-    order = topo_order(g)
-    if order is None:
+    if order is None and topo_order(g) is None:
         raise CyclicGraphError("path cover requires an acyclic digraph")
-    n = g.n
-    if greedy:
-        return _greedy_cover(g, order)
+    n, out = g.n, g.out
     match_succ = [-1] * n  # chosen successor of each vertex
     match_pred = [-1] * n
-
-    def augment(u, seen):
-        for v in g.out[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_pred[v] == -1 or augment(match_pred[v], seen):
-                match_pred[v] = u
-                match_succ[u] = v
-                return True
-        return False
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * n + 100))
-    try:
-        for u in range(n):
-            augment(u, [False] * n)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    inf = n + 1
+    while True:
+        # BFS layers of out-copies from the free ones along alternating
+        # paths, up to the first layer with an arc to a free in-copy
+        free = [u for u in range(n) if match_succ[u] == -1]
+        dist = [0 if s == -1 else inf for s in match_succ]
+        frontier, limit = free, inf
+        while frontier and limit == inf:
+            nxt = []
+            for u in frontier:
+                for v in out[u]:
+                    w = match_pred[v]
+                    if w == -1:
+                        limit = dist[u]
+                    elif dist[w] == inf:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        if limit == inf:
+            break
+        # vertex-disjoint shortest augmenting paths by layered DFS; arc
+        # pointers make one phase scan each arc once. The BFS found no arc
+        # to a free in-copy before layer `limit`, so w == -1 only there.
+        ptr = [0] * n
+        for s in free:
+            stack = [s]
+            while stack:
+                u = stack[-1]
+                du, adj = dist[u], out[u]
+                for k in range(ptr[u], len(adj)):
+                    v = adj[k]
+                    w = match_pred[v]
+                    if w == -1 or (du < limit and dist[w] == du + 1):
+                        break
+                else:
+                    dist[u] = inf  # dead end for the rest of the phase
+                    stack.pop()
+                    continue
+                ptr[u] = k + 1
+                if w != -1:
+                    stack.append(w)
+                    continue
+                # flip the path: each stacked vertex takes the in-copy
+                # its successor on the stack held
+                for u in reversed(stack):
+                    match_pred[v] = u
+                    match_succ[u], v = v, match_succ[u]
+                    dist[u] = inf
+                break
 
     paths = []
     for v in range(n):
@@ -65,54 +91,43 @@ def min_path_cover(g, greedy=False):
             while match_succ[path[-1]] != -1:
                 path.append(match_succ[path[-1]])
             paths.append(path)
-    return _finish(n, paths)
-
-
-def _greedy_cover(g, order):
-    n = g.n
-    remaining = [True] * n
-    paths = []
-    while any(remaining):
-        best_len = [1] * n
-        best_next = [-1] * n
-        for v in reversed(order):
-            if not remaining[v]:
-                continue
-            for w in g.out[v]:
-                if remaining[w] and best_len[w] + 1 > best_len[v]:
-                    best_len[v] = best_len[w] + 1
-                    best_next[v] = w
-        start = max(
-            (v for v in range(n) if remaining[v]),
-            key=lambda v: (best_len[v], -v),
-        )
-        path = [start]
-        while best_next[path[-1]] != -1:
-            path.append(best_next[path[-1]])
-        for v in path:
-            remaining[v] = False
-        paths.append(path)
-    return _finish(n, paths)
-
-
-def _finish(n, paths):
-    paths.sort(key=lambda p: p[0])
     path_of = [None] * n
     for pid, path in enumerate(paths):
         for rank, v in enumerate(path):
             path_of[v] = (pid, rank)
-    assert all(po is not None for po in path_of)
     return PathCover(paths, path_of)
+
+
+def shared_vertices(pc1, pc2):
+    """{(i, j): the vertices on path i of pc1 and path j of pc2, in path-j
+    order}, for the nonempty pairs only, keyed in increasing (i, j)."""
+    groups = {}
+    for j, path in enumerate(pc2.paths):
+        for v in path:
+            groups.setdefault((pc1.path_of[v][0], j), []).append(v)
+    return dict(sorted(groups.items()))
 
 
 @dataclass
 class FromRanks:
-    """from_[v][i]: highest rank on path i of a vertex reaching v, or None."""
+    """rows[v]: {cover path i: highest rank on i of a vertex reaching v}.
 
-    table: list
+    Rows are sparse: a path none of whose vertices reaches v has no entry,
+    and get() returns None for it.
+    """
+
+    rows: list
 
     def get(self, v, i):
-        return self.table[v][i]
+        return self.rows[v].get(i)
+
+    def reached(self, kappa):
+        """reached[i]: the vertices some vertex of path i reaches, ascending."""
+        out = [[] for _ in range(kappa)]
+        for v, row in enumerate(self.rows):
+            for i in row:
+                out[i].append(v)
+        return out
 
 
 def format_cover(pc):
@@ -123,38 +138,43 @@ def format_cover(pc):
 
 
 def parse_cover(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    kappa = int(lines[0])
-    paths = [[int(v) for v in ln.split()] for ln in lines[1 : 1 + kappa]]
+    """Inverse of format_cover; ValueError on any malformed text."""
+    rows = [[int(t) for t in ln.split()] for ln in text.splitlines() if ln.strip()]
+    if not rows or len(rows[0]) != 1:
+        raise ValueError("cover text must start with a kappa line")
+    paths = rows[1:]
+    if rows[0][0] != len(paths):
+        raise ValueError(f"kappa {rows[0][0]} but {len(paths)} path lines")
     n = sum(len(p) for p in paths)
     path_of = [None] * n
     for pid, path in enumerate(paths):
         for rank, v in enumerate(path):
+            if not 0 <= v < n or path_of[v] is not None:
+                raise ValueError(f"paths do not cover 0..{n - 1} exactly once (vertex {v})")
             path_of[v] = (pid, rank)
     return PathCover(paths, path_of)
 
 
-def from_ranks(g, pc):
-    """Max-propagating pass in topological order.
+def from_ranks(g, pc, order=None):
+    """Max-propagating pass in topological order over sparse rows.
 
     For each vertex and cover path, the highest rank on that path among
     the vertices that reach it; a vertex on a path trivially reaches
-    itself. Values are monotone along arcs.
+    itself. Values are monotone along arcs. Each row holds only the paths
+    that reach its vertex (Jagadish's chain-compressed closure), so the
+    pass costs the sum over arcs of the tail's row size, not m * kappa.
     """
-    order = topo_order(g)
+    order = topo_order(g) if order is None else order
     if order is None:
         raise CyclicGraphError("from-ranks require an acyclic digraph")
-    kappa = pc.kappa
-    table = [[None] * kappa for _ in range(g.n)]
+    rows = [{} for _ in range(g.n)]
     for v in order:
         pid, rank = pc.path_of[v]
-        row = table[v]
-        if row[pid] is None or row[pid] < rank:
-            row[pid] = rank
+        row = rows[v]
+        row[pid] = rank  # only lower ranks of its own path reach v
         for w in g.out[v]:
-            wrow = table[w]
-            for i in range(kappa):
-                x = row[i]
-                if x is not None and (wrow[i] is None or wrow[i] < x):
+            wrow = rows[w]
+            for i, x in row.items():
+                if wrow.get(i, -1) < x:
                     wrow[i] = x
-    return FromRanks(table)
+    return FromRanks(rows)

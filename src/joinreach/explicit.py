@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .cover import from_ranks, min_path_cover
+from .cover import from_ranks, min_path_cover, shared_vertices
 from .graph import (
     CyclicGraphError,
     Digraph,
@@ -441,7 +441,7 @@ def _pair_connect(b, dec1, i, civ1, dec2, j, civ2):
 # Path covers for general DAG pairs
 
 
-def build_pathcover(g1, g2, greedy=False):
+def build_pathcover(g1, g2):
     """Join graph of a DAG and a dipath or second DAG via dipath covers.
 
     One dominance structure per cover-path pair, on coordinates
@@ -449,50 +449,31 @@ def build_pathcover(g1, g2, greedy=False):
     """
     if g1.n != g2.n:
         raise ValueError("vertex-set mismatch")
-    if topo_order(g1) is None or topo_order(g2) is None:
+    order1, order2 = topo_order(g1), topo_order(g2)
+    if order1 is None or order2 is None:
         raise CyclicGraphError("path-cover construction requires acyclic inputs")
-    n = g1.n
-    pc1 = min_path_cover(g1, greedy=greedy)
-    if g2.kind == "path" and g2.is_directed_path():
-        pc2 = _trivial_cover(g2)
-    else:
-        pc2 = min_path_cover(g2, greedy=greedy)
-    fr1 = from_ranks(g1, pc1)
-    fr2 = from_ranks(g2, pc2)
-    b = _Builder(n)
-    for i, p1 in enumerate(pc1.paths):
-        on_p1 = set(p1)
-        for j, p2 in enumerate(pc2.paths):
-            shared = [v for v in p2 if v in on_p1]
-            if not shared:
+    pc1 = min_path_cover(g1, order1)
+    pc2 = min_path_cover(g2, order2)
+    fr1 = from_ranks(g1, pc1, order1)
+    fr2 = from_ranks(g2, pc2, order2)
+    reached1 = fr1.reached(pc1.kappa)
+    b = _Builder(g1.n)
+    for (i, j), shared in shared_vertices(pc1, pc2).items():
+        tag = f"pathcover;i{i};j{j}"
+        sources = []
+        for a in shared:
+            sv = b.steiner(f"{tag};src")
+            b.arc(a, sv)
+            sources.append((pc1.path_of[a][1], pc2.path_of[a][1], sv))
+        targets = []
+        for z in reached1[i]:
+            if j not in fr2.rows[z]:
                 continue
-            tag = f"pathcover;i{i};j{j}"
-            sources = []
-            for a in shared:
-                sv = b.steiner(f"{tag};src")
-                b.arc(a, sv)
-                sources.append((pc1.path_of[a][1], pc2.path_of[a][1], sv))
-            targets = []
-            for z in range(n):
-                f1 = fr1.get(z, i)
-                f2 = fr2.get(z, j)
-                if f1 is None or f2 is None:
-                    continue
-                tv = b.steiner(f"{tag};dst")
-                b.arc(tv, z)
-                targets.append((f1, f2, tv))
-            _dominance_connect(b, sources, targets, 0, len(p1), 0, tag)
+            tv = b.steiner(f"{tag};dst")
+            b.arc(tv, z)
+            targets.append((fr1.rows[z][i], fr2.rows[z][j], tv))
+        _dominance_connect(b, sources, targets, 0, len(pc1.paths[i]), 0, tag)
     return b.finish()
-
-
-def _trivial_cover(p):
-    from .cover import PathCover
-
-    order = path_order(p)
-    path_of = [None] * p.n
-    for r, v in enumerate(order):
-        path_of[v] = (0, r)
-    return PathCover([order], path_of)
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .cover import from_ranks, min_path_cover, PathCover
+from .cover import from_ranks, min_path_cover, shared_vertices
 from .geom import CartesianTree, HSegment, RangeTree2D, SegRayIndex
 from .graph import (
     CyclicGraphError,
@@ -361,80 +362,72 @@ class _PathCover:
 
     For a second tree the per-path structure follows the tree-and-path
     geometry with the path rank as threshold; I(v) keeps a query's probes
-    proportional to the structures that actually report something.
+    proportional to the structures that actually report something. I(v)
+    is read off v's sparse from-rank rows, so the build scales with the
+    cover sizes rather than with n times their product.
     """
 
-    def __init__(self, g1, g2, greedy=False):
+    def __init__(self, g1, g2):
         if g1.n != g2.n:
             raise ValueError("vertex-set mismatch")
         self.n = g1.n
-        if topo_order(g1) is None:
+        order1 = topo_order(g1)
+        if order1 is None:
             raise CyclicGraphError("first graph must be acyclic")
-        self.pc1 = min_path_cover(g1, greedy=greedy)
-        self.fr1 = from_ranks(g1, self.pc1)
-        self.mode = None
+        self.pc1 = min_path_cover(g1, order1)
+        self.fr1 = from_ranks(g1, self.pc1, order1)
         if g2.kind in ("out-tree", "in-tree"):
             self._build_tree_side(g2)
         else:
-            if topo_order(g2) is None:
+            order2 = topo_order(g2)
+            if order2 is None:
                 raise CyclicGraphError("second graph must be acyclic")
-            if g2.kind == "path" and g2.is_directed_path():
-                pc2 = _trivial_cover(g2)
-            else:
-                pc2 = min_path_cover(g2, greedy=greedy)
-            self._build_cover_side(g2, pc2)
+            pc2 = min_path_cover(g2, order2)
+            self._build_cover_side(pc2, from_ranks(g2, pc2, order2))
 
-    def _build_cover_side(self, g2, pc2):
+    def _build_cover_side(self, pc2, fr2):
         self.mode = "cover"
         self.pc2 = pc2
-        self.fr2 = from_ranks(g2, pc2)
+        self.fr2 = fr2
         self.structs = {}
-        for i, p1 in enumerate(self.pc1.paths):
-            on1 = set(p1)
-            for j, p2 in enumerate(pc2.paths):
-                common = [v for v in p2 if v in on1]
-                if not common:
-                    continue
-                pts = [
-                    (self.pc1.path_of[v][1], self.pc2.path_of[v][1], v) for v in common
-                ]
-                self.structs[(i, j)] = CartesianTree(pts)
-        self.nonempty = [[] for _ in range(self.n)]
-        for v in range(self.n):
-            for (i, j), ct in self.structs.items():
-                f1 = self.fr1.get(v, i)
-                f2 = self.fr2.get(v, j)
-                if f1 is None or f2 is None:
-                    continue
-                hi = bisect_right(ct.colx, f1) - 1
-                if hi >= 0 and ct.min_x2_in_range(0, hi) <= f2:
-                    self.nonempty[v].append((i, j))
+        # per first path i: {j: (x1 columns, prefix minima of x2)}
+        prefix = [{} for _ in range(self.pc1.kappa)]
+        for (i, j), common in shared_vertices(self.pc1, pc2).items():
+            ct = CartesianTree([(self.pc1.path_of[v][1], pc2.path_of[v][1], v) for v in common])
+            self.structs[(i, j)] = ct
+            prefix[i][j] = (ct.colx, list(accumulate((p[1] for p in ct.reps), min)))
+        self.nonempty = []
+        for row1, row2 in zip(self.fr1.rows, fr2.rows):
+            hits = []
+            for i, f1 in row1.items():
+                for j in prefix[i].keys() & row2.keys():
+                    colx, mins = prefix[i][j]
+                    hi = bisect_right(colx, f1) - 1
+                    if hi >= 0 and mins[hi] <= row2[j]:
+                        hits.append((i, j))
+            self.nonempty.append(sorted(hits))
 
     def _build_tree_side(self, t2):
         self.mode = "tree"
         self.orient2 = "out" if t2.kind == "out-tree" else "in"
-        iv = dfs_intervals(t2)
-        self.iv2 = iv
+        iv = self.iv2 = dfs_intervals(t2)
+        reached = self.fr1.reached(self.pc1.kappa)
         self.structs = {}
+        self.nonempty = [[] for _ in range(self.n)]
         for i, p1 in enumerate(self.pc1.paths):
             if self.orient2 == "out":
                 segs = [
                     HSegment(2 * iv.s[v], 2 * iv.t[v], self.pc1.path_of[v][1], v)
                     for v in p1
                 ]
-                queries = [(2 * iv.s[b] + 1, 0, b) for b in range(self.n)]
-                self.structs[i] = SegRayIndex(segs, queries)
+                # only reached vertices ever query this structure
+                queries = [(2 * iv.s[b] + 1, 0, b) for b in reached[i]]
+                st = SegRayIndex(segs, queries)
             else:
-                self.structs[i] = CartesianTree(
-                    [(2 * iv.s[v], self.pc1.path_of[v][1], v) for v in p1]
-                )
-        self.nonempty = [[] for _ in range(self.n)]
-        for b in range(self.n):
-            for i in range(self.pc1.kappa):
+                st = CartesianTree([(2 * iv.s[v], self.pc1.path_of[v][1], v) for v in p1])
+            self.structs[i] = st
+            for b in reached[i]:
                 f1 = self.fr1.get(b, i)
-                if f1 is None:
-                    continue
-                st = self.structs[i]
                 if self.orient2 == "out":
                     entry = st.entries[(2 * iv.s[b] + 1, 0)]
                     if entry and entry[-1].key[0] <= f1:
@@ -472,16 +465,8 @@ class _PathCover:
         return out, probes, pairs
 
 
-def _trivial_cover(p):
-    order = path_order(p)
-    path_of = [None] * p.n
-    for r, v in enumerate(order):
-        path_of[v] = (0, r)
-    return PathCover([order], path_of)
-
-
-def index_pathcover(g1, g2, greedy=False):
-    return JRIndex("pathcover", g1.n, _PathCover(g1, g2, greedy=greedy))
+def index_pathcover(g1, g2):
+    return JRIndex("pathcover", g1.n, _PathCover(g1, g2))
 
 
 # ----------------------------------------------------------------------
@@ -500,23 +485,35 @@ def kameda_labels(g):
     Labels come from two depth-first searches that scan out-arcs in
     leftmost-first and rightmost-first embedding order, numbering
     vertices by reverse completion. The label equivalence is validated
-    against the closure oracle; inputs failing it are rejected.
+    exactly against the closure oracle, word-parallel: each vertex's
+    dominance row (the vertices with both labels at least its own) is
+    the AND of two suffix masks of the label orders, compared with its
+    closure row. Inputs failing it are rejected, naming the
+    lexicographically first mismatched pair.
     """
     if g.kind != "planar-st" or g.out_order is None:
         raise GraphClassError("kameda labels need a planar-st graph with embedding")
     l1 = _postorder_labels(g, reverse_order=False)
     l2 = _postorder_labels(g, reverse_order=True)
     m = transitive_closure(g)
+    at_least1, at_least2 = _suffix_masks(l1), _suffix_masks(l2)
     for a in range(g.n):
-        for b in range(g.n):
-            want = m.reach(a, b)
-            got = l1[a] <= l1[b] and l2[a] <= l2[b]
-            if want != got:
-                raise GraphClassError(
-                    f"label equivalence fails at pair ({a},{b}); "
-                    "input is not a validly embedded planar st-graph"
-                )
+        diff = m.rows[a] ^ (at_least1[l1[a]] & at_least2[l2[a]])
+        if diff:
+            b = (diff & -diff).bit_length() - 1
+            raise GraphClassError(
+                f"label equivalence fails at pair ({a},{b}); "
+                "input is not a validly embedded planar st-graph"
+            )
     return KamedaLabels(l1, l2)
+
+
+def _suffix_masks(labels):
+    """masks[k]: bitmask of the vertices labelled k or more (labels 1..n)."""
+    masks = [0] * (len(labels) + 2)
+    for v in sorted(range(len(labels)), key=labels.__getitem__, reverse=True):
+        masks[labels[v]] = masks[labels[v] + 1] | (1 << v)
+    return masks
 
 
 def _postorder_labels(g, reverse_order):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -73,16 +74,40 @@ def test_cover_minimality_matches_matching_oracle():
         pc = min_path_cover(g)
         assert_valid_cover(g, pc)
         assert pc.kappa == n - matching_oracle(g)
+    for n in (60, 120, 200):
+        for p in (1.5 / n, 4.0 / n, 0.1):
+            g = random_dag(rng, n, p)
+            pc = min_path_cover(g)
+            assert_valid_cover(g, pc)
+            assert pc.kappa == n - matching_oracle(g)
 
 
-def test_greedy_cover_is_valid():
-    rng = random.Random(79)
-    for _ in range(15):
-        n = rng.randrange(2, 40)
-        g = random_dag(rng, n, 0.2)
-        pc = min_path_cover(g, greedy=True)
-        assert_valid_cover(g, pc)
-        assert pc.kappa >= min_path_cover(g).kappa
+@pytest.mark.parametrize(
+    "g, kappa",
+    [
+        (Digraph(1, []), 1),
+        (Digraph(2, []), 2),
+        (Digraph(2, [(1, 0)]), 1),
+        (Digraph(5, []), 5),
+    ],
+)
+def test_cover_edge_cases(g, kappa):
+    pc = min_path_cover(g)
+    assert_valid_cover(g, pc)
+    assert pc.kappa == kappa
+
+
+def test_cover_of_long_ladder_keeps_recursion_limit():
+    half = 1 << 14
+    arcs = [(i, i + 1) for i in range(half - 1)]
+    arcs += [(half + i, half + i + 1) for i in range(half - 1)]
+    arcs += [(i, half + i) for i in range(half)]
+    g = Digraph(2 * half, arcs)
+    limit = sys.getrecursionlimit()
+    pc = min_path_cover(g)
+    assert sys.getrecursionlimit() == limit
+    assert pc.kappa == 2
+    assert_valid_cover(g, pc)
 
 
 def test_cover_format_roundtrip():
@@ -93,6 +118,23 @@ def test_cover_format_roundtrip():
     assert pc2.kappa == pc.kappa
     assert pc2.paths == pc.paths
     assert pc2.path_of == pc.path_of
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "1\n0 x 2\n",
+        "2\n0 1 2\n",
+        "1\n0 1\n2\n",
+        "1\n0 2\n",
+        "2\n0 1\n1\n",
+    ],
+    ids=["empty", "non-integer", "kappa-too-big", "kappa-too-small", "id-out-of-range", "repeated"],
+)
+def test_parse_cover_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_cover(text)
 
 
 def test_from_ranks_reflexive_and_sources():

@@ -24,6 +24,8 @@ from joinreach.jrindex import (
     index_tree_path,
     index_two_paths,
     index_two_trees,
+    _PathCover,
+    _postorder_labels,
     kameda_labels,
     query,
 )
@@ -246,6 +248,39 @@ def test_pathcover_dag_path_tree_dag_shapes():
                 assert probes <= 6 * (len(res) + 1)
 
 
+def test_pathcover_nonempty_lists_match_definition():
+    """(i, j) is in I(v) iff some a on both cover paths reaches v in both graphs."""
+    rng = random.Random(35)
+    for _ in range(10):
+        n = rng.randrange(2, 41)
+        g1 = rand_dag(rng, n, 0.2)
+        m1 = transitive_closure(g1)
+        for g2 in (
+            rand_dag(rng, n, 0.2),
+            rand_tree(rng, n, "out-tree"),
+            rand_tree(rng, n, "in-tree"),
+        ):
+            pcx = _PathCover(g1, g2)
+            m2 = transitive_closure(g2)
+            if pcx.mode == "cover":
+                def pair(a):
+                    return (pcx.pc1.path_of[a][0], pcx.pc2.path_of[a][0])
+            else:
+                def pair(a):
+                    return pcx.pc1.path_of[a][0]
+            # an in-tree structure's range is open at v, as the query adds v
+            skip_self = g2.kind == "in-tree"
+            for v in range(n):
+                want = sorted(
+                    {
+                        pair(a)
+                        for a in range(n)
+                        if m1.reach(a, v) and m2.reach(a, v) and not (skip_self and a == v)
+                    }
+                )
+                assert pcx.nonempty[v] == want, (g2.kind, v)
+
+
 def test_pathcover_rejects_cycles():
     cyc = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(Exception):
@@ -277,6 +312,39 @@ def test_kameda_random_sp_graphs():
         for a in range(n):
             for b in range(n):
                 assert m.reach(a, b) == (lab.l1[a] <= lab.l1[b] and lab.l2[a] <= lab.l2[b])
+
+
+def test_kameda_rejects_exactly_the_misembedded_graphs():
+    rng = random.Random(37)
+    rejected = 0
+    for _ in range(40):
+        n = rng.randrange(4, 61)
+        g = rand_sp_st(rng, n)
+        # reversing a single vertex's out-arcs only mirrors parallel
+        # branches and left every sampled graph valid, so shuffle them all
+        order = [list(ws) for ws in g.out_order]
+        for ws in order:
+            rng.shuffle(ws)
+        bad = Digraph(n, g.arcs, kind="planar-st", out_order=order)
+        l1 = _postorder_labels(bad, reverse_order=False)
+        l2 = _postorder_labels(bad, reverse_order=True)
+        m = transitive_closure(bad)
+        first = next(
+            (
+                (a, b)
+                for a in range(n)
+                for b in range(n)
+                if m.reach(a, b) != (l1[a] <= l1[b] and l2[a] <= l2[b])
+            ),
+            None,
+        )
+        if first is None:
+            assert kameda_labels(bad).l1 == l1
+            continue
+        rejected += 1
+        with pytest.raises(GraphClassError, match=rf"at pair \({first[0]},{first[1]}\);"):
+            kameda_labels(bad)
+    assert rejected >= 5
 
 
 def test_kameda_rejects_missing_embedding():
