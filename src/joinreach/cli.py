@@ -258,7 +258,7 @@ def cmd_stats(args):
     return 0
 
 
-BENCH_CAPS = {"paths": 1 << 14, "trees": 1 << 10, "pathcover": 1 << 10}
+BENCH_CAPS = {"paths": 1 << 14, "trees": 1 << 14, "pathcover": 1 << 10}
 
 
 def cmd_bench(args):

@@ -17,13 +17,14 @@ from .graph import (
     CyclicGraphError,
     Digraph,
     GraphClassError,
-    contracted_intervals,
+    _parse_arcs,
+    block_pairs,
     dfs_intervals,
-    layer_decompose,
     path_order,
     tarjan_scc,
     topo_order,
     transitive_closure,
+    tree_blocks,
 )
 
 
@@ -336,85 +337,44 @@ def _three_d_connect(b, members, anc_iv, chain, x2, x3, src_ok, snk_ok, emit, ta
 
 def build_two_trees(t1, t2):
     """Join graph of two rooted trees; size within 4n(ceil(log2 n)+1)^2."""
-    if t1.n != t2.n:
-        raise ValueError("vertex-set mismatch")
-    if t1.kind == "in-tree":
-        return _reverse_join(build_two_trees(t1.reverse(), t2.reverse()))
-    if t1.kind != "out-tree" or t2.kind not in ("out-tree", "in-tree"):
+    if t1.kind not in ("out-tree", "in-tree") or t2.kind not in ("out-tree", "in-tree"):
         raise GraphClassError("both graphs must be rooted trees")
-    n = t1.n
-    iv1 = dfs_intervals(t1)
-    iv2 = dfs_intervals(t2)
-    members = list(range(n))
-    su2_iv = {v: (iv2.s[v], iv2.t[v]) for v in members}
-    core = {v: True for v in members}
-    o2 = "out" if t2.kind == "out-tree" else "in"
-    x2, x3 = _interval_orders(members, su2_iv, core, o2)
-    anc_iv = {v: (iv1.s[v], iv1.t[v]) for v in members}
-    chain = {v: 0 for v in members}
-    flags = {v: True for v in members}
-    b = _Builder(n)
-    _three_d_connect(b, members, anc_iv, chain, x2, x3, flags, flags, b.arc, "two-trees")
-    return b.finish()
+    return _tree_blocks_join(t1, t2)
 
 
 def build_unoriented_trees(g1, g2):
-    """Join graph of two unoriented trees via paired layer decompositions."""
+    """Join graph of two trees of any orientation via their tree blocks."""
+    return _tree_blocks_join(g1, g2)
+
+
+def _tree_blocks_join(g1, g2):
+    # One 3d wiring per pair of blocks sharing at least two vertices; a
+    # pair of rooted trees is the single pair of their all-core blocks.
     if g1.n != g2.n:
         raise ValueError("vertex-set mismatch")
-    k1 = _oriented_kind(g1)
-    k2 = _oriented_kind(g2)
-    if k1 and k2:
-        return build_two_trees(_as_kind(g1, k1), _as_kind(g2, k2))
-    for g in (g1, g2):
-        if g.kind not in ("utree", "out-tree", "in-tree", "path"):
-            raise GraphClassError("both graphs must be trees")
-    u1 = _as_kind(g1, "utree")
-    u2 = _as_kind(g2, "utree")
-    dec1 = layer_decompose(u1, 0)
-    dec2 = layer_decompose(u2, 0)
+    blocks1, of1 = tree_blocks(g1)
+    blocks2, of2 = tree_blocks(g2)
+    rooted = len(blocks1) == len(blocks2) == 1
     b = _Builder(g1.n)
-    for i in range(len(dec1.graphs)):
-        iv1, _root1 = contracted_intervals(dec1, i)
-        for j in range(len(dec2.graphs)):
-            iv2, _root2 = contracted_intervals(dec2, j)
-            _pair_connect(b, dec1, i, iv1, dec2, j, iv2)
+    for (i, j), members in sorted(block_pairs(of1, of2).items()):
+        if len(members) < 2:
+            continue
+        blk1 = blocks1[i]
+        if rooted:
+            tag = "two-trees"
+        else:
+            tag = f"utrees;i{i};j{j}" + (";rev" if blk1.orient == "in" else "")
+        _pair_connect(b, blk1, blocks2[j], members, tag)
     return b.finish()
 
 
-def _oriented_kind(g):
-    if all(len(p) <= 1 for p in g.inn) and sum(1 for v in range(g.n) if not g.inn[v]) == 1:
-        return "out-tree"
-    if all(len(s) <= 1 for s in g.out) and sum(1 for v in range(g.n) if not g.out[v]) == 1:
-        return "in-tree"
-    return None
-
-
-def _as_kind(g, kind):
-    return Digraph(g.n, g.arcs, kind=kind) if g.kind != kind else g
-
-
-def _pair_connect(b, dec1, i, civ1, dec2, j, civ2):
-    members = sorted(
-        v
-        for v in range(len(dec1.iota))
-        if dec1.role(v, i) != "absent" and dec2.role(v, j) != "absent"
-    )
-    if len(members) < 2:
-        return
-    o1 = "out" if i % 2 == 0 else "in"
-    o2 = "out" if j % 2 == 0 else "in"
-    rev = o1 == "in"
-    eff_o2 = ({"out": "in", "in": "out"}[o2]) if rev else o2
-
-    core1 = {v: dec1.role(v, i) == "core" for v in members}
-    core2 = {v: dec2.role(v, j) == "core" for v in members}
-    su1 = {v: v if core1[v] else dec1.fringe_root[(v, i)] for v in members}
-    su2 = {v: v if core2[v] else dec2.fringe_root[(v, j)] for v in members}
-    anc_iv = {v: civ1[su1[v]] for v in members}
-    su2_iv = {v: civ2[su2[v]] for v in members}
+def _pair_connect(b, blk1, blk2, members, tag):
+    # An in-core first block is wired on the reversed pair, arcs flipped.
+    rev = blk1.orient == "in"
+    eff_o2 = ({"out": "in", "in": "out"}[blk2.orient]) if rev else blk2.orient
+    core1, core2 = blk1.core, blk2.core
     # fringe hangers precede their core representative in the ancestor chain
-    chain = {v: (0, v) if not core1[v] else (1, v) for v in members}
+    chain = {v: (core1[v], v) for v in members}
 
     # After an effective reversal the first side is out-core: its fringe
     # hangers may only emit. Out-core fringes on the second side likewise
@@ -429,12 +389,9 @@ def _pair_connect(b, dec1, i, civ1, dec2, j, civ2):
         src_ok[v] = ok2_src
         snk_ok[v] = core1[v] and ok2_snk
 
-    x2, x3 = _interval_orders(members, su2_iv, core2, eff_o2)
+    x2, x3 = _interval_orders(members, blk2.su_iv, core2, eff_o2)
     emit = (lambda u, v: b.arc(v, u)) if rev else b.arc
-    _three_d_connect(
-        b, members, anc_iv, chain, x2, x3, src_ok, snk_ok, emit,
-        f"utrees;i{i};j{j}" + (";rev" if rev else ""),
-    )
+    _three_d_connect(b, members, blk1.su_iv, chain, x2, x3, src_ok, snk_ok, emit, tag)
 
 
 # ----------------------------------------------------------------------
@@ -498,6 +455,10 @@ def verify_join_graph(jg, g1, g2):
     first violating pair is reported with its direction.
     """
     n = jg.n_original
+    if not n == g1.n == g2.n:
+        raise ValueError(
+            f"join graph has {n} original vertices, the inputs {g1.n} and {g2.n}"
+        )
     want = transitive_closure(g1).and_with(transitive_closure(g2))
     got = _original_reach_rows(jg)
     for a in range(n):
@@ -551,19 +512,23 @@ def format_join(jg):
 
 
 def parse_join(text):
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty join file")
     head = lines[0].split()
+    if len(head) != 3:
+        raise ValueError(f"bad header {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
-    arcs = []
-    for ln in lines[1 : 1 + m]:
-        u, v = ln.split()
-        arcs.append((int(u), int(v)))
-    sline = lines[1 + m].split()
-    if sline[0] != "steiner":
+    if n < 0 or m < 0:
+        raise ValueError(f"negative count in header {lines[0]!r}")
+    arcs = _parse_arcs(lines[1 : 1 + m], m)
+    sline = lines[1 + m].split() if len(lines) > 1 + m else []
+    if len(sline) != 2 or sline[0] != "steiner":
         raise ValueError("missing steiner section")
     k = int(sline[1])
-    tags = lines[2 + m : 2 + m + k]
+    tags = lines[2 + m :]
+    if len(tags) != k or not 0 <= k <= n:
+        raise ValueError(f"steiner section says {k} tags for n={n}; {len(tags)} tag lines follow")
     return JoinGraph(Digraph(n, arcs), n - k, tags)
 
 

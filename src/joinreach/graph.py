@@ -369,7 +369,7 @@ def condense_pair(g1, g2):
         first_sub = {}
         last_sub = {}
         for ci, comp in enumerate(comps_a):
-            subs = sorted({(comp_b_of[v], key_to_sub[(comp_a_of[v], comp_b_of[v])]) for v in comp})
+            subs = sorted({(comp_b_of[v], sub_of[v]) for v in comp})
             chain = [s for _, s in subs]
             first_sub[ci] = chain[0]
             last_sub[ci] = chain[-1]
@@ -382,25 +382,7 @@ def condense_pair(g1, g2):
         return Digraph(len(members), sorted(arcs))
 
     g1_hat = build_hat(comps1, comp1_of, comp2_of, g1)
-    # For the second graph the roles of the two condensations swap.
-    g2_hat_arcs = set()
-    for ci, comp in enumerate(comps2):
-        subs = sorted({(comp1_of[v], key_to_sub[(comp1_of[v], comp2_of[v])]) for v in comp})
-        chain = [s for _, s in subs]
-        for i in range(len(chain) - 1):
-            g2_hat_arcs.add((chain[i], chain[i + 1]))
-    first_sub2 = {}
-    last_sub2 = {}
-    for ci, comp in enumerate(comps2):
-        subs = sorted({(comp1_of[v], key_to_sub[(comp1_of[v], comp2_of[v])]) for v in comp})
-        chain = [s for _, s in subs]
-        first_sub2[ci] = chain[0]
-        last_sub2[ci] = chain[-1]
-    for u, v in g2.arcs:
-        cu, cv = comp2_of[u], comp2_of[v]
-        if cu != cv:
-            g2_hat_arcs.add((last_sub2[cu], first_sub2[cv]))
-    g2_hat = Digraph(len(members), sorted(g2_hat_arcs))
+    g2_hat = build_hat(comps2, comp2_of, comp1_of, g2)
     return CondensedPair(g1_hat, g2_hat, sub_of, members)
 
 
@@ -460,106 +442,73 @@ def layer_decompose(g, v0=None):
     reachable from earlier layers. Graph i is induced by layers i, i+1
     plus a root contracting everything earlier. Requires g acyclic (as a
     digraph) and weakly connected.
+
+    Each layer is one search from the layer before it over unassigned
+    vertices: the earlier layers are already closed in the search's
+    direction, so O(n + m) in total. The search also records, for each
+    vertex of layer i+1, the vertex of layer i its fringe tree hangs off
+    in graph i (`fringe_root`).
     """
     n = g.n
     if v0 is None:
         v0 = 0
     if not (0 <= v0 < n):
         raise ValueError(f"v0={v0} out of range")
-    reach = transitive_closure(g)
-    reach_rev = transitive_closure(Digraph(n, [(v, u) for u, v in g.arcs]))
-
-    assigned_mask = 0
     iota = [-1] * n
-    layers = []
-    layer0 = sorted(b for b in range(n) if reach.reach(v0, b))
-    for v in layer0:
-        assigned_mask |= 1 << v
-        iota[v] = 0
-    layers.append(layer0)
-    full = (1 << n) - 1
-    while assigned_mask != full:
-        i = len(layers)
-        if i % 2 == 1:
-            cur = [u for u in range(n) if iota[u] < 0 and reach.rows[u] & assigned_mask]
-        else:
-            cur = [u for u in range(n) if iota[u] < 0 and reach_rev.rows[u] & assigned_mask]
-        if not cur and layers and not layers[-1]:
+    iota[v0] = 0
+    fringe_root = {}
+
+    def search(i, seeds):
+        # Unassigned vertices reached from seeds, labelled layer i.
+        adj = g.inn if i % 2 else g.out
+        found = []
+        queue = list(seeds)
+        for v in queue:
+            for w in adj[v]:
+                if iota[w] < 0:
+                    iota[w] = i
+                    if i:
+                        fringe_root[(w, i - 1)] = v if iota[v] < i else fringe_root[(v, i - 1)]
+                    found.append(w)
+                    queue.append(w)
+        return found
+
+    layers = [[v0] + search(0, [v0])]
+    assigned = len(layers[0])
+    while assigned < n:
+        cur = search(len(layers), layers[-1])
+        if not cur:
             raise ValueError("layer decomposition requires a weakly connected graph")
-        for v in cur:
-            assigned_mask |= 1 << v
-            iota[v] = i
+        assigned += len(cur)
         layers.append(cur)
-    while layers and not layers[-1]:
-        layers.pop()
+    layers = [sorted(layer) for layer in layers]
 
     mu = len(layers)
     graphs = []
     roles = {}
-    for i in range(mu):
-        li = layers[i]
-        lnext = layers[i + 1] if i + 1 < mu else []
+    for i, core in enumerate(layers):
+        fringe = layers[i + 1] if i + 1 < mu else []
         if i == 0:
-            locs = [v0] + [v for v in li if v != v0] + list(lnext)
+            locs = [v0] + [v for v in core if v != v0] + fringe
         else:
-            locs = [None] + list(li) + list(lnext)
-        local_of = {v: idx for idx, v in enumerate(locs) if v is not None}
-        present = set(local_of)
+            locs = [None] + core + fringe
+        local_of = {v: k for k, v in enumerate(locs) if v is not None}
         arcs = set()
-        for u, v in g.arcs:
-            lu = local_of.get(u, 0 if iota[u] < i else None)
-            lv = local_of.get(v, 0 if iota[v] < i else None)
-            if lu is None or lv is None or lu == lv:
-                continue
-            if u not in present and v not in present:
-                continue
-            arcs.add((lu, lv))
-        graphs.append(LayeredGraph(i, Digraph(len(locs), sorted(arcs)), locs, local_of))
-        for v in li:
+        for v, lv in local_of.items():
+            for w in g.out[v]:
+                lw = local_of.get(w, 0 if iota[w] < i else None)
+                if lw is not None:
+                    arcs.add((lv, lw))
+            for w in g.inn[v]:
+                lw = local_of.get(w, 0 if iota[w] < i else None)
+                if lw is not None:
+                    arcs.add((lw, lv))
+        graphs.append(LayeredGraph(i, Digraph(len(locs), arcs), locs, local_of))
+        for v in core:
             roles[(v, i)] = "core"
-        for v in lnext:
-            roles[(v, i)] = "fringe"
-
-    dec = LayerDecomposition(layers, iota, graphs, roles)
-    if g.kind == "utree":
-        _assign_fringe_roots(g, dec)
-    return dec
-
-
-def _assign_fringe_roots(g, dec):
-    # Fringe trees hang off core vertices: walk fringe vertices outward
-    # from each core vertex following the hanging-tree orientation.
-    for i, lg in enumerate(dec.graphs):
-        fringe = {v for v in lg.orig_of if v is not None and dec.roles.get((v, i)) == "fringe"}
-        if not fringe:
-            continue
-        core = [v for v in lg.orig_of if v is not None and dec.roles.get((v, i)) == "core"]
-        even = i % 2 == 0
-        seeds = list(core)
-        if i == 0:
-            pass  # v0 already in core
-        claimed = {}
-        stack = [(c, c) for c in seeds]
-        while stack:
-            v, root = stack.pop()
-            neigh = g.inn[v] if even else g.out[v]
-            for w in neigh:
-                if w in fringe and w not in claimed:
-                    claimed[w] = root
-                    stack.append((w, root))
-        # Fringe vertices attached directly to the contracted root.
-        if i > 0:
-            prefix = [u for u in range(g.n) if dec.iota[u] < i]
-            stack = [(u, None) for u in prefix]
-            while stack:
-                v, root = stack.pop()
-                neigh = g.inn[v] if even else g.out[v]
-                for w in neigh:
-                    if w in fringe and w not in claimed:
-                        claimed[w] = root
-                        stack.append((w, root))
         for v in fringe:
-            dec.fringe_root[(v, i)] = claimed.get(v)
+            roles[(v, i)] = "fringe"
+    return LayerDecomposition(layers, iota, graphs, roles, fringe_root)
 
 
 def contracted_intervals(dec, i):
@@ -571,15 +520,9 @@ def contracted_intervals(dec, i):
     """
     lg = dec.graphs[i]
     parent = tree_parents(lg.digraph, 0)
-    core_locals = [0] + [
-        lg.local_of[v]
-        for v in lg.orig_of
-        if v is not None and dec.role(v, i) == "core" and lg.local_of[v] != 0
-    ]
+    core_locals = [0] + [lg.local_of[v] for v in dec.layers[i] if lg.local_of[v] != 0]
     children = {c: [] for c in core_locals}
-    for c in core_locals:
-        if c == 0:
-            continue
+    for c in core_locals[1:]:
         children[parent[c]].append(c)
     for c in children:
         children[c].sort(key=lambda x: lg.orig_of[x] if lg.orig_of[x] is not None else -1)
@@ -604,6 +547,70 @@ def contracted_intervals(dec, i):
         if orig is not None:
             iv[orig] = (s[c], t[c])
     return iv, (s[0], t[0])
+
+
+@dataclass
+class TreeBlock:
+    """One block of a tree: the tree itself when it is rooted, else one
+    graph of its layer decomposition.
+
+    Core members form a tree oriented `orient` ("out" or "in") below the
+    block's root; a rooted tree is all core. Each fringe member hangs off
+    a core member, its supervertex, and shares that member's interval.
+    """
+
+    orient: str
+    core: dict   # member -> True for core members, False for fringe ones
+    su_iv: dict  # member -> doubled DFS interval of its supervertex
+
+
+def tree_blocks(g):
+    """(blocks, of): the blocks of a tree, and per vertex the ascending
+    indices of the at most two blocks holding it.
+
+    A rooted tree or a directed path is one all-core block. An unoriented
+    tree gives block i for layer graph i: out-oriented for even i,
+    in-oriented for odd i, core on layer i and fringe on layer i + 1.
+    """
+    if g.kind not in ("out-tree", "in-tree", "utree", "path"):
+        raise GraphClassError("expected a tree")
+    n = g.n
+    orient = {"out-tree": "out", "in-tree": "in"}.get(g.kind)
+    if orient is None and all(len(p) <= 1 for p in g.inn):
+        orient = "out"
+    elif orient is None and all(len(s) <= 1 for s in g.out):
+        orient = "in"
+    if orient is not None:
+        up = g.inn if orient == "out" else g.out
+        iv = dfs_intervals(g, next(v for v in range(n) if not up[v]))
+        su_iv = {v: (2 * iv.s[v], 2 * iv.t[v]) for v in range(n)}
+        return [TreeBlock(orient, dict.fromkeys(range(n), True), su_iv)], [(0,)] * n
+    dec = layer_decompose(g, 0)
+    blocks = []
+    of = [[] for _ in range(n)]
+    for i, core in enumerate(dec.layers):
+        fringe = dec.layers[i + 1] if i + 1 < dec.mu else []
+        civ, _root = contracted_intervals(dec, i)
+        su_iv = {v: (2 * civ[v][0], 2 * civ[v][1]) for v in core}
+        for v in fringe:
+            su_iv[v] = su_iv[dec.fringe_root[(v, i)]]
+        is_core = dict.fromkeys(core, True)
+        is_core.update(dict.fromkeys(fringe, False))
+        blocks.append(TreeBlock("in" if i % 2 else "out", is_core, su_iv))
+        for v in is_core:
+            of[v].append(i)
+    return blocks, of
+
+
+def block_pairs(of1, of2):
+    """{(k1, k2): ascending vertices v with k1 in of1[v] and k2 in of2[v]},
+    for the nonempty pairs only, from one pass over the vertices."""
+    groups = {}
+    for v, (ks1, ks2) in enumerate(zip(of1, of2)):
+        for k1 in ks1:
+            for k2 in ks2:
+                groups.setdefault((k1, k2), []).append(v)
+    return groups
 
 
 @dataclass
@@ -766,17 +773,33 @@ def parse_graph(text):
     n, m, kind = int(head[0]), int(head[1]), head[2]
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    arcs = []
-    for ln in lines[1 : 1 + m]:
-        u, v = ln.split()
-        arcs.append((int(u), int(v)))
+    if n < 0 or m < 0:
+        raise ValueError(f"negative count in header {lines[0]!r}")
+    arcs = _parse_arcs(lines[1 : 1 + m], m)
+    rest = lines[1 + m :]
+    if any(kind != "planar-st" or ":" not in ln for ln in rest):
+        raise ValueError(f"header says {m} arcs, but more arc lines follow")
     out_order = None
     if kind == "planar-st":
         out_order = [[] for _ in range(n)]
-        for ln in lines[1 + m :]:
+        for ln in rest:
             vpart, _, ws = ln.partition(":")
-            out_order[int(vpart)] = [int(w) for w in ws.split()]
+            v = int(vpart)
+            if not 0 <= v < n:
+                raise ValueError(f"out-order line of vertex {v} out of range for n={n}")
+            out_order[v] = [int(w) for w in ws.split()]
     return Digraph(n, arcs, kind=kind, out_order=out_order)
+
+
+def _parse_arcs(lines, m):
+    """The m "u v" arc lines of a graph or join file."""
+    if len(lines) < m:
+        raise ValueError(f"header says {m} arcs, but fewer arc lines follow")
+    arcs = []
+    for ln in lines:
+        u, v = ln.split()  # ValueError unless two tokens
+        arcs.append((int(u), int(v)))
+    return arcs
 
 
 def format_graph(g):

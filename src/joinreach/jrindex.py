@@ -1,31 +1,33 @@
 """Implicit join-reachability indexes.
 
 Each builder returns a JRIndex whose query(b) reports exactly the
-vertices that reach b in both input graphs, b included. Rooted inputs
-get a single geometric structure; unoriented trees get one structure per
-layer-pair, and a query touches only the two decomposition graphs that
-can hold its predecessors. Probe counts and the list of pair structures
-touched are exposed for output-sensitivity checks.
+vertices that reach b in both input graphs, b included. Tree inputs come
+as the blocks of `graph.tree_blocks`: a rooted tree is one block, an
+unoriented tree one block per layer graph, and every vertex lies in at
+most two. One geometric structure is built per pair of blocks (or of a
+block and a path run) that share a vertex, so a query touches at most
+four pair structures, all within the two layer graphs that can hold its
+predecessors. Probe counts and the list of pair structures touched are
+exposed for output-sensitivity checks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .cover import from_ranks, min_path_cover, shared_vertices
 from .geom import CartesianTree, HSegment, RangeTree2D, SegRayIndex
 from .graph import (
     CyclicGraphError,
-    Digraph,
     GraphClassError,
-    contracted_intervals,
+    block_pairs,
     dfs_intervals,
-    layer_decompose,
     path_order,
     topo_order,
     transitive_closure,
+    tree_blocks,
 )
 from .hpd import hpd_two_trees_build, hpd_two_trees_report
 from .explicit import split_unoriented_path
@@ -57,51 +59,7 @@ def query(idx, b):
 
 
 # ----------------------------------------------------------------------
-# Tree blocks: a rooted tree is one all-core block; an unoriented tree
-# contributes one block per layer graph, with fringe trees contracted.
-
-
-@dataclass
-class _Block:
-    key: int
-    orient: str  # orientation of the core tree
-    members: set
-    su_iv: dict  # vertex -> doubled interval of its supervertex
-    core: dict   # vertex -> bool
-
-
-def _tree_blocks(g):
-    if g.kind in ("out-tree", "in-tree") or _oriented_kind(g):
-        kind = g.kind if g.kind in ("out-tree", "in-tree") else _oriented_kind(g)
-        t = Digraph(g.n, g.arcs, kind=kind) if g.kind != kind else g
-        iv = dfs_intervals(t)
-        members = set(range(g.n))
-        su_iv = {v: (2 * iv.s[v], 2 * iv.t[v]) for v in members}
-        return [_Block(0, "out" if kind == "out-tree" else "in", members,
-                       su_iv, {v: True for v in members})]
-    if g.kind not in ("utree", "path"):
-        raise GraphClassError("expected a tree")
-    u = Digraph(g.n, g.arcs, kind="utree") if g.kind != "utree" else g
-    dec = layer_decompose(u, 0)
-    blocks = []
-    for i in range(len(dec.graphs)):
-        civ, _root = contracted_intervals(dec, i)
-        members = {v for v in range(g.n) if dec.role(v, i) != "absent"}
-        core = {v: dec.role(v, i) == "core" for v in members}
-        su = {v: v if core[v] else dec.fringe_root[(v, i)] for v in members}
-        su_iv = {v: (2 * civ[su[v]][0], 2 * civ[su[v]][1]) for v in members}
-        blocks.append(_Block(i, "out" if i % 2 == 0 else "in", members, su_iv, core))
-    return blocks
-
-
-def _oriented_kind(g):
-    if g.m != g.n - 1 or not g._underlying_connected():
-        return None
-    if all(len(p) <= 1 for p in g.inn) and sum(1 for v in range(g.n) if not g.inn[v]) == 1:
-        return "out-tree"
-    if all(len(s) <= 1 for s in g.out) and sum(1 for v in range(g.n) if not g.out[v]) == 1:
-        return "in-tree"
-    return None
+# Two paths
 
 
 def _path_runs(p):
@@ -110,10 +68,6 @@ def _path_runs(p):
     if p.is_directed_path():
         return [path_order(p)]
     return split_unoriented_path(p)
-
-
-# ----------------------------------------------------------------------
-# Two paths
 
 
 class _TwoPaths:
@@ -173,40 +127,42 @@ class _TreePath:
         if t1.n != p2.n:
             raise ValueError("vertex-set mismatch")
         self.n = t1.n
-        blocks = _tree_blocks(t1)
+        blocks, of = tree_blocks(t1)
         runs = _path_runs(p2)
+        pos = [{v: k for k, v in enumerate(run)} for run in runs]
+        runs_of = [[] for _ in range(self.n)]
+        for j, run in enumerate(runs):
+            for v in run:
+                runs_of[v].append(j)
         self.structs = {}
         self.pairs_of = {v: [] for v in range(self.n)}
-        for blk in blocks:
-            for j, run in enumerate(runs):
-                members = [v for v in run if v in blk.members]
-                if not members:
-                    continue
-                key = (blk.key, j)
-                if blk.orient == "out":
-                    # label by height in the run: predecessors sit at or above
-                    lab = {v: len(members) - 1 - k for k, v in enumerate(members)}
-                    segs = [
-                        HSegment(blk.su_iv[v][0], blk.su_iv[v][1], lab[v], v)
-                        for v in members
-                    ]
-                    queries = [
-                        (blk.su_iv[v][0] + 1, lab[v], v)
-                        for v in members
-                        if blk.core[v]
-                    ]
-                    idx = SegRayIndex(segs, queries)
-                    self.structs[key] = ("out", blk, idx, lab)
-                else:
-                    # label by run position: predecessors sit at or below
-                    lab = {v: k for k, v in enumerate(members)}
-                    pts = [
-                        (blk.su_iv[v][0], lab[v], v) for v in members if blk.core[v]
-                    ]
-                    ct = CartesianTree(pts) if pts else None
-                    self.structs[key] = ("in", blk, ct, lab)
-                for v in members:
-                    self.pairs_of[v].append(key)
+        for key, members in sorted(block_pairs(of, runs_of).items()):
+            blk = blocks[key[0]]
+            members.sort(key=pos[key[1]].__getitem__)
+            if blk.orient == "out":
+                # label by height in the run: predecessors sit at or above
+                lab = {v: len(members) - 1 - k for k, v in enumerate(members)}
+                segs = [
+                    HSegment(blk.su_iv[v][0], blk.su_iv[v][1], lab[v], v)
+                    for v in members
+                ]
+                queries = [
+                    (blk.su_iv[v][0] + 1, lab[v], v)
+                    for v in members
+                    if blk.core[v]
+                ]
+                idx = SegRayIndex(segs, queries)
+                self.structs[key] = ("out", blk, idx, lab)
+            else:
+                # label by run position: predecessors sit at or below
+                lab = {v: k for k, v in enumerate(members)}
+                pts = [
+                    (blk.su_iv[v][0], lab[v], v) for v in members if blk.core[v]
+                ]
+                ct = CartesianTree(pts) if pts else None
+                self.structs[key] = ("in", blk, ct, lab)
+            for v in members:
+                self.pairs_of[v].append(key)
 
     def query_counted(self, b):
         out = set()
@@ -249,15 +205,12 @@ class _TwoTrees:
         if t1.n != t2.n:
             raise ValueError("vertex-set mismatch")
         self.n = t1.n
-        self.blocks1 = _tree_blocks(t1)
-        self.blocks2 = _tree_blocks(t2)
-        self.structs = {}
-        for b1 in self.blocks1:
-            for b2 in self.blocks2:
-                members = sorted(b1.members & b2.members)
-                if not members:
-                    continue
-                self.structs[(b1.key, b2.key)] = self._build_pair(b1, b2, members)
+        blocks1, self.of1 = tree_blocks(t1)
+        blocks2, self.of2 = tree_blocks(t2)
+        self.structs = {
+            (i, j): self._build_pair(blocks1[i], blocks2[j], members)
+            for (i, j), members in block_pairs(self.of1, self.of2).items()
+        }
 
     @staticmethod
     def _storable(blk, v):
@@ -294,42 +247,33 @@ class _TwoTrees:
         out = set()
         probes = 0
         pairs = []
-        for b1 in self.blocks1:
-            if b not in b1.members:
+        for key in product(self.of1[b], self.of2[b]):
+            kind, b1, b2, idx = self.structs[key]
+            # an out-core block cannot hold predecessors of its fringe
+            if (b1.orient == "out" and not b1.core[b]) or (
+                b2.orient == "out" and not b2.core[b]
+            ):
                 continue
-            for b2 in self.blocks2:
-                if b not in b2.members:
-                    continue
-                key = (b1.key, b2.key)
-                st = self.structs.get(key)
-                if st is None:
-                    continue
-                kind, _, _, idx = st
-                # an out-core block cannot hold predecessors of its fringe
-                if (b1.orient == "out" and not b1.core[b]) or (
-                    b2.orient == "out" and not b2.core[b]
-                ):
-                    continue
-                pairs.append(key)
-                if kind == "enc":
-                    res = idx.report(b1.su_iv[b][0] + 1, b2.su_iv[b][0] + 1)
-                    probes += len(res) + 1
-                elif kind == "seg":
-                    lo, hi = self._query_interval(b2, b)
-                    res, pr = idx.report_at(b1.su_iv[b][0] + 1, lo, hi)
-                    probes += pr
-                elif kind == "gseg":
-                    lo, hi = self._query_interval(b1, b)
-                    res, pr = idx.report_at(b2.su_iv[b][0] + 1, lo, hi)
-                    probes += pr
-                else:
-                    lo1, hi1 = self._query_interval(b1, b)
-                    lo2, hi2 = self._query_interval(b2, b)
-                    res = []
-                    if lo1 <= hi1 and lo2 <= hi2:
-                        res = idx.report(lo1, hi1, lo2, hi2)
-                    probes += len(res) + 1
-                out.update(res)
+            pairs.append(key)
+            if kind == "enc":
+                res = idx.report(b1.su_iv[b][0] + 1, b2.su_iv[b][0] + 1)
+                probes += len(res) + 1
+            elif kind == "seg":
+                lo, hi = self._query_interval(b2, b)
+                res, pr = idx.report_at(b1.su_iv[b][0] + 1, lo, hi)
+                probes += pr
+            elif kind == "gseg":
+                lo, hi = self._query_interval(b1, b)
+                res, pr = idx.report_at(b2.su_iv[b][0] + 1, lo, hi)
+                probes += pr
+            else:
+                lo1, hi1 = self._query_interval(b1, b)
+                lo2, hi2 = self._query_interval(b2, b)
+                res = []
+                if lo1 <= hi1 and lo2 <= hi2:
+                    res = idx.report(lo1, hi1, lo2, hi2)
+                probes += len(res) + 1
+            out.update(res)
         return out, probes, pairs
 
 

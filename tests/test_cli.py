@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from joinreach.cli import main
 from joinreach.gen import InstanceSpec, generate
 from joinreach.graph import Digraph, read_graph, transitive_closure
@@ -68,6 +70,44 @@ def test_cli_verify_failure_exit_code(tmp_path, capsys):
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "nope.g"
     assert main(["query", str(bad), str(bad), "-b", "0"]) == 2
+
+
+def test_cli_verify_vertex_count_mismatch_is_input_error(tmp_path, capsys):
+    a = tmp_path / "a.g"
+    with open(a, "w") as f:
+        f.write("4 3 path\n0 1\n1 2\n2 3\n")
+    small = tmp_path / "small.jg"
+    with open(small, "w") as f:
+        f.write("3 0 digraph\nsteiner 0\n")
+    assert main(["verify", str(small), str(a), str(a)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+MALFORMED_FILES = {
+    "join-empty": (".jg", ""),
+    "join-arcs-cut-short": (".jg", "4 3 digraph\n0 1\n"),
+    "join-no-steiner-section": (".jg", "4 1 digraph\n0 1\n"),
+    "join-steiner-cut-short": (".jg", "4 1 digraph\n0 1\nsteiner 2\nt0\n"),
+    "join-m-too-low": (".jg", "4 1 digraph\n0 1\n1 2\nsteiner 0\n"),
+    "join-m-too-high": (".jg", "4 2 digraph\n0 1\nsteiner 0\n"),
+    "join-k-too-low": (".jg", "4 1 digraph\n0 1\nsteiner 0\nt0\n"),
+    "graph-empty": (".g", ""),
+    "graph-m-too-high": (".g", "3 5 digraph\n0 1\n"),
+    "graph-m-too-low": (".g", "3 1 digraph\n0 1\n1 2\n"),
+    "graph-out-order-vertex": (".g", "3 2 planar-st\n0 1\n1 2\n0: 1\n1: 2\n7: 0\n"),
+}
+
+
+@pytest.mark.parametrize("suffix,text", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_cli_malformed_file_is_input_error(tmp_path, capsys, suffix, text):
+    bad = tmp_path / f"bad{suffix}"
+    with open(bad, "w") as f:
+        f.write(text)
+    argv = ["stats", str(bad)] if suffix == ".jg" else ["query", str(bad), str(bad), "-b", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_stats_two_paths_ratio(tmp_path, capsys):

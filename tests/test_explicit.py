@@ -45,6 +45,12 @@ def rand_utree(rng, n):
     return Digraph(n, arcs, kind="utree")
 
 
+def zigzag_path(n):
+    """Unoriented path 0-1-...-(n-1) whose arcs alternate direction."""
+    arcs = [(k, k + 1) if k % 2 == 0 else (k + 1, k) for k in range(n - 1)]
+    return Digraph(n, arcs, kind="path")
+
+
 def rand_dag(rng, n, p=0.2):
     arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     perm = list(range(n))
@@ -266,8 +272,9 @@ def test_unoriented_trees_random_instances():
         n = rng.randrange(2, 41)
         g1 = rand_utree(rng, n)
         g2 = rand_utree(rng, n)
-        jg = build_unoriented_trees(g1, g2)
-        assert verify_join_graph(jg, g1, g2).ok, n
+        for a, b in ((g1, g2), (zigzag_path(n), g2), (g1, zigzag_path(n))):
+            jg = build_unoriented_trees(a, b)
+            assert verify_join_graph(jg, a, b).ok, n
 
 
 def test_pathcover_dipath_reduces_to_two_paths():

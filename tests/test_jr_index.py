@@ -31,6 +31,12 @@ from joinreach.jrindex import (
 )
 
 
+def zigzag_path(n):
+    """Unoriented path 0-1-...-(n-1) whose arcs alternate direction."""
+    arcs = [(k, k + 1) if k % 2 == 0 else (k + 1, k) for k in range(n - 1)]
+    return Digraph(n, arcs, kind="path")
+
+
 def oracle_pred_sets(g1, g2):
     m1 = transitive_closure(g1)
     m2 = transitive_closure(g2)
@@ -130,14 +136,15 @@ def test_tree_path_unoriented_layer_probes():
         n = rng.randrange(2, 49)
         t = rand_utree(rng, n)
         p = rand_path(rng, n)
-        idx = index_tree_path(t, p)
-        want = oracle_pred_sets(t, p)
-        dec = layer_decompose(t, 0)
-        for b in range(n):
-            res, _, pairs = idx.query_counted(b)
-            assert res == want[b]
-            allowed = {dec.iota[b] - 1, dec.iota[b]}
-            assert all(i in allowed for i, _ in pairs)
+        for tree in (t, zigzag_path(n)):
+            idx = index_tree_path(tree, p)
+            want = oracle_pred_sets(tree, p)
+            dec = layer_decompose(tree, 0)
+            for b in range(n):
+                res, _, pairs = idx.query_counted(b)
+                assert res == want[b]
+                allowed = {dec.iota[b] - 1, dec.iota[b]}
+                assert all(i in allowed for i, _ in pairs)
 
 
 def test_tree_path_unoriented_path_side():
@@ -178,16 +185,18 @@ def test_two_trees_unoriented_pairs():
     for _ in range(20):
         n = rng.randrange(2, 49)
         t1, t2 = rand_utree(rng, n), rand_utree(rng, n)
-        idx = index_two_trees(t1, t2)
-        want = oracle_pred_sets(t1, t2)
-        dec1 = layer_decompose(t1, 0)
-        dec2 = layer_decompose(t2, 0)
-        for b in range(n):
-            res, _, pairs = idx.query_counted(b)
-            assert res == want[b]
-            a1 = {dec1.iota[b] - 1, dec1.iota[b]}
-            a2 = {dec2.iota[b] - 1, dec2.iota[b]}
-            assert all(i in a1 and j in a2 for i, j in pairs)
+        for first in (t1, zigzag_path(n)):
+            idx = index_two_trees(first, t2)
+            want = oracle_pred_sets(first, t2)
+            dec1 = layer_decompose(first, 0)
+            dec2 = layer_decompose(t2, 0)
+            for b in range(n):
+                res, _, pairs = idx.query_counted(b)
+                assert res == want[b]
+                assert len(pairs) <= 4
+                a1 = {dec1.iota[b] - 1, dec1.iota[b]}
+                a2 = {dec2.iota[b] - 1, dec2.iota[b]}
+                assert all(i in a1 and j in a2 for i, j in pairs)
 
 
 def test_two_trees_mixed_rooted_unoriented():
