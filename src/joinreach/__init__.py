@@ -11,8 +11,6 @@ from .graph import (
     dfs_intervals,
     dipath_of,
     layer_decompose,
-    nca_build,
-    nca_query,
     path_order,
     read_graph,
     transitive_closure,
@@ -26,15 +24,6 @@ from .geom import (
     RangeTree2D,
     Rect,
     SegRayIndex,
-    ct_build,
-    ct_dominance_report,
-    ct_range_report,
-    enclosure_build,
-    enclosure_report,
-    range2d_build,
-    range2d_report,
-    seg_build,
-    seg_report,
 )
 from .hpd import (
     hpd_build,
@@ -54,7 +43,6 @@ from .explicit import (
     build_two_paths,
     build_two_trees,
     build_unoriented_trees,
-    gen_bitreversal,
     read_join,
     split_unoriented_path,
     verify_join_graph,
@@ -69,8 +57,8 @@ from .jrindex import (
     index_two_paths,
     index_two_trees,
     kameda_labels,
-    query,
 )
-from .gen import GENERATOR_KINDS, InstanceSpec, generate
+from .gen import GENERATOR_KINDS, InstanceSpec, gen_bitreversal, generate
+from .classes import CLASSES, build, classify, index
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,0 +1,138 @@
+"""Which construction serves which pair of input classes.
+
+`classify` names the class of a pair of graphs and puts the pair in the
+order its builders expect; `CLASSES` maps each class name to its
+explicit builder and its index builder; `build` and `index` are
+`classify` plus one lookup. A pair that no specialised class matches
+goes to the path-cover construction, which takes any two digraphs over
+one vertex set: a cyclic pair is condensed first.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+from .explicit import (
+    JoinGraph,
+    build_pathcover,
+    build_tree_path,
+    build_two_paths,
+    build_two_trees,
+    build_unoriented_trees,
+)
+from .graph import Digraph, condense_pair, topo_order
+from .jrindex import (
+    JRIndex,
+    index_hpd_two_trees,
+    index_pathcover,
+    index_planar_st,
+    index_tree_path,
+    index_two_paths,
+    index_two_trees,
+)
+
+
+def _dipath(g):
+    return g.kind == "path" and g.is_directed_path()
+
+
+def _build_two_paths(p1, p2):
+    if _dipath(p1) and _dipath(p2):
+        return build_two_paths(p1, p2)
+    return build_unoriented_trees(p1, p2)
+
+
+def _build_tree_path(t, p):
+    if t.kind in ("out-tree", "in-tree") and _dipath(p):
+        return build_tree_path(t, p)
+    return build_unoriented_trees(t, p)
+
+
+def _condensed(g1, g2):
+    """`condense_pair(g1, g2)` when either graph has a cycle, else None."""
+    if topo_order(g1) is None or topo_order(g2) is None:
+        return condense_pair(g1, g2)
+    return None
+
+
+def _build_pathcover(g1, g2):
+    cp = _condensed(g1, g2)
+    if cp is None:
+        return build_pathcover(g1, g2)
+    # Each subcomponent becomes an id-ordered cycle through its members;
+    # its first member carries the subcomponent's arcs in the inner join.
+    inner = build_pathcover(cp.g1_hat, cp.g2_hat)
+    n = g1.n
+    arcs = [(ms[k - 1], ms[k]) for ms in cp.members if len(ms) > 1 for k in range(len(ms))]
+    vertex = [ms[0] for ms in cp.members] + list(range(n, n + inner.steiner_count))
+    arcs += [(vertex[u], vertex[v]) for u, v in inner.graph.arcs]
+    return JoinGraph(Digraph(n + inner.steiner_count, arcs), n, list(inner.steiner_tags))
+
+
+class _CondensedQueries:
+    """Queries on a cyclic pair, answered on its condensation."""
+
+    def __init__(self, cp, inner):
+        self.cp = cp
+        self.inner = inner
+
+    def query_counted(self, b):
+        subs, probes, pairs = self.inner.query_counted(self.cp.sub_of[b])
+        return [v for s in subs for v in self.cp.members[s]], probes, pairs
+
+
+def _index_pathcover(g1, g2):
+    cp = _condensed(g1, g2)
+    if cp is None:
+        return index_pathcover(g1, g2)
+    inner = index_pathcover(cp.g1_hat, cp.g2_hat)
+    return JRIndex("pathcover", g1.n, _CondensedQueries(cp, inner))
+
+
+class PairClass(NamedTuple):
+    explicit: Callable  # (g1, g2) -> JoinGraph
+    index: Callable  # (g1, g2) -> JRIndex
+
+
+# A planar st-graph is a DAG, so its explicit side is the path cover's.
+CLASSES = {
+    "two-paths": PairClass(_build_two_paths, index_two_paths),
+    "tree-path": PairClass(_build_tree_path, index_tree_path),
+    "two-trees": PairClass(build_two_trees, index_two_trees),
+    "unoriented-trees": PairClass(build_unoriented_trees, index_two_trees),
+    "pathcover": PairClass(_build_pathcover, _index_pathcover),
+    "planar-st": PairClass(_build_pathcover, index_planar_st),
+    "hpd-two-trees": PairClass(build_two_trees, index_hpd_two_trees),
+}
+
+_WITH_PATH = {"path": "two-paths", "out-tree": "tree-path", "in-tree": "tree-path",
+              "utree": "tree-path", "planar-st": "planar-st"}
+
+
+def classify(g1, g2):
+    """(name, g1, g2): the pair's class in `CLASSES`, and the pair with a
+    path moved second, where every builder expects it."""
+    if g1.kind == "path" != g2.kind:
+        g1, g2 = g2, g1
+    kinds = {g1.kind, g2.kind}
+    if g2.kind == "path":
+        name = _WITH_PATH.get(g1.kind, "pathcover")
+    elif kinds <= {"out-tree", "in-tree"}:
+        name = "two-trees"
+    elif kinds <= {"out-tree", "in-tree", "utree"}:
+        name = "unoriented-trees"
+    else:
+        name = "pathcover"
+    return name, g1, g2
+
+
+def build(g1, g2):
+    """Explicit join graph of any pair, by its class's construction."""
+    name, g1, g2 = classify(g1, g2)
+    return CLASSES[name].explicit(g1, g2)
+
+
+def index(g1, g2):
+    """Join-reachability index of any pair, by its class's construction."""
+    name, g1, g2 = classify(g1, g2)
+    return CLASSES[name].index(g1, g2)

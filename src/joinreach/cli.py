@@ -8,176 +8,25 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import sys
 import time
 
 from . import gen as generators
-from .explicit import (
-    build_pathcover,
-    build_tree_path,
-    build_two_paths,
-    build_two_trees,
-    build_unoriented_trees,
-    format_join,
-    read_join,
-    verify_join_graph,
-    write_join,
-    _Builder,
-)
-from .graph import condense_pair, read_graph, topo_order, write_graph
-from .jrindex import (
-    index_hpd_two_trees,
-    index_pathcover,
-    index_planar_st,
-    index_tree_path,
-    index_two_paths,
-    index_two_trees,
-)
-
-
-CLASSES = (
-    "two-paths",
-    "tree-path",
-    "two-trees",
-    "unoriented-trees",
-    "pathcover",
-    "planar-st",
-    "hpd-two-trees",
-)
+from .classes import CLASSES, build, classify
+from .explicit import format_join, read_join, verify_join_graph, write_join
+from .graph import read_graph, write_graph
 
 
 class UsageError(ValueError):
     pass
 
 
-def detect_class(g1, g2):
-    k1, k2 = g1.kind, g2.kind
-    trees = ("out-tree", "in-tree")
-    if k1 == "path" and k2 == "path":
-        return "two-paths"
-    if (k1 in trees and k2 == "path") or (k1 == "path" and k2 in trees):
-        return "tree-path"
-    if k1 == "utree" and k2 == "path" or k1 == "path" and k2 == "utree":
-        return "tree-path"
-    if k1 in trees and k2 in trees:
-        return "two-trees"
-    if "utree" in (k1, k2) and {k1, k2} <= {"utree", "out-tree", "in-tree", "path"}:
-        return "unoriented-trees"
-    if "planar-st" in (k1, k2) and "path" in (k1, k2):
-        return "planar-st"
-    if "digraph" in (k1, k2):
-        return "pathcover"
-    raise UsageError(
-        f"cannot choose a class for kinds ({k1}, {k2}); pass --class explicitly"
-    )
-
-
-def _tree_first(g1, g2):
-    if g2.kind in ("out-tree", "in-tree", "utree") and g1.kind == "path":
-        return g2, g1
-    return g1, g2
-
-
-def _dag_first(g1, g2):
-    if g1.kind == "path" and g2.kind == "digraph":
-        return g2, g1
-    return g1, g2
-
-
-def _is_oriented_path(g):
-    return g.kind == "path" and g.is_directed_path()
-
-
-def _condensed(g1, g2):
-    """Reduce a cyclic pair to subcomponent DAGs plus the expansion maps."""
-    cp = condense_pair(g1, g2)
-    return cp
-
-
-def build_explicit(cls, g1, g2):
-    if cls == "two-paths":
-        if _is_oriented_path(g1) and _is_oriented_path(g2):
-            return build_two_paths(g1, g2)
-        return build_unoriented_trees(g1, g2)
-    if cls == "tree-path":
-        t, p = _tree_first(g1, g2)
-        if t.kind in ("out-tree", "in-tree") and _is_oriented_path(p):
-            return build_tree_path(t, p)
-        return build_unoriented_trees(t, p)
-    if cls == "two-trees":
-        return build_two_trees(g1, g2)
-    if cls == "unoriented-trees":
-        return build_unoriented_trees(g1, g2)
-    if cls == "pathcover":
-        g1, g2 = _dag_first(g1, g2)
-        if topo_order(g1) is None or topo_order(g2) is None:
-            return _build_pathcover_cyclic(g1, g2)
-        return build_pathcover(g1, g2)
-    raise UsageError(f"class {cls} has no explicit construction")
-
-
-def _build_pathcover_cyclic(g1, g2):
-    """Condense a cyclic pair, build over subcomponents, splice originals in.
-
-    Each subcomponent becomes an id-ordered cycle through its members; its
-    first member carries the subcomponent's arcs in the built join graph.
-    """
-    cp = _condensed(g1, g2)
-    inner = build_pathcover(cp.g1_hat, cp.g2_hat)
-    n = g1.n
-    b = _Builder(n)
-    shift = {}
-    for s, members in enumerate(cp.members):
-        if len(members) > 1:
-            for i in range(len(members)):
-                b.arc(members[i], members[(i + 1) % len(members)])
-        shift[s] = members[0]
-    offset = n - cp.n_sub
-    for tag in inner.steiner_tags:
-        b.steiner(tag)
-    for u, v in inner.graph.arcs:
-        uu = shift[u] if u < cp.n_sub else u + offset
-        vv = shift[v] if v < cp.n_sub else v + offset
-        b.arc(uu, vv)
-    return b.finish()
-
-
-def build_index(cls, g1, g2):
-    if cls == "two-paths":
-        return index_two_paths(g1, g2)
-    if cls == "tree-path":
-        t, p = _tree_first(g1, g2)
-        return index_tree_path(t, p)
-    if cls == "two-trees" or cls == "unoriented-trees":
-        return index_two_trees(g1, g2)
-    if cls == "hpd-two-trees":
-        return index_hpd_two_trees(g1, g2)
-    if cls == "planar-st":
-        if g2.kind == "planar-st":
-            g1, g2 = g2, g1
-        return index_planar_st(g1, g2)
-    if cls == "pathcover":
-        g1, g2 = _dag_first(g1, g2)
-        if topo_order(g1) is None or topo_order(g2) is None:
-            return _CondensedIndex(g1, g2)
-        return index_pathcover(g1, g2)
-    raise UsageError(f"unknown class {cls}")
-
-
-class _CondensedIndex:
-    """Query adapter for cyclic digraph pairs via pair condensation."""
-
-    def __init__(self, g1, g2):
-        self.cp = _condensed(g1, g2)
-        self.inner = index_pathcover(self.cp.g1_hat, self.cp.g2_hat)
-        self.n = g1.n
-
-    def query(self, b):
-        subs = self.inner.query(self.cp.sub_of[b])
-        out = []
-        for s in subs:
-            out.extend(self.cp.members[s])
-        return sorted(out)
+def _pair_class(args):
+    """The two input graphs of a build or query, in their builders' order,
+    with the name of their class (`--class` when given)."""
+    name, g1, g2 = classify(read_graph(args.g1), read_graph(args.g2))
+    return args.cls or name, g1, g2
 
 
 def cmd_gen(args):
@@ -197,32 +46,23 @@ def cmd_gen(args):
 
 
 def cmd_build(args):
-    g1 = read_graph(args.g1)
-    g2 = read_graph(args.g2)
-    cls = args.cls or detect_class(g1, g2)
-    if args.mode == "explicit":
-        jg = build_explicit(cls, g1, g2)
-        if args.output:
-            write_join(jg, args.output)
-        else:
-            sys.stdout.write(format_join(jg))
-        print(
-            f"built {cls}: n={jg.n_original} steiner={jg.steiner_count} "
-            f"arcs={jg.graph.m} size={jg.size}",
-            file=sys.stderr,
-        )
-        return 0
-    idx = build_index(cls, g1, g2)
-    print(f"index {cls}: n={g1.n} ready (in-memory only; use `jr query` to ask)")
+    cls, g1, g2 = _pair_class(args)
+    jg = CLASSES[cls].explicit(g1, g2)
+    if args.output:
+        write_join(jg, args.output)
+    else:
+        sys.stdout.write(format_join(jg))
+    print(
+        f"built {cls}: n={jg.n_original} steiner={jg.steiner_count} "
+        f"arcs={jg.graph.m} size={jg.size}",
+        file=sys.stderr,
+    )
     return 0
 
 
 def cmd_query(args):
-    g1 = read_graph(args.g1)
-    g2 = read_graph(args.g2)
-    cls = args.cls or detect_class(g1, g2)
-    idx = build_index(cls, g1, g2)
-    for a in idx.query(args.vertex):
+    cls, g1, g2 = _pair_class(args)
+    for a in CLASSES[cls].index(g1, g2).query(args.vertex):
         print(a)
     return 0
 
@@ -262,8 +102,6 @@ BENCH_CAPS = {"paths": 1 << 14, "trees": 1 << 14, "pathcover": 1 << 10}
 
 
 def cmd_bench(args):
-    import random as _random
-
     suite = args.suite
     cap = min(args.max_n, BENCH_CAPS[suite])
     print("suite\tinst\tn\tseed\tbuild_s\tsize\tratio_log\tverify")
@@ -271,7 +109,7 @@ def cmd_bench(args):
     while n <= cap:
         for inst, (g1, g2) in _bench_instances(suite, n, args.seed):
             t0 = time.perf_counter()
-            jg = build_explicit(_bench_class(suite), g1, g2)
+            jg = build(g1, g2)
             dt = time.perf_counter() - t0
             r1, _ = _ratios(jg)
             if n <= 512:
@@ -283,18 +121,10 @@ def cmd_bench(args):
     return 0
 
 
-def _bench_class(suite):
-    return {"paths": "two-paths", "trees": "unoriented-trees", "pathcover": "pathcover"}[suite]
-
-
 def _bench_instances(suite, n, seed):
-    import random as _random
-
-    rng = _random.Random((suite, n, seed).__repr__())
+    rng = random.Random((suite, n, seed).__repr__())
     if suite == "paths":
-        from .explicit import gen_bitreversal
-
-        yield "bitrev", gen_bitreversal(n)
+        yield "bitrev", generators.gen_bitreversal(n)
         yield "random", (generators.rand_path(rng, n), generators.rand_path(rng, n))
     elif suite == "trees":
         yield "random", (generators.rand_utree(rng, n), generators.rand_utree(rng, n))
@@ -318,8 +148,7 @@ def make_parser():
     g.add_argument("extra_output", nargs="*", help="second file for bitrev")
     g.set_defaults(func=cmd_gen)
 
-    b = sub.add_parser("build", help="build an explicit join graph or an index")
-    b.add_argument("--mode", choices=("explicit", "index"), default="explicit")
+    b = sub.add_parser("build", help="build an explicit join graph")
     b.add_argument("--class", dest="cls", choices=CLASSES, default=None)
     b.add_argument("g1")
     b.add_argument("g2")

@@ -8,7 +8,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .explicit import gen_bitreversal
 from .graph import Digraph
 
 
@@ -52,6 +51,25 @@ def generate(spec):
     if spec.kind == "bitrev":
         return list(gen_bitreversal(spec.n))
     return [rand_sp_st(rng, spec.n)]
+
+
+def gen_bitreversal(n):
+    """The two dipaths whose rank spaces are related by bit reversal."""
+    if n < 1 or n & (n - 1):
+        raise ValueError("n must be a power of two")
+    bits = n.bit_length() - 1
+
+    def rev(x):
+        r = 0
+        for _ in range(bits):
+            r = (r << 1) | (x & 1)
+            x >>= 1
+        return r
+
+    p1 = Digraph(n, [(i, i + 1) for i in range(n - 1)], kind="path")
+    order = sorted(range(n), key=rev)
+    p2 = Digraph(n, [(order[i], order[i + 1]) for i in range(n - 1)], kind="path")
+    return p1, p2
 
 
 def rand_path(rng, n):

@@ -87,13 +87,18 @@ class CartesianTree:
 
     def range_min(self, lo, hi):
         """Column index of the minimum-x2 point among columns lo..hi."""
-        return self._nca.query(lo, hi)
+        return self._nca.query_unchecked(lo, hi)
 
     def col_of_x1(self, x1):
         i = bisect_left(self.colx, x1)
         if i == len(self.colx) or self.colx[i] != x1:
             raise KeyError(f"no column at x1={x1}")
         return i
+
+    def col_span(self, x1_lo, x1_hi):
+        """(lo, hi): the columns whose x1 lies in [x1_lo, x1_hi]; lo > hi
+        when there are none."""
+        return bisect_left(self.colx, x1_lo), bisect_right(self.colx, x1_hi) - 1
 
     def report_range(self, lo_col, hi_col, x2_max):
         """Payloads of points in columns lo..hi with x2 <= x2_max.
@@ -134,22 +139,6 @@ class CartesianTree:
         if self.root == -1 or lo_col > hi_col:
             return None
         return self.reps[self.range_min(lo_col, hi_col)][1]
-
-
-def ct_build(points, allow_duplicate_x1=False):
-    return CartesianTree(points, allow_duplicate_x1=allow_duplicate_x1)
-
-
-def ct_dominance_report(ct, b):
-    """Report {a : x1(a) <= x1(b) and x2(a) <= x2(b)} with probe count."""
-    return ct.report_dominated(b[0], b[1])
-
-
-def ct_range_report(ct, x1_lo, x1_hi, x2_max):
-    """Grounded 3-sided report: x1 in [x1_lo, x1_hi], x2 <= x2_max."""
-    lo = bisect_left(ct.colx, x1_lo)
-    hi = bisect_right(ct.colx, x1_hi) - 1
-    return ct.report_range(lo, hi, x2_max)
 
 
 # ----------------------------------------------------------------------
@@ -299,14 +288,6 @@ class SegRayIndex:
         return [self.segments[i].payload for i in out], counter[0]
 
 
-def seg_build(segments, query_points):
-    return SegRayIndex(segments, query_points)
-
-
-def seg_report(idx, q):
-    return idx.report_registered(q)
-
-
 # ----------------------------------------------------------------------
 # Rectangle point enclosure via an interval tree on x1 spans
 
@@ -385,14 +366,6 @@ class EnclosureIndex:
         return out
 
 
-def enclosure_build(rects):
-    return EnclosureIndex(rects)
-
-
-def enclosure_report(idx, q):
-    return idx.report(q[0], q[1])
-
-
 # ----------------------------------------------------------------------
 # Two-level range tree for orthogonal range reporting
 
@@ -445,12 +418,3 @@ class RangeTree2D:
             stack.append(node.left)
             stack.append(node.right)
         return out
-
-
-def range2d_build(points):
-    return RangeTree2D(points)
-
-
-def range2d_report(idx, rect):
-    x1_lo, x1_hi, x2_lo, x2_hi = rect
-    return idx.report(x1_lo, x1_hi, x2_lo, x2_hi)

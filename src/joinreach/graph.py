@@ -737,6 +737,13 @@ class NcaIndex:
         self.logs = logs
 
     def query(self, a, b):
+        """Nearest common ancestor of vertices a and b."""
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise ValueError("vertex out of range")
+        return self.query_unchecked(a, b)
+
+    def query_unchecked(self, a, b):
+        """`query` for callers whose a and b are in range by construction."""
         i, j = self.first[a], self.first[b]
         if i > j:
             i, j = j, i
@@ -744,19 +751,6 @@ class NcaIndex:
         x = self.table[k][i]
         y = self.table[k][j - (1 << k) + 1]
         return self.euler[x if self.depths[x] <= self.depths[y] else y]
-
-
-def nca_build(g, root=None):
-    if root is None:
-        root = g.root()
-    parent = tree_parents(g, root)
-    return NcaIndex(parent, root)
-
-
-def nca_query(idx, a, b):
-    if not (0 <= a < idx.n and 0 <= b < idx.n):
-        raise ValueError("vertex out of range")
-    return idx.query(a, b)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ with a second rooted tree.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .geom import CartesianTree, HSegment, SegRayIndex
@@ -256,13 +255,9 @@ def hpd_two_trees_report(idx, b):
         else:
             # T2-descendants on P: s2(a) strictly inside I2(b), positions above p
             hits, pr = struct.report_range(
-                *_col_span(struct, iv2.s[b] + 1, iv2.t[b] - 1), pos
+                *struct.col_span(iv2.s[b] + 1, iv2.t[b] - 1), pos
             )
         out.update(hits)
         probes += pr
         p = hpd.path_top_parent(pid)
     return sorted(out), probes
-
-
-def _col_span(ct, x_lo, x_hi):
-    return bisect_left(ct.colx, x_lo), bisect_right(ct.colx, x_hi) - 1

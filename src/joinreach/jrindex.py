@@ -5,15 +5,17 @@ vertices that reach b in both input graphs, b included. Tree inputs come
 as the blocks of `graph.tree_blocks`: a rooted tree is one block, an
 unoriented tree one block per layer graph, and every vertex lies in at
 most two. One geometric structure is built per pair of blocks (or of a
-block and a path run) that share a vertex, so a query touches at most
-four pair structures, all within the two layer graphs that can hold its
-predecessors. Probe counts and the list of pair structures touched are
-exposed for output-sensitivity checks.
+block and a path run, or of two path runs) that share at least two
+vertices, so a query touches at most four pair structures, all within
+the two layer graphs that can hold its predecessors. A pair sharing
+only the query vertex could report only that vertex, which `JRIndex`
+adds to every answer anyway. Probe counts and the list of pair
+structures touched are exposed for output-sensitivity checks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -54,42 +56,43 @@ class JRIndex:
         return sorted(out), probes, pairs
 
 
-def query(idx, b):
-    return idx.query(b)
-
-
 # ----------------------------------------------------------------------
 # Two paths
 
 
 def _path_runs(p):
+    """(pos, runs_of): for each maximal dipath (run) of a path, in arc
+    direction, its vertex -> position map; and per vertex the ascending
+    indices of the at most two runs holding it."""
     if p.kind != "path":
         raise GraphClassError("expected kind=path")
-    if p.is_directed_path():
-        return [path_order(p)]
-    return split_unoriented_path(p)
+    runs = [path_order(p)] if p.is_directed_path() else split_unoriented_path(p)
+    runs_of = [[] for _ in range(p.n)]
+    for j, run in enumerate(runs):
+        for v in run:
+            runs_of[v].append(j)
+    return [{v: k for k, v in enumerate(run)} for run in runs], runs_of
 
 
 class _TwoPaths:
+    """One Cartesian tree per pair of runs, on the shared vertices'
+    positions in the two runs."""
+
     def __init__(self, p1, p2):
         if p1.n != p2.n:
             raise ValueError("vertex-set mismatch")
         self.n = p1.n
-        runs1 = _path_runs(p1)
-        runs2 = _path_runs(p2)
+        pos1, of1 = _path_runs(p1)
+        pos2, of2 = _path_runs(p2)
         self.structs = {}
-        self.pairs_of = {v: [] for v in range(self.n)}
-        for i, r1 in enumerate(runs1):
-            pos1 = {v: k for k, v in enumerate(r1)}
-            for j, r2 in enumerate(runs2):
-                common = [v for v in r2 if v in pos1]
-                if not common:
-                    continue
-                pos2 = {v: k for k, v in enumerate(r2)}
-                ct = CartesianTree([(pos1[v], pos2[v], v) for v in common])
-                self.structs[(i, j)] = (ct, pos1, pos2)
-                for v in common:
-                    self.pairs_of[v].append((i, j))
+        self.pairs_of = [[] for _ in range(self.n)]
+        for (i, j), members in sorted(block_pairs(of1, of2).items()):
+            if len(members) < 2:
+                continue
+            ct = CartesianTree([(pos1[i][v], pos2[j][v], v) for v in members])
+            self.structs[(i, j)] = (ct, pos1[i], pos2[j])
+            for v in members:
+                self.pairs_of[v].append((i, j))
 
     def query_counted(self, b):
         out = set()
@@ -128,15 +131,12 @@ class _TreePath:
             raise ValueError("vertex-set mismatch")
         self.n = t1.n
         blocks, of = tree_blocks(t1)
-        runs = _path_runs(p2)
-        pos = [{v: k for k, v in enumerate(run)} for run in runs]
-        runs_of = [[] for _ in range(self.n)]
-        for j, run in enumerate(runs):
-            for v in run:
-                runs_of[v].append(j)
+        pos, runs_of = _path_runs(p2)
         self.structs = {}
-        self.pairs_of = {v: [] for v in range(self.n)}
+        self.pairs_of = [[] for _ in range(self.n)]
         for key, members in sorted(block_pairs(of, runs_of).items()):
+            if len(members) < 2:
+                continue
             blk = blocks[key[0]]
             members.sort(key=pos[key[1]].__getitem__)
             if blk.orient == "out":
@@ -184,9 +184,7 @@ class _TreePath:
                 lo, hi = blk.su_iv[b]
                 if blk.core[b]:
                     lo, hi = lo + 1, hi - 1
-                lo_col = bisect_left(idx.colx, lo)
-                hi_col = bisect_right(idx.colx, hi) - 1
-                res, pr = idx.report_range(lo_col, hi_col, lab[b])
+                res, pr = idx.report_range(*idx.col_span(lo, hi), lab[b])
                 out.update(res)
                 probes += pr
         return out, probes, pairs
@@ -210,6 +208,7 @@ class _TwoTrees:
         self.structs = {
             (i, j): self._build_pair(blocks1[i], blocks2[j], members)
             for (i, j), members in block_pairs(self.of1, self.of2).items()
+            if len(members) > 1
         }
 
     @staticmethod
@@ -248,7 +247,10 @@ class _TwoTrees:
         probes = 0
         pairs = []
         for key in product(self.of1[b], self.of2[b]):
-            kind, b1, b2, idx = self.structs[key]
+            try:
+                kind, b1, b2, idx = self.structs[key]
+            except KeyError:  # the pair shares only b
+                continue
             # an out-core block cannot hold predecessors of its fringe
             if (b1.orient == "out" and not b1.core[b]) or (
                 b2.orient == "out" and not b2.core[b]
@@ -377,8 +379,7 @@ class _PathCover:
                     if entry and entry[-1].key[0] <= f1:
                         self.nonempty[b].append(i)
                 else:
-                    lo = bisect_left(st.colx, 2 * iv.s[b] + 1)
-                    hi = bisect_right(st.colx, 2 * iv.t[b] - 1) - 1
+                    lo, hi = st.col_span(2 * iv.s[b] + 1, 2 * iv.t[b] - 1)
                     if lo <= hi and st.min_x2_in_range(lo, hi) <= f1:
                         self.nonempty[b].append(i)
 
@@ -401,8 +402,7 @@ class _PathCover:
             if self.orient2 == "out":
                 res, pr = st.report_registered((2 * self.iv2.s[b] + 1, 0), f1)
             else:
-                lo = bisect_left(st.colx, 2 * self.iv2.s[b] + 1)
-                hi = bisect_right(st.colx, 2 * self.iv2.t[b] - 1) - 1
+                lo, hi = st.col_span(2 * self.iv2.s[b] + 1, 2 * self.iv2.t[b] - 1)
                 res, pr = st.report_range(lo, hi, f1)
             out.update(res)
             probes += pr

@@ -14,10 +14,10 @@ from joinreach.explicit import (
     build_two_paths,
     build_two_trees,
     build_unoriented_trees,
-    gen_bitreversal,
     verify_join_graph,
 )
 from joinreach.gen import (
+    gen_bitreversal,
     rand_dag,
     rand_path,
     rand_sp_st,

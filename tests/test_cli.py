@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from joinreach.classes import index
 from joinreach.cli import main
 from joinreach.gen import InstanceSpec, generate
 from joinreach.graph import Digraph, read_graph, transitive_closure
@@ -40,8 +41,7 @@ def test_cli_gen_build_verify_roundtrip(tmp_path):
     b = tmp_path / "b.g"
     out = tmp_path / "j.jg"
     assert main(["gen", "--kind", "bitrev", "--n", "16", "-o", str(a), str(b)]) == 0
-    assert main(["build", "--mode", "explicit", "--class", "two-paths",
-                 str(a), str(b), "-o", str(out)]) == 0
+    assert main(["build", "--class", "two-paths", str(a), str(b), "-o", str(out)]) == 0
     assert main(["verify", str(out), str(a), str(b)]) == 0
     jg = read_join(str(out))
     assert jg.n_original == 16
@@ -157,6 +157,46 @@ def test_cli_pathcover_cyclic_inputs(tmp_path, capsys):
     out = tmp_path / "j.jg"
     assert main(["build", "--class", "pathcover", str(g1), str(g2), "-o", str(out)]) == 0
     assert main(["verify", str(out), str(g1), str(g2)]) == 0
+
+
+def oracle_preds(g1, g2, b):
+    m1, m2 = transitive_closure(g1), transitive_closure(g2)
+    return sorted(a for a in range(g1.n) if m1.reach(a, b) and m2.reach(a, b))
+
+
+@pytest.mark.parametrize("kind2", ["path", "out-tree", "sp-st", "utree-random"])
+def test_cli_planar_st_with_any_kind_builds_and_queries(tmp_path, capsys, kind2):
+    g1 = tmp_path / "g1.g"
+    g2 = tmp_path / "g2.g"
+    out = tmp_path / "j.jg"
+    assert main(["gen", "--kind", "sp-st", "--n", "20", "--seed", "7", "-o", str(g1)]) == 0
+    assert main(["gen", "--kind", kind2, "--n", "20", "--seed", "8", "-o", str(g2)]) == 0
+    assert main(["build", str(g1), str(g2), "-o", str(out)]) == 0
+    assert main(["verify", str(out), str(g1), str(g2)]) == 0
+    ga, gb = read_graph(str(g1)), read_graph(str(g2))
+    capsys.readouterr()
+    for b in range(20):
+        assert main(["query", str(g1), str(g2), "-b", str(b)]) == 0
+        got = [int(x) for x in capsys.readouterr().out.split()]
+        assert got == oracle_preds(ga, gb, b), b
+
+
+def test_cli_cyclic_query_checks_range(tmp_path, capsys):
+    g1 = tmp_path / "c1.g"
+    g2 = tmp_path / "c2.g"
+    with open(g1, "w") as f:
+        f.write("4 4 digraph\n0 1\n1 2\n2 3\n3 0\n")
+    with open(g2, "w") as f:
+        f.write("4 4 digraph\n0 1\n1 0\n2 3\n3 2\n")
+    for b in ("9", "-1"):
+        assert main(["query", str(g1), str(g2), "-b", b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    ga, gb = read_graph(str(g1)), read_graph(str(g2))
+    idx = index(ga, gb)
+    for b in range(4):
+        assert idx.query(b) == oracle_preds(ga, gb, b)
 
 
 def test_cli_planar_st_query(tmp_path, capsys):

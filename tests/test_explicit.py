@@ -10,13 +10,13 @@ from joinreach.explicit import (
     build_two_trees,
     build_unoriented_trees,
     format_join,
-    gen_bitreversal,
     parse_join,
     split_unoriented_path,
     verify_join_graph,
     JoinGraph,
 )
 from joinreach.cover import min_path_cover
+from joinreach.gen import gen_bitreversal
 from joinreach.graph import Digraph, GraphClassError, dipath_of, transitive_closure
 
 

@@ -3,18 +3,13 @@ import random
 import pytest
 
 from joinreach.geom import (
+    CartesianTree,
+    EnclosureIndex,
     HSegment,
     Point2,
+    RangeTree2D,
     Rect,
-    ct_build,
-    ct_dominance_report,
-    ct_range_report,
-    enclosure_build,
-    enclosure_report,
-    range2d_build,
-    range2d_report,
-    seg_build,
-    seg_report,
+    SegRayIndex,
 )
 from joinreach.graph import Digraph, dfs_intervals
 
@@ -28,7 +23,7 @@ def bitrev(x, bits):
 
 
 def test_ct_diagonal_is_right_spine():
-    ct = ct_build([(i, i, i) for i in range(8)])
+    ct = CartesianTree([(i, i, i) for i in range(8)])
     assert ct.reps[ct.root][2] == 0
     node = ct.root
     for i in range(8):
@@ -40,7 +35,7 @@ def test_ct_diagonal_is_right_spine():
 
 def test_ct_antidiagonal_is_left_spine():
     n = 8
-    ct = ct_build([(i, n - 1 - i, i) for i in range(n)])
+    ct = CartesianTree([(i, n - 1 - i, i) for i in range(n)])
     assert ct.reps[ct.root][2] == n - 1
     node = ct.root
     for i in range(n - 1, -1, -1):
@@ -56,7 +51,7 @@ def test_ct_range_min_equals_scan_all_subranges():
     ys = list(range(n))
     rng.shuffle(ys)
     pts = [(x, y, x) for x, y in zip(xs, ys)]
-    ct = ct_build(pts)
+    ct = CartesianTree(pts)
     for lo in range(n):
         for hi in range(lo, n):
             want = min(range(lo, hi + 1), key=lambda i: ys[i])
@@ -69,23 +64,23 @@ def dominance_scan(pts, bx1, bx2):
 
 def test_ct_dominance_below_everything_is_cheap():
     pts = [(i, i + 5, i) for i in range(10)]
-    ct = ct_build(pts)
-    out, visits = ct_dominance_report(ct, Point2(9, 0, -1))
+    ct = CartesianTree(pts)
+    out, visits = ct.report_dominated(9, 0)
     assert out == [] and visits <= 3
 
 
 def test_ct_dominance_full_report():
     pts = [(i, 10 - i, i) for i in range(10)]
-    ct = ct_build(pts)
-    out, _ = ct_dominance_report(ct, Point2(100, 100, -1))
+    ct = CartesianTree(pts)
+    out, _ = ct.report_dominated(100, 100)
     assert sorted(out) == list(range(10))
 
 
 def test_ct_dominance_bit_reversal_query():
     n, bits = 16, 4
     pts = [(i, bitrev(i, bits), i) for i in range(n)]
-    ct = ct_build(pts)
-    out, _ = ct_dominance_report(ct, Point2(12, bitrev(12, bits), -1))
+    ct = CartesianTree(pts)
+    out, _ = ct.report_dominated(12, bitrev(12, bits))
     assert sorted(out) == dominance_scan(pts, 12, bitrev(12, bits))
 
 
@@ -97,10 +92,10 @@ def test_ct_dominance_matches_scan_with_visit_bound():
         ys = list(range(n))
         rng.shuffle(ys)
         pts = [(x, y, 100 + x) for x, y in zip(xs, ys)]
-        ct = ct_build(pts)
+        ct = CartesianTree(pts)
         for _ in range(5):
             bx1, bx2 = rng.randrange(-1, n + 1), rng.randrange(-1, n + 1)
-            out, visits = ct_dominance_report(ct, Point2(bx1, bx2, -1))
+            out, visits = ct.report_dominated(bx1, bx2)
             want = dominance_scan(pts, bx1, bx2)
             assert sorted(out) == want
             assert visits <= 3 * len(want) + 3
@@ -112,12 +107,12 @@ def test_ct_three_sided_matches_scan():
     ys = list(range(n))
     rng.shuffle(ys)
     pts = [(i * 3, ys[i], i) for i in range(n)]
-    ct = ct_build(pts)
+    ct = CartesianTree(pts)
     for _ in range(200):
         lo = rng.randrange(-2, 3 * n + 2)
         hi = rng.randrange(lo, 3 * n + 3)
         bound = rng.randrange(-1, n + 1)
-        out, visits = ct_range_report(ct, lo, hi, bound)
+        out, visits = ct.report_range(*ct.col_span(lo, hi), bound)
         want = sorted(p for x1, x2, p in pts if lo <= x1 <= hi and x2 <= bound)
         assert sorted(out) == want
         assert visits <= 3 * len(want) + 3
@@ -125,14 +120,14 @@ def test_ct_three_sided_matches_scan():
 
 def test_ct_duplicate_columns():
     pts = [(0, 3, 0), (0, 1, 1), (0, 7, 2), (2, 2, 3), (2, 9, 4)]
-    ct = ct_build(pts, allow_duplicate_x1=True)
-    out, visits = ct_dominance_report(ct, Point2(2, 7, -1))
+    ct = CartesianTree(pts, allow_duplicate_x1=True)
+    out, visits = ct.report_dominated(2, 7)
     assert sorted(out) == [0, 1, 2, 3]
     assert visits <= 3 * 4 + 3
     with pytest.raises(ValueError):
-        ct_build(pts)
+        CartesianTree(pts)
     with pytest.raises(ValueError):
-        ct_build([(0, 1, 0), (0, 1, 1)], allow_duplicate_x1=True)
+        CartesianTree([(0, 1, 0), (0, 1, 1)], allow_duplicate_x1=True)
 
 
 def test_ct_duplicate_columns_random_scan():
@@ -146,10 +141,10 @@ def test_ct_duplicate_columns_random_scan():
             if (x1, x2) not in used:
                 used.add((x1, x2))
                 pts.append((x1, x2, len(pts)))
-        ct = ct_build(pts, allow_duplicate_x1=True)
+        ct = CartesianTree(pts, allow_duplicate_x1=True)
         for _ in range(5):
             bx1, bx2 = rng.randrange(-1, 9), rng.randrange(-1, 51)
-            out, visits = ct_dominance_report(ct, Point2(bx1, bx2, -1))
+            out, visits = ct.report_dominated(bx1, bx2)
             want = dominance_scan(pts, bx1, bx2)
             assert sorted(out) == want
             assert visits <= 3 * len(want) + 3
@@ -161,22 +156,22 @@ def test_seg_nested_reports_bottom_up():
         HSegment(2, 7, 2, 20),
         HSegment(3, 6, 1, 10),
     ]
-    idx = seg_build(segs, [Point2(4, 0, -1)])
-    out, _ = seg_report(idx, Point2(4, 0, -1))
+    idx = SegRayIndex(segs, [Point2(4, 0, -1)])
+    out, _ = idx.report_registered(Point2(4, 0, -1))
     assert out == [10, 20, 30]
 
 
 def test_seg_disjoint_spans():
     segs = [HSegment(0, 3, 5, 0), HSegment(4, 7, 5, 1), HSegment(8, 11, 5, 2)]
-    idx = seg_build(segs, [Point2(5, 0, -1)])
-    out, _ = seg_report(idx, Point2(5, 0, -1))
+    idx = SegRayIndex(segs, [Point2(5, 0, -1)])
+    out, _ = idx.report_registered(Point2(5, 0, -1))
     assert out == [1]
 
 
 def test_seg_unregistered_query_raises():
-    idx = seg_build([HSegment(0, 2, 1, 0)], [])
+    idx = SegRayIndex([HSegment(0, 2, 1, 0)], [])
     with pytest.raises(KeyError):
-        seg_report(idx, Point2(1, 0, -1))
+        idx.report_registered(Point2(1, 0, -1))
 
 
 def seg_scan(segs, qx, qy, y_hi=None):
@@ -199,9 +194,9 @@ def test_seg_random_tree_intervals_match_scan():
         rng.shuffle(heights)
         segs = [HSegment(iv.s[a], iv.t[a], heights[a], a) for a in range(n)]
         queries = [Point2(iv.s[b], heights[b], b) for b in range(n)]
-        idx = seg_build(segs, queries)
+        idx = SegRayIndex(segs, queries)
         for q in queries:
-            out, visits = seg_report(idx, q)
+            out, visits = idx.report_registered(q)
             want = seg_scan(segs, q.x1, q.x2)
             assert out == want
             assert visits <= 2 * len(want) + 2
@@ -216,9 +211,9 @@ def test_seg_random_tree_intervals_match_scan():
 
 def test_enclosure_concentric():
     rects = [Rect(-i, i, -i, i, i) for i in range(1, 6)]
-    idx = enclosure_build(rects)
-    assert sorted(enclosure_report(idx, Point2(0, 0, -1))) == [1, 2, 3, 4, 5]
-    assert enclosure_report(idx, Point2(100, 0, -1)) == []
+    idx = EnclosureIndex(rects)
+    assert sorted(idx.report(0, 0)) == [1, 2, 3, 4, 5]
+    assert idx.report(100, 0) == []
 
 
 def test_enclosure_tree_rectangles_match_scan():
@@ -230,10 +225,10 @@ def test_enclosure_tree_rectangles_match_scan():
     g2 = Digraph(n, [(parent2[v], v) for v in range(1, n)], kind="out-tree")
     iv1, iv2 = dfs_intervals(g1), dfs_intervals(g2)
     rects = [Rect(iv1.s[a], iv1.t[a], iv2.s[a], iv2.t[a], a) for a in range(n)]
-    idx = enclosure_build(rects)
+    idx = EnclosureIndex(rects)
     for b in range(n):
         qx, qy = iv1.s[b], iv2.s[b]
-        got = sorted(enclosure_report(idx, Point2(qx, qy, -1)))
+        got = sorted(idx.report(qx, qy))
         want = sorted(
             r.payload
             for r in rects
@@ -251,10 +246,10 @@ def test_enclosure_random_rectangles_match_scan():
             x = sorted(rng.sample(range(200), 2))
             y = sorted(rng.sample(range(200), 2))
             rects.append(Rect(x[0], x[1], y[0], y[1], i))
-        idx = enclosure_build(rects)
+        idx = EnclosureIndex(rects)
         for _ in range(10):
             qx, qy = rng.randrange(201), rng.randrange(201)
-            got = sorted(enclosure_report(idx, Point2(qx, qy, -1)))
+            got = sorted(idx.report(qx, qy))
             want = sorted(
                 r.payload
                 for r in rects
@@ -265,11 +260,11 @@ def test_enclosure_random_rectangles_match_scan():
 
 def test_range2d_full_and_empty():
     pts = [(i, 2 * i, i) for i in range(20)]
-    idx = range2d_build(pts)
-    assert sorted(range2d_report(idx, (0, 19, 0, 40))) == list(range(20))
-    assert range2d_report(idx, (100, 200, 0, 40)) == []
+    idx = RangeTree2D(pts)
+    assert sorted(idx.report(0, 19, 0, 40)) == list(range(20))
+    assert idx.report(100, 200, 0, 40) == []
     with pytest.raises(ValueError):
-        range2d_report(idx, (5, 4, 0, 1))
+        idx.report(5, 4, 0, 1)
 
 
 def test_range2d_random_matches_scan():
@@ -281,11 +276,11 @@ def test_range2d_random_matches_scan():
         if (x, y) not in used:
             used.add((x, y))
             pts.append((x, y, len(pts)))
-    idx = range2d_build(pts)
+    idx = RangeTree2D(pts)
     for _ in range(50):
         x1 = sorted((rng.randrange(500), rng.randrange(500)))
         x2 = sorted((rng.randrange(500), rng.randrange(500)))
-        got = sorted(range2d_report(idx, (x1[0], x1[1], x2[0], x2[1])))
+        got = sorted(idx.report(x1[0], x1[1], x2[0], x2[1]))
         want = sorted(
             p for x, y, p in pts if x1[0] <= x <= x1[1] and x2[0] <= y <= x2[1]
         )

@@ -9,9 +9,8 @@ from joinreach.graph import (
     condense_pair,
     dfs_intervals,
     dipath_of,
+    NcaIndex,
     layer_decompose,
-    nca_build,
-    nca_query,
     parse_graph,
     format_graph,
     path_order,
@@ -313,11 +312,11 @@ def test_dfs_intervals_rejects_non_tree():
 
 def test_nca_identity_and_chain():
     g = Digraph(4, [(0, 1), (1, 2), (2, 3)], kind="out-tree")
-    idx = nca_build(g)
+    idx = NcaIndex(tree_parents(g, 0), 0)
     for v in range(4):
-        assert nca_query(idx, v, v) == v
-    assert nca_query(idx, 1, 3) == 1
-    assert nca_query(idx, 3, 2) == 2
+        assert idx.query(v, v) == v
+    assert idx.query(1, 3) == 1
+    assert idx.query(3, 2) == 2
 
 
 def test_nca_random_matches_walk_up():
@@ -325,7 +324,7 @@ def test_nca_random_matches_walk_up():
     n = 64
     parent = random_parent_tree(rng, n)
     g = Digraph(n, [(parent[v], v) for v in range(1, n)], kind="out-tree")
-    idx = nca_build(g)
+    idx = NcaIndex(tree_parents(g, 0), 0)
 
     def walk_up(a, b):
         anc = set()
@@ -340,14 +339,14 @@ def test_nca_random_matches_walk_up():
 
     for a in range(n):
         for b in range(n):
-            assert nca_query(idx, a, b) == walk_up(a, b)
+            assert idx.query(a, b) == walk_up(a, b)
 
 
 def test_nca_rejects_out_of_range():
     g = Digraph(2, [(0, 1)], kind="out-tree")
-    idx = nca_build(g)
+    idx = NcaIndex(tree_parents(g, 0), 0)
     with pytest.raises(ValueError):
-        nca_query(idx, 0, 9)
+        idx.query(0, 9)
 
 
 def test_kind_validation():

@@ -27,7 +27,6 @@ from joinreach.jrindex import (
     _PathCover,
     _postorder_labels,
     kameda_labels,
-    query,
 )
 
 
@@ -50,14 +49,14 @@ def oracle_pred_sets(g1, g2):
 def assert_index_matches(idx, g1, g2):
     want = oracle_pred_sets(g1, g2)
     for b in range(g1.n):
-        assert query(idx, b) == want[b], (idx.variant, b)
+        assert idx.query(b) == want[b], (idx.variant, b)
 
 
 def test_two_paths_identical_chains():
     p = dipath_of(list(range(8)))
     idx = index_two_paths(p, p)
-    assert query(idx, 7) == list(range(8))
-    assert query(idx, 0) == [0]
+    assert idx.query(7) == list(range(8))
+    assert idx.query(0) == [0]
 
 
 def test_two_paths_reversed_reflexive_only():
@@ -65,11 +64,11 @@ def test_two_paths_reversed_reflexive_only():
     q = dipath_of(list(range(7, -1, -1)))
     idx = index_two_paths(p, q)
     for b in range(8):
-        assert query(idx, b) == [b]
+        assert idx.query(b) == [b]
 
 
 def test_two_paths_bit_reversal_queries():
-    from joinreach.explicit import gen_bitreversal
+    from joinreach.gen import gen_bitreversal
 
     p1, p2 = gen_bitreversal(16)
     idx = index_two_paths(p1, p2)
@@ -98,12 +97,13 @@ def test_two_paths_unoriented_pairs_probed():
     for _ in range(20):
         n = rng.randrange(2, 49)
         p1, p2 = rand_upath(rng, n), rand_upath(rng, n)
-        idx = index_two_paths(p1, p2)
-        want = oracle_pred_sets(p1, p2)
-        for b in range(n):
-            res, _, pairs = idx.query_counted(b)
-            assert res == want[b]
-            assert len(pairs) <= 4
+        for first in (p1, zigzag_path(n)):
+            idx = index_two_paths(first, p2)
+            want = oracle_pred_sets(first, p2)
+            for b in range(n):
+                res, _, pairs = idx.query_counted(b)
+                assert res == want[b]
+                assert len(pairs) <= 4
 
 
 def test_tree_path_rooted_both_orientations():
@@ -126,8 +126,8 @@ def test_tree_path_in_star_grounded_semantics():
     star = Digraph(n, [(v, 0) for v in range(1, n)], kind="in-tree")
     p = dipath_of([1, 2, 3, 4, 5, 0])  # center last in the dipath
     idx = index_tree_path(star, p)
-    assert query(idx, 0) == list(range(n))
-    assert query(idx, 1) == [1]
+    assert idx.query(0) == list(range(n))
+    assert idx.query(1) == [1]
 
 
 def test_tree_path_unoriented_layer_probes():
@@ -226,7 +226,7 @@ def test_pathcover_kappa_one_behaves_as_two_paths():
     idx = index_pathcover(g1, p2)
     ref = index_two_paths(p1, p2)
     for b in range(20):
-        assert query(idx, b) == query(ref, b)
+        assert idx.query(b) == ref.query(b)
 
 
 def test_pathcover_antichain_reflexive_only():
@@ -234,7 +234,7 @@ def test_pathcover_antichain_reflexive_only():
     p2 = rand_path(random.Random(25), 12)
     idx = index_pathcover(g1, p2)
     for b in range(12):
-        assert query(idx, b) == [b]
+        assert idx.query(b) == [b]
 
 
 def test_pathcover_dag_path_tree_dag_shapes():
@@ -382,11 +382,11 @@ def test_planar_st_topo_order_path_collapses_to_g1():
     idx = index_planar_st(g1, p2)
     m = transitive_closure(g1)
     for b in range(30):
-        assert query(idx, b) == sorted(a for a in range(30) if m.reach(a, b))
+        assert idx.query(b) == sorted(a for a in range(30) if m.reach(a, b))
 
 
 def test_query_rejects_out_of_range():
     p = dipath_of([0, 1, 2])
     idx = index_two_paths(p, p)
     with pytest.raises(ValueError):
-        query(idx, 5)
+        idx.query(5)
