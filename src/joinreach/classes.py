@@ -5,7 +5,9 @@ order its builders expect; `CLASSES` maps each class name to its
 explicit builder and its index builder; `build` and `index` are
 `classify` plus one lookup. A pair that no specialised class matches
 goes to the path-cover construction, which takes any two digraphs over
-one vertex set: a cyclic pair is condensed first.
+one vertex set. Its builders compute each input's topological order once
+and raise CyclicGraphError when one has none; such a pair is condensed
+and built on its condensation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .explicit import (
     build_two_trees,
     build_unoriented_trees,
 )
-from .graph import Digraph, condense_pair, topo_order
+from .graph import CyclicGraphError, Digraph, condense_pair
 from .jrindex import (
     JRIndex,
     index_hpd_two_trees,
@@ -48,17 +50,11 @@ def _build_tree_path(t, p):
     return build_unoriented_trees(t, p)
 
 
-def _condensed(g1, g2):
-    """`condense_pair(g1, g2)` when either graph has a cycle, else None."""
-    if topo_order(g1) is None or topo_order(g2) is None:
-        return condense_pair(g1, g2)
-    return None
-
-
 def _build_pathcover(g1, g2):
-    cp = _condensed(g1, g2)
-    if cp is None:
+    try:
         return build_pathcover(g1, g2)
+    except CyclicGraphError:
+        cp = condense_pair(g1, g2)
     # Each subcomponent becomes an id-ordered cycle through its members;
     # its first member carries the subcomponent's arcs in the inner join.
     inner = build_pathcover(cp.g1_hat, cp.g2_hat)
@@ -78,13 +74,14 @@ class _CondensedQueries:
 
     def query_counted(self, b):
         subs, probes, pairs = self.inner.query_counted(self.cp.sub_of[b])
-        return [v for s in subs for v in self.cp.members[s]], probes, pairs
+        return {v for s in subs for v in self.cp.members[s]}, probes, pairs
 
 
 def _index_pathcover(g1, g2):
-    cp = _condensed(g1, g2)
-    if cp is None:
+    try:
         return index_pathcover(g1, g2)
+    except CyclicGraphError:
+        cp = condense_pair(g1, g2)
     inner = index_pathcover(cp.g1_hat, cp.g2_hat)
     return JRIndex("pathcover", g1.n, _CondensedQueries(cp, inner))
 

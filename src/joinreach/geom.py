@@ -1,11 +1,14 @@
 """Output-sensitive geometric reporting structures.
 
-Cartesian trees for dominance and grounded range reporting, a
+Cartesian trees for dominance and grounded (3-sided) range reporting, a
 persistence-based sweep for horizontal-segment versus vertical-ray
 queries, an interval tree for rectangle point enclosure, and a two-level
 range tree for orthogonal range reporting. All structures are immutable
-after build; reporting methods return (payloads, probe_count) so callers
-can assert output sensitivity.
+after build. The Cartesian tree finds range minima in a sparse table
+over its column keys and descends whole subtrees through child links
+with no lookup. It and the sweep return (payloads, probe_count) so
+callers can assert output sensitivity; a probe is one tree node,
+overflow entry or treap node visited.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 import random as _random
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
-
-from .graph import NcaIndex
 
 
 class Point2(NamedTuple):
@@ -40,60 +41,70 @@ class CartesianTree:
     Supports the multi-column variant where several points share an
     x1-coordinate: the tree holds the minimum-x2 point of each column and
     the rest sit in per-column overflow lists ordered by increasing x2.
+    Between columns, ties in x2 go to the leftmost column.
+
+    Range minima come from a sparse table over the columns' x2 keys
+    (Bender and Farach-Colton): level k holds, per start column, the
+    leftmost minimum of the 2^k columns from there, so a lookup reads two
+    entries and the build is O(m log m) for m columns. Reports descend
+    whole subtrees through child links in heap order (Gabow, Bentley and
+    Tarjan). A probe is one node or overflow entry visited.
     """
 
-    __slots__ = ("colx", "reps", "overflow", "left", "right", "root", "_nca", "npoints")
+    __slots__ = (
+        "colx", "reps", "overflow", "left", "right", "root", "npoints",
+        "_x2", "_payload", "_table",
+    )
 
     def __init__(self, points, allow_duplicate_x1=False):
         pts = sorted(points)
-        if len({(p[0], p[1]) for p in pts}) != len(pts):
-            raise ValueError("duplicate (x1, x2) pair")
-        by_col = {}
+        colx, reps, overflow = [], [], []
+        prev = None
         for p in pts:
-            by_col.setdefault(p[0], []).append(p)
-        if not allow_duplicate_x1 and any(len(col) > 1 for col in by_col.values()):
-            raise ValueError("duplicate x1 coordinate (multi-column variant not requested)")
+            if prev is None or p[0] != prev[0]:
+                colx.append(p[0])
+                reps.append(p)
+                overflow.append(())
+            elif p[1] == prev[1]:
+                raise ValueError("duplicate (x1, x2) pair")
+            elif not allow_duplicate_x1:
+                raise ValueError("duplicate x1 coordinate (multi-column variant not requested)")
+            elif overflow[-1]:
+                overflow[-1].append(p)
+            else:
+                overflow[-1] = [p]
+            prev = p
         self.npoints = len(pts)
-        self.colx = sorted(by_col)
-        self.reps = [by_col[x][0] for x in self.colx]
-        self.overflow = [by_col[x][1:] for x in self.colx]
-        m = len(self.colx)
-        left = [-1] * m
-        right = [-1] * m
+        self.colx, self.reps, self.overflow = colx, reps, overflow
+        m = len(colx)
+        x2 = self._x2 = [p[1] for p in reps]
+        self._payload = [p[2] for p in reps]
+        left = self.left = [-1] * m
+        right = self.right = [-1] * m
         stack = []
-        for i in range(m):
+        for i, key in enumerate(x2):
             last = -1
-            while stack and self._key(stack[-1]) > self._key(i):
+            while stack and x2[stack[-1]] > key:
                 last = stack.pop()
             left[i] = last
             if stack:
                 right[stack[-1]] = i
             stack.append(i)
         self.root = stack[0] if stack else -1
-        self.left = left
-        self.right = right
-        parent = [-1] * m
-        children = [[] for _ in range(m)]
-        for i in range(m):
-            for c in (left[i], right[i]):
-                if c != -1:
-                    parent[c] = i
-                    children[i].append(c)
-        self._nca = NcaIndex(parent, self.root, children) if m else None
-
-    def _key(self, i):
-        p = self.reps[i]
-        return (p[1], p[0])
+        table = self._table = [list(range(m))]
+        span = 1
+        while 2 * span <= m:
+            row = table[-1]
+            table.append([a if x2[a] <= x2[b] else b for a, b in zip(row, row[span:])])
+            span *= 2
 
     def range_min(self, lo, hi):
-        """Column index of the minimum-x2 point among columns lo..hi."""
-        return self._nca.query_unchecked(lo, hi)
-
-    def col_of_x1(self, x1):
-        i = bisect_left(self.colx, x1)
-        if i == len(self.colx) or self.colx[i] != x1:
-            raise KeyError(f"no column at x1={x1}")
-        return i
+        """Column index of the minimum-x2 point among columns lo..hi, the
+        leftmost one on ties."""
+        k = (hi - lo + 1).bit_length() - 1
+        row = self._table[k]
+        a, b = row[lo], row[hi - (1 << k) + 1]
+        return b if self._x2[b] < self._x2[a] else a
 
     def col_span(self, x1_lo, x1_hi):
         """(lo, hi): the columns whose x1 lies in [x1_lo, x1_hi]; lo > hi
@@ -101,44 +112,80 @@ class CartesianTree:
         return bisect_left(self.colx, x1_lo), bisect_right(self.colx, x1_hi) - 1
 
     def report_range(self, lo_col, hi_col, x2_max):
-        """Payloads of points in columns lo..hi with x2 <= x2_max.
+        """Payloads of points in columns lo..hi with x2 <= x2_max, in
+        O(1 + k) probes for k reported points, at most 3k + 3.
 
-        Probe count covers range-minimum lookups plus overflow scans and
-        stays within 3k+3 for k reported points.
+        Only a pending range that is not one subtree costs a range-minimum
+        lookup, and at most two are pending: those cut by lo_col and by
+        hi_col. With c the minimum of lo..hi, the columns lo..c-1 are c's
+        whole left subtree exactly when column lo-1 is missing or keyed
+        below c; likewise hi+1 on the right.
         """
         out = []
-        probes = 0
         if self.root == -1 or lo_col > hi_col:
-            return out, probes
-        stack = [(lo_col, hi_col)]
-        while stack:
-            lo, hi = stack.pop()
+            return out, 0
+        x2, payload, table = self._x2, self._payload, self._table
+        left, right, overflow = self.left, self.right, self.overflow
+        last = len(x2) - 1
+        probes = 0
+        nodes = []  # roots of whole subtrees inside the range
+        cuts = [(lo_col, hi_col)]
+        while cuts:
+            lo, hi = cuts.pop()
+            k = (hi - lo + 1).bit_length() - 1
+            row = table[k]
+            c, d = row[lo], row[hi - (1 << k) + 1]
+            if x2[d] < x2[c]:
+                c = d
             probes += 1
-            c = self.range_min(lo, hi)
-            rep = self.reps[c]
-            if rep[1] > x2_max:
+            key = x2[c]
+            if key > x2_max:
                 continue
-            out.append(rep[2])
-            for extra in self.overflow[c]:
-                probes += 1
-                if extra[1] > x2_max:
-                    break
-                out.append(extra[2])
-            if lo <= c - 1:
-                stack.append((lo, c - 1))
-            if c + 1 <= hi:
-                stack.append((c + 1, hi))
-        return out, probes
+            out.append(payload[c])
+            if overflow[c]:
+                probes += self._report_overflow(c, x2_max, out)
+            if lo < c:
+                if lo == 0 or x2[lo - 1] <= key:
+                    nodes.append(left[c])
+                else:
+                    cuts.append((lo, c - 1))
+            if c < hi:
+                if hi == last or x2[hi + 1] < key:
+                    nodes.append(right[c])
+                else:
+                    cuts.append((c + 1, hi))
+        # the loop also visits the children it appends, each node once
+        for c in nodes:
+            if x2[c] > x2_max:
+                continue
+            out.append(payload[c])
+            if overflow[c]:
+                probes += self._report_overflow(c, x2_max, out)
+            if left[c] != -1:
+                nodes.append(left[c])
+            if right[c] != -1:
+                nodes.append(right[c])
+        return out, probes + len(nodes)
+
+    def _report_overflow(self, c, x2_max, out):
+        """Append column c's overflow payloads with x2 <= x2_max; returns
+        the entries visited."""
+        probes = 0
+        for p in self.overflow[c]:
+            probes += 1
+            if p[1] > x2_max:
+                break
+            out.append(p[2])
+        return probes
 
     def report_dominated(self, x1_max, x2_max):
         """Payloads of points with x1 <= x1_max and x2 <= x2_max."""
-        hi = bisect_right(self.colx, x1_max) - 1
-        return self.report_range(0, hi, x2_max) if hi >= 0 else ([], 0)
+        return self.report_range(0, bisect_right(self.colx, x1_max) - 1, x2_max)
 
     def min_x2_in_range(self, lo_col, hi_col):
         if self.root == -1 or lo_col > hi_col:
             return None
-        return self.reps[self.range_min(lo_col, hi_col)][1]
+        return self._x2[self.range_min(lo_col, hi_col)]
 
 
 # ----------------------------------------------------------------------

@@ -685,17 +685,14 @@ class NcaIndex:
 
     __slots__ = ("n", "root", "first", "euler", "depths", "table", "logs")
 
-    def __init__(self, parent, root, children=None):
+    def __init__(self, parent, root):
         n = len(parent)
         self.n = n
         self.root = root
-        if children is None:
-            children = [[] for _ in range(n)]
-            for v in range(n):
-                if v != root and parent[v] >= 0:
-                    children[parent[v]].append(v)
-            for c in children:
-                c.sort()
+        children = [[] for _ in range(n)]
+        for v in range(n):
+            if v != root and parent[v] >= 0:
+                children[parent[v]].append(v)
         depth = [0] * n
         euler = []
         first = [-1] * n
@@ -740,10 +737,6 @@ class NcaIndex:
         """Nearest common ancestor of vertices a and b."""
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise ValueError("vertex out of range")
-        return self.query_unchecked(a, b)
-
-    def query_unchecked(self, a, b):
-        """`query` for callers whose a and b are in range by construction."""
         i, j = self.first[a], self.first[b]
         if i > j:
             i, j = j, i

@@ -47,13 +47,16 @@ class JRIndex:
         return self.query_counted(b)[0]
 
     def query_counted(self, b):
-        """(sorted predecessor list, structure probes, pair-structures touched)."""
+        """(sorted predecessor list, structure probes, pair-structures touched).
+
+        The implementation returns a fresh set of the predecessors it
+        found; b joins that set and it is sorted once.
+        """
         if not (0 <= b < self.n):
             raise ValueError(f"query vertex {b} out of range")
         found, probes, pairs = self._impl.query_counted(b)
-        out = set(found)
-        out.add(b)
-        return sorted(out), probes, pairs
+        found.add(b)
+        return sorted(found), probes, pairs
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +297,7 @@ def index_hpd_two_trees(t1, t2):
 
         def query_counted(self, b):
             res, probes = hpd_two_trees_report(self.idx, b)
-            return res, probes, [(0, 0)]
+            return set(res), probes, [(0, 0)]
 
     return JRIndex("hpd-two-trees", t1.n, _Hpd())
 
@@ -317,17 +320,18 @@ class _PathCover:
         if g1.n != g2.n:
             raise ValueError("vertex-set mismatch")
         self.n = g1.n
+        tree2 = g2.kind in ("out-tree", "in-tree")
         order1 = topo_order(g1)
         if order1 is None:
             raise CyclicGraphError("first graph must be acyclic")
+        order2 = None if tree2 else topo_order(g2)
+        if order2 is None and not tree2:
+            raise CyclicGraphError("second graph must be acyclic")
         self.pc1 = min_path_cover(g1, order1)
         self.fr1 = from_ranks(g1, self.pc1, order1)
-        if g2.kind in ("out-tree", "in-tree"):
+        if tree2:
             self._build_tree_side(g2)
         else:
-            order2 = topo_order(g2)
-            if order2 is None:
-                raise CyclicGraphError("second graph must be acyclic")
             pc2 = min_path_cover(g2, order2)
             self._build_cover_side(pc2, from_ranks(g2, pc2, order2))
 

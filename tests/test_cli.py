@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from joinreach import classes, cover, explicit, jrindex
+from joinreach import graph as graph_mod
 from joinreach.classes import index
 from joinreach.cli import main
-from joinreach.gen import InstanceSpec, generate
+from joinreach.gen import InstanceSpec, generate, rand_dag, rand_path
 from joinreach.graph import Digraph, read_graph, transitive_closure
 from joinreach.explicit import read_join
 
@@ -157,6 +159,25 @@ def test_cli_pathcover_cyclic_inputs(tmp_path, capsys):
     out = tmp_path / "j.jg"
     assert main(["build", "--class", "pathcover", str(g1), str(g2), "-o", str(out)]) == 0
     assert main(["verify", str(out), str(g1), str(g2)]) == 0
+
+
+def test_classes_pathcover_orders_each_input_once(monkeypatch):
+    calls = []
+    real = graph_mod.topo_order
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for mod in (graph_mod, cover, explicit, jrindex, classes):
+        monkeypatch.setattr(mod, "topo_order", counted, raising=False)
+    rng = random.Random(31)
+    g1, g2 = rand_dag(rng, 64), rand_path(rng, 64)
+    assert classes.classify(g1, g2)[0] == "pathcover"
+    for make in (classes.build, classes.index):
+        calls.clear()
+        make(g1, g2)
+        assert len(calls) == 2 and {id(g) for g in calls} == {id(g1), id(g2)}, make
 
 
 def oracle_preds(g1, g2, b):

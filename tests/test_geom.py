@@ -44,18 +44,31 @@ def test_ct_antidiagonal_is_left_spine():
         node = ct.left[node]
 
 
+def _subtree_span(ct, c):
+    """(lo, hi): the columns of c's subtree, walked through left/right."""
+    lo = hi = c
+    while ct.left[lo] != -1:
+        lo = ct.left[lo]
+    while ct.right[hi] != -1:
+        hi = ct.right[hi]
+    return lo, hi
+
+
 def test_ct_range_min_equals_scan_all_subranges():
     rng = random.Random(13)
     n = 64
-    xs = list(range(n))
-    ys = list(range(n))
-    rng.shuffle(ys)
-    pts = [(x, y, x) for x, y in zip(xs, ys)]
-    ct = CartesianTree(pts)
-    for lo in range(n):
-        for hi in range(lo, n):
-            want = min(range(lo, hi + 1), key=lambda i: ys[i])
-            assert ct.reps[ct.range_min(lo, hi)][0] == want
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    # the second input repeats x2 values, so ties go to the leftmost column
+    for ys in (shuffled, [rng.randrange(8) for _ in range(n)]):
+        pts = [(x, y, x) for x, y in enumerate(ys)]
+        ct = CartesianTree(pts)
+        for lo in range(n):
+            for hi in range(lo, n):
+                want = min(range(lo, hi + 1), key=lambda i: ys[i])
+                assert ct.reps[ct.range_min(lo, hi)][0] == want
+        for c in range(n):
+            assert ct.range_min(*_subtree_span(ct, c)) == c
 
 
 def dominance_scan(pts, bx1, bx2):
@@ -106,16 +119,23 @@ def test_ct_three_sided_matches_scan():
     n = 60
     ys = list(range(n))
     rng.shuffle(ys)
-    pts = [(i * 3, ys[i], i) for i in range(n)]
-    ct = CartesianTree(pts)
-    for _ in range(200):
-        lo = rng.randrange(-2, 3 * n + 2)
-        hi = rng.randrange(lo, 3 * n + 3)
-        bound = rng.randrange(-1, n + 1)
-        out, visits = ct.report_range(*ct.col_span(lo, hi), bound)
-        want = sorted(p for x1, x2, p in pts if lo <= x1 <= hi and x2 <= bound)
-        assert sorted(out) == want
-        assert visits <= 3 * len(want) + 3
+    # 2^13-point spines make a tree of depth m: the descent must not recurse
+    spine = 1 << 13
+    for pts, queries in (
+        ([(i * 3, ys[i], i) for i in range(n)], 200),
+        ([(i * 3, i, i) for i in range(spine)], 20),
+        ([(i * 3, spine - i, i) for i in range(spine)], 20),
+    ):
+        ct = CartesianTree(pts)
+        top = 3 * len(pts)
+        for _ in range(queries):
+            lo = rng.randrange(-2, top + 2)
+            hi = rng.randrange(lo, top + 3)
+            bound = rng.randrange(-1, len(pts) + 1)
+            out, visits = ct.report_range(*ct.col_span(lo, hi), bound)
+            want = sorted(p for x1, x2, p in pts if lo <= x1 <= hi and x2 <= bound)
+            assert sorted(out) == want
+            assert visits <= 3 * len(want) + 3
 
 
 def test_ct_duplicate_columns():
