@@ -5,7 +5,6 @@ from .graph import (
     Digraph,
     DfsIntervals,
     GraphClassError,
-    NcaIndex,
     ReachMatrix,
     condense_pair,
     dfs_intervals,
@@ -29,10 +28,6 @@ from .hpd import (
     hpd_build,
     hpd_two_trees_build,
     hpd_two_trees_report,
-    intree_build,
-    intree_report,
-    outtree_build,
-    outtree_report,
 )
 from .minimal import and_closure, minimal_restricted_join, transitive_reduction
 from .cover import FromRanks, PathCover, from_ranks, min_path_cover

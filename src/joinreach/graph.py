@@ -680,72 +680,6 @@ def dfs_intervals(g, root=None):
     return DfsIntervals(s, t)
 
 
-class NcaIndex:
-    """Nearest common ancestors via Euler tour plus sparse-table RMQ."""
-
-    __slots__ = ("n", "root", "first", "euler", "depths", "table", "logs")
-
-    def __init__(self, parent, root):
-        n = len(parent)
-        self.n = n
-        self.root = root
-        children = [[] for _ in range(n)]
-        for v in range(n):
-            if v != root and parent[v] >= 0:
-                children[parent[v]].append(v)
-        depth = [0] * n
-        euler = []
-        first = [-1] * n
-        stack = [(root, 0, iter(children[root]))]
-        first[root] = 0
-        euler.append(root)
-        while stack:
-            v, d, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                stack.pop()
-                if stack:
-                    euler.append(stack[-1][0])
-                continue
-            depth[child] = d + 1
-            first[child] = len(euler)
-            euler.append(child)
-            stack.append((child, d + 1, iter(children[child])))
-        m = len(euler)
-        depths = [depth[v] for v in euler]
-        logs = [0] * (m + 1)
-        for i in range(2, m + 1):
-            logs[i] = logs[i >> 1] + 1
-        table = [list(range(m))]
-        k = 1
-        while (1 << k) <= m:
-            prev = table[-1]
-            half = 1 << (k - 1)
-            row = []
-            for i in range(m - (1 << k) + 1):
-                a, b = prev[i], prev[i + half]
-                row.append(a if depths[a] <= depths[b] else b)
-            table.append(row)
-            k += 1
-        self.first = first
-        self.euler = euler
-        self.depths = depths
-        self.table = table
-        self.logs = logs
-
-    def query(self, a, b):
-        """Nearest common ancestor of vertices a and b."""
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise ValueError("vertex out of range")
-        i, j = self.first[a], self.first[b]
-        if i > j:
-            i, j = j, i
-        k = self.logs[j - i + 1]
-        x = self.table[k][i]
-        y = self.table[k][j - (1 << k) + 1]
-        return self.euler[x if self.depths[x] <= self.depths[y] else y]
-
-
 # ----------------------------------------------------------------------
 # Graph file format: line 1 "n m kind", then m lines "u v"; planar-st
 # files append per-vertex clockwise out-arc order lines "v: w1 w2 ...".

@@ -1,12 +1,17 @@
-"""Heavy-path decomposition and the label-threshold query structures
-built on it: subtree reporting for in-trees, root-path reporting for
-out-trees, and the per-path secondary structures for an out-tree paired
-with a second rooted tree.
+"""Heavy-path decomposition and the two-tree index built on it.
+
+`hpd_build` splits a rooted tree into heavy paths, so a root path meets
+at most floor(lg n) + 1 of them. `hpd_two_trees_build` pairs an out-tree
+with a second rooted tree: one packed Cartesian tree or segment/ray
+sweep holds all heavy paths, and each vertex keeps one report per heavy
+path on its root path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .geom import CartesianTree, HSegment, SegRayIndex
 from .graph import GraphClassError, dfs_intervals, tree_parents
@@ -22,13 +27,6 @@ class HeavyPathDecomp:
     light_level: list
     paths: list
     path_of: list
-
-    def path_top_parent(self, pid):
-        return self.parent[self.paths[pid][0]]
-
-    def height_in_path(self, v):
-        pid, pos = self.path_of[v]
-        return len(self.paths[pid]) - 1 - pos
 
 
 def hpd_build(g, root=None):
@@ -88,131 +86,22 @@ def hpd_build(g, root=None):
 
 
 @dataclass
-class InTreeLabelIndex:
-    """Reports all a in T(b) with label(a) > j.
+class HpdTwoTrees:
+    """Join-reachability queries for an out-tree paired with a rooted tree.
 
-    Stores per-vertex subtree maxima h(T(a)), the maxima h'(T(a)) of the
-    subtree minus its heavy child's, light children ordered by decreasing
-    h(T(c)), heavy-path vertices ordered by decreasing h'(T(d)), and one
-    Cartesian tree per path for suffix starts in the middle of a path.
+    One structure holds every heavy path of the out-tree, path k's x1
+    shifted by k times a stride above every DFS time of the second tree:
+    a Cartesian tree over (preorder, path position) when the second tree
+    is an in-tree, else a segment/ray sweep over (DFS interval, height on
+    the path). lists[b] holds one report per heavy path on b's root path,
+    nearest first: (lo column, hi column, position bound) for the tree, or
+    the query point for the sweep.
     """
 
     hpd: HeavyPathDecomp
-    labels: list
-    h_sub: list
-    h_rest: list
-    light_children: list
-    path_order: list
-    path_ct: list
-
-
-def intree_build(g, labels, root=None):
-    hpd = hpd_build(g, root)
-    n = g.n
-    children = [[] for _ in range(n)]
-    order = [hpd.root]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in g.neighbors(v):
-            if hpd.parent[w] == v:
-                children[v].append(w)
-                order.append(w)
-    h_sub = list(labels)
-    for v in reversed(order):
-        p = hpd.parent[v]
-        if p >= 0 and h_sub[v] > h_sub[p]:
-            h_sub[p] = h_sub[v]
-    h_rest = []
-    for v in range(n):
-        best = labels[v]
-        for c in children[v]:
-            if c != hpd.heavy_child[v]:
-                best = max(best, h_sub[c])
-        h_rest.append(best)
-    light_children = [
-        sorted(((h_sub[c], c) for c in children[v] if c != hpd.heavy_child[v]), reverse=True)
-        for v in range(n)
-    ]
-    path_order = [
-        sorted(((h_rest[d], d) for d in path), reverse=True) for path in hpd.paths
-    ]
-    path_ct = [
-        CartesianTree([(pos, -h_rest[d], d) for pos, d in enumerate(path)])
-        for path in hpd.paths
-    ]
-    return InTreeLabelIndex(hpd, list(labels), h_sub, h_rest, light_children, path_order, path_ct)
-
-
-def intree_report(idx, b, j):
-    """All vertices a in the subtree of b with label(a) > j, plus probes."""
-    hpd = idx.hpd
-    out = []
-    probes = 0
-    pid, pos = hpd.path_of[b]
-    hits, pr = idx.path_ct[pid].report_range(pos, len(hpd.paths[pid]) - 1, -(j + 1))
-    probes += pr
-    todo = list(hits)
-    while todo:
-        d = todo.pop()
-        if idx.labels[d] > j:
-            out.append(d)
-        for hval, c in idx.light_children[d]:
-            probes += 1
-            if hval <= j:
-                break
-            cpid = hpd.path_of[c][0]
-            for hr, d2 in idx.path_order[cpid]:
-                probes += 1
-                if hr <= j:
-                    break
-                todo.append(d2)
-    return sorted(out), probes
-
-
-@dataclass
-class OutTreeLabelIndex:
-    """Reports the ancestors a of b (inclusive) with label(a) > j via one
-    Cartesian tree per heavy path over (path position, label)."""
-
-    hpd: HeavyPathDecomp
-    labels: list
-    path_ct: list
-
-
-def outtree_build(g, labels, root=None):
-    hpd = hpd_build(g, root)
-    path_ct = [
-        CartesianTree([(pos, -labels[d], d) for pos, d in enumerate(path)])
-        for path in hpd.paths
-    ]
-    return OutTreeLabelIndex(hpd, list(labels), path_ct)
-
-
-def outtree_report(idx, b, j):
-    hpd = idx.hpd
-    out = []
-    probes = 0
-    p = b
-    while p != -1:
-        pid, pos = hpd.path_of[p]
-        hits, pr = idx.path_ct[pid].report_range(0, pos, -(j + 1))
-        out.extend(hits)
-        probes += pr
-        p = hpd.path_top_parent(pid)
-    return sorted(out), probes
-
-
-@dataclass
-class HpdTwoTrees:
-    """Join-reachability queries for an out-tree paired with a rooted tree,
-    answered through per-heavy-path secondary structures."""
-
-    hpd: HeavyPathDecomp
-    kind2: str
-    iv2: object
-    path_struct: list
+    ct: CartesianTree | None
+    seg: SegRayIndex | None
+    lists: list
 
 
 def hpd_two_trees_build(t1, t2):
@@ -223,41 +112,70 @@ def hpd_two_trees_build(t1, t2):
     if t1.n != t2.n:
         raise ValueError("vertex-set mismatch")
     hpd = hpd_build(t1)
+    paths, path_of = hpd.paths, hpd.path_of
+    top_parent = [hpd.parent[path[0]] for path in paths]
     iv2 = dfs_intervals(t2)
-    structs = []
-    for path in hpd.paths:
-        if t2.kind == "out-tree":
-            segs = [
-                HSegment(iv2.s[a], iv2.t[a], len(path) - 1 - pos, a)
+    s2, e2 = iv2.s, iv2.t
+    stride = 2 * t1.n + 1  # DFS times lie in 1..2n
+    ct = seg = None
+    if t2.kind == "in-tree":
+        ct = CartesianTree(
+            [(k * stride + s2[a], pos, a) for k, path in enumerate(paths) for pos, a in enumerate(path)]
+        )
+        colx = ct.colx
+        start = list(accumulate(map(len, paths), initial=0))  # path k's first column
+    else:
+        seg = SegRayIndex(
+            [
+                HSegment(k * stride + s2[a], k * stride + e2[a], len(path) - 1 - pos, a)
+                for k, path in enumerate(paths)
                 for pos, a in enumerate(path)
-            ]
-            structs.append(SegRayIndex(segs, []))
-        else:
-            structs.append(CartesianTree([(iv2.s[a], pos, a) for pos, a in enumerate(path)]))
-    return HpdTwoTrees(hpd, t2.kind, iv2, structs)
+            ],
+            [],
+        )
+    lists = []
+    for b in range(t1.n):
+        entries = []
+        sb, eb = s2[b], e2[b]
+        p = b
+        while p != -1:
+            k, pos = path_of[p]
+            base = k * stride
+            if ct is not None:
+                # T2-descendants on the path: s2(a) strictly inside I2(b),
+                # at positions up to p's
+                lo, hi = start[k], start[k + 1]
+                entries.append((
+                    bisect_left(colx, base + sb + 1, lo, hi),
+                    bisect_right(colx, base + eb - 1, lo, hi) - 1,
+                    pos,
+                ))
+            else:
+                # T2-ancestors on the path: segments I2(a) stabbed at s2(b),
+                # at heights from p's up
+                entries.append((base + sb, len(paths[k]) - 1 - pos))
+            p = top_parent[k]
+        lists.append(entries)
+    return HpdTwoTrees(hpd, ct, seg, lists)
 
 
 def hpd_two_trees_report(idx, b):
-    """Vertices reaching b in both trees, sorted; probe count included."""
-    hpd = idx.hpd
-    iv2 = idx.iv2
+    """(set of the vertices reaching b in both trees, probe count).
+
+    Each heavy path on b's root path costs at least one probe, also when
+    it reports nothing, so a query with k answers costs at most
+    3k + 3(light_level[b] + 1).
+    """
     out = {b}
     probes = 0
-    p = b
-    while p != -1:
-        pid, pos = hpd.path_of[p]
-        struct = idx.path_struct[pid]
-        if idx.kind2 == "out-tree":
-            # ancestors on P in T2 as well: segments I2(a) stabbed at s2(b),
-            # restricted to heights at or above p's
-            height_p = len(hpd.paths[pid]) - 1 - pos
-            hits, pr = struct.report_at(iv2.s[b], height_p)
-        else:
-            # T2-descendants on P: s2(a) strictly inside I2(b), positions above p
-            hits, pr = struct.report_range(
-                *struct.col_span(iv2.s[b] + 1, iv2.t[b] - 1), pos
-            )
-        out.update(hits)
-        probes += pr
-        p = hpd.path_top_parent(pid)
-    return sorted(out), probes
+    if idx.ct is not None:
+        for lo, hi, pos in idx.lists[b]:
+            hits, pr = idx.ct.report_range(lo, hi, pos)
+            out.update(hits)
+            probes += max(pr, 1)
+    else:
+        for q in idx.lists[b]:
+            hits, pr = idx.seg.report_at(*q)
+            out.update(hits)
+            probes += max(pr, 1)
+    return out, probes

@@ -4,13 +4,22 @@ Each builder returns a JRIndex whose query(b) reports exactly the
 vertices that reach b in both input graphs, b included. Tree inputs come
 as the blocks of `graph.tree_blocks`: a rooted tree is one block, an
 unoriented tree one block per layer graph, and every vertex lies in at
-most two. One geometric structure is built per pair of blocks (or of a
-block and a path run, or of two path runs) that share at least two
-vertices, so a query touches at most four pair structures, all within
-the two layer graphs that can hold its predecessors. A pair sharing
-only the query vertex could report only that vertex, which `JRIndex`
-adds to every answer anyway. Probe counts and the list of pair
-structures touched are exposed for output-sensitivity checks.
+most two. The indexes split the join into pairs: of two blocks, of a
+block and a path run, of two path runs, or of two cover paths. A pair
+sharing only the query vertex could report only that vertex, which
+`JRIndex` adds to every answer anyway, so only pairs sharing at least two
+vertices are kept, and a tree or path query touches at most four, all
+within the two layer graphs that can hold its predecessors.
+
+The two-path, tree-path and path-cover indexes pack all their pairs into
+one Cartesian tree and one segment/ray sweep, pair k's x1 shifted by k
+times a stride above every coordinate; a query within pair k's band
+never meets another pair's points. At build each vertex gets the list of
+pairs that can report for it, with the columns or the registered query
+point and the bound each report needs, so a query is one loop over that
+list. The two-tree index still builds one structure per block pair.
+Probe counts and the list of pairs touched are exposed for
+output-sensitivity checks.
 """
 
 from __future__ import annotations
@@ -77,37 +86,72 @@ def _path_runs(p):
     return [{v: k for k, v in enumerate(run)} for run in runs], runs_of
 
 
-class _TwoPaths:
-    """One Cartesian tree per pair of runs, on the shared vertices'
-    positions in the two runs."""
+class _Packed:
+    """Reports from one packed Cartesian tree `ct` and one packed sweep
+    `seg` through per-vertex lists.
 
-    def __init__(self, p1, p2):
-        if p1.n != p2.n:
-            raise ValueError("vertex-set mismatch")
-        self.n = p1.n
-        pos1, of1 = _path_runs(p1)
-        pos2, of2 = _path_runs(p2)
-        self.structs = {}
-        self.pairs_of = [[] for _ in range(self.n)]
-        for (i, j), members in sorted(block_pairs(of1, of2).items()):
-            if len(members) < 2:
-                continue
-            ct = CartesianTree([(pos1[i][v], pos2[j][v], v) for v in members])
-            self.structs[(i, j)] = (ct, pos1[i], pos2[j])
-            for v in members:
-                self.pairs_of[v].append((i, j))
+    A subclass puts pair k's points or segments into the shared structure
+    with their x1 shifted by k * _stride(n), so a query within pair k's
+    band never meets another pair's. It lists per vertex b the pairs that
+    can report for it: tree_of[b] holds (pair key, lo column, hi column,
+    x2 bound) and sweep_of[b] holds (pair key, registered query point, x2
+    bound or None).
+    """
 
     def query_counted(self, b):
         out = set()
         probes = 0
         pairs = []
-        for key in self.pairs_of[b]:
-            ct, pos1, pos2 = self.structs[key]
+        for key, lo, hi, x2 in self.tree_of[b]:
+            res, pr = self.ct.report_range(lo, hi, x2)
             pairs.append(key)
-            res, pr = ct.report_dominated(pos1[b], pos2[b])
+            out.update(res)
+            probes += pr
+        for key, q, x2 in self.sweep_of[b]:
+            res, pr = self.seg.report_registered(q, x2)
+            pairs.append(key)
             out.update(res)
             probes += pr
         return out, probes, pairs
+
+
+def _stride(n):
+    """Pair stride of the packed structures. It exceeds every x1 they hold
+    or query: run and cover positions lie below n, and doubled DFS or
+    contracted-tree times (a layer's contracted tree may add a root to
+    its members) reach at most 4n + 4."""
+    return 4 * n + 5
+
+
+class _TwoPaths(_Packed):
+    """Pairs of runs sharing at least two vertices, packed into one
+    Cartesian tree on the shared vertices' positions in the two runs; each
+    member reports, per pair, the points its own dominates."""
+
+    def __init__(self, p1, p2):
+        if p1.n != p2.n:
+            raise ValueError("vertex-set mismatch")
+        n = self.n = p1.n
+        pos1, of1 = _path_runs(p1)
+        pos2, of2 = _path_runs(p2)
+        stride = _stride(n)
+        pairs = [(key, m) for key, m in sorted(block_pairs(of1, of2).items()) if len(m) > 1]
+        self.ct = CartesianTree(
+            [
+                (k * stride + pos1[i][v], pos2[j][v], v)
+                for k, ((i, j), members) in enumerate(pairs)
+                for v in members
+            ]
+        )
+        self.tree_of = [[] for _ in range(n)]
+        self.sweep_of = [()] * n
+        # pair k's columns follow pair k - 1's, in run-position order
+        lo = 0
+        for key, members in pairs:
+            members.sort(key=pos1[key[0]].__getitem__)
+            for hi, v in enumerate(members, lo):
+                self.tree_of[v].append((key, lo, hi, pos2[key[1]][v]))
+            lo += len(members)
 
 
 def index_two_paths(p1, p2):
@@ -118,8 +162,9 @@ def index_two_paths(p1, p2):
 # Tree and path
 
 
-class _TreePath:
-    """Per (tree block, path run) structure.
+class _TreePath(_Packed):
+    """(tree block, path run) pairs packed into one sweep and one Cartesian
+    tree.
 
     Out-core blocks store one horizontal segment per member (the member's
     supervertex interval at its run height) and answer core queries with
@@ -132,65 +177,44 @@ class _TreePath:
     def __init__(self, t1, p2):
         if t1.n != p2.n:
             raise ValueError("vertex-set mismatch")
-        self.n = t1.n
+        n = self.n = t1.n
         blocks, of = tree_blocks(t1)
         pos, runs_of = _path_runs(p2)
-        self.structs = {}
-        self.pairs_of = [[] for _ in range(self.n)]
-        for key, members in sorted(block_pairs(of, runs_of).items()):
-            if len(members) < 2:
-                continue
+        stride = _stride(n)
+        pts, segs, queries = [], [], []
+        self.tree_of = [[] for _ in range(n)]
+        self.sweep_of = [[] for _ in range(n)]
+        pairs = [(key, m) for key, m in sorted(block_pairs(of, runs_of).items()) if len(m) > 1]
+        for k, (key, members) in enumerate(pairs):
             blk = blocks[key[0]]
+            base = k * stride
             members.sort(key=pos[key[1]].__getitem__)
             if blk.orient == "out":
                 # label by height in the run: predecessors sit at or above
-                lab = {v: len(members) - 1 - k for k, v in enumerate(members)}
-                segs = [
-                    HSegment(blk.su_iv[v][0], blk.su_iv[v][1], lab[v], v)
-                    for v in members
-                ]
-                queries = [
-                    (blk.su_iv[v][0] + 1, lab[v], v)
-                    for v in members
-                    if blk.core[v]
-                ]
-                idx = SegRayIndex(segs, queries)
-                self.structs[key] = ("out", blk, idx, lab)
+                for h, v in enumerate(reversed(members)):
+                    lo, hi = blk.su_iv[v]
+                    segs.append(HSegment(base + lo, base + hi, h, v))
+                    if blk.core[v]:
+                        q = (base + lo + 1, h)
+                        queries.append(q)
+                        self.sweep_of[v].append((key, q, None))
             else:
                 # label by run position: predecessors sit at or below
-                lab = {v: k for k, v in enumerate(members)}
-                pts = [
-                    (blk.su_iv[v][0], lab[v], v) for v in members if blk.core[v]
-                ]
-                ct = CartesianTree(pts) if pts else None
-                self.structs[key] = ("in", blk, ct, lab)
-            for v in members:
-                self.pairs_of[v].append(key)
-
-    def query_counted(self, b):
-        out = set()
-        probes = 0
-        pairs = []
-        for key in self.pairs_of[b]:
-            orient, blk, idx, lab = self.structs[key]
-            if orient == "out":
-                if not blk.core[b]:
-                    continue
-                pairs.append(key)
-                res, pr = idx.report_registered((blk.su_iv[b][0] + 1, lab[b]))
-                out.update(res)
-                probes += pr
-            else:
-                pairs.append(key)
-                if idx is None:
-                    continue
-                lo, hi = blk.su_iv[b]
-                if blk.core[b]:
+                pts += [(base + blk.su_iv[v][0], r, v) for r, v in enumerate(members) if blk.core[v]]
+        self.seg = SegRayIndex(segs, queries)
+        self.ct = CartesianTree(pts)
+        for k, (key, members) in enumerate(pairs):
+            blk = blocks[key[0]]
+            if blk.orient == "out":
+                continue
+            base = k * stride
+            for r, v in enumerate(members):
+                lo, hi = blk.su_iv[v]
+                if blk.core[v]:
                     lo, hi = lo + 1, hi - 1
-                res, pr = idx.report_range(*idx.col_span(lo, hi), lab[b])
-                out.update(res)
-                probes += pr
-        return out, probes, pairs
+                lo, hi = self.ct.col_span(base + lo, base + hi)
+                if lo <= hi:
+                    self.tree_of[v].append((key, lo, hi, r))
 
 
 def index_tree_path(t1, p2):
@@ -297,7 +321,7 @@ def index_hpd_two_trees(t1, t2):
 
         def query_counted(self, b):
             res, probes = hpd_two_trees_report(self.idx, b)
-            return set(res), probes, [(0, 0)]
+            return res, probes, [(0, 0)]
 
     return JRIndex("hpd-two-trees", t1.n, _Hpd())
 
@@ -306,20 +330,21 @@ def index_hpd_two_trees(t1, t2):
 # Path covers
 
 
-class _PathCover:
-    """Per cover-path-pair dominance structures plus nonempty lists I(v).
+class _PathCover(_Packed):
+    """Cover-path pairs packed into one dominance structure, reported from
+    the nonempty lists I(v).
 
-    For a second tree the per-path structure follows the tree-and-path
-    geometry with the path rank as threshold; I(v) keeps a query's probes
-    proportional to the structures that actually report something. I(v)
-    is read off v's sparse from-rank rows, so the build scales with the
-    cover sizes rather than with n times their product.
+    For a second tree each first-graph cover path is one pair, laid out
+    in the tree-and-path geometry with the path rank as threshold. I(v)
+    keeps a query's probes proportional to the pairs that actually report
+    something. It is read off v's sparse from-rank rows, so the build
+    scales with the cover sizes rather than with n times their product.
     """
 
     def __init__(self, g1, g2):
         if g1.n != g2.n:
             raise ValueError("vertex-set mismatch")
-        self.n = g1.n
+        n = self.n = g1.n
         tree2 = g2.kind in ("out-tree", "in-tree")
         order1 = topo_order(g1)
         if order1 is None:
@@ -328,89 +353,84 @@ class _PathCover:
         if order2 is None and not tree2:
             raise CyclicGraphError("second graph must be acyclic")
         self.pc1 = min_path_cover(g1, order1)
-        self.fr1 = from_ranks(g1, self.pc1, order1)
+        fr1 = from_ranks(g1, self.pc1, order1)
+        self.tree_of = self.sweep_of = [()] * n
         if tree2:
-            self._build_tree_side(g2)
+            self._build_tree_side(g2, fr1)
         else:
-            pc2 = min_path_cover(g2, order2)
-            self._build_cover_side(pc2, from_ranks(g2, pc2, order2))
+            self.pc2 = min_path_cover(g2, order2)
+            self._build_cover_side(fr1, from_ranks(g2, self.pc2, order2))
 
-    def _build_cover_side(self, pc2, fr2):
-        self.mode = "cover"
-        self.pc2 = pc2
-        self.fr2 = fr2
-        self.structs = {}
-        # per first path i: {j: (x1 columns, prefix minima of x2)}
-        prefix = [{} for _ in range(self.pc1.kappa)]
-        for (i, j), common in shared_vertices(self.pc1, pc2).items():
-            ct = CartesianTree([(self.pc1.path_of[v][1], pc2.path_of[v][1], v) for v in common])
-            self.structs[(i, j)] = ct
-            prefix[i][j] = (ct.colx, list(accumulate((p[1] for p in ct.reps), min)))
-        self.nonempty = []
-        for row1, row2 in zip(self.fr1.rows, fr2.rows):
+    def _build_cover_side(self, fr1, fr2):
+        """Pair k = (i, j) holds the vertices on both cover paths at
+        (rank on i, rank on j). It is in I(v) when one of them has rank at
+        most fr1(v, i) on i and at most fr2(v, j) on j, which one flat
+        array of prefix minima over each pair's columns answers."""
+        stride = _stride(self.n)
+        path_of1, path_of2 = self.pc1.path_of, self.pc2.path_of
+        shared = sorted(shared_vertices(self.pc1, self.pc2).items())
+        ct = self.ct = CartesianTree(
+            [
+                (k * stride + path_of1[v][1], path_of2[v][1], v)
+                for k, (_, common) in enumerate(shared)
+                for v in common
+            ]
+        )
+        first, mins = [], []
+        pair_of = [{} for _ in range(self.pc1.kappa)]  # i -> {j: k}
+        for k, ((i, j), common) in enumerate(shared):
+            pair_of[i][j] = k
+            first.append(len(mins))
+            mins += accumulate((p[1] for p in ct.reps[first[k] : first[k] + len(common)]), min)
+        self.tree_of = []
+        for row1, row2 in zip(fr1.rows, fr2.rows):
             hits = []
             for i, f1 in row1.items():
-                for j in prefix[i].keys() & row2.keys():
-                    colx, mins = prefix[i][j]
-                    hi = bisect_right(colx, f1) - 1
-                    if hi >= 0 and mins[hi] <= row2[j]:
-                        hits.append((i, j))
-            self.nonempty.append(sorted(hits))
+                for j in pair_of[i].keys() & row2.keys():
+                    k = pair_of[i][j]
+                    hi = bisect_right(ct.colx, k * stride + f1) - 1
+                    if hi >= first[k] and mins[hi] <= row2[j]:
+                        hits.append((shared[k][0], first[k], hi, row2[j]))
+            self.tree_of.append(sorted(hits))
 
-    def _build_tree_side(self, t2):
-        self.mode = "tree"
-        self.orient2 = "out" if t2.kind == "out-tree" else "in"
-        iv = self.iv2 = dfs_intervals(t2)
-        reached = self.fr1.reached(self.pc1.kappa)
-        self.structs = {}
-        self.nonempty = [[] for _ in range(self.n)]
-        for i, p1 in enumerate(self.pc1.paths):
-            if self.orient2 == "out":
-                segs = [
-                    HSegment(2 * iv.s[v], 2 * iv.t[v], self.pc1.path_of[v][1], v)
-                    for v in p1
-                ]
-                # only reached vertices ever query this structure
-                queries = [(2 * iv.s[b] + 1, 0, b) for b in reached[i]]
-                st = SegRayIndex(segs, queries)
-            else:
-                st = CartesianTree([(2 * iv.s[v], self.pc1.path_of[v][1], v) for v in p1])
-            self.structs[i] = st
-            for b in reached[i]:
-                f1 = self.fr1.get(b, i)
-                if self.orient2 == "out":
-                    entry = st.entries[(2 * iv.s[b] + 1, 0)]
-                    if entry and entry[-1].key[0] <= f1:
-                        self.nonempty[b].append(i)
-                else:
-                    lo, hi = st.col_span(2 * iv.s[b] + 1, 2 * iv.t[b] - 1)
-                    if lo <= hi and st.min_x2_in_range(lo, hi) <= f1:
-                        self.nonempty[b].append(i)
-
-    def query_counted(self, b):
-        out = set()
-        probes = 0
-        pairs = []
-        if self.mode == "cover":
-            for (i, j) in self.nonempty[b]:
-                pairs.append((i, j))
-                ct = self.structs[(i, j)]
-                res, pr = ct.report_dominated(self.fr1.get(b, i), self.fr2.get(b, j))
-                out.update(res)
-                probes += pr
-            return out, probes, pairs
-        for i in self.nonempty[b]:
-            pairs.append((i, 0))
-            st = self.structs[i]
-            f1 = self.fr1.get(b, i)
-            if self.orient2 == "out":
-                res, pr = st.report_registered((2 * self.iv2.s[b] + 1, 0), f1)
-            else:
-                lo, hi = st.col_span(2 * self.iv2.s[b] + 1, 2 * self.iv2.t[b] - 1)
-                res, pr = st.report_range(lo, hi, f1)
-            out.update(res)
-            probes += pr
-        return out, probes, pairs
+    def _build_tree_side(self, t2, fr1):
+        """Cover path i holds its vertices at (doubled DFS interval in the
+        tree, rank on i): segments for an out-tree, points at the interval
+        start for an in-tree. It is in I(v) when v's query finds one of
+        rank at most fr1(v, i)."""
+        stride = _stride(self.n)
+        iv = dfs_intervals(t2)
+        path_of = self.pc1.path_of
+        reached = fr1.reached(self.pc1.kappa)
+        keys = [(i, 0) for i in range(self.pc1.kappa)]
+        lists = [[] for _ in range(self.n)]
+        if t2.kind == "out-tree":
+            segs = [
+                HSegment(i * stride + 2 * iv.s[v], i * stride + 2 * iv.t[v], path_of[v][1], v)
+                for i, p1 in enumerate(self.pc1.paths)
+                for v in p1
+            ]
+            # only reached vertices ever query a path
+            queries = [(i, b, (i * stride + 2 * iv.s[b] + 1, 0)) for i, bs in enumerate(reached) for b in bs]
+            seg = self.seg = SegRayIndex(segs, [q for _, _, q in queries])
+            for i, b, q in queries:
+                f1 = fr1.get(b, i)
+                # the sweep reports by increasing rank: its first entry decides
+                entry = seg.entries[q]
+                if entry and entry[-1].key[0] <= f1:
+                    lists[b].append((keys[i], q, f1))
+            self.sweep_of = lists
+        else:
+            ct = self.ct = CartesianTree(
+                [(i * stride + 2 * iv.s[v], path_of[v][1], v) for i, p1 in enumerate(self.pc1.paths) for v in p1]
+            )
+            for i, bs in enumerate(reached):
+                for b in bs:
+                    f1 = fr1.get(b, i)
+                    lo, hi = ct.col_span(i * stride + 2 * iv.s[b] + 1, i * stride + 2 * iv.t[b] - 1)
+                    if lo <= hi and ct.min_x2_in_range(lo, hi) <= f1:
+                        lists[b].append((keys[i], lo, hi, f1))
+            self.tree_of = lists
 
 
 def index_pathcover(g1, g2):

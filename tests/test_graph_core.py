@@ -9,7 +9,6 @@ from joinreach.graph import (
     condense_pair,
     dfs_intervals,
     dipath_of,
-    NcaIndex,
     layer_decompose,
     parse_graph,
     format_graph,
@@ -308,45 +307,6 @@ def test_dfs_intervals_ancestry_matches_parent_chasing():
 def test_dfs_intervals_rejects_non_tree():
     with pytest.raises(GraphClassError):
         dfs_intervals(Digraph(3, [(0, 1), (1, 2), (0, 2)]), root=0)
-
-
-def test_nca_identity_and_chain():
-    g = Digraph(4, [(0, 1), (1, 2), (2, 3)], kind="out-tree")
-    idx = NcaIndex(tree_parents(g, 0), 0)
-    for v in range(4):
-        assert idx.query(v, v) == v
-    assert idx.query(1, 3) == 1
-    assert idx.query(3, 2) == 2
-
-
-def test_nca_random_matches_walk_up():
-    rng = random.Random(17)
-    n = 64
-    parent = random_parent_tree(rng, n)
-    g = Digraph(n, [(parent[v], v) for v in range(1, n)], kind="out-tree")
-    idx = NcaIndex(tree_parents(g, 0), 0)
-
-    def walk_up(a, b):
-        anc = set()
-        x = a
-        while x != -1:
-            anc.add(x)
-            x = parent[x]
-        x = b
-        while x not in anc:
-            x = parent[x]
-        return x
-
-    for a in range(n):
-        for b in range(n):
-            assert idx.query(a, b) == walk_up(a, b)
-
-
-def test_nca_rejects_out_of_range():
-    g = Digraph(2, [(0, 1)], kind="out-tree")
-    idx = NcaIndex(tree_parents(g, 0), 0)
-    with pytest.raises(ValueError):
-        idx.query(0, 9)
 
 
 def test_kind_validation():

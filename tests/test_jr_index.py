@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+
+from joinreach.geom import CartesianTree, SegRayIndex
 
 from joinreach.gen import (
     rand_dag,
@@ -34,6 +37,16 @@ def zigzag_path(n):
     """Unoriented path 0-1-...-(n-1) whose arcs alternate direction."""
     arcs = [(k, k + 1) if k % 2 == 0 else (k + 1, k) for k in range(n - 1)]
     return Digraph(n, arcs, kind="path")
+
+
+def chain_star(rng, n):
+    """Out-tree chain and out-tree star on a shuffled vertex order, sharing
+    their root: every answer is {root, b}."""
+    order = list(range(n))
+    rng.shuffle(order)
+    chain = Digraph(n, list(zip(order, order[1:])), kind="out-tree")
+    star = Digraph(n, [(order[0], v) for v in order[1:]], kind="out-tree")
+    return chain, star
 
 
 def oracle_pred_sets(g1, g2):
@@ -219,6 +232,44 @@ def test_hpd_two_trees_variant():
         assert_index_matches(index_hpd_two_trees(t2, t1), t2, t1)
 
 
+def test_two_trees_and_hpd_on_chain_star():
+    rng = random.Random(39)
+    for n in (2, 3, 5, 17, 64, 150):
+        chain, star = chain_star(rng, n)
+        for g1, g2 in ((chain, star), (star, chain)):
+            assert_index_matches(index_two_trees(g1, g2), g1, g2)
+            assert_index_matches(index_hpd_two_trees(g1, g2), g1, g2)
+
+
+def test_each_index_builds_at_most_one_structure_of_each_kind(monkeypatch):
+    built = Counter()
+    for cls in (CartesianTree, SegRayIndex):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    rng = random.Random(41)
+    n = 48
+    cases = [
+        (index_two_paths, zigzag_path(n), zigzag_path(n)),
+        (index_two_paths, rand_upath(rng, n), rand_upath(rng, n)),
+        (index_tree_path, rand_utree(rng, n), rand_upath(rng, n)),
+        (index_tree_path, rand_tree(rng, n, "out-tree"), rand_path(rng, n)),
+        (index_tree_path, rand_tree(rng, n, "in-tree"), rand_upath(rng, n)),
+        (index_pathcover, rand_dag(rng, n, 0.1), rand_dag(rng, n, 0.1)),
+        (index_pathcover, rand_dag(rng, n, 0.1), rand_tree(rng, n, "out-tree")),
+        (index_pathcover, rand_dag(rng, n, 0.1), rand_tree(rng, n, "in-tree")),
+        (index_hpd_two_trees, rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")),
+        (index_hpd_two_trees, rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "out-tree")),
+    ]
+    for build, g1, g2 in cases:
+        built.clear()
+        idx = build(g1, g2)
+        assert built["CartesianTree"] <= 1 and built["SegRayIndex"] <= 1, (idx.variant, built)
+        assert_index_matches(idx, g1, g2)
+
+
 def test_pathcover_kappa_one_behaves_as_two_paths():
     rng = random.Random(23)
     p1, p2 = rand_path(rng, 20), rand_path(rng, 20)
@@ -271,12 +322,12 @@ def test_pathcover_nonempty_lists_match_definition():
         ):
             pcx = _PathCover(g1, g2)
             m2 = transitive_closure(g2)
-            if pcx.mode == "cover":
+            if g2.kind == "digraph":
                 def pair(a):
                     return (pcx.pc1.path_of[a][0], pcx.pc2.path_of[a][0])
             else:
                 def pair(a):
-                    return pcx.pc1.path_of[a][0]
+                    return (pcx.pc1.path_of[a][0], 0)
             # an in-tree structure's range is open at v, as the query adds v
             skip_self = g2.kind == "in-tree"
             for v in range(n):
@@ -287,7 +338,7 @@ def test_pathcover_nonempty_lists_match_definition():
                         if m1.reach(a, v) and m2.reach(a, v) and not (skip_self and a == v)
                     }
                 )
-                assert pcx.nonempty[v] == want, (g2.kind, v)
+                assert sorted(pcx.query_counted(v)[2]) == want, (g2.kind, v)
 
 
 def test_pathcover_rejects_cycles():
