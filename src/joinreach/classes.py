@@ -34,22 +34,6 @@ from .jrindex import (
 )
 
 
-def _dipath(g):
-    return g.kind == "path" and g.is_directed_path()
-
-
-def _build_two_paths(p1, p2):
-    if _dipath(p1) and _dipath(p2):
-        return build_two_paths(p1, p2)
-    return build_unoriented_trees(p1, p2)
-
-
-def _build_tree_path(t, p):
-    if t.kind in ("out-tree", "in-tree") and _dipath(p):
-        return build_tree_path(t, p)
-    return build_unoriented_trees(t, p)
-
-
 def _build_pathcover(g1, g2):
     try:
         return build_pathcover(g1, g2)
@@ -93,8 +77,8 @@ class PairClass(NamedTuple):
 
 # A planar st-graph is a DAG, so its explicit side is the path cover's.
 CLASSES = {
-    "two-paths": PairClass(_build_two_paths, index_two_paths),
-    "tree-path": PairClass(_build_tree_path, index_tree_path),
+    "two-paths": PairClass(build_two_paths, index_two_paths),
+    "tree-path": PairClass(build_tree_path, index_tree_path),
     "two-trees": PairClass(build_two_trees, index_two_trees),
     "unoriented-trees": PairClass(build_unoriented_trees, index_two_trees),
     "pathcover": PairClass(_build_pathcover, _index_pathcover),

@@ -5,6 +5,21 @@ over the original vertices plus Steiner relay vertices whose closure,
 restricted to originals, is exactly the pairwise AND of the input
 reachability relations. Divide-and-conquer in rank space keeps the
 output near-linear for paths and trees and cover-factor-linear for DAGs.
+
+Paths and trees take one route: each pair of tree blocks (`graph.tree_blocks`;
+a dipath is one chain block) is wired by `_nest_connect`, which walks the
+first block's nested intervals and halves a rank range of the second. A
+pair whose members form a chain in the second block needs one such
+wiring; any other pair gets one per level of an outer halving of a
+second rank. Path covers wire each pair of cover paths by inclusive
+dominance (`_dominance_connect`).
+
+Steiner tags end in `d<k>;h=<lo>..<hi>`: the recursion depth and the
+rank slab being halved. Tree-block tags begin with the builder's label,
+then `i<i>;j<j>` (and `rev` for an in-core first block) unless both
+inputs are one block, then `p<k>` for the outer level of a 3-D wiring.
+Path-cover tags begin `pathcover;i<i>;j<j>`, and its endpoint relays end
+in `src` or `dst`.
 """
 
 from __future__ import annotations
@@ -19,8 +34,6 @@ from .graph import (
     GraphClassError,
     _parse_arcs,
     block_pairs,
-    dfs_intervals,
-    path_order,
     tarjan_scc,
     topo_order,
     transitive_closure,
@@ -62,71 +75,8 @@ class _Builder:
         return JoinGraph(g, self.n_original, self.tags)
 
 
-def _reverse_join(jg):
-    g = jg.graph
-    return JoinGraph(Digraph(g.n, [(v, u) for u, v in g.arcs]), jg.n_original, jg.steiner_tags)
-
-
 # ----------------------------------------------------------------------
-# Two paths / shared dominance recursion
-
-
-def _dominance_connect(b, sources, targets, lo, hi, depth, tag):
-    """Connect each source to every target it dominates in (x1, x2).
-
-    Entries are (x1, x2, graph-vertex) triples; dominance is inclusive.
-    Recursion halves the x1 range; within a single x1 column entries are
-    chained in x2 order, sources before targets at equal x2.
-    """
-    if not sources or not targets:
-        return
-    if hi - lo <= 1:
-        ents = sorted(
-            [(x2, 0, vid) for _, x2, vid in sources]
-            + [(x2, 1, vid) for _, x2, vid in targets]
-        )
-        for (_, _, u), (_, _, v) in zip(ents, ents[1:]):
-            b.arc(u, v)
-        return
-    mid = (lo + hi + 1) // 2
-    s_left = [s for s in sources if s[0] < mid]
-    s_right = [s for s in sources if s[0] >= mid]
-    t_left = [t for t in targets if t[0] < mid]
-    t_right = [t for t in targets if t[0] >= mid]
-    if s_left and t_right:
-        ts = sorted(t_right, key=lambda t: (t[1], t[2]))
-        label = f"{tag};d{depth};x1={lo}..{hi}"
-        chain = [b.steiner(label) for _ in ts]
-        for sv, (_, _, tv) in zip(chain, ts):
-            b.arc(sv, tv)
-        for i in range(len(chain) - 1):
-            b.arc(chain[i], chain[i + 1])
-        xs = [t[1] for t in ts]
-        for _, sx2, sv in s_left:
-            k = bisect_left(xs, sx2)
-            if k < len(chain):
-                b.arc(sv, chain[k])
-    _dominance_connect(b, s_left, t_left, lo, mid, depth + 1, tag)
-    _dominance_connect(b, s_right, t_right, mid, hi, depth + 1, tag)
-
-
-def build_two_paths(p1, p2):
-    """Join graph of two dipaths; size at most 3n(ceil(log2 n)+1)."""
-    if p1.n != p2.n:
-        raise ValueError("vertex-set mismatch")
-    o1 = path_order(p1)
-    o2 = path_order(p2)
-    n = p1.n
-    x1 = [0] * n
-    x2 = [0] * n
-    for r, v in enumerate(o1):
-        x1[v] = r
-    for r, v in enumerate(o2):
-        x2[v] = r
-    b = _Builder(n)
-    points = [(x1[v], x2[v], v) for v in range(n)]
-    _dominance_connect(b, points, points, 0, n, 0, "two-paths")
-    return b.finish()
+# Paths and trees: one tree-block join
 
 
 def split_unoriented_path(p):
@@ -163,174 +113,33 @@ def split_unoriented_path(p):
     return runs
 
 
-# ----------------------------------------------------------------------
-# Tree and path
+def build_two_paths(p1, p2):
+    """Join graph of two paths; size at most 3n(ceil(log2 n)+1) for two
+    dipaths."""
+    return _tree_blocks_join(p1, p2, "two-paths")
 
 
 def build_tree_path(t1, p2):
-    """Join graph of a rooted tree and a dipath; same size bound as paths.
-
-    The in-tree variant is the out-tree construction on the reversed
-    inputs with every arc flipped.
-    """
-    if t1.n != p2.n:
-        raise ValueError("vertex-set mismatch")
-    if t1.kind == "in-tree":
-        return _reverse_join(build_tree_path(t1.reverse(), _reverse_path(p2)))
-    if t1.kind != "out-tree":
-        raise GraphClassError("tree side must be an out-tree or in-tree")
-    n = t1.n
-    o2 = path_order(p2)
-    h = [0] * n
-    for r, v in enumerate(o2):
-        h[v] = n - 1 - r
-    iv = dfs_intervals(t1)
-    by_s = sorted(range(n), key=lambda v: iv.s[v])
-    b = _Builder(n)
-    _tree_path_connect(b, by_s, h, iv, 0, n, 0)
-    return b.finish()
-
-
-def _reverse_path(p):
-    return Digraph(p.n, [(v, u) for u, v in p.arcs], kind="path")
-
-
-def _tree_path_connect(b, sub, h, iv, lo, hi, depth):
-    if len(sub) <= 1 or hi - lo <= 1:
-        return
-    mid = (lo + hi + 1) // 2
-    up = [v for v in sub if h[v] >= mid]
-    down = [v for v in sub if h[v] < mid]
-    if up and down:
-        label = f"tree-path;d{depth};h={lo}..{hi}"
-        upset = set(up)
-        steiner_of = {}
-        stack = []
-        for v in sub:
-            while stack and not (iv.s[stack[-1]] < iv.s[v] and iv.t[v] < iv.t[stack[-1]]):
-                stack.pop()
-            near = stack[-1] if stack else None
-            if v in upset:
-                sv = b.steiner(label)
-                steiner_of[v] = sv
-                b.arc(v, sv)
-                if near is not None:
-                    b.arc(steiner_of[near], sv)
-                stack.append(v)
-            elif near is not None:
-                b.arc(steiner_of[near], v)
-    _tree_path_connect(b, up, h, iv, mid, hi, depth + 1)
-    _tree_path_connect(b, down, h, iv, lo, mid, depth + 1)
-
-
-# ----------------------------------------------------------------------
-# Two trees (3d divide and conquer), rooted and unoriented
-
-
-def _interval_orders(members, su2_iv, core2, o2):
-    """Rank-space coordinates encoding the second tree's relation.
-
-    Dominance (x2(b), x3(b)) <= (x2(a), x3(a)) must hold iff a's interval
-    contains b's (out-orientation) or b's contains a's (in-orientation),
-    with role-consistent tie-breaks inside equal-interval groups: the
-    side that genuinely reaches the other gets the dominating rank.
-    """
-    m = len(members)
-    s_sort = sorted(members, key=lambda v: (su2_iv[v][0], core2[v], v))
-    t_sort = sorted(members, key=lambda v: (su2_iv[v][1], not core2[v], v))
-    x2 = {}
-    x3 = {}
-    if o2 == "out":
-        for r, v in enumerate(s_sort):
-            x2[v] = m - 1 - r
-        for r, v in enumerate(t_sort):
-            x3[v] = r
-    else:
-        for r, v in enumerate(s_sort):
-            x2[v] = r
-        for r, v in enumerate(t_sort):
-            x3[v] = m - 1 - r
-    return x2, x3
-
-
-def _three_d_connect(b, members, anc_iv, chain, x2, x3, src_ok, snk_ok, emit, tag):
-    """Steiner wiring for pairs related by tree ancestry and planar dominance.
-
-    anc_iv maps each vertex to its (possibly shared) ancestor-tree
-    interval; equal intervals are ordered by `chain`, whose order must be
-    consistent with actual reachability among the allowed role pairs.
-    """
-    m = len(members)
-
-    def contains(p, v):
-        sp, tp = anc_iv[p]
-        sv, tv = anc_iv[v]
-        if sp == sv and tp == tv:
-            return chain[p] < chain[v]
-        return sp < sv and tv < tp
-
-    def sort_key(v):
-        return (anc_iv[v][0], chain[v])
-
-    def cross(aa, bb, lo2, hi2, od, id_):
-        if not aa or not bb or hi2 - lo2 <= 1:
-            return
-        mid2 = (lo2 + hi2 + 1) // 2
-        a_hi = [v for v in aa if x2[v] >= mid2]
-        b_lo = [v for v in bb if x2[v] < mid2]
-        if a_hi and b_lo:
-            label = f"{tag};p{od};l{id_};x2={lo2}..{hi2}"
-            upset = set(a_hi)
-            ents = sorted(a_hi + b_lo, key=sort_key)
-            steiner_of = {}
-            stack = []
-            for v in ents:
-                while stack and not contains(stack[-1], v):
-                    stack.pop()
-                near = stack[-1] if stack else None
-                if v in upset:
-                    sv = b.steiner(label)
-                    steiner_of[v] = sv
-                    emit(v, sv)
-                    if near is not None:
-                        emit(steiner_of[near], sv)
-                    stack.append(v)
-                elif near is not None:
-                    emit(steiner_of[near], v)
-        cross([v for v in aa if x2[v] >= mid2], [v for v in bb if x2[v] >= mid2],
-              mid2, hi2, od, id_ + 1)
-        cross([v for v in aa if x2[v] < mid2], [v for v in bb if x2[v] < mid2],
-              lo2, mid2, od, id_ + 1)
-
-    def outer(mem, lo3, hi3, od):
-        if len(mem) <= 1 or hi3 - lo3 <= 1:
-            return
-        mid3 = (lo3 + hi3 + 1) // 2
-        above = [v for v in mem if x3[v] >= mid3]
-        below = [v for v in mem if x3[v] < mid3]
-        cross([v for v in above if src_ok[v]], [v for v in below if snk_ok[v]],
-              0, m, od, 0)
-        outer(above, mid3, hi3, od + 1)
-        outer(below, lo3, mid3, od + 1)
-
-    outer(list(members), 0, m, 0)
+    """Join graph of a tree and a path; same size bound as two dipaths
+    for a rooted tree and a dipath."""
+    return _tree_blocks_join(t1, p2, "tree-path")
 
 
 def build_two_trees(t1, t2):
     """Join graph of two rooted trees; size within 4n(ceil(log2 n)+1)^2."""
     if t1.kind not in ("out-tree", "in-tree") or t2.kind not in ("out-tree", "in-tree"):
         raise GraphClassError("both graphs must be rooted trees")
-    return _tree_blocks_join(t1, t2)
+    return _tree_blocks_join(t1, t2, "two-trees")
 
 
 def build_unoriented_trees(g1, g2):
     """Join graph of two trees of any orientation via their tree blocks."""
-    return _tree_blocks_join(g1, g2)
+    return _tree_blocks_join(g1, g2, "utrees")
 
 
-def _tree_blocks_join(g1, g2):
-    # One 3d wiring per pair of blocks sharing at least two vertices; a
-    # pair of rooted trees is the single pair of their all-core blocks.
+def _tree_blocks_join(g1, g2, label):
+    # One wiring per pair of blocks sharing at least two vertices; a pair
+    # of rooted trees or dipaths is the single pair of their all-core blocks.
     if g1.n != g2.n:
         raise ValueError("vertex-set mismatch")
     blocks1, of1 = tree_blocks(g1)
@@ -342,9 +151,9 @@ def _tree_blocks_join(g1, g2):
             continue
         blk1 = blocks1[i]
         if rooted:
-            tag = "two-trees"
+            tag = label
         else:
-            tag = f"utrees;i{i};j{j}" + (";rev" if blk1.orient == "in" else "")
+            tag = f"{label};i{i};j{j}" + (";rev" if blk1.orient == "in" else "")
         _pair_connect(b, blk1, blocks2[j], members, tag)
     return b.finish()
 
@@ -353,30 +162,164 @@ def _pair_connect(b, blk1, blk2, members, tag):
     # An in-core first block is wired on the reversed pair, arcs flipped.
     rev = blk1.orient == "in"
     eff_o2 = ({"out": "in", "in": "out"}[blk2.orient]) if rev else blk2.orient
-    core1, core2 = blk1.core, blk2.core
-    # fringe hangers precede their core representative in the ancestor chain
-    chain = {v: (core1[v], v) for v in members}
+    core1, core2, iv1 = blk1.core, blk2.core, blk1.su_iv
+    # Walk order of the first block: by supervertex interval, fringe
+    # hangers before their core supervertex. Position p's range
+    # p..end[p] then holds every member p reaches in that block; the
+    # others it holds are fringe hangers, which are never sinks there.
+    vert = sorted(members, key=lambda v: (iv1[v][0], core1[v], v))
+    starts = [iv1[v][0] for v in vert]
+    end = [bisect_left(starts, iv1[v][1]) - 1 for v in vert]
 
     # After an effective reversal the first side is out-core: its fringe
     # hangers may only emit. Out-core fringes on the second side likewise
     # emit only; in-core fringes only receive.
-    src_ok = {}
-    snk_ok = {}
-    for v in members:
-        if eff_o2 == "out":
-            ok2_src, ok2_snk = True, core2[v]
-        else:
-            ok2_src, ok2_snk = core2[v], True
-        src_ok[v] = ok2_src
-        snk_ok[v] = core1[v] and ok2_snk
+    if eff_o2 == "out":
+        srcs = list(range(len(vert)))
+        snks = [p for p, v in enumerate(vert) if core1[v] and core2[v]]
+    else:
+        srcs = [p for p, v in enumerate(vert) if core2[v]]
+        snks = [p for p, v in enumerate(vert) if core1[v]]
 
-    x2, x3 = _interval_orders(members, blk2.su_iv, core2, eff_o2)
-    emit = (lambda u, v: b.arc(v, u)) if rev else b.arc
-    _three_d_connect(b, members, blk1.su_iv, chain, x2, x3, src_ok, snk_ok, emit, tag)
+    if snks == srcs:
+        snks = srcs  # one list: every member is a source and a sink
+
+    h2, h3 = _interval_orders(vert, blk2.su_iv, core2, eff_o2)
+    first = len(b.arcs)
+    if h2 == h3:
+        # The members form a chain in the second block, so its relation is
+        # dominance in h2 alone.
+        _nest_connect(b, srcs, snks, end, h2, 0, len(vert), vert, tag)
+    else:
+        _three_d_connect(b, srcs, snks, end, h2, h3, 0, len(vert), vert, tag)
+    if rev:
+        b.arcs[first:] = [(v, u) for u, v in b.arcs[first:]]
+
+
+def _interval_orders(vert, iv2, core2, o2):
+    """(h2, h3): rank-space coordinates per walk position encoding the
+    second block's relation.
+
+    Dominance (h2[z], h3[z]) <= (h2[a], h3[a]) must hold iff a's interval
+    contains z's (out-orientation) or z's contains a's (in-orientation),
+    with role-consistent tie-breaks inside equal-interval groups: the
+    side that genuinely reaches the other gets the dominating rank.
+    """
+    m = len(vert)
+    s_key = [(iv2[v][0], core2[v], v) for v in vert]
+    t_key = [(iv2[v][1], not core2[v], v) for v in vert]
+    by_s = sorted(range(m), key=s_key.__getitem__)
+    by_t = sorted(range(m), key=t_key.__getitem__)
+    (by_s if o2 == "out" else by_t).reverse()
+    h2 = [0] * m
+    h3 = [0] * m
+    for r, p in enumerate(by_s):
+        h2[p] = r
+    for r, p in enumerate(by_t):
+        h3[p] = r
+    return h2, h3
+
+
+def _three_d_connect(b, srcs, snks, end, h2, h3, lo, hi, vert, tag, depth=0):
+    """Wire each source to every sink of its nested range that lies below
+    it in both h2 and h3: halve [lo, hi) in h3 and wire the upper half's
+    sources to the lower half's sinks in h2."""
+    if not srcs or not snks or hi - lo <= 1:
+        return
+    mid = (lo + hi + 1) // 2
+    s_hi = [p for p in srcs if h3[p] >= mid]
+    k_lo = [p for p in snks if h3[p] < mid]
+    _nest_connect(b, s_hi, k_lo, end, h2, 0, len(vert), vert, f"{tag};p{depth}")
+    _three_d_connect(b, s_hi, [p for p in snks if h3[p] >= mid], end, h2, h3,
+                     mid, hi, vert, tag, depth + 1)
+    _three_d_connect(b, [p for p in srcs if h3[p] < mid], k_lo, end, h2, h3,
+                     lo, mid, vert, tag, depth + 1)
+
+
+def _nest_connect(b, srcs, snks, end, h, lo, hi, vert, tag, depth=0):
+    """Wire each source to every sink of its nested range below it in h.
+
+    srcs and snks are ascending walk positions, or one list when every
+    member is both; position p's nested range is p..end[p], and vert[p]
+    is its vertex. Each source in the upper half of [lo, hi) gets one
+    Steiner relay, chained under the relay of its nearest enclosing such
+    source; each sink in the lower half hangs off the relay of its
+    nearest one. The recursion then halves [lo, hi).
+    """
+    if not srcs or not snks or hi - lo <= 1:
+        return
+    mid = (lo + hi + 1) // 2
+    s_hi = [p for p in srcs if h[p] >= mid]
+    k_lo = [p for p in snks if h[p] < mid]
+    if srcs is snks:
+        k_hi, s_lo, walk = s_hi, k_lo, srcs
+    else:
+        k_hi = [p for p in snks if h[p] >= mid]
+        s_lo = [p for p in srcs if h[p] < mid]
+        walk = sorted(s_hi + k_lo)
+    if s_hi and k_lo:
+        label = f"{tag};d{depth};h={lo}..{hi}"
+        arcs = b.arcs
+        ends = []  # range ends of the enclosing upper sources
+        relays = []  # and their relays
+        for p in walk:
+            while ends and ends[-1] < p:
+                ends.pop()
+                relays.pop()
+            if h[p] >= mid:
+                sv = b.steiner(label)
+                arcs.append((vert[p], sv))
+                if relays:
+                    arcs.append((relays[-1], sv))
+                ends.append(end[p])
+                relays.append(sv)
+            elif relays:
+                arcs.append((relays[-1], vert[p]))
+    _nest_connect(b, s_hi, k_hi, end, h, mid, hi, vert, tag, depth + 1)
+    _nest_connect(b, s_lo, k_lo, end, h, lo, mid, vert, tag, depth + 1)
 
 
 # ----------------------------------------------------------------------
 # Path covers for general DAG pairs
+
+
+def _dominance_connect(b, sources, targets, lo, hi, depth, tag):
+    """Connect each source to every target it dominates in (x1, x2).
+
+    Entries are (x1, x2, graph-vertex) triples; dominance is inclusive.
+    Recursion halves the x1 range; within a single x1 column entries are
+    chained in x2 order, sources before targets at equal x2.
+    """
+    if not sources or not targets:
+        return
+    if hi - lo <= 1:
+        ents = sorted(
+            [(x2, 0, vid) for _, x2, vid in sources]
+            + [(x2, 1, vid) for _, x2, vid in targets]
+        )
+        for (_, _, u), (_, _, v) in zip(ents, ents[1:]):
+            b.arc(u, v)
+        return
+    mid = (lo + hi + 1) // 2
+    s_left = [s for s in sources if s[0] < mid]
+    s_right = [s for s in sources if s[0] >= mid]
+    t_left = [t for t in targets if t[0] < mid]
+    t_right = [t for t in targets if t[0] >= mid]
+    if s_left and t_right:
+        ts = sorted(t_right, key=lambda t: (t[1], t[2]))
+        label = f"{tag};d{depth};h={lo}..{hi}"
+        chain = [b.steiner(label) for _ in ts]
+        for sv, (_, _, tv) in zip(chain, ts):
+            b.arc(sv, tv)
+        for i in range(len(chain) - 1):
+            b.arc(chain[i], chain[i + 1])
+        xs = [t[1] for t in ts]
+        for _, sx2, sv in s_left:
+            k = bisect_left(xs, sx2)
+            if k < len(chain):
+                b.arc(sv, chain[k])
+    _dominance_connect(b, s_left, t_left, lo, mid, depth + 1, tag)
+    _dominance_connect(b, s_right, t_right, mid, hi, depth + 1, tag)
 
 
 def build_pathcover(g1, g2):

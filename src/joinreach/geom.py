@@ -7,8 +7,8 @@ range tree for orthogonal range reporting. All structures are immutable
 after build. The Cartesian tree finds range minima in a sparse table
 over its column keys and descends whole subtrees through child links
 with no lookup. It and the sweep return (payloads, probe_count) so
-callers can assert output sensitivity; a probe is one tree node,
-overflow entry or treap node visited.
+callers can assert output sensitivity; a probe is one tree node or
+treap node visited.
 """
 
 from __future__ import annotations
@@ -38,45 +38,28 @@ class HSegment(NamedTuple):
 class CartesianTree:
     """Binary tree over points: in-order by x1, heap order (min) on x2.
 
-    Supports the multi-column variant where several points share an
-    x1-coordinate: the tree holds the minimum-x2 point of each column and
-    the rest sit in per-column overflow lists ordered by increasing x2.
-    Between columns, ties in x2 go to the leftmost column.
+    Each point is one column; x1 coordinates must be distinct. Ties in x2
+    go to the leftmost column.
 
     Range minima come from a sparse table over the columns' x2 keys
     (Bender and Farach-Colton): level k holds, per start column, the
     leftmost minimum of the 2^k columns from there, so a lookup reads two
     entries and the build is O(m log m) for m columns. Reports descend
     whole subtrees through child links in heap order (Gabow, Bentley and
-    Tarjan). A probe is one node or overflow entry visited.
+    Tarjan). A probe is one node visited.
     """
 
     __slots__ = (
-        "colx", "reps", "overflow", "left", "right", "root", "npoints",
+        "colx", "reps", "left", "right", "root", "npoints",
         "_x2", "_payload", "_table",
     )
 
-    def __init__(self, points, allow_duplicate_x1=False):
-        pts = sorted(points)
-        colx, reps, overflow = [], [], []
-        prev = None
-        for p in pts:
-            if prev is None or p[0] != prev[0]:
-                colx.append(p[0])
-                reps.append(p)
-                overflow.append(())
-            elif p[1] == prev[1]:
-                raise ValueError("duplicate (x1, x2) pair")
-            elif not allow_duplicate_x1:
-                raise ValueError("duplicate x1 coordinate (multi-column variant not requested)")
-            elif overflow[-1]:
-                overflow[-1].append(p)
-            else:
-                overflow[-1] = [p]
-            prev = p
-        self.npoints = len(pts)
-        self.colx, self.reps, self.overflow = colx, reps, overflow
-        m = len(colx)
+    def __init__(self, points):
+        reps = self.reps = sorted(points)
+        colx = self.colx = [p[0] for p in reps]
+        m = self.npoints = len(colx)
+        if len(set(colx)) < m:
+            raise ValueError("duplicate x1 coordinate")
         x2 = self._x2 = [p[1] for p in reps]
         self._payload = [p[2] for p in reps]
         left = self.left = [-1] * m
@@ -125,7 +108,7 @@ class CartesianTree:
         if self.root == -1 or lo_col > hi_col:
             return out, 0
         x2, payload, table = self._x2, self._payload, self._table
-        left, right, overflow = self.left, self.right, self.overflow
+        left, right = self.left, self.right
         last = len(x2) - 1
         probes = 0
         nodes = []  # roots of whole subtrees inside the range
@@ -142,8 +125,6 @@ class CartesianTree:
             if key > x2_max:
                 continue
             out.append(payload[c])
-            if overflow[c]:
-                probes += self._report_overflow(c, x2_max, out)
             if lo < c:
                 if lo == 0 or x2[lo - 1] <= key:
                     nodes.append(left[c])
@@ -159,24 +140,11 @@ class CartesianTree:
             if x2[c] > x2_max:
                 continue
             out.append(payload[c])
-            if overflow[c]:
-                probes += self._report_overflow(c, x2_max, out)
             if left[c] != -1:
                 nodes.append(left[c])
             if right[c] != -1:
                 nodes.append(right[c])
         return out, probes + len(nodes)
-
-    def _report_overflow(self, c, x2_max, out):
-        """Append column c's overflow payloads with x2 <= x2_max; returns
-        the entries visited."""
-        probes = 0
-        for p in self.overflow[c]:
-            probes += 1
-            if p[1] > x2_max:
-                break
-            out.append(p[2])
-        return probes
 
     def report_dominated(self, x1_max, x2_max):
         """Payloads of points with x1 <= x1_max and x2 <= x2_max."""

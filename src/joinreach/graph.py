@@ -652,31 +652,42 @@ def tree_parents(g, root=None):
 
 
 def dfs_intervals(g, root=None):
-    """DFS intervals of the underlying rooted tree of g.
+    """DFS intervals of a rooted tree or dipath g, walked away from `root`.
 
-    A counter is bumped after every visit and every leave, so the 2n
-    assigned values are distinct and ancestry equals interval nesting.
+    The walk follows out-arcs from an out-root and in-arcs from an
+    in-root, children in increasing vertex id. A counter is bumped after
+    every visit and every leave, so the 2n assigned values are distinct
+    and ancestry equals interval nesting. Raises unless the walk is a
+    spanning tree of g.
     """
     if root is None:
         root = g.root()
-    parent = tree_parents(g, root)
+    if not g.inn[root]:
+        adj = g.out
+    elif not g.out[root]:
+        adj = g.inn
+    else:
+        raise GraphClassError(f"vertex {root} is neither an out-root nor an in-root")
     n = g.n
+    if g.m != n - 1:
+        raise GraphClassError("not a tree: wrong arc count")
     s = [0] * n
     t = [0] * n
     clock = 0
-    stack = [(root, False)]
+    stack = [root]
     while stack:
-        v, done = stack.pop()
-        if done:
-            clock += 1
-            t[v] = clock
-            continue
+        v = stack.pop()
         clock += 1
+        if v < 0:
+            t[~v] = clock
+            continue
+        if s[v]:
+            raise GraphClassError("not a tree: a vertex is reached twice")
         s[v] = clock
-        stack.append((v, True))
-        for w in reversed(g.neighbors(v)):
-            if parent[w] == v:
-                stack.append((w, False))
+        stack.append(~v)
+        stack.extend(reversed(adj[v]))
+    if clock != 2 * n:
+        raise GraphClassError("not a tree: disconnected")
     return DfsIntervals(s, t)
 
 

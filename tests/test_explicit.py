@@ -16,7 +16,7 @@ from joinreach.explicit import (
     JoinGraph,
 )
 from joinreach.cover import min_path_cover
-from joinreach.gen import gen_bitreversal
+from joinreach.gen import gen_bitreversal, rand_upath
 from joinreach.graph import Digraph, GraphClassError, dipath_of, transitive_closure
 
 
@@ -107,19 +107,29 @@ def test_two_paths_size_bound_and_random_instances():
 def test_two_paths_steiner_tags_stay_in_their_slab():
     n = 48
     rng = random.Random(33)
-    p1 = rand_perm_path(rng, n)
-    p2 = rand_perm_path(rng, n)
-    jg = build_two_paths(p1, p2)
-    # tag format: two-paths;d<depth>;x1=<lo>..<hi>; the slab at depth d is
-    # a ceil-halving of [0, n), so its width is at most ceil(n / 2^d)
-    assert jg.steiner_count > 0
-    for tag in jg.steiner_tags:
-        parts = tag.split(";")
-        assert parts[0] == "two-paths"
-        depth = int(parts[1][1:])
-        lo, hi = (int(x) for x in parts[2].split("=")[1].split(".."))
-        assert 0 <= lo < hi <= n
-        assert hi - lo <= math.ceil(n / 2 ** depth)
+    out_tree, in_tree = rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")
+    cases = [
+        ("two-paths", build_two_paths(rand_perm_path(rng, n), rand_perm_path(rng, n))),
+        ("tree-path", build_tree_path(out_tree, rand_perm_path(rng, n))),
+        ("tree-path", build_tree_path(in_tree, rand_perm_path(rng, n))),
+        ("two-trees", build_two_trees(out_tree, in_tree)),
+        ("tree-path", build_tree_path(rand_utree(rng, n), rand_perm_path(rng, n))),
+    ]
+    # tag format: <label>[;i<i>;j<j>[;rev]][;p<k>];d<depth>;h=<lo>..<hi>; the
+    # slab at depth d is a ceil-halving of [0, m) for m <= n pair members,
+    # so its width is at most ceil(n / 2^d)
+    for label, jg in cases:
+        assert jg.steiner_count > 0, label
+        for tag in jg.steiner_tags:
+            parts = tag.split(";")
+            assert parts[0] == label
+            assert parts[-2][0] == "d" and parts[-1].startswith("h="), tag
+            depth = int(parts[-2][1:])
+            lo, hi = (int(x) for x in parts[-1][2:].split(".."))
+            assert 0 <= lo < hi <= n
+            assert hi - lo <= math.ceil(n / 2 ** depth)
+    # two rooted trees that are not chains are wired in 3-D
+    assert all(tag.split(";")[1][0] == "p" for tag in cases[3][1].steiner_tags)
 
 
 def test_split_oriented_path_is_identity():
@@ -275,6 +285,12 @@ def test_unoriented_trees_random_instances():
         for a, b in ((g1, g2), (zigzag_path(n), g2), (g1, zigzag_path(n))):
             jg = build_unoriented_trees(a, b)
             assert verify_join_graph(jg, a, b).ok, n
+        # a dipath is one chain block: each block pair is wired in 2-D
+        p = rand_perm_path(rng, n)
+        for a in (g1, rand_upath(rng, n), zigzag_path(n)):
+            jg = build_unoriented_trees(a, p)
+            assert verify_join_graph(jg, a, p).ok, n
+            assert jg.size <= 3 * n * (logceil(n) + 1), n
 
 
 def test_pathcover_dipath_reduces_to_two_paths():

@@ -305,8 +305,13 @@ def test_dfs_intervals_ancestry_matches_parent_chasing():
 
 
 def test_dfs_intervals_rejects_non_tree():
-    with pytest.raises(GraphClassError):
-        dfs_intervals(Digraph(3, [(0, 1), (1, 2), (0, 2)]), root=0)
+    for n, arcs in (
+        (3, [(0, 1), (1, 2), (0, 2)]),  # too many arcs
+        (4, [(0, 1), (0, 2), (1, 2)]),  # 2 is reached twice
+        (4, [(0, 1), (2, 3), (3, 2)]),  # 2 and 3 are not reached
+    ):
+        with pytest.raises(GraphClassError):
+            dfs_intervals(Digraph(n, arcs), root=0)
 
 
 def test_kind_validation():
