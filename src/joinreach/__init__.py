@@ -12,6 +12,7 @@ from .graph import (
     layer_decompose,
     path_order,
     read_graph,
+    split_unoriented_path,
     transitive_closure,
     write_graph,
 )
@@ -39,7 +40,6 @@ from .explicit import (
     build_two_trees,
     build_unoriented_trees,
     read_join,
-    split_unoriented_path,
     verify_join_graph,
     write_join,
 )

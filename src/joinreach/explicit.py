@@ -7,12 +7,13 @@ reachability relations. Divide-and-conquer in rank space keeps the
 output near-linear for paths and trees and cover-factor-linear for DAGs.
 
 Paths and trees take one route: each pair of tree blocks (`graph.tree_blocks`;
-a dipath is one chain block) is wired by `_nest_connect`, which walks the
-first block's nested intervals and halves a rank range of the second. A
-pair whose members form a chain in the second block needs one such
-wiring; any other pair gets one per level of an outer halving of a
-second rank. Path covers wire each pair of cover paths by inclusive
-dominance (`_dominance_connect`).
+a path gives one chain block per maximal run, a dipath exactly one) is
+wired by `_nest_connect`, which walks the first block's nested intervals
+and halves a rank range of the second. A pair whose members form a chain
+in the second block, as with a path second, needs one such wiring; any
+other pair gets one per level of an outer halving of a second rank.
+Path covers wire each pair of cover paths by inclusive dominance
+(`_dominance_connect`).
 
 Steiner tags end in `d<k>;h=<lo>..<hi>`: the recursion depth and the
 rank slab being halved. Tree-block tags begin with the builder's label,
@@ -77,40 +78,6 @@ class _Builder:
 
 # ----------------------------------------------------------------------
 # Paths and trees: one tree-block join
-
-
-def split_unoriented_path(p):
-    """Maximal uniformly oriented subpaths of an unoriented dipath.
-
-    Returned as vertex sequences in arc direction; each vertex lies on at
-    most two of them.
-    """
-    if p.kind != "path":
-        raise GraphClassError("split requires kind=path")
-    n = p.n
-    if n == 1:
-        return [[0]]
-    ends = [v for v in range(n) if len(p.neighbors(v)) == 1]
-    seq = [min(ends)]
-    prev = -1
-    while len(seq) < n:
-        nxt = [w for w in p.neighbors(seq[-1]) if w != prev]
-        prev = seq[-1]
-        seq.append(nxt[0])
-    arcset = set(p.arcs)
-    runs = []
-    cur = [seq[0], seq[1]]
-    cur_dir = (seq[0], seq[1]) in arcset
-    for a, b in zip(seq[1:], seq[2:]):
-        d = (a, b) in arcset
-        if d == cur_dir:
-            cur.append(b)
-        else:
-            runs.append(cur if cur_dir else cur[::-1])
-            cur = [a, b]
-            cur_dir = d
-    runs.append(cur if cur_dir else cur[::-1])
-    return runs
 
 
 def build_two_paths(p1, p2):

@@ -124,10 +124,6 @@ class Digraph:
                     stack.append(w)
         return count == self.n
 
-    def neighbors(self, v):
-        """Underlying-tree neighbors of v, sorted ascending."""
-        return sorted(set(self.out[v]) | set(self.inn[v]))
-
     def reverse(self):
         kind = {"out-tree": "in-tree", "in-tree": "out-tree"}.get(self.kind, self.kind)
         if kind == "planar-st":
@@ -551,30 +547,76 @@ def contracted_intervals(dec, i):
 
 @dataclass
 class TreeBlock:
-    """One block of a tree: the tree itself when it is rooted, else one
-    graph of its layer decomposition.
+    """One block of a tree: the tree itself when it is rooted or a dipath,
+    one maximal run of a path, or one graph of an unoriented tree's layer
+    decomposition.
 
     Core members form a tree oriented `orient` ("out" or "in") below the
-    block's root; a rooted tree is all core. Each fringe member hangs off
-    a core member, its supervertex, and shares that member's interval.
+    block's root; a rooted tree or a run is all core. Each fringe member
+    hangs off a core member, its supervertex, and shares that member's
+    interval. A chain block (a dipath or a run, out-oriented) orders its
+    members totally: b's predecessors in it are the members whose
+    interval starts at or before b's.
     """
 
     orient: str
     core: dict   # member -> True for core members, False for fringe ones
     su_iv: dict  # member -> doubled DFS interval of its supervertex
+    chain: bool
+
+
+def split_unoriented_path(p):
+    """Maximal uniformly oriented subpaths (runs) of a path.
+
+    Returned as vertex sequences in arc direction, in walk order from the
+    smaller end; each vertex lies on at most two of them.
+    """
+    if p.kind != "path":
+        raise GraphClassError("split requires kind=path")
+    n = p.n
+    if n == 1:
+        return [[0]]
+    v = min(x for x in range(n) if len(p.out[x]) + len(p.inn[x]) == 1)
+    seq, fwd = [v], []  # fwd[k]: the arc of seq[k] and seq[k + 1] points forward
+    prev = -1
+    while len(seq) < n:
+        step = [(w, True) for w in p.out[v] if w != prev] + [(w, False) for w in p.inn[v] if w != prev]
+        prev, (v, d) = v, step[0]
+        seq.append(v)
+        fwd.append(d)
+    runs = []
+    start = 0
+    for k in range(1, n):
+        if k == n - 1 or fwd[k] != fwd[start]:
+            run = seq[start : k + 1]
+            runs.append(run if fwd[start] else run[::-1])
+            start = k
+    return runs
 
 
 def tree_blocks(g):
     """(blocks, of): the blocks of a tree, and per vertex the ascending
     indices of the at most two blocks holding it.
 
-    A rooted tree or a directed path is one all-core block. An unoriented
-    tree gives block i for layer graph i: out-oriented for even i,
-    in-oriented for odd i, core on layer i and fringe on layer i + 1.
+    A rooted tree is one all-core block, and a path one all-core chain
+    block per maximal run (a dipath is one run). An unoriented tree gives
+    block i for layer graph i: out-oriented for even i, in-oriented for
+    odd i, core on layer i and fringe on layer i + 1.
     """
     if g.kind not in ("out-tree", "in-tree", "utree", "path"):
         raise GraphClassError("expected a tree")
     n = g.n
+    chain = g.kind == "path"
+    if chain and not g.is_directed_path():
+        blocks = []
+        of = [[] for _ in range(n)]
+        for j, run in enumerate(split_unoriented_path(g)):
+            # the DFS intervals of the run walked from its source, doubled
+            su_iv = {v: (2 * k + 2, 4 * len(run) - 2 * k) for k, v in enumerate(run)}
+            blocks.append(TreeBlock("out", dict.fromkeys(run, True), su_iv, True))
+            for v in run:
+                of[v].append(j)
+        return blocks, of
     orient = {"out-tree": "out", "in-tree": "in"}.get(g.kind)
     if orient is None and all(len(p) <= 1 for p in g.inn):
         orient = "out"
@@ -584,7 +626,7 @@ def tree_blocks(g):
         up = g.inn if orient == "out" else g.out
         iv = dfs_intervals(g, next(v for v in range(n) if not up[v]))
         su_iv = {v: (2 * iv.s[v], 2 * iv.t[v]) for v in range(n)}
-        return [TreeBlock(orient, dict.fromkeys(range(n), True), su_iv)], [(0,)] * n
+        return [TreeBlock(orient, dict.fromkeys(range(n), True), su_iv, chain)], [(0,)] * n
     dec = layer_decompose(g, 0)
     blocks = []
     of = [[] for _ in range(n)]
@@ -596,7 +638,7 @@ def tree_blocks(g):
             su_iv[v] = su_iv[dec.fringe_root[(v, i)]]
         is_core = dict.fromkeys(core, True)
         is_core.update(dict.fromkeys(fringe, False))
-        blocks.append(TreeBlock("in" if i % 2 else "out", is_core, su_iv))
+        blocks.append(TreeBlock("in" if i % 2 else "out", is_core, su_iv, False))
         for v in is_core:
             of[v].append(i)
     return blocks, of
@@ -628,8 +670,7 @@ class DfsIntervals:
 def tree_parents(g, root=None):
     """Parent array of the underlying tree of g rooted at `root`.
 
-    Children are explored in increasing vertex id. Raises if the
-    underlying graph is not a tree.
+    Raises if the underlying graph is not a tree.
     """
     if root is None:
         root = g.root()
@@ -641,7 +682,7 @@ def tree_parents(g, root=None):
     stack = [root]
     while stack:
         v = stack.pop()
-        for w in g.neighbors(v):
+        for w in g.out[v] + g.inn[v]:
             if parent[w] == -2:
                 parent[w] = v
                 order.append(w)

@@ -47,7 +47,7 @@ def hpd_build(g, root=None):
     while i < len(order):  # BFS so reversal gives a bottom-up order
         v = order[i]
         i += 1
-        for w in g.neighbors(v):
+        for w in g.out[v] + g.inn[v]:
             if parent[w] == v:
                 children[v].append(w)
                 order.append(w)

@@ -1,35 +1,34 @@
 """Implicit join-reachability indexes.
 
 Each builder returns a JRIndex whose query(b) reports exactly the
-vertices that reach b in both input graphs, b included. Tree inputs come
-as the blocks of `graph.tree_blocks`: a rooted tree is one block, an
-unoriented tree one block per layer graph, and every vertex lies in at
-most two. The indexes split the join into pairs: of two blocks, of a
-block and a path run, of two path runs, or of two cover paths. A pair
-sharing only the query vertex could report only that vertex, which
-`JRIndex` adds to every answer anyway, so only pairs sharing at least two
-vertices are kept, and a tree or path query touches at most four, all
-within the two layer graphs that can hold its predecessors.
+vertices that reach b in both input graphs, b included. Paths and trees
+come as the blocks of `graph.tree_blocks`: a rooted tree or a dipath is
+one block, a path one chain block per maximal run, and an unoriented
+tree one block per layer graph; every vertex lies in at most two. The
+path and tree indexes split the join into pairs of blocks, the path-cover
+index into pairs of cover paths. A pair sharing only the query vertex
+could report only that vertex, which `JRIndex` adds to every answer
+anyway, so only pairs sharing at least two vertices are kept, and a path
+or tree query touches at most four, all within the blocks holding it.
 
-The two-path, tree-path and path-cover indexes pack all their pairs into
-one Cartesian tree and one segment/ray sweep, pair k's x1 shifted by k
-times a stride above every coordinate; a query within pair k's band
-never meets another pair's points. At build each vertex gets the list of
-pairs that can report for it, with the columns or the registered query
-point and the bound each report needs, so a query is one loop over that
-list. The two-tree index still builds one structure per block pair.
-Probe counts and the list of pairs touched are exposed for
-output-sensitivity checks.
+Both kinds of index pack all their pairs into at most one Cartesian
+tree, one segment/ray sweep, one enclosure index and one range tree,
+pair k's x1 shifted by k times a stride above every coordinate; a query
+within pair k's band never meets another pair's points. At build each
+vertex gets the list of pairs that can report for it, each with the
+report method of the structure holding the pair and its arguments, so a
+query is one loop over that list. Probe counts and the list of pairs
+touched are exposed for output-sensitivity checks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .cover import from_ranks, min_path_cover, shared_vertices
-from .geom import CartesianTree, HSegment, RangeTree2D, SegRayIndex
+from .geom import CartesianTree, EnclosureIndex, HSegment, RangeTree2D, Rect, SegRayIndex
 from .graph import (
     CyclicGraphError,
     GraphClassError,
@@ -41,7 +40,6 @@ from .graph import (
     tree_blocks,
 )
 from .hpd import hpd_two_trees_build, hpd_two_trees_report
-from .explicit import split_unoriented_path
 
 
 class JRIndex:
@@ -68,47 +66,23 @@ class JRIndex:
         return sorted(found), probes, pairs
 
 
-# ----------------------------------------------------------------------
-# Two paths
-
-
-def _path_runs(p):
-    """(pos, runs_of): for each maximal dipath (run) of a path, in arc
-    direction, its vertex -> position map; and per vertex the ascending
-    indices of the at most two runs holding it."""
-    if p.kind != "path":
-        raise GraphClassError("expected kind=path")
-    runs = [path_order(p)] if p.is_directed_path() else split_unoriented_path(p)
-    runs_of = [[] for _ in range(p.n)]
-    for j, run in enumerate(runs):
-        for v in run:
-            runs_of[v].append(j)
-    return [{v: k for k, v in enumerate(run)} for run in runs], runs_of
-
-
 class _Packed:
-    """Reports from one packed Cartesian tree `ct` and one packed sweep
-    `seg` through per-vertex lists.
+    """Reports from packed structures through per-vertex lists.
 
-    A subclass puts pair k's points or segments into the shared structure
-    with their x1 shifted by k * _stride(n), so a query within pair k's
-    band never meets another pair's. It lists per vertex b the pairs that
-    can report for it: tree_of[b] holds (pair key, lo column, hi column,
-    x2 bound) and sweep_of[b] holds (pair key, registered query point, x2
-    bound or None).
+    A subclass puts pair k's points, segments or rectangles into the
+    shared structures with their x1 shifted by k * _stride(n), so a query
+    within pair k's band never meets another pair's. lists[b] holds, per
+    pair that can report for b, (pair key, report, arguments): report is a
+    method of the structure holding the pair and returns (payloads,
+    probes).
     """
 
     def query_counted(self, b):
         out = set()
         probes = 0
         pairs = []
-        for key, lo, hi, x2 in self.tree_of[b]:
-            res, pr = self.ct.report_range(lo, hi, x2)
-            pairs.append(key)
-            out.update(res)
-            probes += pr
-        for key, q, x2 in self.sweep_of[b]:
-            res, pr = self.seg.report_registered(q, x2)
+        for key, report, args in self.lists[b]:
+            res, pr = report(*args)
             pairs.append(key)
             out.update(res)
             probes += pr
@@ -117,197 +91,126 @@ class _Packed:
 
 def _stride(n):
     """Pair stride of the packed structures. It exceeds every x1 they hold
-    or query: run and cover positions lie below n, and doubled DFS or
+    or query: cover positions lie below n, and doubled DFS or
     contracted-tree times (a layer's contracted tree may add a root to
     its members) reach at most 4n + 4."""
     return 4 * n + 5
 
 
-class _TwoPaths(_Packed):
-    """Pairs of runs sharing at least two vertices, packed into one
-    Cartesian tree on the shared vertices' positions in the two runs; each
-    member reports, per pair, the points its own dominates."""
+def _counted(report):
+    """report with len(result) + 1 as its probe count, for the enclosure
+    index and the range tree, which count no work of their own."""
 
-    def __init__(self, p1, p2):
-        if p1.n != p2.n:
+    def counted(*args):
+        res = report(*args)
+        return res, len(res) + 1
+
+    return counted
+
+
+# ----------------------------------------------------------------------
+# Paths and trees
+
+
+def _rank(blk):
+    """0 for an out-oriented block, 1 for an in-oriented one, 2 for a chain."""
+    return 2 if blk.chain else int(blk.orient == "in")
+
+
+def _pred_range(blk, b):
+    """(lo, hi): the interval starts of b's predecessors in an in-oriented
+    or chain block. A chain's run up to b; otherwise b's interval, open at
+    a core b and closed at a fringe one, which its supervertex reaches."""
+    lo, hi = blk.su_iv[b]
+    if blk.chain:
+        return 0, lo
+    if blk.core[b]:
+        return lo + 1, hi - 1
+    return lo, hi
+
+
+class _BlockPairs(_Packed):
+    """Pairs of path or tree blocks, packed by the roles of their sides.
+
+    In an out-oriented block that is not a chain, b's predecessors are the
+    members whose interval holds b's: a query stabs intervals. In an
+    in-oriented or chain block they are the members whose interval start
+    lies in `_pred_range`. The join is symmetric, so each pair is ordered
+    out, in, chain by `_rank` and stored as
+    - out with out: rectangles, stabbed in the enclosure index;
+    - out with in or chain: segments over the first side's intervals at
+      the second side's starts, stabbed by a ray in the sweep;
+    - in with in: points, reported in a rectangle of the range tree;
+    - in or chain with chain: points in the Cartesian tree, whose 3-sided
+      query bounds the chain side from above.
+    A fringe member stands at its supervertex's interval. It is stored
+    only on out-oriented sides, where it reaches its supervertex, and an
+    out-oriented side holds no predecessor of its fringe.
+    """
+
+    def __init__(self, g1, g2):
+        if g1.n != g2.n:
             raise ValueError("vertex-set mismatch")
-        n = self.n = p1.n
-        pos1, of1 = _path_runs(p1)
-        pos2, of2 = _path_runs(p2)
+        n = self.n = g1.n
+        blocks1, of1 = tree_blocks(g1)
+        blocks2, of2 = tree_blocks(g2)
         stride = _stride(n)
         pairs = [(key, m) for key, m in sorted(block_pairs(of1, of2).items()) if len(m) > 1]
-        self.ct = CartesianTree(
-            [
-                (k * stride + pos1[i][v], pos2[j][v], v)
-                for k, ((i, j), members) in enumerate(pairs)
-                for v in members
+        sides = [sorted((blocks1[i], blocks2[j]), key=_rank) for (i, j), _ in pairs]
+        rects, segs, rpts, pts = [], [], [], []
+        for k, ((b1, b2), (_, members)) in enumerate(zip(sides, pairs)):
+            base = k * stride
+            iv1, iv2 = b1.su_iv, b2.su_iv
+            stored = [
+                v for v in members
+                if (b1.orient == "out" or b1.core[v]) and (b2.orient == "out" or b2.core[v])
             ]
-        )
-        self.tree_of = [[] for _ in range(n)]
-        self.sweep_of = [()] * n
-        # pair k's columns follow pair k - 1's, in run-position order
-        lo = 0
-        for key, members in pairs:
-            members.sort(key=pos1[key[0]].__getitem__)
-            for hi, v in enumerate(members, lo):
-                self.tree_of[v].append((key, lo, hi, pos2[key[1]][v]))
-            lo += len(members)
+            if _rank(b2) == 0:
+                rects += [Rect(base + iv1[v][0], base + iv1[v][1], *iv2[v], v) for v in stored]
+            elif _rank(b1) == 0:
+                segs += [HSegment(base + iv1[v][0], base + iv1[v][1], iv2[v][0], v) for v in stored]
+            else:
+                (rpts if _rank(b2) == 1 else pts).extend((base + iv1[v][0], iv2[v][0], v) for v in stored)
+        ct = CartesianTree(pts)
+        report_ct, report_seg = ct.report_range, SegRayIndex(segs, []).report_at
+        report_enc = _counted(EnclosureIndex(rects).report)
+        report_rt = _counted(RangeTree2D(rpts).report)
+        self.lists = [[] for _ in range(n)]
+        for k, ((b1, b2), (key, members)) in enumerate(zip(sides, pairs)):
+            base = k * stride
+            r1, r2 = _rank(b1), _rank(b2)
+            for b in members:
+                if r1 == 0:
+                    if not b1.core[b] or (r2 == 0 and not b2.core[b]):
+                        continue
+                    x = base + b1.su_iv[b][0] + 1
+                    if r2 == 0:
+                        entry = (key, report_enc, (x, b2.su_iv[b][0] + 1))
+                    else:
+                        entry = (key, report_seg, (x, *_pred_range(b2, b)))
+                else:
+                    lo, hi = _pred_range(b1, b)
+                    lo2, hi2 = _pred_range(b2, b)
+                    if r2 == 1:
+                        entry = (key, report_rt, (base + lo, base + hi, lo2, hi2))
+                    else:
+                        lo, hi = ct.col_span(base + lo, base + hi)
+                        if lo > hi:
+                            continue
+                        entry = (key, report_ct, (lo, hi, hi2))
+                self.lists[b].append(entry)
 
 
 def index_two_paths(p1, p2):
-    return JRIndex("two-paths", p1.n, _TwoPaths(p1, p2))
-
-
-# ----------------------------------------------------------------------
-# Tree and path
-
-
-class _TreePath(_Packed):
-    """(tree block, path run) pairs packed into one sweep and one Cartesian
-    tree.
-
-    Out-core blocks store one horizontal segment per member (the member's
-    supervertex interval at its run height) and answer core queries with
-    a registered upward ray; fringe queries skip the block. In-core
-    blocks store one point per core member and answer grounded range
-    queries; fringe queries widen the range to their supervertex's
-    interval, inclusive on the left so the fringe root is found.
-    """
-
-    def __init__(self, t1, p2):
-        if t1.n != p2.n:
-            raise ValueError("vertex-set mismatch")
-        n = self.n = t1.n
-        blocks, of = tree_blocks(t1)
-        pos, runs_of = _path_runs(p2)
-        stride = _stride(n)
-        pts, segs, queries = [], [], []
-        self.tree_of = [[] for _ in range(n)]
-        self.sweep_of = [[] for _ in range(n)]
-        pairs = [(key, m) for key, m in sorted(block_pairs(of, runs_of).items()) if len(m) > 1]
-        for k, (key, members) in enumerate(pairs):
-            blk = blocks[key[0]]
-            base = k * stride
-            members.sort(key=pos[key[1]].__getitem__)
-            if blk.orient == "out":
-                # label by height in the run: predecessors sit at or above
-                for h, v in enumerate(reversed(members)):
-                    lo, hi = blk.su_iv[v]
-                    segs.append(HSegment(base + lo, base + hi, h, v))
-                    if blk.core[v]:
-                        q = (base + lo + 1, h)
-                        queries.append(q)
-                        self.sweep_of[v].append((key, q, None))
-            else:
-                # label by run position: predecessors sit at or below
-                pts += [(base + blk.su_iv[v][0], r, v) for r, v in enumerate(members) if blk.core[v]]
-        self.seg = SegRayIndex(segs, queries)
-        self.ct = CartesianTree(pts)
-        for k, (key, members) in enumerate(pairs):
-            blk = blocks[key[0]]
-            if blk.orient == "out":
-                continue
-            base = k * stride
-            for r, v in enumerate(members):
-                lo, hi = blk.su_iv[v]
-                if blk.core[v]:
-                    lo, hi = lo + 1, hi - 1
-                lo, hi = self.ct.col_span(base + lo, base + hi)
-                if lo <= hi:
-                    self.tree_of[v].append((key, lo, hi, r))
+    return JRIndex("two-paths", p1.n, _BlockPairs(p1, p2))
 
 
 def index_tree_path(t1, p2):
-    return JRIndex("tree-path", t1.n, _TreePath(t1, p2))
-
-
-# ----------------------------------------------------------------------
-# Two trees
-
-
-class _TwoTrees:
-    def __init__(self, t1, t2):
-        if t1.n != t2.n:
-            raise ValueError("vertex-set mismatch")
-        self.n = t1.n
-        blocks1, self.of1 = tree_blocks(t1)
-        blocks2, self.of2 = tree_blocks(t2)
-        self.structs = {
-            (i, j): self._build_pair(blocks1[i], blocks2[j], members)
-            for (i, j), members in block_pairs(self.of1, self.of2).items()
-            if len(members) > 1
-        }
-
-    @staticmethod
-    def _storable(blk, v):
-        return blk.orient == "out" or blk.core[v]
-
-    def _build_pair(self, b1, b2, members):
-        stored = [v for v in members if self._storable(b1, v) and self._storable(b2, v)]
-        o1, o2 = b1.orient, b2.orient
-        if o1 == "out" and o2 == "out":
-            from .geom import Rect, EnclosureIndex
-
-            rects = [
-                Rect(b1.su_iv[v][0], b1.su_iv[v][1], b2.su_iv[v][0], b2.su_iv[v][1], v)
-                for v in stored
-            ]
-            return ("enc", b1, b2, EnclosureIndex(rects))
-        if o1 == "out" and o2 == "in":
-            segs = [HSegment(b1.su_iv[v][0], b1.su_iv[v][1], b2.su_iv[v][0], v) for v in stored]
-            return ("seg", b1, b2, SegRayIndex(segs, []))
-        if o1 == "in" and o2 == "out":
-            segs = [HSegment(b2.su_iv[v][0], b2.su_iv[v][1], b1.su_iv[v][0], v) for v in stored]
-            return ("gseg", b1, b2, SegRayIndex(segs, []))
-        pts = [(b1.su_iv[v][0], b2.su_iv[v][0], v) for v in stored]
-        return ("rt", b1, b2, RangeTree2D(pts))
-
-    @staticmethod
-    def _query_interval(blk, b):
-        lo, hi = blk.su_iv[b]
-        if blk.core[b]:
-            return lo + 1, hi - 1
-        return lo, hi
-
-    def query_counted(self, b):
-        out = set()
-        probes = 0
-        pairs = []
-        for key in product(self.of1[b], self.of2[b]):
-            try:
-                kind, b1, b2, idx = self.structs[key]
-            except KeyError:  # the pair shares only b
-                continue
-            # an out-core block cannot hold predecessors of its fringe
-            if (b1.orient == "out" and not b1.core[b]) or (
-                b2.orient == "out" and not b2.core[b]
-            ):
-                continue
-            pairs.append(key)
-            if kind == "enc":
-                res = idx.report(b1.su_iv[b][0] + 1, b2.su_iv[b][0] + 1)
-                probes += len(res) + 1
-            elif kind == "seg":
-                lo, hi = self._query_interval(b2, b)
-                res, pr = idx.report_at(b1.su_iv[b][0] + 1, lo, hi)
-                probes += pr
-            elif kind == "gseg":
-                lo, hi = self._query_interval(b1, b)
-                res, pr = idx.report_at(b2.su_iv[b][0] + 1, lo, hi)
-                probes += pr
-            else:
-                lo1, hi1 = self._query_interval(b1, b)
-                lo2, hi2 = self._query_interval(b2, b)
-                res = []
-                if lo1 <= hi1 and lo2 <= hi2:
-                    res = idx.report(lo1, hi1, lo2, hi2)
-                probes += len(res) + 1
-            out.update(res)
-        return out, probes, pairs
+    return JRIndex("tree-path", t1.n, _BlockPairs(t1, p2))
 
 
 def index_two_trees(t1, t2):
-    return JRIndex("two-trees", t1.n, _TwoTrees(t1, t2))
+    return JRIndex("two-trees", t1.n, _BlockPairs(t1, t2))
 
 
 def index_hpd_two_trees(t1, t2):
@@ -354,7 +257,6 @@ class _PathCover(_Packed):
             raise CyclicGraphError("second graph must be acyclic")
         self.pc1 = min_path_cover(g1, order1)
         fr1 = from_ranks(g1, self.pc1, order1)
-        self.tree_of = self.sweep_of = [()] * n
         if tree2:
             self._build_tree_side(g2, fr1)
         else:
@@ -369,7 +271,7 @@ class _PathCover(_Packed):
         stride = _stride(self.n)
         path_of1, path_of2 = self.pc1.path_of, self.pc2.path_of
         shared = sorted(shared_vertices(self.pc1, self.pc2).items())
-        ct = self.ct = CartesianTree(
+        ct = CartesianTree(
             [
                 (k * stride + path_of1[v][1], path_of2[v][1], v)
                 for k, (_, common) in enumerate(shared)
@@ -382,7 +284,8 @@ class _PathCover(_Packed):
             pair_of[i][j] = k
             first.append(len(mins))
             mins += accumulate((p[1] for p in ct.reps[first[k] : first[k] + len(common)]), min)
-        self.tree_of = []
+        report = ct.report_range
+        self.lists = []
         for row1, row2 in zip(fr1.rows, fr2.rows):
             hits = []
             for i, f1 in row1.items():
@@ -390,8 +293,8 @@ class _PathCover(_Packed):
                     k = pair_of[i][j]
                     hi = bisect_right(ct.colx, k * stride + f1) - 1
                     if hi >= first[k] and mins[hi] <= row2[j]:
-                        hits.append((shared[k][0], first[k], hi, row2[j]))
-            self.tree_of.append(sorted(hits))
+                        hits.append((shared[k][0], report, (first[k], hi, row2[j])))
+            self.lists.append(sorted(hits))
 
     def _build_tree_side(self, t2, fr1):
         """Cover path i holds its vertices at (doubled DFS interval in the
@@ -412,25 +315,26 @@ class _PathCover(_Packed):
             ]
             # only reached vertices ever query a path
             queries = [(i, b, (i * stride + 2 * iv.s[b] + 1, 0)) for i, bs in enumerate(reached) for b in bs]
-            seg = self.seg = SegRayIndex(segs, [q for _, _, q in queries])
+            seg = SegRayIndex(segs, [q for _, _, q in queries])
+            report = seg.report_registered
             for i, b, q in queries:
                 f1 = fr1.get(b, i)
                 # the sweep reports by increasing rank: its first entry decides
                 entry = seg.entries[q]
                 if entry and entry[-1].key[0] <= f1:
-                    lists[b].append((keys[i], q, f1))
-            self.sweep_of = lists
+                    lists[b].append((keys[i], report, (q, f1)))
         else:
-            ct = self.ct = CartesianTree(
+            ct = CartesianTree(
                 [(i * stride + 2 * iv.s[v], path_of[v][1], v) for i, p1 in enumerate(self.pc1.paths) for v in p1]
             )
+            report = ct.report_range
             for i, bs in enumerate(reached):
                 for b in bs:
                     f1 = fr1.get(b, i)
                     lo, hi = ct.col_span(i * stride + 2 * iv.s[b] + 1, i * stride + 2 * iv.t[b] - 1)
                     if lo <= hi and ct.min_x2_in_range(lo, hi) <= f1:
-                        lists[b].append((keys[i], lo, hi, f1))
-            self.tree_of = lists
+                        lists[b].append((keys[i], report, (lo, hi, f1)))
+        self.lists = lists
 
 
 def index_pathcover(g1, g2):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import joinreach
@@ -34,3 +35,45 @@ def test_benchmark_per_layer_spans_are_traced():
     assert spans
     missing = sorted(set(spans) - names)
     assert not missing, f"BENCHMARK.json per_layer spans with no traced callable: {missing}"
+
+
+class StubRunner:
+    """The part of perfbench's Runner that `run.check_kinds` uses."""
+
+    def __init__(self, workload):
+        self.workload = workload
+        self.failures = []
+
+    def fail(self, message):
+        self.failures.append(message)
+
+
+def test_bench_index_items_reach_only_their_kinds_report_spans(monkeypatch):
+    # An index whose structure choice moves a benchmark item's queries to a
+    # report structure its KIND_REPORTS kind does not list would only fail
+    # the traced benchmark run; build and query each item here instead.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run
+    import workloads
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for w in workloads.WORKLOADS.values():
+            for item in w.items:
+                if item.op != "index":
+                    continue
+                seeded = f"{w.name}/1/{item.name}"
+                g1, g2 = item.make(random.Random(seeded))
+                idx = getattr(joinreach, item.call)(g1, g2)
+                qs = range(g1.n)
+                if item.sample is not None:
+                    qs = random.Random(f"{seeded}/queries").sample(qs, item.sample)
+                for b in qs:
+                    tracer.call(f"op.query.{item.name}", idx.query_counted, b)
+    finally:
+        tracer.uninstall()
+    for w in workloads.WORKLOADS.values():
+        runner = StubRunner(w)
+        run.check_kinds(runner, tracer)
+        assert not runner.failures, (w.name, runner.failures)

@@ -11,13 +11,18 @@ from joinreach.explicit import (
     build_unoriented_trees,
     format_join,
     parse_join,
-    split_unoriented_path,
     verify_join_graph,
     JoinGraph,
 )
 from joinreach.cover import min_path_cover
 from joinreach.gen import gen_bitreversal, rand_upath
-from joinreach.graph import Digraph, GraphClassError, dipath_of, transitive_closure
+from joinreach.graph import (
+    Digraph,
+    GraphClassError,
+    dipath_of,
+    split_unoriented_path,
+    transitive_closure,
+)
 
 
 def rand_perm_path(rng, n):

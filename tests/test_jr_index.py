@@ -1,10 +1,12 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from joinreach.geom import CartesianTree, SegRayIndex
+from joinreach.geom import CartesianTree, EnclosureIndex, RangeTree2D, SegRayIndex
 
+from joinreach.explicit import build_unoriented_trees, verify_join_graph
 from joinreach.gen import (
     rand_dag,
     rand_path,
@@ -47,6 +49,41 @@ def chain_star(rng, n):
     chain = Digraph(n, list(zip(order, order[1:])), kind="out-tree")
     star = Digraph(n, [(order[0], v) for v in order[1:]], kind="out-tree")
     return chain, star
+
+
+def run_blocks_of(p):
+    """Per vertex, the indices of the maximal runs of path p holding it:
+    the walk starts at the smaller end, and a run ends where the arc
+    direction flips."""
+    n = p.n
+    arcs = set(p.arcs)
+    nbrs = [[] for _ in range(n)]
+    for u, v in p.arcs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seq = [min((v for v in range(n) if len(nbrs[v]) == 1), default=0)]
+    while len(seq) < n:
+        seq.append(next(w for w in nbrs[seq[-1]] if len(seq) < 2 or w != seq[-2]))
+    of = [{0} for _ in range(n)]
+    run = 0
+    for k in range(1, n - 1):
+        if ((seq[k - 1], seq[k]) in arcs) != ((seq[k], seq[k + 1]) in arcs):
+            run += 1
+            of[seq[k]].add(run)
+        of[seq[k + 1]] = {run}
+    return of
+
+
+def allowed_blocks_of(g):
+    """Per vertex, the blocks that may hold its predecessors: the runs
+    holding it for a path, the one block of a tree oriented one way, the
+    layer graphs iota - 1 and iota for any other tree."""
+    if g.kind == "path":
+        return run_blocks_of(g)
+    if all(len(p) <= 1 for p in g.inn) or all(len(s) <= 1 for s in g.out):
+        return [{0}] * g.n
+    dec = layer_decompose(g, 0)
+    return [{dec.iota[b] - 1, dec.iota[b]} for b in range(g.n)]
 
 
 def oracle_pred_sets(g1, g2):
@@ -152,12 +189,11 @@ def test_tree_path_unoriented_layer_probes():
         for tree in (t, zigzag_path(n)):
             idx = index_tree_path(tree, p)
             want = oracle_pred_sets(tree, p)
-            dec = layer_decompose(tree, 0)
+            allowed = allowed_blocks_of(tree)
             for b in range(n):
                 res, _, pairs = idx.query_counted(b)
                 assert res == want[b]
-                allowed = {dec.iota[b] - 1, dec.iota[b]}
-                assert all(i in allowed for i, _ in pairs)
+                assert all(i in allowed[b] for i, _ in pairs)
 
 
 def test_tree_path_unoriented_path_side():
@@ -201,15 +237,12 @@ def test_two_trees_unoriented_pairs():
         for first in (t1, zigzag_path(n)):
             idx = index_two_trees(first, t2)
             want = oracle_pred_sets(first, t2)
-            dec1 = layer_decompose(first, 0)
-            dec2 = layer_decompose(t2, 0)
+            a1, a2 = allowed_blocks_of(first), allowed_blocks_of(t2)
             for b in range(n):
                 res, _, pairs = idx.query_counted(b)
                 assert res == want[b]
                 assert len(pairs) <= 4
-                a1 = {dec1.iota[b] - 1, dec1.iota[b]}
-                a2 = {dec2.iota[b] - 1, dec2.iota[b]}
-                assert all(i in a1 and j in a2 for i, j in pairs)
+                assert all(i in a1[b] and j in a2[b] for i, j in pairs)
 
 
 def test_two_trees_mixed_rooted_unoriented():
@@ -241,9 +274,45 @@ def test_two_trees_and_hpd_on_chain_star():
             assert_index_matches(index_hpd_two_trees(g1, g2), g1, g2)
 
 
+def tree_mix(rng, kind, n):
+    """One tree or path of the named shape on n vertices."""
+    if kind == "dipath":
+        return rand_path(rng, n)
+    if kind == "upath":
+        return rand_upath(rng, n)
+    if kind == "zigzag":
+        return zigzag_path(n)
+    if kind == "utree":
+        return rand_utree(rng, n)
+    return rand_tree(rng, n, kind)
+
+
+def test_every_path_and_tree_mix_against_the_oracle():
+    shapes = ("dipath", "upath", "zigzag", "out-tree", "in-tree", "utree")
+    rng = random.Random(43)
+    for n in (1, 2, 3, 6, 13, 24):
+        for k1, k2 in product(shapes, repeat=2):
+            g1, g2 = tree_mix(rng, k1, n), tree_mix(rng, k2, n)
+            want = oracle_pred_sets(g1, g2)
+            a1, a2 = allowed_blocks_of(g1), allowed_blocks_of(g2)
+            builds = [index_two_trees]
+            if g2.kind == "path":
+                builds.append(index_tree_path)
+            for build in builds:
+                idx = build(g1, g2)
+                for b in range(n):
+                    res, _, pairs = idx.query_counted(b)
+                    assert res == want[b], (k1, k2, n, b)
+                    assert len(pairs) <= 4
+                    assert all(i in a1[b] and j in a2[b] for i, j in pairs), (k1, k2, n, b)
+            jg = build_unoriented_trees(g1, g2)
+            assert verify_join_graph(jg, g1, g2).ok, (k1, k2, n)
+
+
 def test_each_index_builds_at_most_one_structure_of_each_kind(monkeypatch):
     built = Counter()
-    for cls in (CartesianTree, SegRayIndex):
+    kinds = (CartesianTree, SegRayIndex, EnclosureIndex, RangeTree2D)
+    for cls in kinds:
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)
@@ -262,11 +331,17 @@ def test_each_index_builds_at_most_one_structure_of_each_kind(monkeypatch):
         (index_pathcover, rand_dag(rng, n, 0.1), rand_tree(rng, n, "in-tree")),
         (index_hpd_two_trees, rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")),
         (index_hpd_two_trees, rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "out-tree")),
+        (index_two_trees, rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "out-tree")),
+        (index_two_trees, rand_tree(rng, n, "in-tree"), rand_tree(rng, n, "in-tree")),
+        (index_two_trees, rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")),
+        (index_two_trees, *chain_star(rng, n)),
+        (index_two_trees, rand_utree(rng, n), rand_utree(rng, n)),
+        (index_two_trees, zigzag_path(n), rand_utree(rng, n)),
     ]
     for build, g1, g2 in cases:
         built.clear()
         idx = build(g1, g2)
-        assert built["CartesianTree"] <= 1 and built["SegRayIndex"] <= 1, (idx.variant, built)
+        assert all(built[cls.__name__] <= 1 for cls in kinds), (idx.variant, built)
         assert_index_matches(idx, g1, g2)
 
 
