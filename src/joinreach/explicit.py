@@ -11,7 +11,8 @@ a path gives one chain block per maximal run, a dipath exactly one) is
 wired by `_nest_connect`, which walks the first block's nested intervals
 and halves a rank range of the second. A pair whose members form a chain
 in the second block, as with a path second, needs one such wiring; any
-other pair gets one per level of an outer halving of a second rank.
+other pair gets one per level of an outer halving of a second rank. A
+pair of two members needs no relay: it is one direct arc or nothing.
 Path covers wire each pair of cover paths by inclusive dominance
 (`_dominance_connect`).
 
@@ -153,7 +154,12 @@ def _pair_connect(b, blk1, blk2, members, tag):
 
     h2, h3 = _interval_orders(vert, blk2.su_iv, core2, eff_o2)
     first = len(b.arcs)
-    if h2 == h3:
+    if len(vert) == 2:
+        # Two members: the join holds at most one arc, from the first in
+        # walk order to the second, so it is wired as that arc or nothing.
+        if 0 in srcs and 1 in snks and end[0] == 1 and h2[1] < h2[0] and h3[1] < h3[0]:
+            b.arc(*vert)
+    elif h2 == h3:
         # The members form a chain in the second block, so its relation is
         # dominance in h2 alone.
         _nest_connect(b, srcs, snks, end, h2, 0, len(vert), vert, tag)

@@ -380,6 +380,11 @@ class EnclosureIndex:
                 node = None
         return out
 
+    def report_counted(self, qx, qy):
+        """(report(qx, qy), its length + 1 as the probe count)."""
+        res = self.report(qx, qy)
+        return res, len(res) + 1
+
 
 # ----------------------------------------------------------------------
 # Two-level range tree for orthogonal range reporting
@@ -433,3 +438,8 @@ class RangeTree2D:
             stack.append(node.left)
             stack.append(node.right)
         return out
+
+    def report_counted(self, x1_lo, x1_hi, x2_lo, x2_hi):
+        """(report(...), its length + 1 as the probe count)."""
+        res = self.report(x1_lo, x1_hi, x2_lo, x2_hi)
+        return res, len(res) + 1

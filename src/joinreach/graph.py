@@ -547,16 +547,16 @@ def contracted_intervals(dec, i):
 
 @dataclass
 class TreeBlock:
-    """One block of a tree: the tree itself when it is rooted or a dipath,
-    one maximal run of a path, or one graph of an unoriented tree's layer
-    decomposition.
+    """One block of a tree: the tree itself when it is rooted, one maximal
+    run of a path (a dipath is one run), or one graph of an unoriented
+    tree's layer decomposition.
 
     Core members form a tree oriented `orient` ("out" or "in") below the
     block's root; a rooted tree or a run is all core. Each fringe member
     hangs off a core member, its supervertex, and shares that member's
-    interval. A chain block (a dipath or a run, out-oriented) orders its
-    members totally: b's predecessors in it are the members whose
-    interval starts at or before b's.
+    interval. A chain block (a run, out-oriented) orders its members
+    totally: b's predecessors in it are the members whose interval starts
+    at or before b's.
     """
 
     orient: str
@@ -606,8 +606,7 @@ def tree_blocks(g):
     if g.kind not in ("out-tree", "in-tree", "utree", "path"):
         raise GraphClassError("expected a tree")
     n = g.n
-    chain = g.kind == "path"
-    if chain and not g.is_directed_path():
+    if g.kind == "path":
         blocks = []
         of = [[] for _ in range(n)]
         for j, run in enumerate(split_unoriented_path(g)):
@@ -626,7 +625,7 @@ def tree_blocks(g):
         up = g.inn if orient == "out" else g.out
         iv = dfs_intervals(g, next(v for v in range(n) if not up[v]))
         su_iv = {v: (2 * iv.s[v], 2 * iv.t[v]) for v in range(n)}
-        return [TreeBlock(orient, dict.fromkeys(range(n), True), su_iv, chain)], [(0,)] * n
+        return [TreeBlock(orient, dict.fromkeys(range(n), True), su_iv, False)], [(0,)] * n
     dec = layer_decompose(g, 0)
     blocks = []
     of = [[] for _ in range(n)]

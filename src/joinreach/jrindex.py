@@ -16,9 +16,9 @@ tree, one segment/ray sweep, one enclosure index and one range tree,
 pair k's x1 shifted by k times a stride above every coordinate; a query
 within pair k's band never meets another pair's points. At build each
 vertex gets the list of pairs that can report for it, each with the
-report method of the structure holding the pair and its arguments, so a
-query is one loop over that list. Probe counts and the list of pairs
-touched are exposed for output-sensitivity checks.
+structure holding the pair, the name of its report method and the
+arguments, so a query is one loop over that list. Probe counts and the
+list of pairs touched are exposed for output-sensitivity checks.
 """
 
 from __future__ import annotations
@@ -72,17 +72,18 @@ class _Packed:
     A subclass puts pair k's points, segments or rectangles into the
     shared structures with their x1 shifted by k * _stride(n), so a query
     within pair k's band never meets another pair's. lists[b] holds, per
-    pair that can report for b, (pair key, report, arguments): report is a
-    method of the structure holding the pair and returns (payloads,
-    probes).
+    pair that can report for b, (pair key, structure, method name,
+    arguments): the named method of the structure holding the pair
+    returns (payloads, probes). It is looked up at each query, so a
+    tracer installed after the build still sees it.
     """
 
     def query_counted(self, b):
         out = set()
         probes = 0
         pairs = []
-        for key, report, args in self.lists[b]:
-            res, pr = report(*args)
+        for key, struct, report, args in self.lists[b]:
+            res, pr = getattr(struct, report)(*args)
             pairs.append(key)
             out.update(res)
             probes += pr
@@ -95,17 +96,6 @@ def _stride(n):
     contracted-tree times (a layer's contracted tree may add a root to
     its members) reach at most 4n + 4."""
     return 4 * n + 5
-
-
-def _counted(report):
-    """report with len(result) + 1 as its probe count, for the enclosure
-    index and the range tree, which count no work of their own."""
-
-    def counted(*args):
-        res = report(*args)
-        return res, len(res) + 1
-
-    return counted
 
 
 # ----------------------------------------------------------------------
@@ -171,10 +161,8 @@ class _BlockPairs(_Packed):
                 segs += [HSegment(base + iv1[v][0], base + iv1[v][1], iv2[v][0], v) for v in stored]
             else:
                 (rpts if _rank(b2) == 1 else pts).extend((base + iv1[v][0], iv2[v][0], v) for v in stored)
-        ct = CartesianTree(pts)
-        report_ct, report_seg = ct.report_range, SegRayIndex(segs, []).report_at
-        report_enc = _counted(EnclosureIndex(rects).report)
-        report_rt = _counted(RangeTree2D(rpts).report)
+        ct, seg = CartesianTree(pts), SegRayIndex(segs, [])
+        enc, rt = EnclosureIndex(rects), RangeTree2D(rpts)
         self.lists = [[] for _ in range(n)]
         for k, ((b1, b2), (key, members)) in enumerate(zip(sides, pairs)):
             base = k * stride
@@ -185,19 +173,19 @@ class _BlockPairs(_Packed):
                         continue
                     x = base + b1.su_iv[b][0] + 1
                     if r2 == 0:
-                        entry = (key, report_enc, (x, b2.su_iv[b][0] + 1))
+                        entry = (key, enc, "report_counted", (x, b2.su_iv[b][0] + 1))
                     else:
-                        entry = (key, report_seg, (x, *_pred_range(b2, b)))
+                        entry = (key, seg, "report_at", (x, *_pred_range(b2, b)))
                 else:
                     lo, hi = _pred_range(b1, b)
                     lo2, hi2 = _pred_range(b2, b)
                     if r2 == 1:
-                        entry = (key, report_rt, (base + lo, base + hi, lo2, hi2))
+                        entry = (key, rt, "report_counted", (base + lo, base + hi, lo2, hi2))
                     else:
                         lo, hi = ct.col_span(base + lo, base + hi)
                         if lo > hi:
                             continue
-                        entry = (key, report_ct, (lo, hi, hi2))
+                        entry = (key, ct, "report_range", (lo, hi, hi2))
                 self.lists[b].append(entry)
 
 
@@ -284,7 +272,6 @@ class _PathCover(_Packed):
             pair_of[i][j] = k
             first.append(len(mins))
             mins += accumulate((p[1] for p in ct.reps[first[k] : first[k] + len(common)]), min)
-        report = ct.report_range
         self.lists = []
         for row1, row2 in zip(fr1.rows, fr2.rows):
             hits = []
@@ -293,7 +280,7 @@ class _PathCover(_Packed):
                     k = pair_of[i][j]
                     hi = bisect_right(ct.colx, k * stride + f1) - 1
                     if hi >= first[k] and mins[hi] <= row2[j]:
-                        hits.append((shared[k][0], report, (first[k], hi, row2[j])))
+                        hits.append((shared[k][0], ct, "report_range", (first[k], hi, row2[j])))
             self.lists.append(sorted(hits))
 
     def _build_tree_side(self, t2, fr1):
@@ -316,24 +303,22 @@ class _PathCover(_Packed):
             # only reached vertices ever query a path
             queries = [(i, b, (i * stride + 2 * iv.s[b] + 1, 0)) for i, bs in enumerate(reached) for b in bs]
             seg = SegRayIndex(segs, [q for _, _, q in queries])
-            report = seg.report_registered
             for i, b, q in queries:
                 f1 = fr1.get(b, i)
                 # the sweep reports by increasing rank: its first entry decides
                 entry = seg.entries[q]
                 if entry and entry[-1].key[0] <= f1:
-                    lists[b].append((keys[i], report, (q, f1)))
+                    lists[b].append((keys[i], seg, "report_registered", (q, f1)))
         else:
             ct = CartesianTree(
                 [(i * stride + 2 * iv.s[v], path_of[v][1], v) for i, p1 in enumerate(self.pc1.paths) for v in p1]
             )
-            report = ct.report_range
             for i, bs in enumerate(reached):
                 for b in bs:
                     f1 = fr1.get(b, i)
                     lo, hi = ct.col_span(i * stride + 2 * iv.s[b] + 1, i * stride + 2 * iv.t[b] - 1)
                     if lo <= hi and ct.min_x2_in_range(lo, hi) <= f1:
-                        lists[b].append((keys[i], report, (lo, hi, f1)))
+                        lists[b].append((keys[i], ct, "report_range", (lo, hi, f1)))
         self.lists = lists
 
 

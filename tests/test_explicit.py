@@ -287,12 +287,17 @@ def test_unoriented_trees_random_instances():
         n = rng.randrange(2, 41)
         g1 = rand_utree(rng, n)
         g2 = rand_utree(rng, n)
-        for a, b in ((g1, g2), (zigzag_path(n), g2), (g1, zigzag_path(n))):
+        p = rand_perm_path(rng, n)
+        z = zigzag_path(n)
+        for a, b in ((g1, g2), (z, g2), (g1, z), (z, p), (p, z)):
             jg = build_unoriented_trees(a, b)
             assert verify_join_graph(jg, a, b).ok, n
+            if z in (a, b):
+                # a zigzag's runs are its arcs, so each of its block pairs
+                # has at most two members and is wired without a relay
+                assert jg.steiner_count == 0
         # a dipath is one chain block: each block pair is wired in 2-D
-        p = rand_perm_path(rng, n)
-        for a in (g1, rand_upath(rng, n), zigzag_path(n)):
+        for a in (g1, rand_upath(rng, n), z):
             jg = build_unoriented_trees(a, p)
             assert verify_join_graph(jg, a, p).ok, n
             assert jg.size <= 3 * n * (logceil(n) + 1), n
