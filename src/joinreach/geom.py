@@ -1,14 +1,14 @@
 """Output-sensitive geometric reporting structures.
 
 Cartesian trees for dominance and grounded (3-sided) range reporting, a
-persistence-based sweep for horizontal-segment versus vertical-ray
-queries, an interval tree for rectangle point enclosure, and a two-level
-range tree for orthogonal range reporting. All structures are immutable
-after build. The Cartesian tree finds range minima in a sparse table
-over its column keys and descends whole subtrees through child links
-with no lookup. It and the sweep return (payloads, probe_count) so
-callers can assert output sensitivity; a probe is one tree node or
-treap node visited.
+persistent-treap sweep for horizontal segments with laminar (nested or
+disjoint) x1 spans versus vertical rays, an interval tree for rectangle
+point enclosure, and a two-level range tree for orthogonal range
+reporting. All structures are immutable after build. The Cartesian tree
+finds range minima in a sparse table over its column keys and descends
+whole subtrees through child links with no lookup. It and the sweep
+return (payloads, probe_count) so callers can assert output
+sensitivity; a probe is one tree node or treap node visited.
 """
 
 from __future__ import annotations
@@ -158,55 +158,37 @@ class CartesianTree:
 
 # ----------------------------------------------------------------------
 # Persistent-treap sweep for segment / vertical-ray intersection
+#
+# A treap node is a plain tuple (key, prio, payload, left, right) with
+# key = (x2, segment position): in-order by key, min-heap on prio.
 
 
-class _TNode(NamedTuple):
-    key: tuple
-    prio: int
-    payload: int
-    left: object
-    right: object
-
-
-def _merge(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a.prio <= b.prio:
-        return _TNode(a.key, a.prio, a.payload, a.left, _merge(a.right, b))
-    return _TNode(b.key, b.prio, b.payload, _merge(a, b.left), b.right)
-
-
-def _split(t, key):
-    """(keys < key, keys >= key), path-copying."""
-    if t is None:
-        return None, None
-    if t.key < key:
-        l, r = _split(t.right, key)
-        return _TNode(t.key, t.prio, t.payload, t.left, l), r
-    l, r = _split(t.left, key)
-    return l, _TNode(t.key, t.prio, t.payload, r, t.right)
-
-
-def _insert(t, key, prio, payload):
-    l, r = _split(t, key)
-    return _merge(_merge(l, _TNode(key, prio, payload, None, None)), r)
-
-
-def _delete(t, key):
-    l, r = _split(t, key)
-    # minimum of r must be the key being removed
-    spine = []
-    node = r
-    while node.left is not None:
-        spine.append(node)
-        node = node.left
-    assert node.key == key
-    rebuilt = node.right
-    for anc in reversed(spine):
-        rebuilt = _TNode(anc.key, anc.prio, anc.payload, rebuilt, anc.right)
-    return _merge(l, rebuilt)
+def _persistent_insert(root, key, prio, payload):
+    """The version of `root` with one more node, by path copying and
+    without recursion: copy the path down to where the node's priority
+    puts it, split the subtree found there around `key`, copy back up."""
+    path = []
+    t = root
+    while t is not None and t[1] < prio:
+        path.append(t)
+        t = t[3] if key < t[0] else t[4]
+    lower, upper = [], []  # the split's nodes below and above key, top down
+    while t is not None:
+        if t[0] < key:
+            lower.append(t)
+            t = t[4]
+        else:
+            upper.append(t)
+            t = t[3]
+    left = right = None
+    for k, p, v, l, _ in reversed(lower):
+        left = (k, p, v, l, left)
+    for k, p, v, _, r in reversed(upper):
+        right = (k, p, v, right, r)
+    node = (key, prio, payload, left, right)
+    for k, p, v, l, r in reversed(path):
+        node = (k, p, v, node, r) if key < k else (k, p, v, l, node)
+    return node
 
 
 def _seed_stack(root, key_lo):
@@ -214,82 +196,100 @@ def _seed_stack(root, key_lo):
     stack = []
     node = root
     while node is not None:
-        if node.key >= key_lo:
+        if node[0] >= key_lo:
             stack.append(node)
-            node = node.left
+            node = node[3]
         else:
-            node = node.right
+            node = node[4]
     return tuple(stack)
 
 
-def _walk(stack_seed, x2_hi, out, counter):
+def _walk(stack_seed, x2_hi):
+    """(payloads in key order up to x2 <= x2_hi, nodes visited)."""
+    out = []
     stack = list(stack_seed)
+    probes = 0
     while stack:
         node = stack.pop()
-        counter[0] += 1
-        if x2_hi is not None and node.key[0] > x2_hi:
+        probes += 1
+        if x2_hi is not None and node[0][0] > x2_hi:
             break
-        out.append(node.payload)
-        t = node.right
+        out.append(node[2])
+        t = node[4]
         while t is not None:
-            counter[0] += 1
+            probes += 1
             stack.append(t)
-            t = t.left
+            t = t[3]
+    return out, probes
 
 
 class SegRayIndex:
     """Horizontal segments queried by upward vertical rays.
 
     A query from (x, y) reports exactly the segments with
-    x1_lo < x < x1_hi and x2 >= y, in increasing x2 order. Query points
-    registered at build time get a precomputed entry stack, so reporting
-    does no point-location search; unregistered points pay one binary
-    search over sweep versions.
+    x1_lo < x < x1_hi and x2 >= y, in increasing x2 order, ties by
+    position in `segments`. Query points registered at build time get a
+    precomputed entry stack, so reporting does no point-location search;
+    unregistered points pay one binary search over sweep versions.
+
+    The segments' x1 spans must be laminar: any two are nested, equal or
+    disjoint, and spans that only touch at an endpoint are disjoint. DFS
+    intervals of one tree are, and so are bands of them shifted apart.
+    Crossing spans raise ValueError. The sweep keeps a stack of the open
+    spans, outermost first; a span's treap version is one persistent
+    insert into the version of the span enclosing it, and when it closes
+    that enclosing version is current again. So the build makes expected
+    O(log m) new nodes per segment and deletes nothing.
     """
 
     __slots__ = ("segments", "entries", "_xs", "_mid", "_end")
 
     def __init__(self, segments, query_points):
-        self.segments = list(segments)
+        segs = self.segments = list(segments)
         rng = _random.Random(0x5E9)
-        prios = [rng.random() for _ in self.segments]
-        events = {}
-        for i, s in enumerate(self.segments):
-            if s.x1_lo >= s.x1_hi:
-                raise ValueError("segment with empty x1 span")
-            events.setdefault(s.x1_lo, ([], []))[0].append(i)
-            events.setdefault(s.x1_hi, ([], []))[1].append(i)
+        prios = [rng.random() for _ in segs]
         queries = {}
         for q in query_points:
-            queries.setdefault(q[0], []).append(q)
-        xs = sorted(set(events) | set(queries))
-        root = None
-        self.entries = {}
-        self._xs = []
-        self._mid = []
-        self._end = []
+            queries.setdefault(q[0], []).append(q[1])
+        xs = self._xs = sorted({s.x1_lo for s in segs} | {s.x1_hi for s in segs} | queries.keys())
+        # Outer spans first. A treap's shape is fixed by its (key, prio)
+        # set, so the order among equal spans changes no version.
+        pending = iter(sorted((s.x1_lo, -s.x1_hi, s.x2, i, s.payload) for i, s in enumerate(segs)))
+        nxt = next(pending, None)
+        entries = self.entries = {}
+        mids = self._mid = []
+        ends = self._end = []
+        opened = [(float("inf"), None)]  # (x1_hi, version) of the open spans
         for x in xs:
-            ins, dels = events.get(x, ([], []))
-            for i in dels:
-                root = _delete(root, (self.segments[i].x2, i))
-            mid = root
-            for q in queries.get(x, []):
-                self.entries[(q[0], q[1])] = _seed_stack(root, (q[1], -1))
-            for i in ins:
-                root = _insert(root, (self.segments[i].x2, i), prios[i], i)
-            self._xs.append(x)
-            self._mid.append(mid)
-            self._end.append(root)
+            while opened[-1][0] == x:
+                opened.pop()
+            root = opened[-1][1]
+            mids.append(root)
+            for y in queries.get(x, ()):
+                entries[(x, y)] = _seed_stack(root, (y, -1))
+            while nxt is not None and nxt[0] == x:
+                _, hi, x2, i, payload = nxt
+                hi = -hi
+                if hi <= x:
+                    raise ValueError("segment with empty x1 span")
+                if hi > opened[-1][0]:
+                    raise ValueError("segment x1 spans cross")
+                root = _persistent_insert(root, (x2, i), prios[i], payload)
+                opened.append((hi, root))
+                nxt = next(pending, None)
+            ends.append(root)
 
     def report_registered(self, q, x2_hi=None):
         """Report for a query point registered at build time."""
         key = (q[0], q[1])
         if key not in self.entries:
             raise KeyError(f"query point {key} was not registered")
-        out = []
-        counter = [0]
-        _walk(self.entries[key], x2_hi, out, counter)
-        return [self.segments[i].payload for i in out], counter[0]
+        return _walk(self.entries[key], x2_hi)
+
+    def min_x2_registered(self, q):
+        """Smallest x2 that a registered point reports, or None."""
+        stack = self.entries[(q[0], q[1])]
+        return stack[-1][0][0] if stack else None
 
     def report_at(self, x, y_lo, x2_hi=None):
         """Report for an arbitrary point; costs a version search."""
@@ -297,10 +297,7 @@ class SegRayIndex:
         if i < 0:
             return [], 0
         root = self._mid[i] if self._xs[i] == x else self._end[i]
-        out = []
-        counter = [0]
-        _walk(_seed_stack(root, (y_lo, -1)), x2_hi, out, counter)
-        return [self.segments[i].payload for i in out], counter[0]
+        return _walk(_seed_stack(root, (y_lo, -1)), x2_hi)
 
 
 # ----------------------------------------------------------------------

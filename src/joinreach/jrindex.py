@@ -305,9 +305,8 @@ class _PathCover(_Packed):
             seg = SegRayIndex(segs, [q for _, _, q in queries])
             for i, b, q in queries:
                 f1 = fr1.get(b, i)
-                # the sweep reports by increasing rank: its first entry decides
-                entry = seg.entries[q]
-                if entry and entry[-1].key[0] <= f1:
+                low = seg.min_x2_registered(q)
+                if low is not None and low <= f1:
                     lists[b].append((keys[i], seg, "report_registered", (q, f1)))
         else:
             ct = CartesianTree(

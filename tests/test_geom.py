@@ -204,6 +204,111 @@ def test_seg_random_tree_intervals_match_scan():
             assert out3 == want
 
 
+def test_seg_crossing_or_empty_spans_raise():
+    for segs in (
+        [HSegment(0, 4, 1, 0), HSegment(2, 6, 1, 1)],
+        [HSegment(2, 6, 1, 1), HSegment(0, 4, 1, 0)],
+        # the crossing pair sits inside a third span
+        [HSegment(0, 10, 1, 0), HSegment(1, 5, 1, 1), HSegment(3, 8, 1, 2)],
+        [HSegment(0, 10, 1, 0), HSegment(3, 3, 1, 1)],
+        [HSegment(5, 2, 1, 0)],
+    ):
+        with pytest.raises(ValueError):
+            SegRayIndex(segs, [])
+
+
+def test_seg_empty_segment_list_builds():
+    idx = SegRayIndex([], [Point2(3, 0, -1)])
+    assert idx.report_registered(Point2(3, 0, -1)) == ([], 0)
+    assert idx.min_x2_registered(Point2(3, 0, -1)) is None
+    assert idx.report_at(3, 0) == ([], 0)
+    assert SegRayIndex([], []).report_at(0, 0) == ([], 0)
+
+
+def test_seg_equal_spans_all_reported():
+    # fringe members share their supervertex's interval
+    segs = [HSegment(2, 8, 5, 0), HSegment(2, 8, 5, 1), HSegment(2, 8, 3, 2), HSegment(3, 7, 4, 3)]
+    q = Point2(5, 0, -1)
+    idx = SegRayIndex(segs, [q])
+    assert idx.report_registered(q)[0] == [2, 3, 0, 1]
+    assert idx.report_at(5, 0)[0] == [2, 3, 0, 1]
+    assert idx.report_at(2, 0)[0] == []
+    assert idx.min_x2_registered(q) == 3
+
+
+def test_seg_spans_touching_at_an_endpoint():
+    segs = [HSegment(0, 4, 1, 0), HSegment(4, 8, 2, 1), HSegment(8, 12, 3, 2), HSegment(0, 12, 9, 3)]
+    points = [Point2(x, 0, -1) for x in range(-1, 14)]
+    idx = SegRayIndex(segs, points)
+    for q in points:
+        want = seg_scan(segs, q.x1, 0)
+        assert idx.report_registered(q)[0] == want
+        assert idx.report_at(q.x1, 0)[0] == want
+    assert idx.report_at(4, 0)[0] == [3]
+    assert idx.report_at(6, 0)[0] == [1, 3]
+
+
+def test_seg_query_at_an_endpoint_is_strict():
+    segs = [HSegment(2, 6, 1, 0)]
+    idx = SegRayIndex(segs, [Point2(2, 0, -1), Point2(6, 0, -1)])
+    for x in (2, 6):
+        assert idx.report_registered(Point2(x, 0, -1))[0] == []
+        assert idx.report_at(x, 0)[0] == []
+    assert idx.report_at(3, 0)[0] == [0]
+    assert idx.report_at(5, 1)[0] == [0]
+    assert idx.report_at(5, 2)[0] == []
+
+
+def test_seg_deep_nested_chain_builds_without_recursion():
+    m = 1 << 15
+    heights = list(range(m))
+    random.Random(37).shuffle(heights)
+    segs = [HSegment(i, 2 * m - i, heights[i], i) for i in range(m)]
+    q = Point2(m, 0, -1)
+    idx = SegRayIndex(segs, [q])
+    order = sorted(range(m), key=heights.__getitem__)
+    out, probes = idx.report_registered(q)
+    assert out == order
+    assert probes <= 2 * m + 2
+    assert idx.report_at(m, 0, x2_hi=9)[0] == order[:10]
+
+
+def laminar_segments(rng, budget):
+    """Nested, equal, touching and disjoint spans with tied x2 values."""
+    spans = []
+    todo = [(0, 20), (20, 40), (45, 60)]
+    while todo and len(spans) < budget:
+        a, b = todo.pop(rng.randrange(len(todo)))
+        spans.append((a, b))
+        if rng.random() < 0.3:
+            spans.append((a, b))
+        if b - a >= 2:
+            cuts = sorted(rng.sample(range(a, b + 1), rng.randrange(2, min(5, b - a + 2))))
+            todo += [(c, d) for c, d in zip(cuts, cuts[1:]) if rng.random() < 0.8]
+    rng.shuffle(spans)
+    # payloads increase with the index, so ties in x2 break the same way
+    return [HSegment(a, b, rng.randrange(4), 7 * i + 3) for i, (a, b) in enumerate(spans)]
+
+
+def test_seg_random_laminar_families_match_scan():
+    rng = random.Random(53)
+    for _ in range(40):
+        segs = laminar_segments(rng, rng.randrange(1, 40))
+        queries = [Point2(x, rng.randrange(-1, 5), -1) for x in range(-1, 62)]
+        idx = SegRayIndex(segs, queries)
+        for q in queries:
+            want = seg_scan(segs, q.x1, q.x2)
+            out, probes = idx.report_registered(q)
+            assert out == want
+            assert probes <= 2 * len(want) + 2
+            assert idx.report_at(q.x1, q.x2) == (out, probes)
+            low = min((s.x2 for s in segs if s.payload in want), default=None)
+            assert idx.min_x2_registered(q) == low
+            cap = rng.randrange(-1, 5)
+            assert idx.report_registered(q, x2_hi=cap)[0] == seg_scan(segs, q.x1, q.x2, cap)
+            assert idx.report_at(q.x1, q.x2, x2_hi=cap)[0] == seg_scan(segs, q.x1, q.x2, cap)
+
+
 def test_enclosure_concentric():
     rects = [Rect(-i, i, -i, i, i) for i in range(1, 6)]
     idx = EnclosureIndex(rects)
