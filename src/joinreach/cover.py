@@ -1,11 +1,18 @@
-"""Vertex-disjoint dipath covers of DAGs and the per-vertex from-rank
-tables the path-cover join constructions consume."""
+"""Vertex-disjoint dipath covers of DAGs, the per-vertex from-rank
+tables the path-cover join constructions consume, and the index of a
+dipath cover against a rooted tree.
+
+`paths_against_tree` is the one layout of cover paths against a second
+graph that is a rooted tree. The path-cover index uses it with a minimum
+cover of a DAG, the heavy-path index with the heavy paths of an out-tree.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import CyclicGraphError, topo_order
+from .geom import CartesianTree, HSegment, SegRayIndex
+from .graph import CyclicGraphError, dfs_intervals, topo_order
 
 
 @dataclass
@@ -178,3 +185,53 @@ def from_ranks(g, pc, order=None):
                 if wrow.get(i, -1) < x:
                     wrow[i] = x
     return FromRanks(rows)
+
+
+def paths_against_tree(paths, rows, tree):
+    """Per-vertex reports of dipaths of one graph against a rooted tree.
+
+    `paths` are vertex-disjoint dipaths covering the first graph, and
+    rows[b] is {path i: highest rank on i of a vertex reaching b}, as in
+    `FromRanks.rows`. Path i holds its vertices at (doubled DFS interval
+    in the tree, rank on i), its x1 shifted by i times a stride above
+    every doubled DFS time: registered segments of one segment/ray sweep
+    for an out-tree, stabbed from b's interval start (b's ancestors and
+    b), or points of one Cartesian tree at the interval start for an
+    in-tree, taken strictly inside b's interval (b's proper descendants).
+
+    Returns lists: lists[b] is I(b), the paths of rows[b] whose report
+    for b is nonempty, each as ((i, 0), structure, report method name,
+    arguments); the named method returns (payloads, probes).
+    """
+    n = len(rows)
+    stride = 4 * n + 1  # doubled DFS times and query points lie in 2..4n
+    iv = dfs_intervals(tree)
+    s, t = iv.s, iv.t
+    lists = [[] for _ in range(n)]
+    if tree.kind == "out-tree":
+        queries = [(b, i, f, (i * stride + 2 * s[b] + 1, 0)) for b, row in enumerate(rows) for i, f in row.items()]
+        seg = SegRayIndex(
+            [
+                HSegment(i * stride + 2 * s[v], i * stride + 2 * t[v], rank, v)
+                for i, path in enumerate(paths)
+                for rank, v in enumerate(path)
+            ],
+            [q for *_, q in queries],
+        )
+        for b, i, f, q in queries:
+            low = seg.min_x2_registered(q)
+            if low is not None and low <= f:
+                lists[b].append(((i, 0), seg, "report_registered", (q, f)))
+    else:
+        ct = CartesianTree(
+            [(i * stride + 2 * s[v], rank, v) for i, path in enumerate(paths) for rank, v in enumerate(path)]
+        )
+        for b, row in enumerate(rows):
+            x_lo, x_hi = 2 * s[b] + 1, 2 * t[b] - 1
+            if x_lo == x_hi:  # a leaf has no proper descendant
+                continue
+            for i, f in row.items():
+                lo, hi = ct.col_span(i * stride + x_lo, i * stride + x_hi)
+                if lo <= hi and ct.min_x2_in_range(lo, hi) <= f:
+                    lists[b].append(((i, 0), ct, "report_range", (lo, hi, f)))
+    return lists

@@ -3,7 +3,7 @@
 Provides the adjacency digraph with class tags, bitset reachability
 closures, strong-component condensation of a digraph pair, layer
 decomposition into 2-layered graphs, DFS intervals on rooted trees, and
-constant-time nearest-common-ancestor queries.
+path runs and tree blocks.
 """
 
 from __future__ import annotations

@@ -2,19 +2,18 @@
 
 `hpd_build` splits a rooted tree into heavy paths, so a root path meets
 at most floor(lg n) + 1 of them. `hpd_two_trees_build` pairs an out-tree
-with a second rooted tree: one packed Cartesian tree or segment/ray
-sweep holds all heavy paths, and each vertex keeps one report per heavy
-path on its root path.
+with a second rooted tree: the out-tree's heavy paths are one more
+dipath cover, indexed against the second tree by
+`cover.paths_against_tree`, and each vertex keeps only the heavy paths
+that report for it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
-from .geom import CartesianTree, HSegment, SegRayIndex
-from .graph import GraphClassError, dfs_intervals, tree_parents
+from .cover import from_ranks, paths_against_tree
+from .graph import GraphClassError, tree_parents
 
 
 @dataclass
@@ -89,18 +88,14 @@ def hpd_build(g, root=None):
 class HpdTwoTrees:
     """Join-reachability queries for an out-tree paired with a rooted tree.
 
-    One structure holds every heavy path of the out-tree, path k's x1
-    shifted by k times a stride above every DFS time of the second tree:
-    a Cartesian tree over (preorder, path position) when the second tree
-    is an in-tree, else a segment/ray sweep over (DFS interval, height on
-    the path). lists[b] holds one report per heavy path on b's root path,
-    nearest first: (lo column, hi column, position bound) for the tree, or
-    the query point for the sweep.
+    The out-tree's heavy paths are a dipath cover of it, and a vertex's
+    from-rank on a heavy path is the position of its deepest ancestor
+    there, so `cover.paths_against_tree` lays them out against the second
+    tree. lists[b] holds the heavy paths on b's root path whose report
+    for b is nonempty, as (key, structure, report method name, arguments).
     """
 
     hpd: HeavyPathDecomp
-    ct: CartesianTree | None
-    seg: SegRayIndex | None
     lists: list
 
 
@@ -112,70 +107,19 @@ def hpd_two_trees_build(t1, t2):
     if t1.n != t2.n:
         raise ValueError("vertex-set mismatch")
     hpd = hpd_build(t1)
-    paths, path_of = hpd.paths, hpd.path_of
-    top_parent = [hpd.parent[path[0]] for path in paths]
-    iv2 = dfs_intervals(t2)
-    s2, e2 = iv2.s, iv2.t
-    stride = 2 * t1.n + 1  # DFS times lie in 1..2n
-    ct = seg = None
-    if t2.kind == "in-tree":
-        ct = CartesianTree(
-            [(k * stride + s2[a], pos, a) for k, path in enumerate(paths) for pos, a in enumerate(path)]
-        )
-        colx = ct.colx
-        start = list(accumulate(map(len, paths), initial=0))  # path k's first column
-    else:
-        seg = SegRayIndex(
-            [
-                HSegment(k * stride + s2[a], k * stride + e2[a], len(path) - 1 - pos, a)
-                for k, path in enumerate(paths)
-                for pos, a in enumerate(path)
-            ],
-            [],
-        )
-    lists = []
-    for b in range(t1.n):
-        entries = []
-        sb, eb = s2[b], e2[b]
-        p = b
-        while p != -1:
-            k, pos = path_of[p]
-            base = k * stride
-            if ct is not None:
-                # T2-descendants on the path: s2(a) strictly inside I2(b),
-                # at positions up to p's
-                lo, hi = start[k], start[k + 1]
-                entries.append((
-                    bisect_left(colx, base + sb + 1, lo, hi),
-                    bisect_right(colx, base + eb - 1, lo, hi) - 1,
-                    pos,
-                ))
-            else:
-                # T2-ancestors on the path: segments I2(a) stabbed at s2(b),
-                # at heights from p's up
-                entries.append((base + sb, len(paths[k]) - 1 - pos))
-            p = top_parent[k]
-        lists.append(entries)
-    return HpdTwoTrees(hpd, ct, seg, lists)
+    return HpdTwoTrees(hpd, paths_against_tree(hpd.paths, from_ranks(t1, hpd).rows, t2))
 
 
 def hpd_two_trees_report(idx, b):
     """(set of the vertices reaching b in both trees, probe count).
 
-    Each heavy path on b's root path costs at least one probe, also when
-    it reports nothing, so a query with k answers costs at most
-    3k + 3(light_level[b] + 1).
+    Only heavy paths that report a vertex for b are listed, so a query
+    with k answers costs O(1 + k) probes.
     """
     out = {b}
     probes = 0
-    if idx.ct is not None:
-        for lo, hi, pos in idx.lists[b]:
-            hits, pr = idx.ct.report_range(lo, hi, pos)
-            out.update(hits)
-            probes += max(pr, 1)
-    else:
-        for q in idx.lists[b]:
-            hits, pr = idx.seg.report_at(*q)
-            out.update(hits)
-            probes += max(pr, 1)
+    for _, struct, report, args in idx.lists[b]:
+        hits, pr = getattr(struct, report)(*args)
+        out.update(hits)
+        probes += pr
     return out, probes

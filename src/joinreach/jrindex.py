@@ -10,6 +10,9 @@ index into pairs of cover paths. A pair sharing only the query vertex
 could report only that vertex, which `JRIndex` adds to every answer
 anyway, so only pairs sharing at least two vertices are kept, and a path
 or tree query touches at most four, all within the blocks holding it.
+A cover against a rooted tree second goes through
+`cover.paths_against_tree`, which the heavy-path index shares, with the
+heavy paths of its out-tree as the cover.
 
 Both kinds of index pack all their pairs into at most one Cartesian
 tree, one segment/ray sweep, one enclosure index and one range tree,
@@ -27,13 +30,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .cover import from_ranks, min_path_cover, shared_vertices
+from .cover import from_ranks, min_path_cover, paths_against_tree, shared_vertices
 from .geom import CartesianTree, EnclosureIndex, HSegment, RangeTree2D, Rect, SegRayIndex
 from .graph import (
     CyclicGraphError,
     GraphClassError,
     block_pairs,
-    dfs_intervals,
     path_order,
     topo_order,
     transitive_closure,
@@ -70,7 +72,7 @@ class _Packed:
     """Reports from packed structures through per-vertex lists.
 
     A subclass puts pair k's points, segments or rectangles into the
-    shared structures with their x1 shifted by k * _stride(n), so a query
+    shared structures with their x1 shifted by k times a stride, so a query
     within pair k's band never meets another pair's. lists[b] holds, per
     pair that can report for b, (pair key, structure, method name,
     arguments): the named method of the structure holding the pair
@@ -202,7 +204,9 @@ def index_two_trees(t1, t2):
 
 
 def index_hpd_two_trees(t1, t2):
-    """Heavy-path alternative for two rooted trees; one must be an out-tree."""
+    """Heavy-path alternative for two rooted trees; one must be an out-tree.
+
+    A query reports the heavy paths it touched as keys (path, 0)."""
     if t1.kind != "out-tree" and t2.kind == "out-tree":
         t1, t2 = t2, t1
 
@@ -212,7 +216,7 @@ def index_hpd_two_trees(t1, t2):
 
         def query_counted(self, b):
             res, probes = hpd_two_trees_report(self.idx, b)
-            return res, probes, [(0, 0)]
+            return res, probes, [key for key, *_ in self.idx.lists[b]]
 
     return JRIndex("hpd-two-trees", t1.n, _Hpd())
 
@@ -226,7 +230,7 @@ class _PathCover(_Packed):
     the nonempty lists I(v).
 
     For a second tree each first-graph cover path is one pair, laid out
-    in the tree-and-path geometry with the path rank as threshold. I(v)
+    against the tree by `cover.paths_against_tree`. I(v)
     keeps a query's probes proportional to the pairs that actually report
     something. It is read off v's sparse from-rank rows, so the build
     scales with the cover sizes rather than with n times their product.
@@ -235,7 +239,7 @@ class _PathCover(_Packed):
     def __init__(self, g1, g2):
         if g1.n != g2.n:
             raise ValueError("vertex-set mismatch")
-        n = self.n = g1.n
+        self.n = g1.n
         tree2 = g2.kind in ("out-tree", "in-tree")
         order1 = topo_order(g1)
         if order1 is None:
@@ -246,7 +250,7 @@ class _PathCover(_Packed):
         self.pc1 = min_path_cover(g1, order1)
         fr1 = from_ranks(g1, self.pc1, order1)
         if tree2:
-            self._build_tree_side(g2, fr1)
+            self.lists = paths_against_tree(self.pc1.paths, fr1.rows, g2)
         else:
             self.pc2 = min_path_cover(g2, order2)
             self._build_cover_side(fr1, from_ranks(g2, self.pc2, order2))
@@ -282,43 +286,6 @@ class _PathCover(_Packed):
                     if hi >= first[k] and mins[hi] <= row2[j]:
                         hits.append((shared[k][0], ct, "report_range", (first[k], hi, row2[j])))
             self.lists.append(sorted(hits))
-
-    def _build_tree_side(self, t2, fr1):
-        """Cover path i holds its vertices at (doubled DFS interval in the
-        tree, rank on i): segments for an out-tree, points at the interval
-        start for an in-tree. It is in I(v) when v's query finds one of
-        rank at most fr1(v, i)."""
-        stride = _stride(self.n)
-        iv = dfs_intervals(t2)
-        path_of = self.pc1.path_of
-        reached = fr1.reached(self.pc1.kappa)
-        keys = [(i, 0) for i in range(self.pc1.kappa)]
-        lists = [[] for _ in range(self.n)]
-        if t2.kind == "out-tree":
-            segs = [
-                HSegment(i * stride + 2 * iv.s[v], i * stride + 2 * iv.t[v], path_of[v][1], v)
-                for i, p1 in enumerate(self.pc1.paths)
-                for v in p1
-            ]
-            # only reached vertices ever query a path
-            queries = [(i, b, (i * stride + 2 * iv.s[b] + 1, 0)) for i, bs in enumerate(reached) for b in bs]
-            seg = SegRayIndex(segs, [q for _, _, q in queries])
-            for i, b, q in queries:
-                f1 = fr1.get(b, i)
-                low = seg.min_x2_registered(q)
-                if low is not None and low <= f1:
-                    lists[b].append((keys[i], seg, "report_registered", (q, f1)))
-        else:
-            ct = CartesianTree(
-                [(i * stride + 2 * iv.s[v], path_of[v][1], v) for i, p1 in enumerate(self.pc1.paths) for v in p1]
-            )
-            for i, bs in enumerate(reached):
-                for b in bs:
-                    f1 = fr1.get(b, i)
-                    lo, hi = ct.col_span(i * stride + 2 * iv.s[b] + 1, i * stride + 2 * iv.t[b] - 1)
-                    if lo <= hi and ct.min_x2_in_range(lo, hi) <= f1:
-                        lists[b].append((keys[i], ct, "report_range", (lo, hi, f1)))
-        self.lists = lists
 
 
 def index_pathcover(g1, g2):

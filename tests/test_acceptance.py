@@ -34,6 +34,7 @@ from joinreach.graph import (
 )
 from joinreach.hpd import hpd_build
 from joinreach.jrindex import (
+    index_hpd_two_trees,
     index_pathcover,
     index_planar_st,
     index_tree_path,
@@ -227,6 +228,26 @@ def test_criterion_6_output_sensitivity():
             res, probes, _ = idx.query_counted(b)
             assert probes <= 6 * (len(res) + 1), ("two-trees-out/in", seed, b)
             checked += 1
+    # heavy-path index: out/in, out/out, and chain against star both ways
+    for seed in range(100):
+        rng = random.Random(("c6-hpd", seed).__repr__())
+        n = rng.randrange(2, 65)
+        t1 = rand_tree(rng, n, "out-tree")
+        order = list(range(n))
+        rng.shuffle(order)
+        chain = Digraph(n, list(zip(order, order[1:])), kind="out-tree")
+        star = Digraph(n, [(order[0], v) for v in order[1:]], kind="out-tree")
+        for name, g1, g2 in (
+            ("out/in", t1, rand_tree(rng, n, "in-tree")),
+            ("out/out", t1, rand_tree(rng, n, "out-tree")),
+            ("chain/star", chain, star),
+            ("star/chain", star, chain),
+        ):
+            idx = index_hpd_two_trees(g1, g2)
+            for b in range(n):
+                res, probes, _ = idx.query_counted(b)
+                assert probes <= 6 * (len(res) + 1), ("hpd-" + name, seed, b, probes)
+                checked += 1
     print(f"\nACCEPTANCE 6: PASS - probe counts within 6(k+1) on {checked} queries")
 
 

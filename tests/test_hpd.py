@@ -108,11 +108,11 @@ def test_hpd_two_trees_matches_oracle():
             assert sorted(got) == join_oracle(g1, g3, b)
 
 
-def test_hpd_two_trees_probes_charge_each_heavy_path():
-    """Each heavy path on b's root path costs a probe, reported or not."""
+def test_hpd_two_trees_probes_charge_only_reporting_heavy_paths():
+    """Only heavy paths that report a vertex for b are listed and probed."""
     rng = random.Random(23)
     pairs = []
-    for n in (2, 9, 40, 120):
+    for n in (1, 2, 9, 40, 120):
         g1, _ = random_out_tree(rng, n)
         parent2 = [-1] + [rng.randrange(v) for v in range(1, n)]
         pairs.append((g1, Digraph(n, [(v, parent2[v]) for v in range(1, n)], kind="in-tree")))
@@ -131,8 +131,10 @@ def test_hpd_two_trees_probes_charge_each_heavy_path():
         for b in range(g1.n):
             got, probes = hpd_two_trees_report(idx, b)
             assert sorted(got) == join_oracle(g1, g2, b)
+            touched = idx.lists[b]
+            assert all(getattr(struct, report)(*args)[0] for _, struct, report, args in touched), b
             level = idx.hpd.light_level[b]
-            assert level + 1 <= probes <= 3 * len(got) + 3 * (level + 1), (b, probes)
+            assert len(touched) <= probes <= 3 * len(got) + 3 * (level + 1), (b, probes)
 
 
 def test_hpd_two_trees_rejects_wrong_classes():

@@ -22,6 +22,7 @@ from joinreach.graph import (
     layer_decompose,
     transitive_closure,
 )
+from joinreach.hpd import hpd_build
 from joinreach.jrindex import (
     index_hpd_two_trees,
     index_pathcover,
@@ -384,36 +385,41 @@ def test_pathcover_dag_path_tree_dag_shapes():
 
 
 def test_pathcover_nonempty_lists_match_definition():
-    """(i, j) is in I(v) iff some a on both cover paths reaches v in both graphs."""
+    """(i, j) is in I(v) iff some a on both cover paths reaches v in both
+    graphs. The heavy-path index is one more input: its cover is the heavy
+    paths of its out-tree, against a second tree as cover path 0."""
     rng = random.Random(35)
+    cases = []  # (index, g1, g2, cover path of a in g1, of a in g2)
     for _ in range(10):
         n = rng.randrange(2, 41)
         g1 = rand_dag(rng, n, 0.2)
-        m1 = transitive_closure(g1)
         for g2 in (
             rand_dag(rng, n, 0.2),
             rand_tree(rng, n, "out-tree"),
             rand_tree(rng, n, "in-tree"),
         ):
             pcx = _PathCover(g1, g2)
-            m2 = transitive_closure(g2)
-            if g2.kind == "digraph":
-                def pair(a):
-                    return (pcx.pc1.path_of[a][0], pcx.pc2.path_of[a][0])
-            else:
-                def pair(a):
-                    return (pcx.pc1.path_of[a][0], 0)
-            # an in-tree structure's range is open at v, as the query adds v
-            skip_self = g2.kind == "in-tree"
-            for v in range(n):
-                want = sorted(
-                    {
-                        pair(a)
-                        for a in range(n)
-                        if m1.reach(a, v) and m2.reach(a, v) and not (skip_self and a == v)
-                    }
-                )
-                assert sorted(pcx.query_counted(v)[2]) == want, (g2.kind, v)
+            of2 = pcx.pc2.path_of if g2.kind == "digraph" else [(0, 0)] * n
+            cases.append((pcx, g1, g2, pcx.pc1.path_of, of2))
+    rng = random.Random(36)
+    for _ in range(10):
+        n = rng.randrange(1, 41)
+        t1 = rand_tree(rng, n, "out-tree")
+        for t2 in (rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")):
+            cases.append((index_hpd_two_trees(t1, t2), t1, t2, hpd_build(t1).path_of, [(0, 0)] * n))
+    for idx, g1, g2, of1, of2 in cases:
+        m1, m2 = transitive_closure(g1), transitive_closure(g2)
+        # an in-tree structure's range is open at v, as the query adds v
+        skip_self = g2.kind == "in-tree"
+        for v in range(g1.n):
+            want = sorted(
+                {
+                    (of1[a][0], of2[a][0])
+                    for a in range(g1.n)
+                    if m1.reach(a, v) and m2.reach(a, v) and not (skip_self and a == v)
+                }
+            )
+            assert sorted(idx.query_counted(v)[2]) == want, (idx, g2.kind, v)
 
 
 def test_pathcover_rejects_cycles():
