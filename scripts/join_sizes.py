@@ -1,0 +1,84 @@
+"""Explicit join-graph sizes on a seeded random corpus of all five builders.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/join_sizes.py -o sizes.json
+    PYTHONPATH=src python scripts/join_sizes.py --against sizes.json
+
+The first form writes each pair's size; the second, run on another
+checkout, compares with such a file and exits 1 when a pair is larger.
+Every output is checked with `verify_join_graph` as it is built.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+
+from joinreach import explicit
+from joinreach.gen import rand_dag, rand_path, rand_tree, rand_upath, rand_utree
+
+
+def _pair(rng, builder, n):
+    if builder == "build_two_paths":
+        pick = rng.choice((rand_path, rand_upath))
+        return pick(rng, n), rand_path(rng, n)
+    if builder == "build_tree_path":
+        kind = rng.choice(("out-tree", "in-tree"))
+        return rand_tree(rng, n, kind), rand_path(rng, n)
+    if builder == "build_two_trees":
+        return tuple(rand_tree(rng, n, rng.choice(("out-tree", "in-tree"))) for _ in "12")
+    if builder == "build_unoriented_trees":
+        return rand_utree(rng, n), rng.choice((rand_utree, rand_upath, rand_path))(rng, n)
+    second = rng.choice(("dag", "path", "out-tree"))
+    g2 = (rand_dag(rng, n, 4.0 / n) if second == "dag"
+          else rand_path(rng, n) if second == "path" else rand_tree(rng, n, "out-tree"))
+    return rand_dag(rng, n, 4.0 / n), g2
+
+
+BUILDERS = ("build_two_paths", "build_tree_path", "build_two_trees",
+            "build_unoriented_trees", "build_pathcover")
+
+
+def corpus_sizes():
+    """[(builder, n, size)] for 60 seeded pairs per builder, n < 80."""
+    rng = random.Random(0)
+    out = []
+    for builder in BUILDERS:
+        for _ in range(60):
+            n = rng.randrange(1, 80)
+            g1, g2 = _pair(rng, builder, n)
+            jg = getattr(explicit, builder)(g1, g2)
+            if not explicit.verify_join_graph(jg, g1, g2).ok:
+                raise SystemExit(f"{builder} at n={n}: output fails verification")
+            out.append((builder, n, jg.size))
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("-o", "--output", help="write the per-pair sizes as JSON")
+    ap.add_argument("--against", help="JSON sizes to compare with")
+    args = ap.parse_args(argv)
+    sizes = corpus_sizes()
+    for builder in BUILDERS:
+        print(f"{builder}\t{sum(s for b, _, s in sizes if b == builder)}")
+    print(f"total\t{sum(s for *_, s in sizes)}")
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as f:
+            json.dump(sizes, f)
+    if args.against:
+        with open(args.against, encoding="utf-8") as f:
+            old = json.load(f)
+        larger = [(k, o, s) for k, (o, s) in enumerate(zip(old, sizes)) if s[2] > o[2]]
+        print(f"against\t{sum(o[2] for o in old)}\tlarger pairs\t{len(larger)}")
+        for k, o, s in larger:
+            print(f"  pair {k} {s[0]} n={s[1]}: {o[2]} -> {s[2]}")
+        return 1 if larger else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

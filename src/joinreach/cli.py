@@ -11,6 +11,7 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 
 from . import gen as generators
 from .classes import CLASSES, build, classify
@@ -88,6 +89,7 @@ def _ratios(jg):
 
 def cmd_stats(args):
     jg = read_join(args.join)
+    depths = Counter(map(_tag_depth, jg.steiner_tags))
     r1, r2 = _ratios(jg)
     print(f"n\t{jg.n_original}")
     print(f"steiner\t{jg.steiner_count}")
@@ -95,7 +97,17 @@ def cmd_stats(args):
     print(f"size\t{jg.size}")
     print(f"ratio_log\t{r1:.3f}")
     print(f"ratio_log2\t{r2:.3f}")
+    for depth, count in sorted(depths.items()):
+        print(f"steiner_d{depth}\t{count}")
     return 0
+
+
+def _tag_depth(tag):
+    """The recursion depth k of a Steiner tag ending `d<k>;h=<lo>..<hi>`."""
+    parts = tag.split(";")
+    if len(parts) < 2 or parts[-2][:1] != "d" or not parts[-2][1:].isdigit():
+        raise ValueError(f"Steiner tag {tag!r} has no d<k> depth field")
+    return int(parts[-2][1:])
 
 
 BENCH_CAPS = {"paths": 1 << 14, "trees": 1 << 14, "pathcover": 1 << 10}
@@ -105,7 +117,7 @@ def cmd_bench(args):
     suite = args.suite
     cap = min(args.max_n, BENCH_CAPS[suite])
     print("suite\tinst\tn\tseed\tbuild_s\tsize\tratio_log\tverify")
-    n = 256
+    n, failed = 256, False
     while n <= cap:
         for inst, (g1, g2) in _bench_instances(suite, n, args.seed):
             t0 = time.perf_counter()
@@ -117,8 +129,9 @@ def cmd_bench(args):
             else:
                 status = "skip"
             print(f"{suite}\t{inst}\t{n}\t{args.seed}\t{dt:.3f}\t{jg.size}\t{r1:.3f}\t{status}")
+            failed = failed or status == "FAIL"
         n *= 4
-    return 0
+    return 1 if failed else 0
 
 
 def _bench_instances(suite, n, seed):

@@ -6,22 +6,27 @@ restricted to originals, is exactly the pairwise AND of the input
 reachability relations. Divide-and-conquer in rank space keeps the
 output near-linear for paths and trees and cover-factor-linear for DAGs.
 
-Paths and trees take one route: each pair of tree blocks (`graph.tree_blocks`;
-a path gives one chain block per maximal run, a dipath exactly one) is
-wired by `_nest_connect`, which walks the first block's nested intervals
-and halves a rank range of the second. A pair whose members form a chain
-in the second block, as with a path second, needs one such wiring; any
-other pair gets one per level of an outer halving of a second rank. A
-pair of two members needs no relay: it is one direct arc or nothing.
-Path covers wire each pair of cover paths by inclusive dominance
-(`_dominance_connect`).
+Every builder wires through one kernel, `_nest_connect`, which walks
+nested ranges of walk positions and halves a rank range h: a source
+reaches each sink of its range lying below it in h. A source gets a relay
+only when its range holds a sink of the lower half; the outermost such
+source is its own relay, and only a nested one gets a Steiner vertex.
+
+Paths and trees: each pair of tree blocks (`graph.tree_blocks`; a path
+gives one chain block per maximal run, a dipath exactly one) is walked
+along the first block's nested intervals, halving a rank range of the
+second. A pair whose members form a chain in the second block, as with a
+path second, needs one such wiring; any other pair gets one per level of
+an outer halving of a second rank. Path covers: each pair of cover paths
+is one walk in x1 order whose ranges all run to its end, with h ranking
+x2, so it is inclusive dominance in (x1, x2).
 
 Steiner tags end in `d<k>;h=<lo>..<hi>`: the recursion depth and the
-rank slab being halved. Tree-block tags begin with the builder's label,
-then `i<i>;j<j>` (and `rev` for an in-core first block) unless both
-inputs are one block, then `p<k>` for the outer level of a 3-D wiring.
-Path-cover tags begin `pathcover;i<i>;j<j>`, and its endpoint relays end
-in `src` or `dst`.
+rank slab being halved. Before that comes the builder's label, then
+`i<i>;j<j>` for the cover-path pair, or for the block pair (and `rev` for
+an in-core first block) unless both inputs are one block, then `p<k>`
+for the outer level of a 3-D wiring. So path-cover tags read
+`pathcover;i<i>;j<j>;d<k>;h=<lo>..<hi>`.
 """
 
 from __future__ import annotations
@@ -68,9 +73,6 @@ class _Builder:
         v = self.n_original + len(self.tags)
         self.tags.append(tag)
         return v
-
-    def arc(self, u, v):
-        self.arcs.append((u, v))
 
     def finish(self):
         g = Digraph(self.n_original + len(self.tags), self.arcs)
@@ -154,12 +156,7 @@ def _pair_connect(b, blk1, blk2, members, tag):
 
     h2, h3 = _interval_orders(vert, blk2.su_iv, core2, eff_o2)
     first = len(b.arcs)
-    if len(vert) == 2:
-        # Two members: the join holds at most one arc, from the first in
-        # walk order to the second, so it is wired as that arc or nothing.
-        if 0 in srcs and 1 in snks and end[0] == 1 and h2[1] < h2[0] and h3[1] < h3[0]:
-            b.arc(*vert)
-    elif h2 == h3:
+    if h2 == h3:
         # The members form a chain in the second block, so its relation is
         # dominance in h2 alone.
         _nest_connect(b, srcs, snks, end, h2, 0, len(vert), vert, tag)
@@ -214,10 +211,12 @@ def _nest_connect(b, srcs, snks, end, h, lo, hi, vert, tag, depth=0):
 
     srcs and snks are ascending walk positions, or one list when every
     member is both; position p's nested range is p..end[p], and vert[p]
-    is its vertex. Each source in the upper half of [lo, hi) gets one
-    Steiner relay, chained under the relay of its nearest enclosing such
-    source; each sink in the lower half hangs off the relay of its
-    nearest one. The recursion then halves [lo, hi).
+    is its vertex. A source in the upper half of [lo, hi) whose range
+    holds a lower-half sink gets a relay: itself when no such source
+    encloses it, else one Steiner vertex entered from its vertex and from
+    the relay of its nearest enclosing such source. Each lower-half sink
+    hangs off the relay of its nearest one. The recursion then halves
+    [lo, hi).
     """
     if not srcs or not snks or hi - lo <= 1:
         return
@@ -233,21 +232,28 @@ def _nest_connect(b, srcs, snks, end, h, lo, hi, vert, tag, depth=0):
     if s_hi and k_lo:
         label = f"{tag};d{depth};h={lo}..{hi}"
         arcs = b.arcs
-        ends = []  # range ends of the enclosing upper sources
+        ends = []  # range ends of the enclosing relayed sources
         relays = []  # and their relays
+        nxt, n_lo = 0, len(k_lo)  # k_lo[nxt]: the first sink after p
         for p in walk:
             while ends and ends[-1] < p:
                 ends.pop()
                 relays.pop()
-            if h[p] >= mid:
+            if h[p] < mid:
+                nxt += 1
+                if relays:
+                    arcs.append((relays[-1], vert[p]))
+                continue
+            if nxt == n_lo or k_lo[nxt] > end[p]:
+                continue  # no sink in its range: no relay
+            if relays:
                 sv = b.steiner(label)
                 arcs.append((vert[p], sv))
-                if relays:
-                    arcs.append((relays[-1], sv))
-                ends.append(end[p])
-                relays.append(sv)
-            elif relays:
-                arcs.append((relays[-1], vert[p]))
+                arcs.append((relays[-1], sv))
+            else:
+                sv = vert[p]
+            ends.append(end[p])
+            relays.append(sv)
     _nest_connect(b, s_hi, k_hi, end, h, mid, hi, vert, tag, depth + 1)
     _nest_connect(b, s_lo, k_lo, end, h, lo, mid, vert, tag, depth + 1)
 
@@ -256,50 +262,13 @@ def _nest_connect(b, srcs, snks, end, h, lo, hi, vert, tag, depth=0):
 # Path covers for general DAG pairs
 
 
-def _dominance_connect(b, sources, targets, lo, hi, depth, tag):
-    """Connect each source to every target it dominates in (x1, x2).
-
-    Entries are (x1, x2, graph-vertex) triples; dominance is inclusive.
-    Recursion halves the x1 range; within a single x1 column entries are
-    chained in x2 order, sources before targets at equal x2.
-    """
-    if not sources or not targets:
-        return
-    if hi - lo <= 1:
-        ents = sorted(
-            [(x2, 0, vid) for _, x2, vid in sources]
-            + [(x2, 1, vid) for _, x2, vid in targets]
-        )
-        for (_, _, u), (_, _, v) in zip(ents, ents[1:]):
-            b.arc(u, v)
-        return
-    mid = (lo + hi + 1) // 2
-    s_left = [s for s in sources if s[0] < mid]
-    s_right = [s for s in sources if s[0] >= mid]
-    t_left = [t for t in targets if t[0] < mid]
-    t_right = [t for t in targets if t[0] >= mid]
-    if s_left and t_right:
-        ts = sorted(t_right, key=lambda t: (t[1], t[2]))
-        label = f"{tag};d{depth};h={lo}..{hi}"
-        chain = [b.steiner(label) for _ in ts]
-        for sv, (_, _, tv) in zip(chain, ts):
-            b.arc(sv, tv)
-        for i in range(len(chain) - 1):
-            b.arc(chain[i], chain[i + 1])
-        xs = [t[1] for t in ts]
-        for _, sx2, sv in s_left:
-            k = bisect_left(xs, sx2)
-            if k < len(chain):
-                b.arc(sv, chain[k])
-    _dominance_connect(b, s_left, t_left, lo, mid, depth + 1, tag)
-    _dominance_connect(b, s_right, t_right, mid, hi, depth + 1, tag)
-
-
 def build_pathcover(g1, g2):
     """Join graph of a DAG and a dipath or second DAG via dipath covers.
 
-    One dominance structure per cover-path pair, on coordinates
-    (rank on the first path, from-rank on the second).
+    Each cover-path pair (i, j) is inclusive dominance in (x1, x2), wired
+    by one `_nest_connect` walk. Every vertex z that path i reaches and
+    path j reaches sits at (fr1(z, i), fr2(z, j)) as a sink; one on both
+    paths sits at its two ranks there and is a source too.
     """
     if g1.n != g2.n:
         raise ValueError("vertex-set mismatch")
@@ -312,21 +281,25 @@ def build_pathcover(g1, g2):
     fr2 = from_ranks(g2, pc2, order2)
     reached1 = fr1.reached(pc1.kappa)
     b = _Builder(g1.n)
-    for (i, j), shared in shared_vertices(pc1, pc2).items():
-        tag = f"pathcover;i{i};j{j}"
-        sources = []
-        for a in shared:
-            sv = b.steiner(f"{tag};src")
-            b.arc(a, sv)
-            sources.append((pc1.path_of[a][1], pc2.path_of[a][1], sv))
-        targets = []
+    for i, j in shared_vertices(pc1, pc2):
+        # The walk goes by x1, sources first, and every range runs to its
+        # end. h ranks (-x2, is source) densely, so a source lies above
+        # exactly the sinks of its x2 or more and the slab stays within
+        # the walk.
+        ents = []
         for z in reached1[i]:
-            if j not in fr2.rows[z]:
-                continue
-            tv = b.steiner(f"{tag};dst")
-            b.arc(tv, z)
-            targets.append((fr1.rows[z][i], fr2.rows[z][j], tv))
-        _dominance_connect(b, sources, targets, 0, len(pc1.paths[i]), 0, tag)
+            x2 = fr2.rows[z].get(j)
+            if x2 is not None:
+                src = pc1.path_of[z][0] == i and pc2.path_of[z][0] == j
+                ents.append((fr1.rows[z][i], not src, (-x2, src), z))
+        ents.sort()
+        keys = sorted({e[2] for e in ents})
+        rank = {k: r for r, k in enumerate(keys)}
+        h = [rank[e[2]] for e in ents]
+        m = len(ents)
+        _nest_connect(b, [p for p in range(m) if not ents[p][1]], list(range(m)),
+                      [m - 1] * m, h, 0, len(keys), [e[3] for e in ents],
+                      f"pathcover;i{i};j{j}")
     return b.finish()
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from joinreach import classes, cover, explicit, jrindex
+from joinreach import classes, cli, cover, explicit, jrindex
 from joinreach import graph as graph_mod
 from joinreach.classes import index
 from joinreach.cli import main
@@ -94,6 +94,7 @@ MALFORMED_FILES = {
     "join-m-too-low": (".jg", "4 1 digraph\n0 1\n1 2\nsteiner 0\n"),
     "join-m-too-high": (".jg", "4 2 digraph\n0 1\nsteiner 0\n"),
     "join-k-too-low": (".jg", "4 1 digraph\n0 1\nsteiner 0\nt0\n"),
+    "join-tag-without-depth": (".jg", "4 1 digraph\n0 3\nsteiner 1\nt0\n"),
     "graph-empty": (".g", ""),
     "graph-m-too-high": (".g", "3 5 digraph\n0 1\n"),
     "graph-m-too-low": (".g", "3 1 digraph\n0 1\n1 2\n"),
@@ -124,6 +125,33 @@ def test_cli_stats_two_paths_ratio(tmp_path, capsys):
     )
     assert int(lines["n"]) == 1024
     assert float(lines["ratio_log"]) <= 3.0
+
+
+@pytest.mark.parametrize("cls,kind1,kind2", [
+    ("two-paths", "bitrev", None),
+    ("two-trees", "out-tree", "in-tree"),
+    ("unoriented-trees", "utree-random", "path"),
+    ("pathcover", "dag-gnp", "path"),
+])
+def test_cli_stats_steiner_rows_per_depth(tmp_path, capsys, cls, kind1, kind2):
+    a, b, out = tmp_path / "a.g", tmp_path / "b.g", tmp_path / "j.jg"
+    if kind2 is None:
+        assert main(["gen", "--kind", kind1, "--n", "256", "-o", str(a), str(b)]) == 0
+    else:
+        assert main(["gen", "--kind", kind1, "--n", "256", "--seed", "3", "-o", str(a)]) == 0
+        assert main(["gen", "--kind", kind2, "--n", "256", "--seed", "4", "-o", str(b)]) == 0
+    assert main(["build", "--class", cls, str(a), str(b), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["stats", str(out)]) == 0
+    rows = dict(ln.split("\t") for ln in capsys.readouterr().out.strip().splitlines())
+    per_depth = {k: int(v) for k, v in rows.items() if k.startswith("steiner_d")}
+    assert per_depth and all(per_depth.values()), rows
+    assert sum(per_depth.values()) == int(rows["steiner"])
+    want = {}
+    for tag in read_join(str(out)).steiner_tags:
+        key = "steiner_" + tag.split(";")[-2]
+        want[key] = want.get(key, 0) + 1
+    assert per_depth == want
 
 
 def test_cli_class_detection_and_swap(tmp_path, capsys):
@@ -242,6 +270,14 @@ def test_cli_bench_table_shape(capsys):
     for ln in lines[1:]:
         cols = ln.split("\t")
         assert cols[0] == "paths" and cols[2] == "256" and cols[7] == "ok"
+
+
+def test_cli_bench_exits_1_when_a_row_fails(monkeypatch, capsys):
+    failing = explicit.VerifyReport(False, (0, 1, "missing"), 1)
+    monkeypatch.setattr(cli, "verify_join_graph", lambda jg, g1, g2: failing)
+    assert main(["bench", "--suite", "paths", "--max-n", "256"]) == 1
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert rows and all(ln.split("\t")[7] == "FAIL" for ln in rows)
 
 
 def test_cli_gen_output_count_mismatch(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -119,20 +120,26 @@ def test_two_paths_steiner_tags_stay_in_their_slab():
         ("tree-path", build_tree_path(in_tree, rand_perm_path(rng, n))),
         ("two-trees", build_two_trees(out_tree, in_tree)),
         ("tree-path", build_tree_path(rand_utree(rng, n), rand_perm_path(rng, n))),
+        ("pathcover", build_pathcover(rand_dag(rng, n, 0.1), rand_perm_path(rng, n))),
     ]
     # tag format: <label>[;i<i>;j<j>[;rev]][;p<k>];d<depth>;h=<lo>..<hi>; the
-    # slab at depth d is a ceil-halving of [0, m) for m <= n pair members,
-    # so its width is at most ceil(n / 2^d)
+    # slab at depth d is a ceil-halving of [0, m), where m <= n for the
+    # members of a block pair and m <= 2n for a cover-path pair, whose h
+    # ranks each x2 once as a sink and once as a source; so its width is at
+    # most ceil(m / 2^d)
     for label, jg in cases:
+        m = 2 * n if label == "pathcover" else n
         assert jg.steiner_count > 0, label
         for tag in jg.steiner_tags:
             parts = tag.split(";")
             assert parts[0] == label
+            if label == "pathcover":
+                assert parts[1][0] == "i" and parts[2][0] == "j" and len(parts) == 5, tag
             assert parts[-2][0] == "d" and parts[-1].startswith("h="), tag
             depth = int(parts[-2][1:])
             lo, hi = (int(x) for x in parts[-1][2:].split(".."))
-            assert 0 <= lo < hi <= n
-            assert hi - lo <= math.ceil(n / 2 ** depth)
+            assert 0 <= lo < hi <= m
+            assert hi - lo <= math.ceil(m / 2 ** depth)
     # two rooted trees that are not chains are wired in 3-D
     assert all(tag.split(";")[1][0] == "p" for tag in cases[3][1].steiner_tags)
 
@@ -326,6 +333,79 @@ def test_pathcover_antichain_is_reflexive_only():
     for a in range(10):
         for b in range(10):
             assert m.reach(a, b) == (a == b)
+    # a join with no arc is the bare vertex set, with no relay
+    for n in (1, 2, 64):
+        g1, p2 = Digraph(n, []), dipath_of(list(range(n)))
+        jg = build_pathcover(g1, p2)
+        assert (jg.steiner_count, jg.size) == (0, n), n
+
+
+def test_pairs_with_an_empty_join_get_no_relay():
+    # a dipath or out-tree against its reverse relates no two vertices
+    rng = random.Random(45)
+    for n in (1, 2, 64):
+        p = rand_perm_path(rng, n)
+        t = rand_tree(rng, n, "out-tree")
+        cases = [
+            (build_two_paths, p, Digraph(n, [(v, u) for u, v in p.arcs], kind="path")),
+            (build_two_trees, t, Digraph(n, [(v, u) for u, v in t.arcs], kind="in-tree")),
+        ]
+        for build, g1, g2 in cases:
+            jg = build(g1, g2)
+            assert verify_join_graph(jg, g1, g2).ok
+            assert (jg.steiner_count, jg.size) == (0, n), (build.__name__, n)
+
+
+def assert_relays_live(jg):
+    """Every Steiner vertex is reached from an original vertex and reaches
+    one, so none is dead weight."""
+    g, n = jg.graph, jg.n_original
+    for adj in (g.out, g.inn):
+        seen = [False] * g.n
+        stack = list(range(n))
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        dead = [v for v in range(n, g.n) if not seen[v]]
+        assert not dead, (len(dead), jg.steiner_tags[dead[0] - n])
+
+
+def _tree_mix(rng, kind, n):
+    if kind == "dipath":
+        return rand_perm_path(rng, n)
+    if kind == "upath":
+        return rand_upath(rng, n)
+    if kind == "zigzag":
+        return zigzag_path(n)
+    if kind == "utree":
+        return rand_utree(rng, n)
+    return rand_tree(rng, n, kind)
+
+
+def test_every_relay_is_live():
+    rng = random.Random(47)
+    shapes = ("dipath", "upath", "zigzag", "out-tree", "in-tree", "utree")
+    for n in (1, 2, 3, 6, 13, 24, 48):
+        for k1, k2 in product(shapes, repeat=2):
+            g1, g2 = _tree_mix(rng, k1, n), _tree_mix(rng, k2, n)
+            jg = build_unoriented_trees(g1, g2)
+            assert verify_join_graph(jg, g1, g2).ok, (k1, k2, n)
+            assert_relays_live(jg)
+    n = 2
+    while n <= 256:
+        p1, p2 = gen_bitreversal(n)
+        jg = build_two_paths(p1, p2)
+        assert_relays_live(jg)
+        n *= 2
+    for _ in range(10):
+        n = rng.randrange(2, 49)
+        g1 = rand_dag(rng, n, 0.15)
+        for g2 in (rand_perm_path(rng, n), rand_dag(rng, n, 0.15), rand_tree(rng, n, "out-tree")):
+            jg = build_pathcover(g1, g2)
+            assert verify_join_graph(jg, g1, g2).ok
+            assert_relays_live(jg)
 
 
 def test_pathcover_random_dag_and_path():
