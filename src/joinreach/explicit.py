@@ -343,9 +343,22 @@ def verify_join_graph(jg, g1, g2):
 
 
 def _original_reach_rows(jg):
-    """Reachability over originals through the full join graph, cycle-safe."""
+    """Reachability over originals through the full join graph.
+
+    Every builder's output is acyclic, so one row OR per arc in reverse
+    topological order; a cyclic join file is condensed first.
+    """
     g = jg.graph
     n = jg.n_original
+    order = topo_order(g)
+    if order is not None:
+        rows = [0] * g.n
+        for v in reversed(order):
+            bits = 1 << v if v < n else 0
+            for w in g.out[v]:
+                bits |= rows[w]
+            rows[v] = bits
+        return rows[:n]
     comp_of, comps = tarjan_scc(g)
     c = len(comps)
     crow = [0] * c

@@ -2,6 +2,21 @@
 by transitive reduction. No auxiliary vertices are introduced, so the
 result is the minimum-size digraph over the original vertex set whose
 closure equals the AND.
+
+The reduction works on whole bit rows. In a reflexive, transitive
+relation two vertices are mutually related iff their rows are equal, so
+the classes come from one dict over the row ints, and the smallest
+member represents its class. Each representative's row is then swept
+once: the lowest candidate successor not yet covered is taken and all it
+strictly reaches is covered. That is at most one step per set bit of the
+row, and one per cover arc when ids follow a topological order.
+
+The same pass checks transitivity, word-parallel: a reflexive matrix is
+transitive iff each representative's row is the OR of its class and its
+cover successors' rows. If so, a cycle of cover arcs would force equal
+rows, so the cover arcs are acyclic and each row is closed by induction
+along them; conversely, in a transitive matrix every bit outside a
+row's class lies in the row of some cover successor.
 """
 
 from __future__ import annotations
@@ -17,57 +32,51 @@ def and_closure(m1, m2):
 def transitive_reduction(m):
     """Minimum digraph over 0..n-1 whose closure equals the matrix m.
 
-    Mutually-related classes are condensed, the class-level reduction
-    keeps exactly the cover arcs, and each class with two or more members
-    is re-expanded as a simple cycle in increasing id order. For the
-    acyclic part the result is the unique reduction.
+    Mutually-related classes (equal rows) are condensed, each keeps
+    exactly its cover arcs between representatives, and each class with
+    two or more members is re-expanded as a simple cycle in increasing id
+    order. For the acyclic part the result is the unique reduction.
+    Raises ValueError unless m is reflexive and transitive.
     """
-    n = m.n
-    if any(not (m.rows[a] >> a & 1) for a in range(n)):
+    rows = m.rows
+    if any(not (row >> a & 1) for a, row in enumerate(rows)):
         raise ValueError("matrix is not reflexive")
-    if not m.is_transitive():
-        raise ValueError("matrix is not transitive")
 
-    cls_of = [-1] * n
-    classes = []
-    for v in range(n):
-        if cls_of[v] != -1:
-            continue
-        cid = len(classes)
-        members = [w for w in range(n) if (m.rows[v] >> w & 1) and (m.rows[w] >> v & 1)]
-        for w in members:
-            cls_of[w] = cid
-        classes.append(members)
-
-    c = len(classes)
-    crow = [0] * c
-    for ci, members in enumerate(classes):
-        row = m.rows[members[0]]
-        bits = 0
-        for cj in range(c):
-            if row >> classes[cj][0] & 1:
-                bits |= 1 << cj
-        crow[ci] = bits
+    classes = {}
+    for v, row in enumerate(rows):
+        classes.setdefault(row, []).append(v)
+    reps = 0
+    for members in classes.values():
+        reps |= 1 << members[0]
 
     arcs = []
-    for ci, members in enumerate(classes):
+    for row, members in classes.items():
+        a = members[0]
+        rebuilt = 0
+        for v in members:
+            rebuilt |= 1 << v
         if len(members) > 1:
-            for i in range(len(members)):
-                arcs.append((members[i], members[(i + 1) % len(members)]))
-        # cover arcs: successors not implied through an intermediate class
-        cand = crow[ci] & ~(1 << ci)
+            arcs.extend(zip(members, members[1:] + members[:1]))
+        # Take the lowest candidate not yet covered and cover all it
+        # strictly reaches; what stays uncovered are the cover arcs.
+        cand = (row & reps) ^ (1 << a)
         covered = 0
         rest = cand
         while rest:
-            cj = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            covered |= crow[cj] & ~(1 << cj)
+            low = rest & -rest
+            covered |= rows[low.bit_length() - 1] ^ low
+            rest = (rest ^ low) & ~covered
         keep = cand & ~covered
         while keep:
-            cj = (keep & -keep).bit_length() - 1
-            keep &= keep - 1
-            arcs.append((classes[ci][0], classes[cj][0]))
-    return Digraph(n, arcs)
+            low = keep & -keep
+            keep ^= low
+            b = low.bit_length() - 1
+            rebuilt |= rows[b]
+            arcs.append((a, b))
+        # the transitivity test of the module docstring
+        if rebuilt != row:
+            raise ValueError("matrix is not transitive")
+    return Digraph(m.n, arcs)
 
 
 def minimal_restricted_join(g1, g2):

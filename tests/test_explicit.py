@@ -22,6 +22,7 @@ from joinreach.graph import (
     GraphClassError,
     dipath_of,
     split_unoriented_path,
+    topo_order,
     transitive_closure,
 )
 
@@ -459,6 +460,67 @@ def test_verify_detects_mutations():
     rep = verify_join_graph(JoinGraph(g3, jg.n_original, jg.steiner_tags), chain, chain)
     assert not rep.ok
     assert rep.first_violation[2] == "spurious"
+
+
+def _bfs_report(jg, g1, g2):
+    """verify_join_graph's report, from a BFS over the join graph per original."""
+    n = jg.n_original
+    want = transitive_closure(g1).and_with(transitive_closure(g2))
+    g = jg.graph
+    for a in range(n):
+        seen = {a}
+        queue = [a]
+        for v in queue:
+            for w in g.out[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        for b in range(n):
+            if (b in seen) != want.reach(a, b):
+                return False, (a, b, "spurious" if b in seen else "missing"), n * n
+    return True, None, n * n
+
+
+def test_verify_matches_bfs_on_perturbed_join_graphs():
+    rng = random.Random(53)
+    builds = []
+    for _ in range(12):
+        n = rng.randrange(2, 20)
+        g1, g2 = rand_perm_path(rng, n), rand_perm_path(rng, n)
+        builds.append((build_two_paths(g1, g2), g1, g2))
+        kinds = ("out-tree", "in-tree")
+        g1, g2 = rand_tree(rng, n, rng.choice(kinds)), rand_tree(rng, n, rng.choice(kinds))
+        builds.append((build_two_trees(g1, g2), g1, g2))
+        g1, g2 = rand_dag(rng, n, 0.25), rand_dag(rng, n, 0.25)
+        builds.append((build_pathcover(g1, g2), g1, g2))
+    cyclic = steiner_cycles = 0
+    for jg, g1, g2 in builds:
+        g = jg.graph
+        n = jg.n_original
+        variants = [list(g.arcs)]
+        # a cycle through Steiner vertices only: reverse a Steiner-Steiner arc,
+        # or join two Steiner vertices both ways
+        inner = [(u, v) for u, v in g.arcs if u >= n and v >= n]
+        if inner:
+            u, v = rng.choice(inner)
+            variants.append(list(g.arcs) + [(v, u)])
+        elif g.n - n >= 2:
+            u, v = rng.sample(range(n, g.n), 2)
+            variants.append(list(g.arcs) + [(u, v), (v, u)])
+        for _ in range(3):
+            extra = [tuple(rng.sample(range(g.n), 2)) for _ in range(rng.randrange(1, 4))]
+            kept = [arc for arc in g.arcs if rng.random() < 0.9]
+            variants.append(kept + extra)
+        for arcs in variants:
+            h = Digraph(g.n, arcs)
+            if topo_order(h) is None:
+                cyclic += 1
+                sub = Digraph(g.n, [(u, v) for u, v in h.arcs if u >= n and v >= n])
+                steiner_cycles += topo_order(sub) is None
+            rep = verify_join_graph(JoinGraph(h, n, jg.steiner_tags), g1, g2)
+            assert (rep.ok, rep.first_violation, rep.pairs_checked) == _bfs_report(
+                JoinGraph(h, n, jg.steiner_tags), g1, g2)
+    assert cyclic and steiner_cycles and cyclic < len(builds) * 5
 
 
 def test_join_format_roundtrip():
