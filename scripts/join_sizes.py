@@ -5,14 +5,18 @@ Run from the repository root:
     PYTHONPATH=src python scripts/join_sizes.py -o sizes.json
     PYTHONPATH=src python scripts/join_sizes.py --against sizes.json
 
-The first form writes each pair's size; the second, run on another
-checkout, compares with such a file and exits 1 when a pair is larger.
-Every output is checked with `verify_join_graph` as it is built.
+The first form writes each pair's size and the SHA-256 of its join file
+(`format_join`); the second, run on another checkout, compares with such
+a file, counts the pairs whose bytes changed and exits 1 when a pair is
+larger. Files of `[builder, n, size]` rows, without hashes, still
+compare by size. Every output is checked with `verify_join_graph` as it
+is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -43,7 +47,7 @@ BUILDERS = ("build_two_paths", "build_tree_path", "build_two_trees",
 
 
 def corpus_sizes():
-    """[(builder, n, size)] for 60 seeded pairs per builder, n < 80."""
+    """[(builder, n, size, sha256)] for 60 seeded pairs per builder, n < 80."""
     rng = random.Random(0)
     out = []
     for builder in BUILDERS:
@@ -53,7 +57,8 @@ def corpus_sizes():
             jg = getattr(explicit, builder)(g1, g2)
             if not explicit.verify_join_graph(jg, g1, g2).ok:
                 raise SystemExit(f"{builder} at n={n}: output fails verification")
-            out.append((builder, n, jg.size))
+            digest = hashlib.sha256(explicit.format_join(jg).encode()).hexdigest()
+            out.append((builder, n, jg.size, digest))
     return out
 
 
@@ -64,8 +69,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sizes = corpus_sizes()
     for builder in BUILDERS:
-        print(f"{builder}\t{sum(s for b, _, s in sizes if b == builder)}")
-    print(f"total\t{sum(s for *_, s in sizes)}")
+        print(f"{builder}\t{sum(s[2] for s in sizes if s[0] == builder)}")
+    print(f"total\t{sum(s[2] for s in sizes)}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             json.dump(sizes, f)
@@ -74,6 +79,11 @@ def main(argv=None):
             old = json.load(f)
         larger = [(k, o, s) for k, (o, s) in enumerate(zip(old, sizes)) if s[2] > o[2]]
         print(f"against\t{sum(o[2] for o in old)}\tlarger pairs\t{len(larger)}")
+        if all(len(o) > 3 for o in old):
+            changed = sum(o[3] != s[3] for o, s in zip(old, sizes))
+            print(f"changed pairs\t{changed}")
+        else:
+            print("changed pairs\tunknown: the file has no hashes")
         for k, o, s in larger:
             print(f"  pair {k} {s[0]} n={s[1]}: {o[2]} -> {s[2]}")
         return 1 if larger else 0

@@ -17,9 +17,11 @@ gives one chain block per maximal run, a dipath exactly one) is walked
 along the first block's nested intervals, halving a rank range of the
 second. A pair whose members form a chain in the second block, as with a
 path second, needs one such wiring; any other pair gets one per level of
-an outer halving of a second rank. Path covers: each pair of cover paths
-is one walk in x1 order whose ranges all run to its end, with h ranking
-x2, so it is inclusive dominance in (x1, x2).
+an outer halving of a second rank, which first drops the members that
+can never be wired (`_live`): no output changes, but a pair with nothing
+to wire stops at once. Path covers: each pair of cover paths is one walk
+in x1 order whose ranges all run to its end, with h ranking x2, so it is
+inclusive dominance in (x1, x2).
 
 Steiner tags end in `d<k>;h=<lo>..<hi>`: the recursion depth and the
 rank slab being halved. Before that comes the builder's label, then
@@ -193,17 +195,46 @@ def _interval_orders(vert, iv2, core2, o2):
 def _three_d_connect(b, srcs, snks, end, h2, h3, lo, hi, vert, tag, depth=0):
     """Wire each source to every sink of its nested range that lies below
     it in both h2 and h3: halve [lo, hi) in h3 and wire the upper half's
-    sources to the lower half's sinks in h2."""
+    sources to the lower half's sinks in h2. Members that can never be
+    wired, in h3 for the level and in h2 for the slab, are dropped first:
+    such a source never gets a relay, and such a sink never finds one."""
     if not srcs or not snks or hi - lo <= 1:
+        return
+    srcs, snks = _live(srcs, snks, end, h3)
+    if not srcs:
         return
     mid = (lo + hi + 1) // 2
     s_hi = [p for p in srcs if h3[p] >= mid]
     k_lo = [p for p in snks if h3[p] < mid]
-    _nest_connect(b, s_hi, k_lo, end, h2, 0, len(vert), vert, f"{tag};p{depth}")
+    s_live, k_live = _live(s_hi, k_lo, end, h2)
+    _nest_connect(b, s_live, k_live, end, h2, 0, len(vert), vert, f"{tag};p{depth}")
     _three_d_connect(b, s_hi, [p for p in snks if h3[p] >= mid], end, h2, h3,
                      mid, hi, vert, tag, depth + 1)
     _three_d_connect(b, [p for p in srcs if h3[p] < mid], k_lo, end, h2, h3,
                      lo, mid, vert, tag, depth + 1)
+
+
+def _live(srcs, snks, end, h):
+    """The sources whose nested range holds a sink below them in h, and the
+    sinks such a source encloses, ascending: one stack walk, the ranges
+    being laminar."""
+    is_src, is_snk = set(srcs), set(snks)
+    live, k_live = set(), []
+    stack = []  # enclosing sources: [end, source, max h on the stack, min sink h]
+    for p in sorted(is_src | is_snk) + [len(end)]:  # the last pops every range
+        while stack and stack[-1][0] < p:
+            _, s, _, low = stack.pop()
+            if low < h[s]:
+                live.add(s)
+            if stack:
+                stack[-1][3] = min(stack[-1][3], low)
+        if p in is_src:
+            stack.append([end[p], p, max(h[p], stack[-1][2]) if stack else h[p], len(h)])
+        if p in is_snk and stack:
+            if stack[-1][2] > h[p]:
+                k_live.append(p)
+            stack[-1][3] = min(stack[-1][3], h[p])
+    return [p for p in srcs if p in live], k_live
 
 
 def _nest_connect(b, srcs, snks, end, h, lo, hi, vert, tag, depth=0):

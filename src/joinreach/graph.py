@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 KINDS = ("digraph", "path", "out-tree", "in-tree", "utree", "planar-st")
@@ -26,9 +27,10 @@ class CyclicGraphError(ValueError):
 class Digraph:
     """Simple digraph over vertices 0..n-1.
 
-    Arcs are normalized on construction: self-loops and duplicates are
-    dropped and the arc list is stored sorted. Instances are treated as
-    immutable after construction.
+    Arcs are normalized on construction, in one pass over them sorted:
+    self-loops and duplicates are dropped, the arcs are stored sorted as
+    tuples, and an out-of-range arc raises, naming the first in input
+    order. Instances are treated as immutable after construction.
     """
 
     __slots__ = ("n", "arcs", "kind", "out", "inn", "out_order")
@@ -37,19 +39,26 @@ class Digraph:
         if kind not in KINDS:
             raise GraphClassError(f"unknown graph kind {kind!r}")
         self.n = n
-        seen = set()
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-            if u != v:
-                seen.add((u, v))
-        self.arcs = tuple(sorted(seen))
-        self.kind = kind
+        arcs = list(arcs)
+        srt, head = sorted(arcs), itemgetter(1)
+        if srt and not (0 <= srt[0][0] and srt[-1][0] < n
+                        and 0 <= min(srt, key=head)[1] and max(srt, key=head)[1] < n):
+            for u, v in arcs:  # in input order, to name the first bad arc
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"arc ({u},{v}) out of range for n={n}")
+        kept = []
         out = [[] for _ in range(n)]
         inn = [[] for _ in range(n)]
-        for u, v in self.arcs:
+        pu = pv = -1
+        for u, v in srt:  # a duplicate follows its twin once sorted
+            if u == v or (u == pu and v == pv):
+                continue
+            pu, pv = u, v
+            kept.append((u, v))
             out[u].append(v)
             inn[v].append(u)
+        self.arcs = tuple(kept)
+        self.kind = kind
         self.out = tuple(tuple(a) for a in out)
         self.inn = tuple(tuple(a) for a in inn)
         self.out_order = None

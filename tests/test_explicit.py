@@ -357,6 +357,43 @@ def test_pairs_with_an_empty_join_get_no_relay():
             assert (jg.steiner_count, jg.size) == (0, n), (build.__name__, n)
 
 
+def test_three_d_wiring_work_follows_the_output(monkeypatch):
+    # The 3-D wiring drops members that can never be wired before each
+    # level and each slab, so an out-tree against its own reverse, which
+    # has nothing to wire, stops at once. Without that, each of these
+    # builds made 47,104 wiring calls.
+    import joinreach.explicit as ex
+
+    stats = {"calls": 0, "depth": 0, "deepest": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            stats["calls"] += 1
+            stats["depth"] += 1
+            stats["deepest"] = max(stats["deepest"], stats["depth"])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stats["depth"] -= 1
+        return wrapper
+
+    monkeypatch.setattr(ex, "_nest_connect", counted(ex._nest_connect))
+    monkeypatch.setattr(ex, "_three_d_connect", counted(ex._three_d_connect))
+    n = 2048
+    lg = logceil(n)
+    rng = random.Random(53)
+    t = rand_tree(rng, n, "out-tree")
+    t_rev = Digraph(n, [(v, u) for u, v in t.arcs], kind="in-tree")
+    out_t, in_t = rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")
+    for g1, g2 in ((t, t_rev), (out_t, in_t), (in_t, out_t)):
+        stats.update(calls=0, deepest=0)
+        m = build_two_trees(g1, g2).graph.m
+        bound = 4 if g1 is t else 4 * (m + 1) * lg
+        assert stats["calls"] <= bound, (g1.kind, m, stats)
+        # one 3-D and one 2-D halving deep at most
+        assert stats["deepest"] <= 2 * lg + 2, (g1.kind, stats)
+
+
 def assert_relays_live(jg):
     """Every Steiner vertex is reached from an original vertex and reaches
     one, so none is dead weight."""

@@ -329,6 +329,38 @@ def test_normalization_drops_loops_and_duplicates():
     assert g.arcs == ((0, 1), (1, 2))
 
 
+def test_normalization_names_first_bad_arc_in_input_order():
+    # (0, 7) sorts before (5, 1) but comes after it in the input
+    with pytest.raises(ValueError, match=r"arc \(5,1\) out of range for n=4"):
+        Digraph(4, [(1, 2), (5, 1), (0, 7)])
+    with pytest.raises(ValueError, match=r"arc \(2,-1\) out of range for n=4"):
+        Digraph(4, [(0, 1), (2, -1), (-3, 0)])
+    with pytest.raises(ValueError, match=r"arc \(0,0\) out of range for n=0"):
+        Digraph(0, [(0, 0)])
+
+
+def test_normalization_stores_sorted_tuples_from_any_iterable():
+    want = ((0, 2), (1, 0), (1, 2))
+    for arcs in ([[1, 2], [0, 2], [1, 0]], ((u, v) for u, v in [(1, 2), (1, 0), (0, 2)])):
+        g = Digraph(3, arcs)
+        assert g.arcs == want and all(type(a) is tuple for a in g.arcs)
+        assert g.out == ((2,), (0, 2), ()) and g.inn == ((1,), (), (0, 1))
+    g = Digraph(0, [])
+    assert (g.n, g.arcs, g.out, g.inn) == (0, (), (), ())
+
+
+def test_normalization_matches_brute_force():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(30))]
+        g = Digraph(n, arcs)
+        want = sorted({(u, v) for u, v in arcs if u != v})
+        assert g.arcs == tuple(want)
+        assert g.out == tuple(tuple(v for u, v in want if u == w) for w in range(n))
+        assert g.inn == tuple(tuple(u for u, v in want if v == w) for w in range(n))
+
+
 def test_path_order_roundtrip():
     order = [3, 1, 4, 0, 2]
     g = dipath_of(order)
