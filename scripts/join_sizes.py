@@ -5,12 +5,15 @@ Run from the repository root:
     PYTHONPATH=src python scripts/join_sizes.py -o sizes.json
     PYTHONPATH=src python scripts/join_sizes.py --against sizes.json
 
-The first form writes each pair's size and the SHA-256 of its join file
-(`format_join`); the second, run on another checkout, compares with such
-a file, counts the pairs whose bytes changed and exits 1 when a pair is
-larger. Files of `[builder, n, size]` rows, without hashes, still
-compare by size. Every output is checked with `verify_join_graph` as it
-is built.
+The first form writes each pair's size, the SHA-256 of its join file
+(`format_join`) and the SHA-256 of every vertex's `query_counted` triple
+from the pair's index (`classes.index`, plus `index_hpd_two_trees` when
+both graphs are rooted trees, one an out-tree). The second, run on
+another checkout, compares with such a file, counts the pairs whose join
+bytes and whose index answers changed, and exits 1 when a pair is
+larger. Files of `[builder, n, size]` or `[builder, n, size, sha256]`
+rows, written before the hashes they lack, still compare by what they
+hold. Every output is checked with `verify_join_graph` as it is built.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import json
 import random
 import sys
 
-from joinreach import explicit
+from joinreach import classes, explicit
+from joinreach.jrindex import index_hpd_two_trees
 from joinreach.gen import rand_dag, rand_path, rand_tree, rand_upath, rand_utree
 
 
@@ -46,8 +50,24 @@ BUILDERS = ("build_two_paths", "build_tree_path", "build_two_trees",
             "build_unoriented_trees", "build_pathcover")
 
 
+def _index_digest(g1, g2):
+    """SHA-256 of every vertex's `query_counted` triple, from the pair's
+    class index and, for an out-tree with a rooted tree, the heavy-path
+    index."""
+    indexes = [classes.index(g1, g2)]
+    kinds = {g1.kind, g2.kind}
+    if "out-tree" in kinds and kinds <= {"out-tree", "in-tree"}:
+        indexes.append(index_hpd_two_trees(g1, g2))
+    h = hashlib.sha256()
+    for idx in indexes:
+        for b in range(g1.n):
+            h.update(repr(idx.query_counted(b)).encode())
+    return h.hexdigest()
+
+
 def corpus_sizes():
-    """[(builder, n, size, sha256)] for 60 seeded pairs per builder, n < 80."""
+    """[(builder, n, size, join sha256, index sha256)] for 60 seeded pairs
+    per builder, n < 80."""
     rng = random.Random(0)
     out = []
     for builder in BUILDERS:
@@ -58,7 +78,7 @@ def corpus_sizes():
             if not explicit.verify_join_graph(jg, g1, g2).ok:
                 raise SystemExit(f"{builder} at n={n}: output fails verification")
             digest = hashlib.sha256(explicit.format_join(jg).encode()).hexdigest()
-            out.append((builder, n, jg.size, digest))
+            out.append((builder, n, jg.size, digest, _index_digest(g1, g2)))
     return out
 
 
@@ -79,11 +99,11 @@ def main(argv=None):
             old = json.load(f)
         larger = [(k, o, s) for k, (o, s) in enumerate(zip(old, sizes)) if s[2] > o[2]]
         print(f"against\t{sum(o[2] for o in old)}\tlarger pairs\t{len(larger)}")
-        if all(len(o) > 3 for o in old):
-            changed = sum(o[3] != s[3] for o, s in zip(old, sizes))
-            print(f"changed pairs\t{changed}")
-        else:
-            print("changed pairs\tunknown: the file has no hashes")
+        for col, what in ((3, "changed pairs"), (4, "changed index pairs")):
+            if all(len(o) > col for o in old):
+                print(f"{what}\t{sum(o[col] != s[col] for o, s in zip(old, sizes))}")
+            else:
+                print(f"{what}\tunknown: the file has no such hashes")
         for k, o, s in larger:
             print(f"  pair {k} {s[0]} n={s[1]}: {o[2]} -> {s[2]}")
         return 1 if larger else 0

@@ -187,6 +187,14 @@ def from_ranks(g, pc, order=None):
     return FromRanks(rows)
 
 
+def band_stride(n):
+    """Pair stride of the packed structures here and in `jrindex`. It
+    exceeds every x1 they hold or query: cover positions lie below n, and
+    doubled DFS or contracted-tree times (a layer's contracted tree may
+    add a root to its members) reach at most 4n + 4."""
+    return 4 * n + 5
+
+
 def paths_against_tree(paths, rows, tree):
     """Per-vertex reports of dipaths of one graph against a rooted tree.
 
@@ -204,7 +212,7 @@ def paths_against_tree(paths, rows, tree):
     arguments); the named method returns (payloads, probes).
     """
     n = len(rows)
-    stride = 4 * n + 1  # doubled DFS times and query points lie in 2..4n
+    stride = band_stride(n)
     iv = dfs_intervals(tree)
     s, t = iv.s, iv.t
     lists = [[] for _ in range(n)]

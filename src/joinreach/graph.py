@@ -1,15 +1,16 @@
 """Directed-graph substrate shared by every other module.
 
 Provides the adjacency digraph with class tags, bitset reachability
-closures, strong-component condensation of a digraph pair, layer
-decomposition into 2-layered graphs, DFS intervals on rooted trees, and
-path runs and tree blocks.
+closures, strong-component condensation of a digraph pair, the layer
+partition of an unoriented tree with the contracted DFS intervals of its
+layer graphs, DFS intervals on rooted trees, and path runs and tree
+blocks.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 
@@ -35,7 +36,7 @@ class Digraph:
 
     __slots__ = ("n", "arcs", "kind", "out", "inn", "out_order")
 
-    def __init__(self, n, arcs, kind="digraph", out_order=None, validate=True):
+    def __init__(self, n, arcs, kind="digraph", out_order=None):
         if kind not in KINDS:
             raise GraphClassError(f"unknown graph kind {kind!r}")
         self.n = n
@@ -70,8 +71,7 @@ class Digraph:
                         f"out-arc order of vertex {v} is not a permutation of its out-arcs"
                     )
             self.out_order = order
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def m(self):
@@ -392,67 +392,40 @@ def condense_pair(g1, g2):
 
 
 @dataclass
-class LayeredGraph:
-    """One 2-layered member of a layer decomposition, over local ids.
+class LayerDecomposition:
+    """The layers of a tree, as a partition of its vertices.
 
-    Local vertex 0 is always the root r0. For the first graph of a
-    sequence the root is the start vertex itself; later roots stand for
-    the contraction of all earlier layers.
+    iota[v] is v's layer. up[v] is the vertex v was first reached from
+    when that lies in v's own layer, else -1: v hangs off the root of its
+    layer graph (v0 also has -1). fringe_root[(v, i)] is the vertex of
+    layer i that v, a vertex of layer i + 1, hangs off in graph i.
     """
 
-    index: int
-    digraph: Digraph
-    orig_of: list
-    local_of: dict
-
-    @property
-    def root_local(self):
-        return 0
-
-
-@dataclass
-class LayerDecomposition:
     layers: list
     iota: list
-    graphs: list
-    roles: dict = field(default_factory=dict)
-    fringe_root: dict = field(default_factory=dict)
+    up: list
+    fringe_root: dict
 
     @property
     def mu(self):
         return len(self.layers)
 
-    def role(self, v, i):
-        return self.roles.get((v, i), "absent")
-
-    def graphs_of(self, v):
-        """Indices of the graphs where v appears as a non-root vertex."""
-        i = self.iota[v]
-        out = []
-        if i - 1 >= 0:
-            out.append(i - 1)
-        if i < len(self.graphs):
-            out.append(i)
-        return out
-
-    def total_size(self):
-        return sum(lg.digraph.size for lg in self.graphs)
-
 
 def layer_decompose(g, v0=None):
-    """Partition g into layers and the induced 2-layered graph sequence.
+    """Partition g into layers, the cores of its 2-layered graph sequence.
 
     Layer 0 holds v0 and everything reachable from it; odd layers gather
     the remaining vertices that reach earlier layers, even layers those
     reachable from earlier layers. Graph i is induced by layers i, i+1
-    plus a root contracting everything earlier. Requires g acyclic (as a
-    digraph) and weakly connected.
+    plus a root contracting everything earlier; only the partition is
+    returned. Requires g acyclic (as a digraph) and weakly connected.
 
     Each layer is one search from the layer before it over unassigned
     vertices: the earlier layers are already closed in the search's
-    direction, so O(n + m) in total. The search also records, for each
-    vertex of layer i+1, the vertex of layer i its fringe tree hangs off
-    in graph i (`fringe_root`).
+    direction, so O(n + m) in total. The search also records each
+    vertex's parent in its layer (`up`) and, for each vertex of layer
+    i+1, the vertex of layer i its fringe tree hangs off in graph i
+    (`fringe_root`).
     """
     n = g.n
     if v0 is None:
@@ -461,6 +434,7 @@ def layer_decompose(g, v0=None):
         raise ValueError(f"v0={v0} out of range")
     iota = [-1] * n
     iota[v0] = 0
+    up = [-1] * n
     fringe_root = {}
 
     def search(i, seeds):
@@ -472,6 +446,8 @@ def layer_decompose(g, v0=None):
             for w in adj[v]:
                 if iota[w] < 0:
                     iota[w] = i
+                    if iota[v] == i:
+                        up[w] = v
                     if i:
                         fringe_root[(w, i - 1)] = v if iota[v] < i else fringe_root[(v, i - 1)]
                     found.append(w)
@@ -486,72 +462,38 @@ def layer_decompose(g, v0=None):
             raise ValueError("layer decomposition requires a weakly connected graph")
         assigned += len(cur)
         layers.append(cur)
-    layers = [sorted(layer) for layer in layers]
-
-    mu = len(layers)
-    graphs = []
-    roles = {}
-    for i, core in enumerate(layers):
-        fringe = layers[i + 1] if i + 1 < mu else []
-        if i == 0:
-            locs = [v0] + [v for v in core if v != v0] + fringe
-        else:
-            locs = [None] + core + fringe
-        local_of = {v: k for k, v in enumerate(locs) if v is not None}
-        arcs = set()
-        for v, lv in local_of.items():
-            for w in g.out[v]:
-                lw = local_of.get(w, 0 if iota[w] < i else None)
-                if lw is not None:
-                    arcs.add((lv, lw))
-            for w in g.inn[v]:
-                lw = local_of.get(w, 0 if iota[w] < i else None)
-                if lw is not None:
-                    arcs.add((lw, lv))
-        graphs.append(LayeredGraph(i, Digraph(len(locs), arcs), locs, local_of))
-        for v in core:
-            roles[(v, i)] = "core"
-        for v in fringe:
-            roles[(v, i)] = "fringe"
-    return LayerDecomposition(layers, iota, graphs, roles, fringe_root)
+    return LayerDecomposition([sorted(layer) for layer in layers], iota, up, fringe_root)
 
 
 def contracted_intervals(dec, i):
-    """DFS intervals of layer graph i with its fringe trees contracted.
+    """{core vertex: DFS interval} of layer graph i, fringe trees contracted.
 
-    Returns (interval per original core vertex, root interval). Core
-    vertices form a connected crown at the root, so the contracted tree
-    is induced on the root plus the core vertices.
+    Core vertices form a connected crown at the graph's root, so the
+    contracted tree is the root plus layer i, each vertex below its `up`
+    (or the root), children in increasing id. In tree g the path to the
+    root is unique, so the search parent is the tree parent. Layer 0's
+    root is v0, a core vertex; a later layer's root stands for the earlier
+    layers and takes the first tick, its own interval unused.
     """
-    lg = dec.graphs[i]
-    parent = tree_parents(lg.digraph, 0)
-    core_locals = [0] + [lg.local_of[v] for v in dec.layers[i] if lg.local_of[v] != 0]
-    children = {c: [] for c in core_locals}
-    for c in core_locals[1:]:
-        children[parent[c]].append(c)
-    for c in children:
-        children[c].sort(key=lambda x: lg.orig_of[x] if lg.orig_of[x] is not None else -1)
-    s = {}
-    t = {}
-    clock = 0
-    stack = [(0, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            clock += 1
-            t[v] = clock
-            continue
-        clock += 1
-        s[v] = clock
-        stack.append((v, True))
-        for w in reversed(children[v]):
-            stack.append((w, False))
+    core, up = dec.layers[i], dec.up
+    kids = {v: [] for v in core}
+    top = []  # v0 in layer 0, else the vertices below the contracted root
+    for v in core:
+        (kids[up[v]] if up[v] >= 0 else top).append(v)
+    clock = 1 if i else 0
+    start = {}
     iv = {}
-    for c in core_locals:
-        orig = lg.orig_of[c]
-        if orig is not None:
-            iv[orig] = (s[c], t[c])
-    return iv, (s[0], t[0])
+    stack = top[::-1]
+    while stack:
+        v = stack.pop()
+        clock += 1
+        if v < 0:
+            iv[~v] = (start[~v], clock)
+            continue
+        start[v] = clock
+        stack.append(~v)
+        stack.extend(reversed(kids[v]))
+    return iv
 
 
 @dataclass
@@ -640,7 +582,7 @@ def tree_blocks(g):
     of = [[] for _ in range(n)]
     for i, core in enumerate(dec.layers):
         fringe = dec.layers[i + 1] if i + 1 < dec.mu else []
-        civ, _root = contracted_intervals(dec, i)
+        civ = contracted_intervals(dec, i)
         su_iv = {v: (2 * civ[v][0], 2 * civ[v][1]) for v in core}
         for v in fringe:
             su_iv[v] = su_iv[dec.fringe_root[(v, i)]]

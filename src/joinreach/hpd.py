@@ -98,6 +98,11 @@ class HpdTwoTrees:
     hpd: HeavyPathDecomp
     lists: list
 
+    def query_counted(self, b):
+        """(predecessor set, probes, keys of the heavy paths touched)."""
+        res, probes = hpd_two_trees_report(self, b)
+        return res, probes, [key for key, *_ in self.lists[b]]
+
 
 def hpd_two_trees_build(t1, t2):
     if t1.kind != "out-tree":

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .cover import from_ranks, min_path_cover, paths_against_tree, shared_vertices
+from .cover import band_stride, from_ranks, min_path_cover, paths_against_tree, shared_vertices
 from .geom import CartesianTree, EnclosureIndex, HSegment, RangeTree2D, Rect, SegRayIndex
 from .graph import (
     CyclicGraphError,
@@ -41,7 +41,7 @@ from .graph import (
     transitive_closure,
     tree_blocks,
 )
-from .hpd import hpd_two_trees_build, hpd_two_trees_report
+from .hpd import hpd_two_trees_build
 
 
 class JRIndex:
@@ -92,14 +92,6 @@ class _Packed:
         return out, probes, pairs
 
 
-def _stride(n):
-    """Pair stride of the packed structures. It exceeds every x1 they hold
-    or query: cover positions lie below n, and doubled DFS or
-    contracted-tree times (a layer's contracted tree may add a root to
-    its members) reach at most 4n + 4."""
-    return 4 * n + 5
-
-
 # ----------------------------------------------------------------------
 # Paths and trees
 
@@ -146,7 +138,7 @@ class _BlockPairs(_Packed):
         n = self.n = g1.n
         blocks1, of1 = tree_blocks(g1)
         blocks2, of2 = tree_blocks(g2)
-        stride = _stride(n)
+        stride = band_stride(n)
         pairs = [(key, m) for key, m in sorted(block_pairs(of1, of2).items()) if len(m) > 1]
         sides = [sorted((blocks1[i], blocks2[j]), key=_rank) for (i, j), _ in pairs]
         rects, segs, rpts, pts = [], [], [], []
@@ -209,16 +201,7 @@ def index_hpd_two_trees(t1, t2):
     A query reports the heavy paths it touched as keys (path, 0)."""
     if t1.kind != "out-tree" and t2.kind == "out-tree":
         t1, t2 = t2, t1
-
-    class _Hpd:
-        def __init__(self):
-            self.idx = hpd_two_trees_build(t1, t2)
-
-        def query_counted(self, b):
-            res, probes = hpd_two_trees_report(self.idx, b)
-            return res, probes, [key for key, *_ in self.idx.lists[b]]
-
-    return JRIndex("hpd-two-trees", t1.n, _Hpd())
+    return JRIndex("hpd-two-trees", t1.n, hpd_two_trees_build(t1, t2))
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +243,7 @@ class _PathCover(_Packed):
         (rank on i, rank on j). It is in I(v) when one of them has rank at
         most fr1(v, i) on i and at most fr2(v, j) on j, which one flat
         array of prefix minima over each pair's columns answers."""
-        stride = _stride(self.n)
+        stride = band_stride(self.n)
         path_of1, path_of2 = self.pc1.path_of, self.pc2.path_of
         shared = sorted(shared_vertices(self.pc1, self.pc2).items())
         ct = CartesianTree(

@@ -44,6 +44,8 @@ from joinreach.jrindex import (
 )
 from joinreach.minimal import and_closure, minimal_restricted_join
 
+from layer_ref import layer_graphs
+
 
 def logceil(n):
     return max(1, math.ceil(math.log2(n))) if n > 1 else 1
@@ -275,14 +277,14 @@ def test_criterion_7_structural_invariants():
     for seed in range(200):
         g1, g2 = _c1_instances("unoriented-trees", seed)
         for g in (g1, g2):
-            dec = layer_decompose(g, 0)
+            graphs = layer_graphs(g, layer_decompose(g, 0))
             counts = {v: 0 for v in range(g.n)}
-            for lg in dec.graphs:
+            for lg in graphs:
                 for idx_l, v in enumerate(lg.orig_of):
                     if v is not None and (idx_l != 0 or lg.index == 0):
                         counts[v] += 1
             assert max(counts.values()) <= 2
-            assert dec.total_size() <= 4 * g.size
+            assert sum(lg.digraph.size for lg in graphs) <= 4 * g.size
             layer_checked += 1
     # condensation preserves the join relation, including cyclified pairs
     for seed in range(200):

@@ -7,6 +7,7 @@ from joinreach.graph import (
     Digraph,
     GraphClassError,
     condense_pair,
+    contracted_intervals,
     dfs_intervals,
     dipath_of,
     layer_decompose,
@@ -18,6 +19,8 @@ from joinreach.graph import (
     transitive_closure,
     tree_parents,
 )
+
+from layer_ref import layer_graphs
 
 
 def reach_oracle(g):
@@ -178,17 +181,13 @@ def test_layers_out_tree_from_root_single_layer():
     g = Digraph(5, [(0, 1), (0, 2), (1, 3), (1, 4)], kind="out-tree")
     dec = layer_decompose(g, 0)
     assert dec.mu == 1
-    assert len(dec.graphs) == 1
-    assert all(dec.role(v, 0) == "core" for v in range(5))
+    assert len(layer_graphs(g, dec)) == 1
+    assert all(dec.iota[v] == 0 for v in range(5))  # every vertex core in graph 0
 
 
 def test_layers_rejects_bad_start():
     with pytest.raises(ValueError):
         layer_decompose(dipath_of([0, 1]), 5)
-
-
-def _layer_local_reach(lg):
-    return transitive_closure(lg.digraph)
 
 
 def test_layers_properties_on_random_utrees():
@@ -197,9 +196,10 @@ def test_layers_properties_on_random_utrees():
         n = rng.randrange(2, 40)
         g = random_utree(rng, n)
         dec = layer_decompose(g, 0)
+        graphs = layer_graphs(g, dec)
         # every vertex non-root in at most two graphs
         appear = {v: 0 for v in range(n)}
-        for lg in dec.graphs:
+        for lg in graphs:
             for idx, v in enumerate(lg.orig_of):
                 if v is not None and idx != 0:
                     appear[v] += 1
@@ -207,17 +207,19 @@ def test_layers_properties_on_random_utrees():
                     appear[v] += 1
         assert all(c <= 2 for c in appear.values())
         # size of the sequence stays within 4x the input
-        assert dec.total_size() <= 4 * g.size
+        assert sum(lg.digraph.size for lg in graphs) <= 4 * g.size
         # predecessors of v are realized inside graphs iota(v)-1, iota(v)
         m = transitive_closure(g)
-        locals_reach = [_layer_local_reach(lg) for lg in dec.graphs]
+        locals_reach = [transitive_closure(lg.digraph) for lg in graphs]
         for v in range(n):
             for u in range(n):
                 if u == v or not m.reach(u, v):
                     continue
                 ok = False
-                for gi in dec.graphs_of(v):
-                    lg = dec.graphs[gi]
+                for gi in (dec.iota[v] - 1, dec.iota[v]):
+                    if gi < 0:
+                        continue
+                    lg = graphs[gi]
                     lu = lg.local_of.get(u)
                     lv = lg.local_of.get(v)
                     if lu is not None and lv is not None and locals_reach[gi].reach(lu, lv):
@@ -225,7 +227,7 @@ def test_layers_properties_on_random_utrees():
                         break
                 assert ok, (u, v)
         # per-graph reachability between non-root vertices never invents pairs
-        for gi, lg in enumerate(dec.graphs):
+        for gi, lg in enumerate(graphs):
             lr = locals_reach[gi]
             for lu, u in enumerate(lg.orig_of):
                 for lv, v in enumerate(lg.orig_of):
@@ -244,17 +246,73 @@ def test_layers_fringe_roles_on_utrees():
         g = random_utree(rng, n)
         dec = layer_decompose(g, 0)
         m = transitive_closure(g)
-        for (v, i), role in dec.roles.items():
-            if role != "fringe":
+        # v is core in graph iota(v) and fringe in graph iota(v) - 1
+        for v in range(n):
+            i = dec.iota[v] - 1
+            if i < 0:
                 continue
-            root = dec.fringe_root.get((v, i))
-            if root is None:
-                continue  # hangs off the contracted prefix
-            assert dec.role(root, i) == "core"
+            root = dec.fringe_root[(v, i)]
+            assert dec.iota[root] == i  # a core vertex of graph i
             if i % 2 == 0:
                 assert m.reach(v, root)
             else:
                 assert m.reach(root, v)
+
+
+def ref_contracted_intervals(lg, core):
+    """Layer graph lg's intervals per core vertex from the parent array of
+    `tree_parents`, with the fringe dropped and children by original id."""
+    parent = tree_parents(lg.digraph, 0)
+    core_locals = [0] + [lg.local_of[v] for v in core if lg.local_of[v] != 0]
+    children = {c: [] for c in core_locals}
+    for c in core_locals[1:]:
+        children[parent[c]].append(c)
+    for c in children:
+        children[c].sort(key=lambda x: lg.orig_of[x])
+    s, t, clock = {}, {}, 0
+    stack = [(0, False)]
+    while stack:
+        c, done = stack.pop()
+        clock += 1
+        if done:
+            t[c] = clock
+            continue
+        s[c] = clock
+        stack.append((c, True))
+        stack.extend((w, False) for w in reversed(children[c]))
+    return {lg.orig_of[c]: (s[c], t[c]) for c in core_locals if lg.orig_of[c] is not None}
+
+
+def _assert_intervals_match_reference(g, v0=0):
+    dec = layer_decompose(g, v0)
+    for lg, core in zip(layer_graphs(g, dec, v0), dec.layers):
+        assert contracted_intervals(dec, lg.index) == ref_contracted_intervals(lg, core)
+    return dec
+
+
+def test_contracted_intervals_match_reference_on_random_utrees():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randrange(1, 60)
+        g = random_utree(rng, n)
+        _assert_intervals_match_reference(g, rng.randrange(n))
+
+
+def test_contracted_intervals_small_and_adversarial():
+    assert contracted_intervals(layer_decompose(Digraph(1, [], kind="utree")), 0) == {0: (1, 2)}
+    for arcs, mu in (([(0, 1)], 1), ([(1, 0)], 2)):
+        assert _assert_intervals_match_reference(Digraph(2, arcs, kind="utree")).mu == mu
+    # a star with mixed directions: 0 -> 1, 2, 3 and 4, 5, 6 -> 0
+    star = Digraph(7, [(0, 1), (0, 2), (0, 3), (4, 0), (5, 0), (6, 0)], kind="utree")
+    for v0 in range(7):
+        _assert_intervals_match_reference(star, v0)
+    # a zigzag path 0 -> 1 <- 2 -> 3 <- ..., one layer per vertex after 1
+    n = 41
+    zig = Digraph(n, [(k, k + 1) if k % 2 == 0 else (k + 1, k) for k in range(n - 1)], kind="utree")
+    dec = _assert_intervals_match_reference(zig)
+    assert dec.mu == n - 1
+    # the contracted root of a later layer takes tick 1
+    assert contracted_intervals(dec, 5) == {6: (2, 3)}
 
 
 def test_dfs_intervals_single_vertex():
