@@ -6,14 +6,16 @@ Run from the repository root:
     PYTHONPATH=src python scripts/join_sizes.py --against sizes.json
 
 The first form writes each pair's size, the SHA-256 of its join file
-(`format_join`) and the SHA-256 of every vertex's `query_counted` triple
-from the pair's index (`classes.index`, plus `index_hpd_two_trees` when
-both graphs are rooted trees, one an out-tree). The second, run on
-another checkout, compares with such a file, counts the pairs whose join
-bytes and whose index answers changed, and exits 1 when a pair is
-larger. Files of `[builder, n, size]` or `[builder, n, size, sha256]`
-rows, written before the hashes they lack, still compare by what they
-hold. Every output is checked with `verify_join_graph` as it is built.
+(`format_join`), and two SHA-256s over every vertex's `query_counted`
+triple from the pair's index (`classes.index`, plus
+`index_hpd_two_trees` when both graphs are rooted trees, one an
+out-tree): one of the answers with the pairs touched, one of the probe
+counts. The second, run on another checkout, compares with such a file,
+counts the pairs whose join bytes, index answers and index probes
+changed, and exits 1 when a pair is larger. Files of 3, 4 or 5 fields
+per row, written before the hashes they lack, still compare by what
+they hold; a fifth field hashed whole triples, so it is not compared.
+Every output is checked with `verify_join_graph` as it is built.
 """
 
 from __future__ import annotations
@@ -50,24 +52,26 @@ BUILDERS = ("build_two_paths", "build_tree_path", "build_two_trees",
             "build_unoriented_trees", "build_pathcover")
 
 
-def _index_digest(g1, g2):
-    """SHA-256 of every vertex's `query_counted` triple, from the pair's
-    class index and, for an out-tree with a rooted tree, the heavy-path
-    index."""
+def _index_digests(g1, g2):
+    """(answers, probes): SHA-256 of every vertex's answer and pairs
+    touched, and of its probe count, from the pair's class index and, for
+    an out-tree with a rooted tree, the heavy-path index."""
     indexes = [classes.index(g1, g2)]
     kinds = {g1.kind, g2.kind}
     if "out-tree" in kinds and kinds <= {"out-tree", "in-tree"}:
         indexes.append(index_hpd_two_trees(g1, g2))
-    h = hashlib.sha256()
+    answers, probes = hashlib.sha256(), hashlib.sha256()
     for idx in indexes:
         for b in range(g1.n):
-            h.update(repr(idx.query_counted(b)).encode())
-    return h.hexdigest()
+            found, count, pairs = idx.query_counted(b)
+            answers.update(repr((found, pairs)).encode())
+            probes.update(repr(count).encode())
+    return answers.hexdigest(), probes.hexdigest()
 
 
 def corpus_sizes():
-    """[(builder, n, size, join sha256, index sha256)] for 60 seeded pairs
-    per builder, n < 80."""
+    """[(builder, n, size, join sha256, answers sha256, probes sha256)]
+    for 60 seeded pairs per builder, n < 80."""
     rng = random.Random(0)
     out = []
     for builder in BUILDERS:
@@ -78,7 +82,7 @@ def corpus_sizes():
             if not explicit.verify_join_graph(jg, g1, g2).ok:
                 raise SystemExit(f"{builder} at n={n}: output fails verification")
             digest = hashlib.sha256(explicit.format_join(jg).encode()).hexdigest()
-            out.append((builder, n, jg.size, digest, _index_digest(g1, g2)))
+            out.append((builder, n, jg.size, digest, *_index_digests(g1, g2)))
     return out
 
 
@@ -96,10 +100,11 @@ def main(argv=None):
             json.dump(sizes, f)
     if args.against:
         with open(args.against, encoding="utf-8") as f:
-            old = json.load(f)
+            old = [o[:4] if len(o) == 5 else o for o in json.load(f)]
         larger = [(k, o, s) for k, (o, s) in enumerate(zip(old, sizes)) if s[2] > o[2]]
         print(f"against\t{sum(o[2] for o in old)}\tlarger pairs\t{len(larger)}")
-        for col, what in ((3, "changed pairs"), (4, "changed index pairs")):
+        for col, what in ((3, "changed pairs"), (4, "changed index answers"),
+                          (5, "changed index probes")):
             if all(len(o) > col for o in old):
                 print(f"{what}\t{sum(o[col] != s[col] for o, s in zip(old, sizes))}")
             else:

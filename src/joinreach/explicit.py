@@ -207,7 +207,8 @@ def _three_d_connect(b, srcs, snks, end, h2, h3, lo, hi, vert, tag, depth=0):
     s_hi = [p for p in srcs if h3[p] >= mid]
     k_lo = [p for p in snks if h3[p] < mid]
     s_live, k_live = _live(s_hi, k_lo, end, h2)
-    _nest_connect(b, s_live, k_live, end, h2, 0, len(vert), vert, f"{tag};p{depth}")
+    if s_live:
+        _nest_connect(b, s_live, k_live, end, h2, 0, len(vert), vert, f"{tag};p{depth}")
     _three_d_connect(b, s_hi, [p for p in snks if h3[p] >= mid], end, h2, h3,
                      mid, hi, vert, tag, depth + 1)
     _three_d_connect(b, [p for p in srcs if h3[p] < mid], k_lo, end, h2, h3,
@@ -247,7 +248,7 @@ def _nest_connect(b, srcs, snks, end, h, lo, hi, vert, tag, depth=0):
     encloses it, else one Steiner vertex entered from its vertex and from
     the relay of its nearest enclosing such source. Each lower-half sink
     hangs off the relay of its nearest one. The recursion then halves
-    [lo, hi).
+    [lo, hi), entering only halves that hold a source and a sink.
     """
     if not srcs or not snks or hi - lo <= 1:
         return
@@ -285,8 +286,10 @@ def _nest_connect(b, srcs, snks, end, h, lo, hi, vert, tag, depth=0):
                 sv = vert[p]
             ends.append(end[p])
             relays.append(sv)
-    _nest_connect(b, s_hi, k_hi, end, h, mid, hi, vert, tag, depth + 1)
-    _nest_connect(b, s_lo, k_lo, end, h, lo, mid, vert, tag, depth + 1)
+    if s_hi and k_hi:
+        _nest_connect(b, s_hi, k_hi, end, h, mid, hi, vert, tag, depth + 1)
+    if s_lo and k_lo:
+        _nest_connect(b, s_lo, k_lo, end, h, lo, mid, vert, tag, depth + 1)
 
 
 # ----------------------------------------------------------------------

@@ -2,19 +2,22 @@
 
 Cartesian trees for dominance and grounded (3-sided) range reporting, a
 persistent-treap sweep for horizontal segments with laminar (nested or
-disjoint) x1 spans versus vertical rays, an interval tree for rectangle
-point enclosure, and a two-level range tree for orthogonal range
-reporting. All structures are immutable after build. The Cartesian tree
-finds range minima in a sparse table over its column keys and descends
-whole subtrees through child links with no lookup. It and the sweep
-return (payloads, probe_count) so callers can assert output
-sensitivity; a probe is one tree node or treap node visited.
+disjoint) x1 spans versus vertical rays, an interval tree over segment
+trees for rectangle point enclosure in O(log^2 m + k), and a two-level
+range tree for orthogonal range reporting. All structures are immutable
+after build. The Cartesian tree finds range minima in a sparse table
+over its column keys and descends whole subtrees through child links
+with no lookup. It, the sweep and the enclosure index return (payloads,
+probe_count) so callers can assert output sensitivity; a probe is one
+tree node, treap node or list entry visited. The range tree's count is
+len(result) + 1, not counted work.
 """
 
 from __future__ import annotations
 
 import random as _random
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -301,15 +304,7 @@ class SegRayIndex:
 
 
 # ----------------------------------------------------------------------
-# Rectangle point enclosure via an interval tree on x1 spans
-
-
-class _ENode(NamedTuple):
-    center: int
-    by_lo: tuple
-    by_hi: tuple
-    left: object
-    right: object
+# Rectangle point enclosure: an interval tree on x1 over segment trees on x2
 
 
 class Rect(NamedTuple):
@@ -320,67 +315,210 @@ class Rect(NamedTuple):
     payload: int
 
 
-def _enclosure_node(rects):
-    if not rects:
-        return None
-    xs = sorted(x for r in rects for x in (r.x1_lo, r.x1_hi))
-    center = xs[len(xs) // 2]
-    here, left, right = [], [], []
-    for r in rects:
-        if r.x1_hi < center:
-            left.append(r)
-        elif r.x1_lo > center:
-            right.append(r)
+def _median_end(by_lo, by_hi):
+    """The m-th smallest (from 0) of the 2m x1 endpoints of m boxes, given
+    ascending by x1_lo and descending by x1_hi: a binary search for how
+    many of the m smallest are lower ends."""
+    m = len(by_lo)
+    lo, hi = 0, m
+    while lo < hi:
+        i = (lo + hi) // 2
+        if by_lo[i][0] < by_hi[i][1]:  # by_hi[i] is the (m - i)-th lowest upper end
+            lo = i + 1
         else:
-            here.append(r)
-    return _ENode(
-        center,
-        tuple(sorted(here, key=lambda r: r.x1_lo)),
-        tuple(sorted(here, key=lambda r: -r.x1_hi)),
-        _enclosure_node(left),
-        _enclosure_node(right),
-    )
+            hi = i
+    if lo == 0:
+        return by_lo[0][0]
+    if lo == m:
+        return by_hi[m - 1][1]
+    return min(by_lo[lo][0], by_hi[lo - 1][1])
+
+
+def _neg_hi(box):
+    return -box[1]
+
+
+def _segment_tree(lo_entries, hi_entries):
+    """A flat segment tree over the x2 slot ranges of one node's boxes,
+    given as (key, x2 lo, x2 hi, payload) entries in two key orders.
+
+    Leaf j is the slot range brk[j] .. brk[j + 1] - 1, and node p has
+    children 2p and 2p + 1. Each entry is stored at the O(log m) nodes
+    that cover its x2 range exactly, so the nodes on a leaf's path to the
+    root hold exactly the boxes containing that leaf. Returns (brk, leaf
+    count, bit length of len(brk), lo side, hi side); a side is (its
+    entries' keys, then keys and payloads per segment node, None where
+    empty), all in the entries' order.
+    """
+    brk = sorted({e[1] for e in lo_entries} | {e[2] + 1 for e in lo_entries})
+    at = {y: i for i, y in enumerate(brk)}
+    nl = len(brk) - 1
+    sides = []
+    for entries in (lo_entries, hi_entries):
+        keys, pays = [None] * (2 * nl), [None] * (2 * nl)
+        for k, y_lo, y_hi, pay in entries:
+            lo, hi = at[y_lo] + nl, at[y_hi + 1] + nl
+            cover = []
+            while lo < hi:
+                if lo & 1:
+                    cover.append(lo)
+                if hi & 1:
+                    cover.append(hi - 1)
+                lo = (lo + 1) >> 1
+                hi >>= 1
+            for p in cover:
+                if keys[p] is None:
+                    keys[p], pays[p] = [k], [pay]
+                else:
+                    keys[p].append(k)
+                    pays[p].append(pay)
+        sides.append(([e[0] for e in entries], keys, pays))
+    return (brk, nl, len(brk).bit_length(), *sides)
 
 
 class EnclosureIndex:
-    """Interval tree over rectangle x1-spans with per-node sorted lists."""
+    """Rectangles reported by the points they strictly contain.
 
-    __slots__ = ("root", "nrects")
+    Both axes map to slots of their distinct endpoints: slot 2i + 1 is
+    the i-th endpoint and slot 2i the gap below it, so each rectangle's
+    open spans become a box of closed slot ranges, and a rectangle empty
+    on either axis is dropped. The outer level is an interval tree over
+    the boxes' x1 ranges, built without recursion from boxes presorted
+    once by x1_lo and once by x1_hi: a node's center is the median x1
+    endpoint of its boxes, it keeps the boxes whose range holds the
+    center, and each child gets at most half of them, in both orders by
+    partition. With m rectangles in all, a subtree of at most
+    s = ceil(lg m) boxes is one leaf, scanned whole. A query at or left of a center wants the node's boxes
+    with x1_lo at or below it, one right of it those with x1_hi at or
+    above it, each also containing qy; in x1_lo or x1_hi-descending
+    order they are a prefix. A prefix of at most s boxes is scanned. A
+    longer one is read from the node's segment tree over x2
+    (`_segment_tree`), where every list on qy's leaf-to-root path holds
+    only boxes containing qy, so all its entries before the one stop are
+    reported.
+
+    A probe is one tree node or list entry visited; a list is charged
+    as scanned up to its first miss, and a binary search its bit length.
+    With G = ceil(lg m) + 1 for m rectangles, a query reporting k costs
+    at most 4G^2 + 6G + 2 + k probes: two slot searches of at most G + 1
+    each, and at most G outer nodes of at most 4G + 4 each (the node, a
+    prefix scan capped at G, a leaf search of G + 1, and G + 1 segment
+    nodes with one stop each), beside the reported entries.
+    """
+
+    __slots__ = ("nrects", "_xs1", "_xs2", "_search", "_small", "_root", "_nodes")
 
     def __init__(self, rects):
+        rects = list(rects)
         self.nrects = len(rects)
-        self.root = _enclosure_node(list(rects))
+        xs1 = self._xs1 = sorted({x for r in rects for x in (r[0], r[1])})
+        xs2 = self._xs2 = sorted({y for r in rects for y in (r[2], r[3])})
+        self._search = len(xs1).bit_length() + len(xs2).bit_length()
+        at1 = {x: 2 * i for i, x in enumerate(xs1)}
+        at2 = {y: 2 * i for i, y in enumerate(xs2)}
+        boxes = []  # (x1 lo slot, x1 hi slot, x2 lo slot, x2 hi slot, payload)
+        for x1_lo, x1_hi, x2_lo, x2_hi, payload in rects:
+            lo1, hi1, lo2, hi2 = at1[x1_lo] + 2, at1[x1_hi], at2[x2_lo] + 2, at2[x2_hi]
+            if lo1 <= hi1 and lo2 <= hi2:
+                boxes.append((lo1, hi1, lo2, hi2, payload))
+        small = self._small = (len(boxes) - 1).bit_length()
+        # A node is [center, left child, right child, lo entries, hi
+        # entries, segment tree or None], children -1 when absent. Its
+        # entries are its boxes as (key, x2 lo, x2 hi, payload), ascending
+        # by key: x1_lo in the lo entries, -x1_hi in the hi entries. A
+        # segment tree is (brk, leaf count, search bits, lo side, hi
+        # side), a side being (its entries' keys, segment keys, segment
+        # payloads). A leaf is [None, -1, -1, boxes, None, None].
+        nodes = self._nodes = []
+        self._root = 0 if boxes else -1
+        todo = []
+        if boxes:
+            todo.append((-1, 0, sorted(boxes, key=itemgetter(0)),
+                         sorted(boxes, key=itemgetter(1), reverse=True)))
+        while todo:
+            parent, child, by_lo, by_hi = todo.pop()
+            if parent >= 0:
+                nodes[parent][child] = len(nodes)
+            if len(by_lo) <= small:
+                nodes.append([None, -1, -1, by_lo, None, None])
+                continue
+            c = _median_end(by_lo, by_hi)
+            lo_end = bisect_right(by_lo, c, key=itemgetter(0))
+            hi_end = bisect_right(by_hi, -c, key=_neg_hi)
+            lo_pre, hi_pre = by_lo[:lo_end], by_hi[:hi_end]
+            here_lo = [(b[0], b[2], b[3], b[4]) for b in lo_pre if b[1] >= c]
+            here_hi = [(-b[1], b[2], b[3], b[4]) for b in hi_pre if b[0] <= c]
+            seg = _segment_tree(here_lo, here_hi) if len(here_lo) > small else None
+            nodes.append([c, -1, -1, here_lo, here_hi, seg])
+            left = [b for b in lo_pre if b[1] < c]
+            if left:
+                todo.append((len(nodes) - 1, 1, left, by_hi[hi_end:]))
+            right = [b for b in hi_pre if b[0] > c]
+            if right:
+                todo.append((len(nodes) - 1, 2, by_lo[lo_end:], right))
 
-    def report(self, qx, qy):
-        """Rectangles strictly containing (qx, qy)."""
+    def report(self, qx, qy, counted=False):
+        """Payloads of the rectangles strictly containing (qx, qy); with
+        counted, (payloads, probes)."""
+        xs1, xs2 = self._xs1, self._xs2
+        i, j = bisect_left(xs1, qx), bisect_left(xs2, qy)
+        sx = 2 * i + 1 if i < len(xs1) and xs1[i] == qx else 2 * i
+        sy = 2 * j + 1 if j < len(xs2) and xs2[j] == qy else 2 * j
+        small = self._small
+        probes = self._search
         out = []
-        node = self.root
-        while node is not None:
-            if qx < node.center:
-                for r in node.by_lo:
-                    if r.x1_lo >= qx:
-                        break
-                    if r.x2_lo < qy < r.x2_hi:
-                        out.append(r.payload)
-                node = node.left
-            elif qx > node.center:
-                for r in node.by_hi:
-                    if r.x1_hi <= qx:
-                        break
-                    if r.x2_lo < qy < r.x2_hi:
-                        out.append(r.payload)
-                node = node.right
+        nodes = self._nodes
+        v = self._root
+        while v >= 0:
+            c, left, right, lo_entries, hi_entries, seg = nodes[v]
+            probes += 1
+            if c is None:
+                probes += len(lo_entries)
+                for b in lo_entries:
+                    if b[0] <= sx <= b[1] and b[2] <= sy <= b[3]:
+                        out.append(b[4])
+                break
+            if sx <= c:
+                entries, key, side = lo_entries, sx, 3
+                v = left if sx < c else -1
             else:
-                for r in node.by_lo:
-                    if r.x1_lo < qx < r.x1_hi and r.x2_lo < qy < r.x2_hi:
-                        out.append(r.payload)
-                node = None
-        return out
+                entries, key, side = hi_entries, -sx, 4
+                v = right
+            if seg is None:
+                for e in entries:
+                    probes += 1
+                    if e[0] > key:
+                        break
+                    if e[1] <= sy <= e[2]:
+                        out.append(e[3])
+                continue
+            keys, seg_keys, seg_pays = seg[side]
+            t = bisect_right(keys, key)
+            if t <= small:
+                probes += t + (t < len(keys))
+                for e in entries[:t]:
+                    if e[1] <= sy <= e[2]:
+                        out.append(e[3])
+                continue
+            brk, nl, search = seg[0], seg[1], seg[2]
+            probes += small + 1 + search
+            p = bisect_right(brk, sy) - 1
+            if 0 <= p < nl:
+                p += nl
+                while p:
+                    probes += 1
+                    ks = seg_keys[p]
+                    if ks:
+                        t = bisect_right(ks, key)
+                        if t:
+                            out += seg_pays[p][:t]
+                        probes += t + (t < len(ks))
+                    p >>= 1
+        return (out, probes) if counted else out
 
     def report_counted(self, qx, qy):
-        """(report(qx, qy), its length + 1 as the probe count)."""
-        res = self.report(qx, qy)
-        return res, len(res) + 1
+        """(report(qx, qy), probes)."""
+        return self.report(qx, qy, counted=True)
 
 
 # ----------------------------------------------------------------------

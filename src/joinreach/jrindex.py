@@ -21,7 +21,9 @@ within pair k's band never meets another pair's points. At build each
 vertex gets the list of pairs that can report for it, each with the
 structure holding the pair, the name of its report method and the
 arguments, so a query is one loop over that list. Probe counts and the
-list of pairs touched are exposed for output-sensitivity checks.
+list of pairs touched are exposed for output-sensitivity checks; they
+are counted visits except in the range tree (in/in pairs and the
+planar-st filter), which charges len(result) + 1.
 """
 
 from __future__ import annotations
@@ -121,10 +123,12 @@ class _BlockPairs(_Packed):
     in-oriented or chain block they are the members whose interval start
     lies in `_pred_range`. The join is symmetric, so each pair is ordered
     out, in, chain by `_rank` and stored as
-    - out with out: rectangles, stabbed in the enclosure index;
+    - out with out: rectangles, stabbed in the enclosure index in
+      O(log^2 m + k) counted probes;
     - out with in or chain: segments over the first side's intervals at
       the second side's starts, stabbed by a ray in the sweep;
-    - in with in: points, reported in a rectangle of the range tree;
+    - in with in: points, reported in a rectangle of the range tree,
+      whose probe count is len(result) + 1;
     - in or chain with chain: points in the Cartesian tree, whose 3-sided
       query bounds the chain side from above.
     A fringe member stands at its supervertex's interval. It is stored

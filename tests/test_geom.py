@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -356,6 +357,99 @@ def test_enclosure_random_rectangles_match_scan():
                 if r.x1_lo < qx < r.x1_hi and r.x2_lo < qy < r.x2_hi
             )
             assert got == want
+
+
+def enclosure_scan(rects, qx, qy):
+    return sorted(r.payload for r in rects if r.x1_lo < qx < r.x1_hi and r.x2_lo < qy < r.x2_hi)
+
+
+def enclosure_probe_bound(m, k):
+    """c((ceil(lg m) + 1)^2 + k) with c = 12: with G = ceil(lg m) + 1 the
+    structure's argument (its docstring) allows 4G^2 + 6G + 2 + k probes,
+    at most 12(G^2 + k) for G >= 1."""
+    g = (m - 1).bit_length() + 1 if m else 1
+    return 12 * (g * g + k)
+
+
+def assert_enclosure_matches_scan(rects, queries):
+    idx = EnclosureIndex(rects)
+    for qx, qy in queries:
+        want = enclosure_scan(rects, qx, qy)
+        got, probes = idx.report_counted(qx, qy)
+        assert sorted(got) == want, (qx, qy)
+        assert sorted(idx.report(qx, qy)) == want, (qx, qy)
+        assert probes <= enclosure_probe_bound(len(rects), len(want)), (len(rects), qx, qy, probes)
+
+
+def grid(lo, hi):
+    return [(x, y) for x in range(lo, hi + 1) for y in range(lo, hi + 1)]
+
+
+def test_enclosure_empty_and_single_rectangle():
+    assert_enclosure_matches_scan([], grid(-3, 3))
+    assert_enclosure_matches_scan([Rect(-3, 5, -7, -1, 9)], grid(-9, 7))
+
+
+def test_enclosure_duplicate_degenerate_and_negative_on_every_slot():
+    # Even coordinates and every integer query: each endpoint, each gap
+    # between endpoints (so every node's center, which is a gap slot) and
+    # points outside all spans are queried. Degenerate rectangles
+    # contain nothing and are never reported.
+    rng = random.Random(83)
+    for trial in range(12):
+        m = rng.randrange(2, 60)
+        rects = []
+        for i in range(m):
+            if rects and rng.random() < 0.2:
+                rects.append(rng.choice(rects)._replace(payload=i))
+                continue
+            x = sorted(2 * rng.randrange(-10, 11) for _ in "ab")
+            y = sorted(2 * rng.randrange(-10, 11) for _ in "ab")
+            if trial % 3 == 0:  # nested x1 spans: one large interval-tree node
+                x = [-2 * (i % 10) - 2, 2 * (i % 10) + 2]
+            if rng.random() < 0.15:
+                x[1] = x[0]
+            if rng.random() < 0.15:
+                y[1] = y[0]
+            rects.append(Rect(x[0], x[1], y[0], y[1], i))
+        degenerate = {r.payload for r in rects if r.x1_lo == r.x1_hi or r.x2_lo == r.x2_hi}
+        assert_enclosure_matches_scan(rects, grid(-23, 23))
+        idx = EnclosureIndex(rects)
+        assert not degenerate & {p for q in grid(-23, 23) for p in idx.report(*q)}
+
+
+def test_enclosure_deep_concentric_family_within_the_probe_bound():
+    # The degenerate rectangle adds the endpoint 0 inside the innermost
+    # span, so every lower end lies below every upper end; the interval
+    # tree must still split at the median. Queries on the line y = m
+    # report nothing, so the bound leaves no room for a deep walk.
+    m = 1 << 11
+    rects = [Rect(-i, i, -i, i, i) for i in range(1, m + 1)] + [Rect(0, 0, 0, 0, 0)]
+    queries = [(x, y) for x in range(-m - 1, m + 2, 41) for y in (-5, 0, 3, m)]
+    assert_enclosure_matches_scan(rects, queries)
+
+
+def test_enclosure_chain_star_rectangles():
+    # Every rectangle's x1 span holds the median, so all of them share one
+    # interval-tree node and are read from its segment tree.
+    n = 1 << 11
+    rng = random.Random(89)
+    order = list(range(n))
+    rng.shuffle(order)
+    chain = Digraph(n, list(zip(order, order[1:])), kind="out-tree")
+    star = Digraph(n, [(order[0], v) for v in order[1:]], kind="out-tree")
+    iv1, iv2 = dfs_intervals(chain), dfs_intervals(star)
+    rects = [Rect(iv1.s[a], iv1.t[a], iv2.s[a], iv2.t[a], a) for a in range(n)]
+    idx = EnclosureIndex(rects)
+    by_x2 = sorted(rects, key=lambda r: r.x2_lo)
+    for b in range(n):
+        for qx, qy in ((iv1.s[b], iv2.s[b]), (iv1.s[b] + 1, iv2.s[b] + 1)):
+            # a rectangle holding (qx, qy) starts below qy on x2
+            cands = by_x2[: bisect_right([r.x2_lo for r in by_x2], qy)]
+            want = enclosure_scan(cands, qx, qy)
+            got, probes = idx.report_counted(qx, qy)
+            assert sorted(got) == want, b
+            assert probes <= enclosure_probe_bound(n, len(want))
 
 
 def test_range2d_full_and_empty():

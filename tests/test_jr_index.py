@@ -275,6 +275,20 @@ def test_two_trees_and_hpd_on_chain_star():
             assert_index_matches(index_hpd_two_trees(g1, g2), g1, g2)
 
 
+def test_two_trees_on_chain_star_counts_polylog_probes():
+    # One out/out block pair: each query is one enclosure report of the
+    # root and b from at most n rectangles. With G = ceil(lg n) + 1 the
+    # enclosure's bound 4G^2 + 6G + 2 + k, k = 2, is at most c G^2 with
+    # c = 12 for G >= 2, and its probes are counted visits.
+    rng = random.Random(97)
+    for e in range(6, 12):
+        n = 1 << e
+        chain, star = chain_star(rng, n)
+        idx = index_two_trees(chain, star)
+        total = sum(idx.query_counted(b)[1] for b in range(n))
+        assert total <= n * 12 * (e + 1) ** 2, (n, total)
+
+
 def tree_mix(rng, kind, n):
     """One tree or path of the named shape on n vertices."""
     if kind == "dipath":
