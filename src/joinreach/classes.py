@@ -25,7 +25,6 @@ from .explicit import (
 from .graph import CyclicGraphError, Digraph, condense_pair
 from .jrindex import (
     JRIndex,
-    index_hpd_two_trees,
     index_pathcover,
     index_planar_st,
     index_tree_path,
@@ -83,7 +82,6 @@ CLASSES = {
     "unoriented-trees": PairClass(build_unoriented_trees, index_two_trees),
     "pathcover": PairClass(_build_pathcover, _index_pathcover),
     "planar-st": PairClass(_build_pathcover, index_planar_st),
-    "hpd-two-trees": PairClass(build_two_trees, index_hpd_two_trees),
 }
 
 _WITH_PATH = {"path": "two-paths", "out-tree": "tree-path", "in-tree": "tree-path",

@@ -42,11 +42,10 @@ from .graph import (
     Digraph,
     GraphClassError,
     _parse_arcs,
+    _reach_rows,
     block_pairs,
-    tarjan_scc,
     topo_order,
     transitive_closure,
-    tree_blocks,
 )
 
 
@@ -112,15 +111,10 @@ def build_unoriented_trees(g1, g2):
 def _tree_blocks_join(g1, g2, label):
     # One wiring per pair of blocks sharing at least two vertices; a pair
     # of rooted trees or dipaths is the single pair of their all-core blocks.
-    if g1.n != g2.n:
-        raise ValueError("vertex-set mismatch")
-    blocks1, of1 = tree_blocks(g1)
-    blocks2, of2 = tree_blocks(g2)
+    blocks1, blocks2, pairs = block_pairs(g1, g2)
     rooted = len(blocks1) == len(blocks2) == 1
     b = _Builder(g1.n)
-    for (i, j), members in sorted(block_pairs(of1, of2).items()):
-        if len(members) < 2:
-            continue
+    for (i, j), members in pairs:
         blk1 = blocks1[i]
         if rooted:
             tag = label
@@ -364,7 +358,7 @@ def verify_join_graph(jg, g1, g2):
             f"join graph has {n} original vertices, the inputs {g1.n} and {g2.n}"
         )
     want = transitive_closure(g1).and_with(transitive_closure(g2))
-    got = _original_reach_rows(jg)
+    got = _reach_rows(jg.graph, n)[:n]
     for a in range(n):
         if got[a] == want.rows[a]:
             continue
@@ -374,45 +368,6 @@ def verify_join_graph(jg, g1, g2):
         kind = "spurious" if got[a] >> bpos & 1 else "missing"
         return VerifyReport(False, (a, bpos, kind), n * n)
     return VerifyReport(True, None, n * n)
-
-
-def _original_reach_rows(jg):
-    """Reachability over originals through the full join graph.
-
-    Every builder's output is acyclic, so one row OR per arc in reverse
-    topological order; a cyclic join file is condensed first.
-    """
-    g = jg.graph
-    n = jg.n_original
-    order = topo_order(g)
-    if order is not None:
-        rows = [0] * g.n
-        for v in reversed(order):
-            bits = 1 << v if v < n else 0
-            for w in g.out[v]:
-                bits |= rows[w]
-            rows[v] = bits
-        return rows[:n]
-    comp_of, comps = tarjan_scc(g)
-    c = len(comps)
-    crow = [0] * c
-    for ci, comp in enumerate(comps):
-        bits = 0
-        for v in comp:
-            if v < n:
-                bits |= 1 << v
-        crow[ci] = bits
-    succs = [set() for _ in range(c)]
-    for u, v in g.arcs:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv:
-            succs[cu].add(cv)
-    for ci in range(c - 1, -1, -1):
-        bits = crow[ci]
-        for cj in succs[ci]:
-            bits |= crow[cj]
-        crow[ci] = bits
-    return [crow[comp_of[a]] | (1 << a) for a in range(n)]
 
 
 # ----------------------------------------------------------------------

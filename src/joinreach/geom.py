@@ -3,21 +3,21 @@
 Cartesian trees for dominance and grounded (3-sided) range reporting, a
 persistent-treap sweep for horizontal segments with laminar (nested or
 disjoint) x1 spans versus vertical rays, an interval tree over segment
-trees for rectangle point enclosure in O(log^2 m + k), and a two-level
-range tree for orthogonal range reporting. All structures are immutable
-after build. The Cartesian tree finds range minima in a sparse table
-over its column keys and descends whole subtrees through child links
-with no lookup. It, the sweep and the enclosure index return (payloads,
-probe_count) so callers can assert output sensitivity; a probe is one
-tree node, treap node or list entry visited. The range tree's count is
-len(result) + 1, not counted work.
+trees for point enclosure in integer rectangles in O(log^2 m + k), and
+a two-level range tree for orthogonal range reporting. All structures
+are immutable after build. The Cartesian tree finds range minima in a
+sparse table over its column keys and descends whole subtrees through
+child links with no lookup. It, the sweep and the enclosure index
+return (payloads, probe_count) so callers can assert output
+sensitivity; a probe is one tree node, treap node or list entry
+visited. The range tree's count is len(result) + 1, not counted work.
 """
 
 from __future__ import annotations
 
 import random as _random
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple
 
 
@@ -53,14 +53,13 @@ class CartesianTree:
     """
 
     __slots__ = (
-        "colx", "reps", "left", "right", "root", "npoints",
-        "_x2", "_payload", "_table",
+        "colx", "reps", "left", "right", "root", "_x2", "_payload", "_table",
     )
 
     def __init__(self, points):
         reps = self.reps = sorted(points)
         colx = self.colx = [p[0] for p in reps]
-        m = self.npoints = len(colx)
+        m = len(colx)
         if len(set(colx)) < m:
             raise ValueError("duplicate x1 coordinate")
         x2 = self._x2 = [p[1] for p in reps]
@@ -245,10 +244,10 @@ class SegRayIndex:
     O(log m) new nodes per segment and deletes nothing.
     """
 
-    __slots__ = ("segments", "entries", "_xs", "_mid", "_end")
+    __slots__ = ("entries", "_xs", "_mid", "_end")
 
     def __init__(self, segments, query_points):
-        segs = self.segments = list(segments)
+        segs = list(segments)
         rng = _random.Random(0x5E9)
         prios = [rng.random() for _ in segs]
         queries = {}
@@ -308,6 +307,8 @@ class SegRayIndex:
 
 
 class Rect(NamedTuple):
+    """A rectangle with integer corners; it contains the points strictly inside."""
+
     x1_lo: int
     x1_hi: int
     x2_lo: int
@@ -315,141 +316,114 @@ class Rect(NamedTuple):
     payload: int
 
 
-def _median_end(by_lo, by_hi):
-    """The m-th smallest (from 0) of the 2m x1 endpoints of m boxes, given
-    ascending by x1_lo and descending by x1_hi: a binary search for how
-    many of the m smallest are lower ends."""
-    m = len(by_lo)
-    lo, hi = 0, m
-    while lo < hi:
-        i = (lo + hi) // 2
-        if by_lo[i][0] < by_hi[i][1]:  # by_hi[i] is the (m - i)-th lowest upper end
-            lo = i + 1
-        else:
-            hi = i
-    if lo == 0:
-        return by_lo[0][0]
-    if lo == m:
-        return by_hi[m - 1][1]
-    return min(by_lo[lo][0], by_hi[lo - 1][1])
-
-
-def _neg_hi(box):
-    return -box[1]
-
-
 def _segment_tree(lo_entries, hi_entries):
-    """A flat segment tree over the x2 slot ranges of one node's boxes,
-    given as (key, x2 lo, x2 hi, payload) entries in two key orders.
+    """A flat segment tree over the x2 ranges of one node's boxes, given
+    as (key, x2 lo, x2 hi, payload) entries in two key orders.
 
-    Leaf j is the slot range brk[j] .. brk[j + 1] - 1, and node p has
-    children 2p and 2p + 1. Each entry is stored at the O(log m) nodes
-    that cover its x2 range exactly, so the nodes on a leaf's path to the
-    root hold exactly the boxes containing that leaf. Returns (brk, leaf
-    count, bit length of len(brk), lo side, hi side); a side is (its
-    entries' keys, then keys and payloads per segment node, None where
-    empty), all in the entries' order.
+    Leaf j is the range brk[j] .. brk[j + 1] - 1, and node p has children
+    2p and 2p + 1. Each x2 range's canonical cover, the O(log m) nodes
+    that cover it exactly, is walked once and its entries are filed there
+    in both orders, so the nodes on a leaf's path to the root hold
+    exactly the boxes containing that leaf. Returns ((brk, leaf count,
+    bit length of len(brk)), lo side, hi side); a side is (keys,
+    payloads) per segment node, None where empty, in the entries' order.
     """
     brk = sorted({e[1] for e in lo_entries} | {e[2] + 1 for e in lo_entries})
     at = {y: i for i, y in enumerate(brk)}
     nl = len(brk) - 1
+    covers = {}
+    for _, y_lo, y_hi, _ in lo_entries:
+        lo, hi = at[y_lo] + nl, at[y_hi + 1] + nl
+        cover = covers[y_lo, y_hi] = []
+        while lo < hi:
+            if lo & 1:
+                cover.append(lo)
+            if hi & 1:
+                cover.append(hi - 1)
+            lo = (lo + 1) >> 1
+            hi >>= 1
     sides = []
     for entries in (lo_entries, hi_entries):
         keys, pays = [None] * (2 * nl), [None] * (2 * nl)
         for k, y_lo, y_hi, pay in entries:
-            lo, hi = at[y_lo] + nl, at[y_hi + 1] + nl
-            cover = []
-            while lo < hi:
-                if lo & 1:
-                    cover.append(lo)
-                if hi & 1:
-                    cover.append(hi - 1)
-                lo = (lo + 1) >> 1
-                hi >>= 1
-            for p in cover:
+            for p in covers[y_lo, y_hi]:
                 if keys[p] is None:
                     keys[p], pays[p] = [k], [pay]
                 else:
                     keys[p].append(k)
                     pays[p].append(pay)
-        sides.append(([e[0] for e in entries], keys, pays))
-    return (brk, nl, len(brk).bit_length(), *sides)
+        sides.append((keys, pays))
+    return (brk, nl, len(brk).bit_length()), *sides
 
 
 class EnclosureIndex:
     """Rectangles reported by the points they strictly contain.
 
-    Both axes map to slots of their distinct endpoints: slot 2i + 1 is
-    the i-th endpoint and slot 2i the gap below it, so each rectangle's
-    open spans become a box of closed slot ranges, and a rectangle empty
-    on either axis is dropped. The outer level is an interval tree over
-    the boxes' x1 ranges, built without recursion from boxes presorted
-    once by x1_lo and once by x1_hi: a node's center is the median x1
-    endpoint of its boxes, it keeps the boxes whose range holds the
-    center, and each child gets at most half of them, in both orders by
-    partition. With m rectangles in all, a subtree of at most
-    s = ceil(lg m) boxes is one leaf, scanned whole. A query at or left of a center wants the node's boxes
-    with x1_lo at or below it, one right of it those with x1_hi at or
-    above it, each also containing qy; in x1_lo or x1_hi-descending
-    order they are a prefix. A prefix of at most s boxes is scanned. A
-    longer one is read from the node's segment tree over x2
-    (`_segment_tree`), where every list on qy's leaf-to-root path holds
-    only boxes containing qy, so all its entries before the one stop are
-    reported.
+    Coordinates are integers, read through `operator.index`, so a float
+    raises TypeError. A rectangle's open spans are the closed ranges
+    x1_lo + 1 .. x1_hi - 1 and x2_lo + 1 .. x2_hi - 1, its box, and a
+    rectangle empty on either axis is dropped. The outer level is an
+    interval tree over the boxes' x1 ranges, built without recursion from
+    boxes presorted once by x1_lo and once by x1_hi: a node's center is
+    the lower end of its median box in x1_lo order, it keeps the boxes
+    whose range holds the center (the median box among them), and each
+    child gets at most half of them, in both orders by partition. With m
+    rectangles in all, a subtree of at most s = ceil(lg m) boxes is one
+    leaf, scanned whole. A query at or left of a center wants the node's
+    boxes with x1_lo at or below it, one right of it those with x1_hi at
+    or above it, each also containing qy; in x1_lo or x1_hi-descending
+    order they are a prefix. A node keeping at most s boxes scans it.
+    A larger one reads its segment tree over x2 (`_segment_tree`)
+    instead, where every list on qy's leaf-to-root path holds only boxes
+    containing qy, in the same order, so each list's entries before its
+    one stop are reported.
 
     A probe is one tree node or list entry visited; a list is charged
     as scanned up to its first miss, and a binary search its bit length.
     With G = ceil(lg m) + 1 for m rectangles, a query reporting k costs
-    at most 4G^2 + 6G + 2 + k probes: two slot searches of at most G + 1
-    each, and at most G outer nodes of at most 4G + 4 each (the node, a
-    prefix scan capped at G, a leaf search of G + 1, and G + 1 segment
-    nodes with one stop each), beside the reported entries.
+    at most 3G^2 + 4G + k probes: at most G outer nodes of at most
+    3G + 4 each (the node, then a scan of at most G - 1 entries, or a
+    leaf search of G + 1 and G + 1 segment nodes with one stop each),
+    beside the reported entries.
     """
 
-    __slots__ = ("nrects", "_xs1", "_xs2", "_search", "_small", "_root", "_nodes")
+    __slots__ = ("_nodes",)
 
     def __init__(self, rects):
-        rects = list(rects)
-        self.nrects = len(rects)
-        xs1 = self._xs1 = sorted({x for r in rects for x in (r[0], r[1])})
-        xs2 = self._xs2 = sorted({y for r in rects for y in (r[2], r[3])})
-        self._search = len(xs1).bit_length() + len(xs2).bit_length()
-        at1 = {x: 2 * i for i, x in enumerate(xs1)}
-        at2 = {y: 2 * i for i, y in enumerate(xs2)}
-        boxes = []  # (x1 lo slot, x1 hi slot, x2 lo slot, x2 hi slot, payload)
+        boxes = []  # (x1 lo, x1 hi, x2 lo, x2 hi, payload), closed ranges
         for x1_lo, x1_hi, x2_lo, x2_hi, payload in rects:
-            lo1, hi1, lo2, hi2 = at1[x1_lo] + 2, at1[x1_hi], at2[x2_lo] + 2, at2[x2_hi]
+            lo1, hi1 = index(x1_lo) + 1, index(x1_hi) - 1
+            lo2, hi2 = index(x2_lo) + 1, index(x2_hi) - 1
             if lo1 <= hi1 and lo2 <= hi2:
                 boxes.append((lo1, hi1, lo2, hi2, payload))
-        small = self._small = (len(boxes) - 1).bit_length()
-        # A node is [center, left child, right child, lo entries, hi
-        # entries, segment tree or None], children -1 when absent. Its
-        # entries are its boxes as (key, x2 lo, x2 hi, payload), ascending
-        # by key: x1_lo in the lo entries, -x1_hi in the hi entries. A
-        # segment tree is (brk, leaf count, search bits, lo side, hi
-        # side), a side being (its entries' keys, segment keys, segment
-        # payloads). A leaf is [None, -1, -1, boxes, None, None].
+        small = (len(boxes) - 1).bit_length()
+        # A node is [center, left child, right child, axis, lo side, hi
+        # side], children -1 when absent, the root first. Without a
+        # segment tree the axis is None and a side is the node's boxes as
+        # (key, x2 lo, x2 hi, payload) entries ascending by key: x1_lo on
+        # the lo side, -x1_hi on the hi side. With one, the axis and the
+        # sides are what `_segment_tree` returns. A leaf is [None, -1, -1,
+        # None, boxes, None].
         nodes = self._nodes = []
-        self._root = 0 if boxes else -1
-        todo = []
-        if boxes:
-            todo.append((-1, 0, sorted(boxes, key=itemgetter(0)),
-                         sorted(boxes, key=itemgetter(1), reverse=True)))
+        todo = [(-1, 0, sorted(boxes, key=itemgetter(0)),
+                 sorted(boxes, key=itemgetter(1), reverse=True))]
         while todo:
             parent, child, by_lo, by_hi = todo.pop()
             if parent >= 0:
                 nodes[parent][child] = len(nodes)
             if len(by_lo) <= small:
-                nodes.append([None, -1, -1, by_lo, None, None])
+                nodes.append([None, -1, -1, None, by_lo, None])
                 continue
-            c = _median_end(by_lo, by_hi)
+            c = by_lo[len(by_lo) // 2][0]
             lo_end = bisect_right(by_lo, c, key=itemgetter(0))
-            hi_end = bisect_right(by_hi, -c, key=_neg_hi)
+            hi_end = bisect_right(by_hi, -c, key=lambda b: -b[1])
             lo_pre, hi_pre = by_lo[:lo_end], by_hi[:hi_end]
             here_lo = [(b[0], b[2], b[3], b[4]) for b in lo_pre if b[1] >= c]
             here_hi = [(-b[1], b[2], b[3], b[4]) for b in hi_pre if b[0] <= c]
-            seg = _segment_tree(here_lo, here_hi) if len(here_lo) > small else None
-            nodes.append([c, -1, -1, here_lo, here_hi, seg])
+            if len(here_lo) > small:
+                nodes.append([c, -1, -1, *_segment_tree(here_lo, here_hi)])
+            else:
+                nodes.append([c, -1, -1, None, here_lo, here_hi])
             left = [b for b in lo_pre if b[1] < c]
             if left:
                 todo.append((len(nodes) - 1, 1, left, by_hi[hi_end:]))
@@ -460,49 +434,37 @@ class EnclosureIndex:
     def report(self, qx, qy, counted=False):
         """Payloads of the rectangles strictly containing (qx, qy); with
         counted, (payloads, probes)."""
-        xs1, xs2 = self._xs1, self._xs2
-        i, j = bisect_left(xs1, qx), bisect_left(xs2, qy)
-        sx = 2 * i + 1 if i < len(xs1) and xs1[i] == qx else 2 * i
-        sy = 2 * j + 1 if j < len(xs2) and xs2[j] == qy else 2 * j
-        small = self._small
-        probes = self._search
+        probes = 0
         out = []
         nodes = self._nodes
-        v = self._root
+        v = 0
         while v >= 0:
-            c, left, right, lo_entries, hi_entries, seg = nodes[v]
+            c, left, right, axis, lo, hi = nodes[v]
             probes += 1
             if c is None:
-                probes += len(lo_entries)
-                for b in lo_entries:
-                    if b[0] <= sx <= b[1] and b[2] <= sy <= b[3]:
+                probes += len(lo)
+                for b in lo:
+                    if b[0] <= qx <= b[1] and b[2] <= qy <= b[3]:
                         out.append(b[4])
                 break
-            if sx <= c:
-                entries, key, side = lo_entries, sx, 3
-                v = left if sx < c else -1
+            if qx <= c:
+                side, key = lo, qx
+                v = left if qx < c else -1
             else:
-                entries, key, side = hi_entries, -sx, 4
+                side, key = hi, -qx
                 v = right
-            if seg is None:
-                for e in entries:
+            if axis is None:
+                for e in side:
                     probes += 1
                     if e[0] > key:
                         break
-                    if e[1] <= sy <= e[2]:
+                    if e[1] <= qy <= e[2]:
                         out.append(e[3])
                 continue
-            keys, seg_keys, seg_pays = seg[side]
-            t = bisect_right(keys, key)
-            if t <= small:
-                probes += t + (t < len(keys))
-                for e in entries[:t]:
-                    if e[1] <= sy <= e[2]:
-                        out.append(e[3])
-                continue
-            brk, nl, search = seg[0], seg[1], seg[2]
-            probes += small + 1 + search
-            p = bisect_right(brk, sy) - 1
+            brk, nl, search = axis
+            seg_keys, seg_pays = side
+            probes += search
+            p = bisect_right(brk, qy) - 1
             if 0 <= p < nl:
                 p += nl
                 while p:
@@ -547,11 +509,10 @@ def _range_node(pts):
 class RangeTree2D:
     """Balanced tree on x1 with x2-sorted arrays per node."""
 
-    __slots__ = ("root", "npoints")
+    __slots__ = ("root",)
 
     def __init__(self, points):
         pts = sorted(points)
-        self.npoints = len(pts)
         self.root = _range_node(pts) if pts else None
 
     def report(self, x1_lo, x1_hi, x2_lo, x2_hi):

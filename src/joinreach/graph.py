@@ -270,16 +270,10 @@ class ReachMatrix:
     def reach(self, a, b):
         return bool(self.rows[a] >> b & 1)
 
-    def row(self, a):
-        return self.rows[a]
-
     def and_with(self, other):
         if self.n != other.n:
             raise ValueError("matrix size mismatch")
         return ReachMatrix(self.n, [x & y for x, y in zip(self.rows, other.rows)])
-
-    def count(self):
-        return sum(r.bit_count() for r in self.rows)
 
     def __eq__(self, other):
         return isinstance(other, ReachMatrix) and self.n == other.n and self.rows == other.rows
@@ -296,33 +290,39 @@ class ReachMatrix:
         return True
 
 
-def transitive_closure(g):
-    """Reachability oracle: reflexive-transitive closure of g.
+def _reach_rows(g, keep):
+    """Per vertex of g, the bit row of the vertices below `keep` that it
+    reaches, itself included.
 
-    Row-OR sweep in reverse topological order for DAGs; per-source DFS
-    otherwise.
+    One row OR per arc in reverse topological order. Only a cyclic g is
+    condensed first (`tarjan_scc`): a component's row holds its members,
+    and its arcs OR the rows of the later components they enter.
     """
-    n = g.n
     order = topo_order(g)
-    rows = [0] * n
     if order is not None:
+        rows = [0] * g.n
         for v in reversed(order):
-            r = 1 << v
+            bits = 1 << v if v < keep else 0
             for w in g.out[v]:
-                r |= rows[w]
-            rows[v] = r
-        return ReachMatrix(n, rows)
-    for s in range(n):
-        seen = 1 << s
-        stack = [s]
-        while stack:
-            v = stack.pop()
+                bits |= rows[w]
+            rows[v] = bits
+        return rows
+    comp_of, comps = tarjan_scc(g)
+    crow = [0] * len(comps)
+    for ci in range(len(comps) - 1, -1, -1):
+        bits = 0
+        for v in comps[ci]:
+            if v < keep:
+                bits |= 1 << v
             for w in g.out[v]:
-                if not (seen >> w & 1):
-                    seen |= 1 << w
-                    stack.append(w)
-        rows[s] = seen
-    return ReachMatrix(n, rows)
+                bits |= crow[comp_of[w]]  # 0 inside the component, not yet set
+        crow[ci] = bits
+    return [crow[c] for c in comp_of]
+
+
+def transitive_closure(g):
+    """Reachability oracle: reflexive-transitive closure of g."""
+    return ReachMatrix(g.n, _reach_rows(g, g.n))
 
 
 @dataclass
@@ -594,15 +594,22 @@ def tree_blocks(g):
     return blocks, of
 
 
-def block_pairs(of1, of2):
-    """{(k1, k2): ascending vertices v with k1 in of1[v] and k2 in of2[v]},
-    for the nonempty pairs only, from one pass over the vertices."""
+def block_pairs(g1, g2):
+    """(blocks1, blocks2, pairs): the tree blocks of two trees over one
+    vertex set, and the pairs of blocks that share at least two vertices
+    as ((k1, k2), ascending shared vertices), in key order, from one pass
+    over the vertices. A pair sharing one vertex could relate only that
+    vertex to itself."""
+    if g1.n != g2.n:
+        raise ValueError("vertex-set mismatch")
+    blocks1, of1 = tree_blocks(g1)
+    blocks2, of2 = tree_blocks(g2)
     groups = {}
     for v, (ks1, ks2) in enumerate(zip(of1, of2)):
         for k1 in ks1:
             for k2 in ks2:
                 groups.setdefault((k1, k2), []).append(v)
-    return groups
+    return blocks1, blocks2, sorted(kv for kv in groups.items() if len(kv[1]) > 1)
 
 
 @dataclass

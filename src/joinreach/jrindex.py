@@ -41,7 +41,6 @@ from .graph import (
     path_order,
     topo_order,
     transitive_closure,
-    tree_blocks,
 )
 from .hpd import hpd_two_trees_build
 
@@ -137,13 +136,9 @@ class _BlockPairs(_Packed):
     """
 
     def __init__(self, g1, g2):
-        if g1.n != g2.n:
-            raise ValueError("vertex-set mismatch")
         n = self.n = g1.n
-        blocks1, of1 = tree_blocks(g1)
-        blocks2, of2 = tree_blocks(g2)
+        blocks1, blocks2, pairs = block_pairs(g1, g2)
         stride = band_stride(n)
-        pairs = [(key, m) for key, m in sorted(block_pairs(of1, of2).items()) if len(m) > 1]
         sides = [sorted((blocks1[i], blocks2[j]), key=_rank) for (i, j), _ in pairs]
         rects, segs, rpts, pts = [], [], [], []
         for k, ((b1, b2), (_, members)) in enumerate(zip(sides, pairs)):

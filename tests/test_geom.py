@@ -365,7 +365,7 @@ def enclosure_scan(rects, qx, qy):
 
 def enclosure_probe_bound(m, k):
     """c((ceil(lg m) + 1)^2 + k) with c = 12: with G = ceil(lg m) + 1 the
-    structure's argument (its docstring) allows 4G^2 + 6G + 2 + k probes,
+    structure's argument (its docstring) allows 3G^2 + 4G + k probes,
     at most 12(G^2 + k) for G >= 1."""
     g = (m - 1).bit_length() + 1 if m else 1
     return 12 * (g * g + k)
@@ -391,9 +391,9 @@ def test_enclosure_empty_and_single_rectangle():
 
 
 def test_enclosure_duplicate_degenerate_and_negative_on_every_slot():
-    # Even coordinates and every integer query: each endpoint, each gap
-    # between endpoints (so every node's center, which is a gap slot) and
-    # points outside all spans are queried. Degenerate rectangles
+    # Even coordinates and every integer query: each endpoint, each point
+    # between endpoints (so every node's center, one above a lower x1 end)
+    # and points outside all spans are queried. Degenerate rectangles
     # contain nothing and are never reported.
     rng = random.Random(83)
     for trial in range(12):
@@ -450,6 +450,15 @@ def test_enclosure_chain_star_rectangles():
             got, probes = idx.report_counted(qx, qy)
             assert sorted(got) == want, b
             assert probes <= enclosure_probe_bound(n, len(want))
+
+
+def test_enclosure_rejects_non_integer_coordinates():
+    good = Rect(0, 4, 0, 4, 7)
+    assert EnclosureIndex([good]).report(2, 2) == [7]
+    for field in ("x1_lo", "x1_hi", "x2_lo", "x2_hi"):
+        bad = good._replace(**{field: float(getattr(good, field))})
+        with pytest.raises(TypeError):
+            EnclosureIndex([good, bad])
 
 
 def test_range2d_full_and_empty():
