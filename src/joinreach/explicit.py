@@ -7,28 +7,30 @@ reachability relations. Divide-and-conquer in rank space keeps the
 output near-linear for paths and trees and cover-factor-linear for DAGs.
 
 Every builder wires through one kernel, `_nest_connect`, which walks
-nested ranges of walk positions and halves a rank range h: a source
-reaches each sink of its range lying below it in h. A source gets a relay
-only when its range holds a sink of the lower half; the outermost such
-source is its own relay, and only a nested one gets a Steiner vertex.
+nested ranges of walk positions and halves the last of a tuple of rank
+arrays: a source reaches each sink of its range lying below it in every
+array. With one array, the upper half's sources meet the lower half's
+sinks in one relay walk: a source gets a relay only when its range holds
+such a sink, the outermost one is its own relay, and only a nested one
+gets a Steiner vertex. With more, the halves meet by the kernel on the
+arrays before the last, after dropping the members that can never be
+wired (`_live`): no output changes, but nothing to wire stops at once.
 
 Paths and trees: each pair of tree blocks (`graph.tree_blocks`; a path
 gives one chain block per maximal run, a dipath exactly one) is walked
-along the first block's nested intervals, halving a rank range of the
-second. A pair whose members form a chain in the second block, as with a
-path second, needs one such wiring; any other pair gets one per level of
-an outer halving of a second rank, which first drops the members that
-can never be wired (`_live`): no output changes, but a pair with nothing
-to wire stops at once. Path covers: each pair of cover paths is one walk
-in x1 order whose ranges all run to its end, with h ranking x2, so it is
-inclusive dominance in (x1, x2).
+along the first block's nested intervals, with ranks (h2, h3) encoding
+the second block; a pair whose members form a chain there, as with a
+path second, has h2 == h3 and is wired in h2 alone. Path covers: each
+pair of cover paths is one walk in x1 order whose ranges all run to its
+end, with h ranking x2, so it is inclusive dominance in (x1, x2).
 
-Steiner tags end in `d<k>;h=<lo>..<hi>`: the recursion depth and the
-rank slab being halved. Before that comes the builder's label, then
-`i<i>;j<j>` for the cover-path pair, or for the block pair (and `rev` for
-an in-core first block) unless both inputs are one block, then `p<k>`
-for the outer level of a 3-D wiring. So path-cover tags read
-`pathcover;i<i>;j<j>;d<k>;h=<lo>..<hi>`.
+Steiner tags end in `d<k>;h=<lo>..<hi>`: the depth of the last halving
+and the rank slab being halved. Before that comes the builder's label,
+then `i<i>;j<j>` for the cover-path pair, or for the block pair (and
+`rev` for an in-core first block) unless both inputs are one block, then
+one `p<k>` per further array, outermost first: the depth of the halving
+whose meeting made the relay. So tags read
+`pathcover;i<i>;j<j>;d<k>;h=<lo>..<hi>` or `two-trees;p2;d1;h=0..1024`.
 """
 
 from __future__ import annotations
@@ -152,12 +154,9 @@ def _pair_connect(b, blk1, blk2, members, tag):
 
     h2, h3 = _interval_orders(vert, blk2.su_iv, core2, eff_o2)
     first = len(b.arcs)
-    if h2 == h3:
-        # The members form a chain in the second block, so its relation is
-        # dominance in h2 alone.
-        _nest_connect(b, srcs, snks, end, h2, 0, len(vert), vert, tag)
-    else:
-        _three_d_connect(b, srcs, snks, end, h2, h3, 0, len(vert), vert, tag)
+    # Members forming a chain in the second block relate by h2 alone.
+    hs = (h2,) if h2 == h3 else (h2, h3)
+    _nest_connect(b, srcs, snks, end, hs, 0, len(vert), vert, tag)
     if rev:
         b.arcs[first:] = [(v, u) for u, v in b.arcs[first:]]
 
@@ -186,29 +185,6 @@ def _interval_orders(vert, iv2, core2, o2):
     return h2, h3
 
 
-def _three_d_connect(b, srcs, snks, end, h2, h3, lo, hi, vert, tag, depth=0):
-    """Wire each source to every sink of its nested range that lies below
-    it in both h2 and h3: halve [lo, hi) in h3 and wire the upper half's
-    sources to the lower half's sinks in h2. Members that can never be
-    wired, in h3 for the level and in h2 for the slab, are dropped first:
-    such a source never gets a relay, and such a sink never finds one."""
-    if not srcs or not snks or hi - lo <= 1:
-        return
-    srcs, snks = _live(srcs, snks, end, h3)
-    if not srcs:
-        return
-    mid = (lo + hi + 1) // 2
-    s_hi = [p for p in srcs if h3[p] >= mid]
-    k_lo = [p for p in snks if h3[p] < mid]
-    s_live, k_live = _live(s_hi, k_lo, end, h2)
-    if s_live:
-        _nest_connect(b, s_live, k_live, end, h2, 0, len(vert), vert, f"{tag};p{depth}")
-    _three_d_connect(b, s_hi, [p for p in snks if h3[p] >= mid], end, h2, h3,
-                     mid, hi, vert, tag, depth + 1)
-    _three_d_connect(b, [p for p in srcs if h3[p] < mid], k_lo, end, h2, h3,
-                     lo, mid, vert, tag, depth + 1)
-
-
 def _live(srcs, snks, end, h):
     """The sources whose nested range holds a sink below them in h, and the
     sinks such a source encloses, ascending: one stack walk, the ranges
@@ -232,36 +208,50 @@ def _live(srcs, snks, end, h):
     return [p for p in srcs if p in live], k_live
 
 
-def _nest_connect(b, srcs, snks, end, h, lo, hi, vert, tag, depth=0):
-    """Wire each source to every sink of its nested range below it in h.
+def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
+    """Wire each source to every sink of its nested range that lies below
+    it in every rank array of hs, halving [lo, hi) in the last one.
 
     srcs and snks are ascending walk positions, or one list when every
     member is both; position p's nested range is p..end[p], and vert[p]
-    is its vertex. A source in the upper half of [lo, hi) whose range
-    holds a lower-half sink gets a relay: itself when no such source
-    encloses it, else one Steiner vertex entered from its vertex and from
-    the relay of its nearest enclosing such source. Each lower-half sink
-    hangs off the relay of its nearest one. The recursion then halves
-    [lo, hi), entering only halves that hold a source and a sink.
+    is its vertex. With one array h, a source in the upper half of
+    [lo, hi) whose range holds a lower-half sink gets a relay: itself when
+    no such source encloses it, else one Steiner vertex entered from its
+    vertex and from the relay of its nearest enclosing such source. Each
+    lower-half sink hangs off the relay of its nearest one. With more, the
+    upper half's sources meet the lower half's sinks by a call on hs[:-1]
+    over the whole rank range [0, len(end)); members that can never be
+    wired, in the halved array for the level and in the next for the
+    meeting, are dropped first. The recursion then halves [lo, hi),
+    entering only halves that hold a source and a sink.
     """
     if not srcs or not snks or hi - lo <= 1:
         return
+    h = hs[-1]
+    if len(hs) > 1:
+        srcs, snks = _live(srcs, snks, end, h)
+        if not srcs:
+            return
     mid = (lo + hi + 1) // 2
     s_hi = [p for p in srcs if h[p] >= mid]
     k_lo = [p for p in snks if h[p] < mid]
     if srcs is snks:
-        k_hi, s_lo, walk = s_hi, k_lo, srcs
+        k_hi, s_lo = s_hi, k_lo
     else:
         k_hi = [p for p in snks if h[p] >= mid]
         s_lo = [p for p in srcs if h[p] < mid]
-        walk = sorted(s_hi + k_lo)
-    if s_hi and k_lo:
+    if len(hs) > 1:
+        s_live, k_live = _live(s_hi, k_lo, end, hs[-2])
+        if s_live:
+            _nest_connect(b, s_live, k_live, end, hs[:-1], 0, len(end), vert,
+                          f"{tag};p{depth}")
+    elif s_hi and k_lo:
         label = f"{tag};d{depth};h={lo}..{hi}"
         arcs = b.arcs
         ends = []  # range ends of the enclosing relayed sources
         relays = []  # and their relays
         nxt, n_lo = 0, len(k_lo)  # k_lo[nxt]: the first sink after p
-        for p in walk:
+        for p in srcs if srcs is snks else sorted(s_hi + k_lo):
             while ends and ends[-1] < p:
                 ends.pop()
                 relays.pop()
@@ -281,9 +271,9 @@ def _nest_connect(b, srcs, snks, end, h, lo, hi, vert, tag, depth=0):
             ends.append(end[p])
             relays.append(sv)
     if s_hi and k_hi:
-        _nest_connect(b, s_hi, k_hi, end, h, mid, hi, vert, tag, depth + 1)
+        _nest_connect(b, s_hi, k_hi, end, hs, mid, hi, vert, tag, depth + 1)
     if s_lo and k_lo:
-        _nest_connect(b, s_lo, k_lo, end, h, lo, mid, vert, tag, depth + 1)
+        _nest_connect(b, s_lo, k_lo, end, hs, lo, mid, vert, tag, depth + 1)
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +316,7 @@ def build_pathcover(g1, g2):
         h = [rank[e[2]] for e in ents]
         m = len(ents)
         _nest_connect(b, [p for p in range(m) if not ents[p][1]], list(range(m)),
-                      [m - 1] * m, h, 0, len(keys), [e[3] for e in ents],
+                      [m - 1] * m, (h,), 0, len(keys), [e[3] for e in ents],
                       f"pathcover;i{i};j{j}")
     return b.finish()
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import product
 
 import pytest
@@ -358,31 +359,28 @@ def test_pairs_with_an_empty_join_get_no_relay():
 
 
 def test_three_d_wiring_work_follows_the_output(monkeypatch):
-    # The 3-D wiring drops members that can never be wired before each
-    # level and each slab, so an out-tree against its own reverse, which
-    # has nothing to wire, stops at once. Without that, each of these
-    # builds made 47,104 wiring calls. A slab or half with no source or
-    # no sink left is not called at all.
+    # The wiring kernel drops members that can never be wired before each
+    # level and each meeting of a two-coordinate halving, so an out-tree
+    # against its own reverse, which has nothing to wire, stops at once.
+    # Without that, each of these builds made 47,104 wiring calls. A
+    # meeting or half with no source or no sink left is not called at all.
     import joinreach.explicit as ex
 
     stats = {"calls": 0, "depth": 0, "deepest": 0, "empty": 0}
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            stats["calls"] += 1
-            if fn is nest and not (args[1] and args[2]):
-                stats["empty"] += 1
-            stats["depth"] += 1
-            stats["deepest"] = max(stats["deepest"], stats["depth"])
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                stats["depth"] -= 1
-        return wrapper
-
     nest = ex._nest_connect
-    monkeypatch.setattr(ex, "_nest_connect", counted(nest))
-    monkeypatch.setattr(ex, "_three_d_connect", counted(ex._three_d_connect))
+
+    def counted(*args, **kwargs):
+        stats["calls"] += 1
+        if not (args[1] and args[2]):
+            stats["empty"] += 1
+        stats["depth"] += 1
+        stats["deepest"] = max(stats["deepest"], stats["depth"])
+        try:
+            return nest(*args, **kwargs)
+        finally:
+            stats["depth"] -= 1
+
+    monkeypatch.setattr(ex, "_nest_connect", counted)
     n = 2048
     lg = logceil(n)
     rng = random.Random(53)
@@ -395,8 +393,65 @@ def test_three_d_wiring_work_follows_the_output(monkeypatch):
         bound = 4 if g1 is t else 4 * (m + 1) * lg
         assert stats["calls"] <= bound, (g1.kind, m, stats)
         assert stats["empty"] == 0, (g1.kind, stats)
-        # one 3-D and one 2-D halving deep at most
+        # two halvings deep at most, one per coordinate
         assert stats["deepest"] <= 2 * lg + 2, (g1.kind, stats)
+
+
+def _laminar_ends(rng, m):
+    """end[p] for m walk positions whose ranges p..end[p] nest: a random
+    forest laid out in preorder."""
+    end = list(range(m))
+    stack = []
+    for p in range(m):
+        while stack and rng.random() < 0.4:
+            stack.pop()
+        for q in stack:
+            end[q] = p
+        stack.append(p)
+    return end
+
+
+def test_nest_connect_matches_brute_force_in_one_to_three_coordinates(monkeypatch):
+    # Source p reaches sink q directly when q lies in p's range and
+    # strictly below p in every coordinate. Original a must reach original
+    # b through the kernel's arcs exactly when the transitive closure of
+    # that relation holds.
+    import joinreach.explicit as ex
+
+    depth = {"now": 0, "deepest": 0}
+    nest = ex._nest_connect
+
+    def counted(*args, **kwargs):
+        depth["now"] += 1
+        depth["deepest"] = max(depth["deepest"], depth["now"])
+        try:
+            return nest(*args, **kwargs)
+        finally:
+            depth["now"] -= 1
+
+    monkeypatch.setattr(ex, "_nest_connect", counted)
+    rng = random.Random(59)
+    for trial in range(240):
+        k = 1 + trial % 3
+        m = rng.randrange(1, 40)
+        end = _laminar_ends(rng, m)
+        hs = tuple([rng.randrange(m) for _ in range(m)] for _ in range(k))
+        srcs = [p for p in range(m) if rng.random() < 0.7]
+        snks = srcs if trial % 4 == 0 else [p for p in range(m) if rng.random() < 0.7]
+        b = ex._Builder(m)
+        depth["deepest"] = 0
+        ex._nest_connect(b, srcs, snks, end, hs, 0, m, list(range(m)), "t")
+        jg = b.finish()
+
+        is_snk = set(snks)
+        want = Digraph(m, [(p, q) for p in srcs for q in range(p, end[p] + 1)
+                           if q in is_snk and all(h[q] < h[p] for h in hs)])
+        got = transitive_closure(jg.graph).rows[:m]
+        mask = (1 << m) - 1
+        assert [r & mask for r in got] == transitive_closure(want).rows, (trial, k, m)
+        for t in jg.steiner_tags:
+            assert re.search(r";d\d+;h=\d+\.\.\d+$", t), t
+        assert depth["deepest"] <= k * (logceil(m) + 1), (trial, k, m, depth)
 
 
 def assert_relays_live(jg):

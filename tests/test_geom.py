@@ -430,8 +430,12 @@ def test_enclosure_deep_concentric_family_within_the_probe_bound():
 
 
 def test_enclosure_chain_star_rectangles():
-    # Every rectangle's x1 span holds the median, so all of them share one
-    # interval-tree node and are read from its segment tree.
+    # Doubled DFS intervals, as the two-trees index stores them, so every
+    # rectangle holds its own point (2 s1 + 1, 2 s2 + 1). The chain's x1
+    # spans nest: each interval-tree node keeps the spans starting at or
+    # before its center, about half of those it is given, and passes the
+    # inner ones on, so several nodes each keep a segment tree over the
+    # star's x2 spans (seven at this n).
     n = 1 << 11
     rng = random.Random(89)
     order = list(range(n))
@@ -439,17 +443,18 @@ def test_enclosure_chain_star_rectangles():
     chain = Digraph(n, list(zip(order, order[1:])), kind="out-tree")
     star = Digraph(n, [(order[0], v) for v in order[1:]], kind="out-tree")
     iv1, iv2 = dfs_intervals(chain), dfs_intervals(star)
-    rects = [Rect(iv1.s[a], iv1.t[a], iv2.s[a], iv2.t[a], a) for a in range(n)]
+    rects = [Rect(2 * iv1.s[a], 2 * iv1.t[a], 2 * iv2.s[a], 2 * iv2.t[a], a) for a in range(n)]
     idx = EnclosureIndex(rects)
     by_x2 = sorted(rects, key=lambda r: r.x2_lo)
+    x2_los = [r.x2_lo for r in by_x2]
     for b in range(n):
-        for qx, qy in ((iv1.s[b], iv2.s[b]), (iv1.s[b] + 1, iv2.s[b] + 1)):
+        for qx, qy in ((2 * iv1.s[b] + 1, 2 * iv2.s[b] + 1), (2 * iv1.s[b], 2 * iv2.s[b])):
             # a rectangle holding (qx, qy) starts below qy on x2
-            cands = by_x2[: bisect_right([r.x2_lo for r in by_x2], qy)]
-            want = enclosure_scan(cands, qx, qy)
+            want = enclosure_scan(by_x2[: bisect_right(x2_los, qy)], qx, qy)
             got, probes = idx.report_counted(qx, qy)
             assert sorted(got) == want, b
             assert probes <= enclosure_probe_bound(n, len(want))
+        assert b in idx.report(2 * iv1.s[b] + 1, 2 * iv2.s[b] + 1), b
 
 
 def test_enclosure_rejects_non_integer_coordinates():
