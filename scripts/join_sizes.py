@@ -10,13 +10,16 @@ The first form writes each pair's size, the SHA-256 of its join file
 triple from the pair's index (`classes.index`, plus
 `index_hpd_two_trees` when both graphs are rooted trees, one an
 out-tree), one of the answers with the pairs touched and one of the
-probe counts, and the pair's probe total. The second, run on another
-checkout, compares with such a file: it counts the pairs whose join
-bytes, index answers and index probes changed, prints the corpus probe
-totals before and after with the number of pairs whose probes rose, and
-exits 1 when a pair is larger. Files of 3 to 6 fields per row, written
-before the fields they lack, still compare by what they hold; a fifth
-field of a 5-field row hashed whole triples, so it is not compared.
+probe counts, the pair's probe total, and a SHA-256 of the answer sets:
+every vertex's answer with its touched pairs sorted. The second, run on
+another checkout, compares with such a file: it counts the pairs whose
+join bytes, index answers, index probes and answer sets changed, prints
+the corpus probe totals before and after with the number of pairs whose
+probes rose, and exits 1 when a pair is larger. A pair whose index
+answers changed but whose answer sets did not lists the same pairs in
+another order. Files of 3 to 7 fields per row, written before the fields
+they lack, still compare by what they hold; a fifth field of a 5-field
+row hashed whole triples, so it is not compared.
 Every output is checked with `verify_join_graph` as it is built.
 """
 
@@ -55,28 +58,31 @@ BUILDERS = ("build_two_paths", "build_tree_path", "build_two_trees",
 
 
 def _index_digests(g1, g2):
-    """(answers, probes, probe total): SHA-256 of every vertex's answer
-    and pairs touched, SHA-256 of its probe count, and the sum of those
-    counts, from the pair's class index and, for an out-tree with a
-    rooted tree, the heavy-path index."""
+    """(answers, probes, probe total, answer sets): SHA-256 of every
+    vertex's answer and pairs touched, SHA-256 of its probe count, the sum
+    of those counts, and SHA-256 of every vertex's answer with its pairs
+    touched sorted, from the pair's class index and, for an out-tree with
+    a rooted tree, the heavy-path index."""
     indexes = [classes.index(g1, g2)]
     kinds = {g1.kind, g2.kind}
     if "out-tree" in kinds and kinds <= {"out-tree", "in-tree"}:
         indexes.append(index_hpd_two_trees(g1, g2))
-    answers, probes = hashlib.sha256(), hashlib.sha256()
+    answers, probes, sets = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     total = 0
     for idx in indexes:
         for b in range(g1.n):
             found, count, pairs = idx.query_counted(b)
             answers.update(repr((found, pairs)).encode())
             probes.update(repr(count).encode())
+            sets.update(repr((sorted(found), sorted(pairs))).encode())
             total += count
-    return answers.hexdigest(), probes.hexdigest(), total
+    return answers.hexdigest(), probes.hexdigest(), total, sets.hexdigest()
 
 
 def corpus_sizes():
     """[(builder, n, size, join sha256, answers sha256, probes sha256,
-    probe total)] for 60 seeded pairs per builder, n < 80."""
+    probe total, answer sets sha256)] for 60 seeded pairs per builder,
+    n < 80."""
     rng = random.Random(0)
     out = []
     for builder in BUILDERS:
@@ -120,6 +126,10 @@ def main(argv=None):
                   f"\tpairs with more probes\t{rose}")
         else:
             print("probe total\tunknown: the file has no probe totals")
+        if all(len(o) > 7 for o in old):
+            print(f"changed answer sets\t{sum(o[7] != s[7] for o, s in zip(old, sizes))}")
+        else:
+            print("changed answer sets\tunknown: the file has no answer-set hashes")
         for k, o, s in larger:
             print(f"  pair {k} {s[0]} n={s[1]}: {o[2]} -> {s[2]}")
         return 1 if larger else 0

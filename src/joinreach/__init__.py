@@ -31,7 +31,7 @@ from .hpd import (
     hpd_two_trees_report,
 )
 from .minimal import and_closure, minimal_restricted_join, transitive_reduction
-from .cover import FromRanks, PathCover, from_ranks, min_path_cover
+from .cover import PathCover, from_ranks, min_path_cover
 from .explicit import (
     JoinGraph,
     build_pathcover,

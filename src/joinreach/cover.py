@@ -1,6 +1,7 @@
-"""Vertex-disjoint dipath covers of DAGs, the per-vertex from-rank
-tables the path-cover join constructions consume, and the index of a
-dipath cover against a rooted tree.
+"""Vertex-disjoint dipath covers of DAGs, the per-vertex from-rank rows
+(a plain list of {cover path: rank} dicts) the path-cover join
+constructions consume, and the index of a dipath cover against a rooted
+tree.
 
 `paths_against_tree` is the one layout of cover paths against a second
 graph that is a rooted tree. The path-cover index uses it with a minimum
@@ -115,28 +116,6 @@ def shared_vertices(pc1, pc2):
     return dict(sorted(groups.items()))
 
 
-@dataclass
-class FromRanks:
-    """rows[v]: {cover path i: highest rank on i of a vertex reaching v}.
-
-    Rows are sparse: a path none of whose vertices reaches v has no entry,
-    and get() returns None for it.
-    """
-
-    rows: list
-
-    def get(self, v, i):
-        return self.rows[v].get(i)
-
-    def reached(self, kappa):
-        """reached[i]: the vertices some vertex of path i reaches, ascending."""
-        out = [[] for _ in range(kappa)]
-        for v, row in enumerate(self.rows):
-            for i in row:
-                out[i].append(v)
-        return out
-
-
 def format_cover(pc):
     """Cover file format: kappa, then one vertex-sequence line per path."""
     lines = [str(pc.kappa)]
@@ -163,13 +142,14 @@ def parse_cover(text):
 
 
 def from_ranks(g, pc, order=None):
-    """Max-propagating pass in topological order over sparse rows.
+    """rows[v] = {cover path i: highest rank on i of a vertex reaching v},
+    from a max-propagating pass in topological order.
 
-    For each vertex and cover path, the highest rank on that path among
-    the vertices that reach it; a vertex on a path trivially reaches
-    itself. Values are monotone along arcs. Each row holds only the paths
-    that reach its vertex (Jagadish's chain-compressed closure), so the
-    pass costs the sum over arcs of the tail's row size, not m * kappa.
+    A vertex on a path trivially reaches itself, and values are monotone
+    along arcs. Each row holds only the paths that reach its vertex
+    (Jagadish's chain-compressed closure), so the pass costs the sum over
+    arcs of the tail's row size, not m * kappa. Any topological order
+    gives the same values; `order` is one when the caller has it.
     """
     order = topo_order(g) if order is None else order
     if order is None:
@@ -184,7 +164,7 @@ def from_ranks(g, pc, order=None):
             for i, x in row.items():
                 if wrow.get(i, -1) < x:
                     wrow[i] = x
-    return FromRanks(rows)
+    return rows
 
 
 def band_stride(n):
@@ -199,8 +179,8 @@ def paths_against_tree(paths, rows, tree):
     """Per-vertex reports of dipaths of one graph against a rooted tree.
 
     `paths` are vertex-disjoint dipaths covering the first graph, and
-    rows[b] is {path i: highest rank on i of a vertex reaching b}, as in
-    `FromRanks.rows`. Path i holds its vertices at (doubled DFS interval
+    rows[b] is {path i: highest rank on i of a vertex reaching b}, as
+    `from_ranks` returns. Path i holds its vertices at (doubled DFS interval
     in the tree, rank on i), its x1 shifted by i times a stride above
     every doubled DFS time: registered segments of one segment/ray sweep
     for an out-tree, stabbed from b's interval start (b's ancestors and

@@ -223,9 +223,10 @@ def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
     over the whole rank range [0, len(end)); members that can never be
     wired, in the halved array for the level and in the next for the
     meeting, are dropped first. The recursion then halves [lo, hi),
-    entering only halves that hold a source and a sink.
+    entering only halves that hold a source and a sink and span more than
+    one rank: within one rank no source lies above a sink.
     """
-    if not srcs or not snks or hi - lo <= 1:
+    if not srcs or not snks:
         return
     h = hs[-1]
     if len(hs) > 1:
@@ -270,9 +271,9 @@ def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
                 sv = vert[p]
             ends.append(end[p])
             relays.append(sv)
-    if s_hi and k_hi:
+    if s_hi and k_hi and hi - mid > 1:
         _nest_connect(b, s_hi, k_hi, end, hs, mid, hi, vert, tag, depth + 1)
-    if s_lo and k_lo:
+    if s_lo and k_lo and mid - lo > 1:
         _nest_connect(b, s_lo, k_lo, end, hs, lo, mid, vert, tag, depth + 1)
 
 
@@ -297,7 +298,10 @@ def build_pathcover(g1, g2):
     pc2 = min_path_cover(g2, order2)
     fr1 = from_ranks(g1, pc1, order1)
     fr2 = from_ranks(g2, pc2, order2)
-    reached1 = fr1.reached(pc1.kappa)
+    reached1 = [[] for _ in range(pc1.kappa)]
+    for z, row in enumerate(fr1):
+        for i in row:
+            reached1[i].append(z)
     b = _Builder(g1.n)
     for i, j in shared_vertices(pc1, pc2):
         # The walk goes by x1, sources first, and every range runs to its
@@ -306,10 +310,10 @@ def build_pathcover(g1, g2):
         # the walk.
         ents = []
         for z in reached1[i]:
-            x2 = fr2.rows[z].get(j)
+            x2 = fr2[z].get(j)
             if x2 is not None:
                 src = pc1.path_of[z][0] == i and pc2.path_of[z][0] == j
-                ents.append((fr1.rows[z][i], not src, (-x2, src), z))
+                ents.append((fr1[z][i], not src, (-x2, src), z))
         ents.sort()
         keys = sorted({e[2] for e in ents})
         rank = {k: r for r, k in enumerate(keys)}

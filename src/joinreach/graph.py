@@ -9,7 +9,6 @@ blocks.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -180,18 +179,18 @@ def dipath_of(order):
 
 
 def topo_order(g):
-    """Lexicographically smallest topological order, or None if cyclic."""
-    indeg = [len(g.inn[v]) for v in range(g.n)]
-    heap = [v for v in range(g.n) if indeg[v] == 0]
-    heapq.heapify(heap)
+    """A topological order of g, or None if g has a cycle: Kahn's pass
+    with a stack of the vertices whose in-arcs are all taken."""
+    indeg = [len(p) for p in g.inn]
+    stack = [v for v in range(g.n) if not indeg[v]]
     order = []
-    while heap:
-        v = heapq.heappop(heap)
+    while stack:
+        v = stack.pop()
         order.append(v)
         for w in g.out[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
+            if not indeg[w]:
+                stack.append(w)
     return order if len(order) == g.n else None
 
 
@@ -622,31 +621,6 @@ class DfsIntervals:
     def contains(self, a, b):
         """True iff the interval of a contains the interval of b."""
         return self.s[a] <= self.s[b] and self.t[b] <= self.t[a]
-
-
-def tree_parents(g, root=None):
-    """Parent array of the underlying tree of g rooted at `root`.
-
-    Raises if the underlying graph is not a tree.
-    """
-    if root is None:
-        root = g.root()
-    if g.m != g.n - 1:
-        raise GraphClassError("not a tree: wrong arc count")
-    parent = [-2] * g.n
-    parent[root] = -1
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in g.out[v] + g.inn[v]:
-            if parent[w] == -2:
-                parent[w] = v
-                order.append(w)
-                stack.append(w)
-    if len(order) != g.n:
-        raise GraphClassError("not a tree: disconnected")
-    return parent
 
 
 def dfs_intervals(g, root=None):

@@ -1,9 +1,11 @@
 """Heavy-path decomposition and the two-tree index built on it.
 
 `hpd_build` splits a rooted tree into heavy paths, so a root path meets
-at most floor(lg n) + 1 of them. `hpd_two_trees_build` pairs an out-tree
-with a second rooted tree: the out-tree's heavy paths are one more
-dipath cover, indexed against the second tree by
+at most floor(lg n) + 1 of them. It reads subtree sizes off the tree's
+DFS intervals and sets the heavy children, light levels and paths in one
+breadth-first walk of the child lists. `hpd_two_trees_build` pairs an
+out-tree with a second rooted tree: the out-tree's heavy paths are one
+more dipath cover, indexed against the second tree by
 `cover.paths_against_tree`, and each vertex keeps only the heavy paths
 that report for it.
 """
@@ -13,75 +15,56 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import from_ranks, paths_against_tree
-from .graph import GraphClassError, tree_parents
+from .graph import GraphClassError, dfs_intervals
 
 
 @dataclass
 class HeavyPathDecomp:
     root: int
-    parent: list
-    size: list
     heavy_child: list
     is_heavy: list
     light_level: list
     paths: list
     path_of: list
+    order: list  # breadth first from the root
 
 
-def hpd_build(g, root=None):
-    """Partition the underlying rooted tree into heavy paths.
+def hpd_build(g):
+    """Partition a rooted tree into heavy paths.
 
     A child is heavy iff its subtree holds at least half of its parent's;
     at most one child can qualify. Light level counts the light vertices
     strictly below the root on the root path, which keeps it within
-    floor(log2 n).
+    floor(log2 n). Paths are numbered in breadth-first order of their
+    heads.
     """
-    if root is None:
-        root = g.root()
-    parent = tree_parents(g, root)
+    root = g.root()
+    iv = dfs_intervals(g, root)
+    s, t = iv.s, iv.t  # t - s = 2 * subtree size - 1
+    kids = g.inn if g.kind == "in-tree" else g.out
     n = g.n
-    children = [[] for _ in range(n)]
-    order = [root]
-    i = 0
-    while i < len(order):  # BFS so reversal gives a bottom-up order
-        v = order[i]
-        i += 1
-        for w in g.out[v] + g.inn[v]:
-            if parent[w] == v:
-                children[v].append(w)
-                order.append(w)
-    size = [1] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
     heavy_child = [-1] * n
-    for v in range(n):
-        for c in children[v]:
-            if 2 * size[c] >= size[v]:
-                heavy_child[v] = c
-                break
     is_heavy = [False] * n
-    for v in range(n):
-        if heavy_child[v] != -1:
-            is_heavy[heavy_child[v]] = True
     light_level = [0] * n
-    for v in order:
-        if v == root:
-            continue
-        light_level[v] = light_level[parent[v]] + (0 if is_heavy[v] else 1)
-    paths = []
+    paths = [[root]]
     path_of = [None] * n
-    for v in order:
-        if v != root and is_heavy[v]:
-            continue
-        path = [v]
-        while heavy_child[path[-1]] != -1:
-            path.append(heavy_child[path[-1]])
-        pid = len(paths)
-        paths.append(path)
-        for pos, x in enumerate(path):
-            path_of[x] = (pid, pos)
-    return HeavyPathDecomp(root, parent, size, heavy_child, is_heavy, light_level, paths, path_of)
+    path_of[root] = (0, 0)
+    order = [root]
+    for v in order:  # grows as the walk finds children: a BFS
+        pid, pos = path_of[v]
+        for c in kids[v]:
+            order.append(c)
+            if 2 * (t[c] - s[c] + 1) >= t[v] - s[v] + 1:
+                heavy_child[v] = c
+                is_heavy[c] = True
+                light_level[c] = light_level[v]
+                path_of[c] = (pid, pos + 1)
+                paths[pid].append(c)
+            else:
+                light_level[c] = light_level[v] + 1
+                path_of[c] = (len(paths), 0)
+                paths.append([c])
+    return HeavyPathDecomp(root, heavy_child, is_heavy, light_level, paths, path_of, order)
 
 
 @dataclass
@@ -112,7 +95,7 @@ def hpd_two_trees_build(t1, t2):
     if t1.n != t2.n:
         raise ValueError("vertex-set mismatch")
     hpd = hpd_build(t1)
-    return HpdTwoTrees(hpd, paths_against_tree(hpd.paths, from_ranks(t1, hpd).rows, t2))
+    return HpdTwoTrees(hpd, paths_against_tree(hpd.paths, from_ranks(t1, hpd, hpd.order), t2))
 
 
 def hpd_two_trees_report(idx, b):

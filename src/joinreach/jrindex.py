@@ -232,7 +232,7 @@ class _PathCover(_Packed):
         self.pc1 = min_path_cover(g1, order1)
         fr1 = from_ranks(g1, self.pc1, order1)
         if tree2:
-            self.lists = paths_against_tree(self.pc1.paths, fr1.rows, g2)
+            self.lists = paths_against_tree(self.pc1.paths, fr1, g2)
         else:
             self.pc2 = min_path_cover(g2, order2)
             self._build_cover_side(fr1, from_ranks(g2, self.pc2, order2))
@@ -259,7 +259,7 @@ class _PathCover(_Packed):
             first.append(len(mins))
             mins += accumulate((p[1] for p in ct.reps[first[k] : first[k] + len(common)]), min)
         self.lists = []
-        for row1, row2 in zip(fr1.rows, fr2.rows):
+        for row1, row2 in zip(fr1, fr2):
             hits = []
             for i, f1 in row1.items():
                 for j in pair_of[i].keys() & row2.keys():

@@ -144,11 +144,11 @@ def test_from_ranks_reflexive_and_sources():
     fr = from_ranks(g, pc)
     for v in range(20):
         pid, rank = pc.path_of[v]
-        assert fr.get(v, pid) is not None and fr.get(v, pid) >= rank
+        assert fr[v].get(pid) is not None and fr[v].get(pid) >= rank
         if not g.inn[v]:
             for i in range(pc.kappa):
                 if i != pid:
-                    assert fr.get(v, i) is None
+                    assert fr[v].get(i) is None
 
 
 def test_from_ranks_match_closure_scan():
@@ -163,10 +163,10 @@ def test_from_ranks_match_closure_scan():
             for i, path in enumerate(pc.paths):
                 ranks = [r for r, z in enumerate(path) if m.reach(z, v)]
                 want = max(ranks) if ranks else None
-                assert fr.get(v, i) == want
+                assert fr[v].get(i) == want
         # monotone along arcs
         for u, v in g.arcs:
             for i in range(pc.kappa):
-                fu, fv = fr.get(u, i), fr.get(v, i)
+                fu, fv = fr[u].get(i), fr[v].get(i)
                 if fu is not None:
                     assert fv is not None and fu <= fv

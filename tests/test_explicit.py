@@ -363,16 +363,20 @@ def test_three_d_wiring_work_follows_the_output(monkeypatch):
     # level and each meeting of a two-coordinate halving, so an out-tree
     # against its own reverse, which has nothing to wire, stops at once.
     # Without that, each of these builds made 47,104 wiring calls. A
-    # meeting or half with no source or no sink left is not called at all.
+    # meeting or half with no source or no sink left is not called at all,
+    # nor is a half of one rank, which holds no source above a sink: the
+    # bit-reversal pair made 2,048 such calls of its 4,095.
     import joinreach.explicit as ex
 
-    stats = {"calls": 0, "depth": 0, "deepest": 0, "empty": 0}
+    stats = {"calls": 0, "depth": 0, "deepest": 0, "empty": 0, "unit": 0}
     nest = ex._nest_connect
 
     def counted(*args, **kwargs):
         stats["calls"] += 1
         if not (args[1] and args[2]):
             stats["empty"] += 1
+        if args[6] - args[5] <= 1:
+            stats["unit"] += 1
         stats["depth"] += 1
         stats["deepest"] = max(stats["deepest"], stats["depth"])
         try:
@@ -387,12 +391,15 @@ def test_three_d_wiring_work_follows_the_output(monkeypatch):
     t = rand_tree(rng, n, "out-tree")
     t_rev = Digraph(n, [(v, u) for u, v in t.arcs], kind="in-tree")
     out_t, in_t = rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")
-    for g1, g2 in ((t, t_rev), (out_t, in_t), (in_t, out_t)):
-        stats.update(calls=0, deepest=0, empty=0)
-        m = build_two_trees(g1, g2).graph.m
+    p1, p2 = gen_bitreversal(n)
+    for g1, g2 in ((t, t_rev), (out_t, in_t), (in_t, out_t), (p1, p2)):
+        stats.update(calls=0, deepest=0, empty=0, unit=0)
+        build = build_two_paths if g1 is p1 else build_two_trees
+        m = build(g1, g2).graph.m
         bound = 4 if g1 is t else 4 * (m + 1) * lg
         assert stats["calls"] <= bound, (g1.kind, m, stats)
         assert stats["empty"] == 0, (g1.kind, stats)
+        assert stats["unit"] == 0, (g1.kind, stats)
         # two halvings deep at most, one per coordinate
         assert stats["deepest"] <= 2 * lg + 2, (g1.kind, stats)
 

@@ -17,7 +17,6 @@ from joinreach.graph import (
     tarjan_scc,
     topo_order,
     transitive_closure,
-    tree_parents,
 )
 
 from layer_ref import layer_graphs
@@ -260,9 +259,18 @@ def test_layers_fringe_roles_on_utrees():
 
 
 def ref_contracted_intervals(lg, core):
-    """Layer graph lg's intervals per core vertex from the parent array of
-    `tree_parents`, with the fringe dropped and children by original id."""
-    parent = tree_parents(lg.digraph, 0)
+    """Layer graph lg's intervals per core vertex from a parent search of
+    its underlying tree from local root 0, with the fringe dropped and
+    children by original id."""
+    g = lg.digraph
+    parent = {0: -1}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in g.out[v] + g.inn[v]:
+            if w not in parent:
+                parent[w] = v
+                stack.append(w)
     core_locals = [0] + [lg.local_of[v] for v in core if lg.local_of[v] != 0]
     children = {c: [] for c in core_locals}
     for c in core_locals[1:]:
@@ -441,8 +449,3 @@ def test_graph_format_planar_st_roundtrip():
     )
     g2 = parse_graph(format_graph(g))
     assert g2.out_order == ((1, 2), (3,), (3,), ())
-
-
-def test_tree_parents_requires_tree():
-    with pytest.raises(GraphClassError):
-        tree_parents(Digraph(4, [(0, 1), (2, 3)]), root=0)

@@ -57,6 +57,60 @@ def test_hpd_light_level_bound_and_root_walk():
         assert not hpd.is_heavy[p[0]] or p[0] == hpd.root
 
 
+def test_hpd_build_matches_brute_force_on_out_and_in_trees():
+    # Sizes by parent chasing, the heavy-child rule (the first child in
+    # ascending id whose subtree holds at least half of its parent's),
+    # light levels, a breadth-first order, and paths that partition the
+    # vertices, numbered in that order of their heads.
+    rng = random.Random(157)
+    cases = []
+    for n in [1, 2, 2] + [rng.randrange(3, 90) for _ in range(30)]:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        par = [-1] + [rng.randrange(v) for v in range(1, n)]
+        parent = [-1] * n
+        for v in range(1, n):
+            parent[perm[v]] = perm[par[v]]
+        down = [(parent[v], v) for v in range(n) if parent[v] != -1]
+        cases.append((Digraph(n, down, kind="out-tree"), parent))
+        cases.append((Digraph(n, [(v, u) for u, v in down], kind="in-tree"), parent))
+    for g, parent in cases:
+        n = g.n
+        hpd = hpd_build(g)
+        root = parent.index(-1)
+        assert hpd.root == root
+        size = [0] * n
+        depth = [0] * n
+        for v in range(n):
+            x = v
+            while x != -1:
+                size[x] += 1
+                depth[v] += 1
+                x = parent[x]
+        for v in range(n):
+            kids = [c for c in range(n) if parent[c] == v]
+            heavy = [c for c in kids if 2 * size[c] >= size[v]]
+            assert hpd.heavy_child[v] == (heavy[0] if heavy else -1), (g.kind, v)
+            assert hpd.is_heavy[v] == (v != root and hpd.heavy_child[parent[v]] == v)
+            lv, x = 0, v
+            while x != root:
+                lv += not hpd.is_heavy[x]
+                x = parent[x]
+            assert hpd.light_level[v] == lv
+        order = hpd.order
+        assert sorted(order) == list(range(n)) and order[0] == root
+        pos = {v: k for k, v in enumerate(order)}
+        assert all(pos[parent[v]] < pos[v] for v in range(n) if v != root)
+        assert all(depth[a] <= depth[b] for a, b in zip(order, order[1:]))
+        heads = [v for v in order if not hpd.is_heavy[v]]
+        assert [p[0] for p in hpd.paths] == heads
+        assert sorted(v for p in hpd.paths for v in p) == list(range(n))
+        for pid, path in enumerate(hpd.paths):
+            assert all(hpd.heavy_child[a] == b for a, b in zip(path, path[1:]))
+            assert hpd.heavy_child[path[-1]] == -1
+            assert all(hpd.path_of[v] == (pid, k) for k, v in enumerate(path))
+
+
 def _ancestors(parent, b):
     x = b
     while x != -1:
