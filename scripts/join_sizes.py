@@ -1,4 +1,5 @@
-"""Explicit join-graph sizes on a seeded random corpus of all five builders.
+"""Explicit join-graph sizes on a seeded random corpus of all five builders
+and of planar st-graph pairs.
 
 Run from the repository root:
 
@@ -15,7 +16,9 @@ every vertex's answer with its touched pairs sorted. The second, run on
 another checkout, compares with such a file: it counts the pairs whose
 join bytes, index answers, index probes and answer sets changed, prints
 the corpus probe totals before and after with the number of pairs whose
-probes rose, and exits 1 when a pair is larger. A pair whose index
+probes rose, and exits 1 when a pair is larger. Pairs are compared in
+order, so rows the file lacks, appended to the corpus after it was
+written, are only counted as new. A pair whose index
 answers changed but whose answer sets did not lists the same pairs in
 another order. Files of 3 to 7 fields per row, written before the fields
 they lack, still compare by what they hold; a fifth field of a 5-field
@@ -33,7 +36,7 @@ import sys
 
 from joinreach import classes, explicit
 from joinreach.jrindex import index_hpd_two_trees
-from joinreach.gen import rand_dag, rand_path, rand_tree, rand_upath, rand_utree
+from joinreach.gen import rand_dag, rand_path, rand_sp_st, rand_tree, rand_upath, rand_utree
 
 
 def _pair(rng, builder, n):
@@ -79,21 +82,29 @@ def _index_digests(g1, g2):
     return answers.hexdigest(), probes.hexdigest(), total, sets.hexdigest()
 
 
+def _row(name, build, g1, g2):
+    """One corpus row: the pair's join built by `build` and verified."""
+    jg = build(g1, g2)
+    if not explicit.verify_join_graph(jg, g1, g2).ok:
+        raise SystemExit(f"{name} at n={g1.n}: output fails verification")
+    digest = hashlib.sha256(explicit.format_join(jg).encode()).hexdigest()
+    return (name, g1.n, jg.size, digest, *_index_digests(g1, g2))
+
+
 def corpus_sizes():
     """[(builder, n, size, join sha256, answers sha256, probes sha256,
     probe total, answer sets sha256)] for 60 seeded pairs per builder,
-    n < 80."""
+    n < 80, then 60 planar st-graphs with a dipath, 2 <= n < 80, built
+    and indexed by their class (builder "planar-st")."""
     rng = random.Random(0)
     out = []
     for builder in BUILDERS:
         for _ in range(60):
             n = rng.randrange(1, 80)
-            g1, g2 = _pair(rng, builder, n)
-            jg = getattr(explicit, builder)(g1, g2)
-            if not explicit.verify_join_graph(jg, g1, g2).ok:
-                raise SystemExit(f"{builder} at n={n}: output fails verification")
-            digest = hashlib.sha256(explicit.format_join(jg).encode()).hexdigest()
-            out.append((builder, n, jg.size, digest, *_index_digests(g1, g2)))
+            out.append(_row(builder, getattr(explicit, builder), *_pair(rng, builder, n)))
+    for _ in range(60):
+        n = rng.randrange(2, 80)
+        out.append(_row("planar-st", classes.build, rand_sp_st(rng, n), rand_path(rng, n)))
     return out
 
 
@@ -103,8 +114,8 @@ def main(argv=None):
     ap.add_argument("--against", help="JSON sizes to compare with")
     args = ap.parse_args(argv)
     sizes = corpus_sizes()
-    for builder in BUILDERS:
-        print(f"{builder}\t{sum(s[2] for s in sizes if s[0] == builder)}")
+    for name in dict.fromkeys(s[0] for s in sizes):
+        print(f"{name}\t{sum(s[2] for s in sizes if s[0] == name)}")
     print(f"total\t{sum(s[2] for s in sizes)}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
@@ -114,6 +125,7 @@ def main(argv=None):
             old = [o[:4] if len(o) == 5 else o for o in json.load(f)]
         larger = [(k, o, s) for k, (o, s) in enumerate(zip(old, sizes)) if s[2] > o[2]]
         print(f"against\t{sum(o[2] for o in old)}\tlarger pairs\t{len(larger)}")
+        print(f"new pairs\t{max(len(sizes) - len(old), 0)}")
         for col, what in ((3, "changed pairs"), (4, "changed index answers"),
                           (5, "changed index probes")):
             if all(len(o) > col for o in old):
@@ -122,7 +134,8 @@ def main(argv=None):
                 print(f"{what}\tunknown: the file has no such hashes")
         if all(len(o) > 6 for o in old):
             rose = sum(s[6] > o[6] for o, s in zip(old, sizes))
-            print(f"probe total\t{sum(o[6] for o in old)}\t{sum(s[6] for s in sizes)}"
+            now = sum(s[6] for _, s in zip(old, sizes))
+            print(f"probe total\t{sum(o[6] for o in old)}\t{now}"
                   f"\tpairs with more probes\t{rose}")
         else:
             print("probe total\tunknown: the file has no probe totals")

@@ -96,6 +96,8 @@ def classify(g1, g2):
     kinds = {g1.kind, g2.kind}
     if g2.kind == "path":
         name = _WITH_PATH.get(g1.kind, "pathcover")
+        if name == "planar-st" and not g2.is_directed_path():
+            name = "pathcover"  # the planar-st index ranks a dipath
     elif kinds <= {"out-tree", "in-tree"}:
         name = "two-trees"
     elif kinds <= {"out-tree", "in-tree", "utree"}:

@@ -2,15 +2,15 @@
 
 Cartesian trees for dominance and grounded (3-sided) range reporting, a
 persistent-treap sweep for horizontal segments with laminar (nested or
-disjoint) x1 spans versus vertical rays, an interval tree over segment
-trees for point enclosure in integer rectangles in O(log^2 m + k), and
-a two-level range tree for orthogonal range reporting. All structures
-are immutable after build. The Cartesian tree finds range minima in a
-sparse table over its column keys and descends whole subtrees through
-child links with no lookup. It, the sweep and the enclosure index
-return (payloads, probe_count) so callers can assert output
-sensitivity; a probe is one tree node, treap node or list entry
-visited. The range tree's count is len(result) + 1, not counted work.
+disjoint) x1 spans versus vertical rays, and, both in O(log^2 m + k), an
+interval tree over segment trees for point enclosure in integer
+rectangles and a merge-sort range tree for orthogonal range reporting.
+All structures are immutable after build. The Cartesian tree finds range
+minima in a sparse table over its column keys and descends whole
+subtrees through child links with no lookup. Every report returns
+(payloads, probes) so callers can assert output sensitivity: a probe is
+one node, run or list entry visited, and the enclosure index and the
+range tree charge each binary search its bit length.
 """
 
 from __future__ import annotations
@@ -431,9 +431,8 @@ class EnclosureIndex:
             if right:
                 todo.append((len(nodes) - 1, 2, by_lo[lo_end:], right))
 
-    def report(self, qx, qy, counted=False):
-        """Payloads of the rectangles strictly containing (qx, qy); with
-        counted, (payloads, probes)."""
+    def report(self, qx, qy):
+        """(payloads of the rectangles strictly containing (qx, qy), probes)."""
         probes = 0
         out = []
         nodes = self._nodes
@@ -476,66 +475,67 @@ class EnclosureIndex:
                             out += seg_pays[p][:t]
                         probes += t + (t < len(ks))
                     p >>= 1
-        return (out, probes) if counted else out
-
-    def report_counted(self, qx, qy):
-        """(report(qx, qy), probes)."""
-        return self.report(qx, qy, counted=True)
+        return out, probes
 
 
 # ----------------------------------------------------------------------
-# Two-level range tree for orthogonal range reporting
-
-
-class _RNode(NamedTuple):
-    x_lo: int
-    x_hi: int
-    ys: tuple
-    left: object
-    right: object
-
-
-def _range_node(pts):
-    if len(pts) == 1:
-        p = pts[0]
-        return _RNode(p[0], p[0], ((p[1], p[2]),), None, None)
-    mid = len(pts) // 2
-    left = _range_node(pts[:mid])
-    right = _range_node(pts[mid:])
-    ys = tuple(sorted(left.ys + right.ys))
-    return _RNode(pts[0][0], pts[-1][0], ys, left, right)
+# Range tree for orthogonal range reporting, in the merge-sort layout
 
 
 class RangeTree2D:
-    """Balanced tree on x1 with x2-sorted arrays per node."""
+    """Points reported by an axis-parallel closed rectangle.
 
-    __slots__ = ("root",)
+    The points are sorted by x1 once. Level k holds the (x2, payload)
+    pairs of each aligned run of 2^k points, run j being x1 ranks
+    j 2^k .. (j + 1) 2^k - 1, sorted by x2. Level 0 is x1 order, and each
+    level above sorts each pair of runs below, so a run is a range-tree
+    node's canonical list with no node stored (Bentley's merge-sort
+    layout). A query finds its x1 ranks by two searches of the x1 column,
+    covers them bottom up with at most two runs per level, and reports
+    each run's x2 span, found by two binary searches.
+
+    A probe is one run or list entry visited, a binary search charged its
+    bit length. With G = ceil(lg m) + 1 for m points, a query reporting k
+    costs at most 2G^2 + 6G + k <= 8G^2 + k probes: two column searches of
+    at most G each, and at most two runs on each of the G levels k that
+    hold a run of 2^k <= m points, each run costing itself and two
+    searches of k + 1, beside the reported entries.
+    """
+
+    __slots__ = ("_x1", "_levels")
 
     def __init__(self, points):
         pts = sorted(points)
-        self.root = _range_node(pts) if pts else None
+        self._x1 = [p[0] for p in pts]
+        level = [(p[1], p[2]) for p in pts]
+        levels = self._levels = [level]
+        m, width = len(pts), 1
+        while width < m:
+            width *= 2
+            level = [e for j in range(0, m, width) for e in sorted(level[j : j + width])]
+            levels.append(level)
 
     def report(self, x1_lo, x1_hi, x2_lo, x2_hi):
+        """(payloads of the points with x1_lo <= x1 <= x1_hi and
+        x2_lo <= x2 <= x2_hi, probes)."""
         if x1_lo > x1_hi or x2_lo > x2_hi:
             raise ValueError("malformed rectangle (lo > hi)")
+        x1 = self._x1
+        lo, hi = bisect_left(x1, x1_lo), bisect_right(x1, x1_hi)
+        probes = 2 * len(x1).bit_length()
+        runs, k = [], 0  # (level, run index) covering ranks lo .. hi - 1
+        while lo < hi:
+            if lo & 1:
+                runs.append((k, lo))
+            if hi & 1:
+                runs.append((k, hi - 1))
+            lo, hi, k = (lo + 1) >> 1, hi >> 1, k + 1
+        low, high = (x2_lo,), (x2_hi, float("inf"))
         out = []
-        if self.root is None:
-            return out
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node is None or node.x_lo > x1_hi or node.x_hi < x1_lo:
-                continue
-            if x1_lo <= node.x_lo and node.x_hi <= x1_hi:
-                lo = bisect_left(node.ys, (x2_lo, -1))
-                hi = bisect_right(node.ys, (x2_hi, float("inf")))
-                out.extend(p for _, p in node.ys[lo:hi])
-                continue
-            stack.append(node.left)
-            stack.append(node.right)
-        return out
-
-    def report_counted(self, x1_lo, x1_hi, x2_lo, x2_hi):
-        """(report(...), its length + 1 as the probe count)."""
-        res = self.report(x1_lo, x1_hi, x2_lo, x2_hi)
-        return res, len(res) + 1
+        for k, j in runs:
+            level, s, e = self._levels[k], j << k, (j + 1) << k
+            a = bisect_left(level, low, s, e)
+            b = bisect_right(level, high, a, e)
+            out += [p for _, p in level[a:b]]
+            probes += 3 + 2 * k + b - a
+        return out, probes

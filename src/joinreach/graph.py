@@ -699,11 +699,8 @@ def _parse_arcs(lines, m):
     """The m "u v" arc lines of a graph or join file."""
     if len(lines) < m:
         raise ValueError(f"header says {m} arcs, but fewer arc lines follow")
-    arcs = []
-    for ln in lines:
-        u, v = ln.split()  # ValueError unless two tokens
-        arcs.append((int(u), int(v)))
-    return arcs
+    # ValueError unless each line is two integer tokens
+    return [(int(u), int(v)) for u, v in map(str.split, lines)]
 
 
 def format_graph(g):

@@ -21,9 +21,9 @@ within pair k's band never meets another pair's points. At build each
 vertex gets the list of pairs that can report for it, each with the
 structure holding the pair, the name of its report method and the
 arguments, so a query is one loop over that list. Probe counts and the
-list of pairs touched are exposed for output-sensitivity checks; they
-are counted visits except in the range tree (in/in pairs and the
-planar-st filter), which charges len(result) + 1.
+list of pairs touched are exposed for output-sensitivity checks; every
+structure's `report` returns its payloads with the elementary work it
+counted, so a probe count is real work in every index.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class _BlockPairs(_Packed):
       O(log^2 m + k) counted probes;
     - out with in or chain: segments over the first side's intervals at
       the second side's starts, stabbed by a ray in the sweep;
-    - in with in: points, reported in a rectangle of the range tree,
-      whose probe count is len(result) + 1;
+    - in with in: points, reported in a rectangle of the range tree in
+      O(log^2 m + k) counted probes;
     - in or chain with chain: points in the Cartesian tree, whose 3-sided
       query bounds the chain side from above.
     A fringe member stands at its supervertex's interval. It is stored
@@ -166,14 +166,14 @@ class _BlockPairs(_Packed):
                         continue
                     x = base + b1.su_iv[b][0] + 1
                     if r2 == 0:
-                        entry = (key, enc, "report_counted", (x, b2.su_iv[b][0] + 1))
+                        entry = (key, enc, "report", (x, b2.su_iv[b][0] + 1))
                     else:
                         entry = (key, seg, "report_at", (x, *_pred_range(b2, b)))
                 else:
                     lo, hi = _pred_range(b1, b)
                     lo2, hi2 = _pred_range(b2, b)
                     if r2 == 1:
-                        entry = (key, rt, "report_counted", (base + lo, base + hi, lo2, hi2))
+                        entry = (key, rt, "report", (base + lo, base + hi, lo2, hi2))
                     else:
                         lo, hi = ct.col_span(base + lo, base + hi)
                         if lo > hi:
@@ -359,9 +359,9 @@ class _PlanarSt:
         self.rt = RangeTree2D([(self.l1[v], self.l2[v], v) for v in range(self.n)])
 
     def query_counted(self, b):
-        cands = self.rt.report(1, self.l1[b], 1, self.l2[b])
+        cands, probes = self.rt.report(1, self.l1[b], 1, self.l2[b])
         out = {a for a in cands if self.l3[a] <= self.l3[b]}
-        return out, len(cands) + 1, [(0, 0)]
+        return out, probes, [(0, 0)]
 
 
 def index_planar_st(g1, p2):

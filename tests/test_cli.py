@@ -6,8 +6,8 @@ from joinreach import classes, cli, cover, explicit, jrindex
 from joinreach import graph as graph_mod
 from joinreach.classes import index
 from joinreach.cli import main
-from joinreach.gen import InstanceSpec, generate, rand_dag, rand_path
-from joinreach.graph import Digraph, read_graph, transitive_closure
+from joinreach.gen import InstanceSpec, generate, rand_dag, rand_path, rand_sp_st, rand_upath
+from joinreach.graph import Digraph, read_graph, transitive_closure, write_graph
 from joinreach.explicit import read_join
 
 
@@ -95,10 +95,16 @@ MALFORMED_FILES = {
     "join-m-too-high": (".jg", "4 2 digraph\n0 1\nsteiner 0\n"),
     "join-k-too-low": (".jg", "4 1 digraph\n0 1\nsteiner 0\nt0\n"),
     "join-tag-without-depth": (".jg", "4 1 digraph\n0 3\nsteiner 1\nt0\n"),
+    "join-arc-one-token": (".jg", "4 1 digraph\n0\nsteiner 0\n"),
+    "join-arc-three-tokens": (".jg", "4 1 digraph\n0 1 2\nsteiner 0\n"),
+    "join-arc-not-integer": (".jg", "4 1 digraph\n0 x\nsteiner 0\n"),
     "graph-empty": (".g", ""),
     "graph-m-too-high": (".g", "3 5 digraph\n0 1\n"),
     "graph-m-too-low": (".g", "3 1 digraph\n0 1\n1 2\n"),
     "graph-out-order-vertex": (".g", "3 2 planar-st\n0 1\n1 2\n0: 1\n1: 2\n7: 0\n"),
+    "graph-arc-one-token": (".g", "3 1 digraph\n0\n"),
+    "graph-arc-three-tokens": (".g", "3 1 digraph\n0 1 2\n"),
+    "graph-arc-not-integer": (".g", "3 1 digraph\n0 1.5\n"),
 }
 
 
@@ -228,6 +234,28 @@ def test_cli_planar_st_with_any_kind_builds_and_queries(tmp_path, capsys, kind2)
         assert main(["query", str(g1), str(g2), "-b", str(b)]) == 0
         got = [int(x) for x in capsys.readouterr().out.split()]
         assert got == oracle_preds(ga, gb, b), b
+
+
+def test_planar_st_with_an_unoriented_path_goes_to_the_path_cover(tmp_path, capsys):
+    # The planar-st index ranks its second graph as a dipath, so a path
+    # with both arc directions is indexed by the path cover.
+    rng = random.Random(61)
+    for n in (3, 8, 21, 50):
+        g1 = rand_sp_st(rng, n)
+        g2 = rand_upath(rng, n)
+        while g2.is_directed_path():
+            g2 = rand_upath(rng, n)
+        assert classes.classify(g1, g2)[0] == "pathcover"
+        idx = index(g1, g2)
+        m1, m2 = transitive_closure(g1), transitive_closure(g2)
+        for b in range(n):
+            assert idx.query(b) == [a for a in range(n) if m1.reach(a, b) and m2.reach(a, b)]
+    sp, up = tmp_path / "sp.g", tmp_path / "up.g"
+    write_graph(g1, str(sp))
+    write_graph(g2, str(up))
+    capsys.readouterr()
+    assert main(["query", str(sp), str(up), "-b", "3"]) == 0
+    assert [int(x) for x in capsys.readouterr().out.split()] == idx.query(3)
 
 
 def test_cli_cyclic_query_checks_range(tmp_path, capsys):

@@ -313,8 +313,8 @@ def test_seg_random_laminar_families_match_scan():
 def test_enclosure_concentric():
     rects = [Rect(-i, i, -i, i, i) for i in range(1, 6)]
     idx = EnclosureIndex(rects)
-    assert sorted(idx.report(0, 0)) == [1, 2, 3, 4, 5]
-    assert idx.report(100, 0) == []
+    assert sorted(idx.report(0, 0)[0]) == [1, 2, 3, 4, 5]
+    assert idx.report(100, 0)[0] == []
 
 
 def test_enclosure_tree_rectangles_match_scan():
@@ -329,7 +329,7 @@ def test_enclosure_tree_rectangles_match_scan():
     idx = EnclosureIndex(rects)
     for b in range(n):
         qx, qy = iv1.s[b], iv2.s[b]
-        got = sorted(idx.report(qx, qy))
+        got = sorted(idx.report(qx, qy)[0])
         want = sorted(
             r.payload
             for r in rects
@@ -350,7 +350,7 @@ def test_enclosure_random_rectangles_match_scan():
         idx = EnclosureIndex(rects)
         for _ in range(10):
             qx, qy = rng.randrange(201), rng.randrange(201)
-            got = sorted(idx.report(qx, qy))
+            got = sorted(idx.report(qx, qy)[0])
             want = sorted(
                 r.payload
                 for r in rects
@@ -375,9 +375,8 @@ def assert_enclosure_matches_scan(rects, queries):
     idx = EnclosureIndex(rects)
     for qx, qy in queries:
         want = enclosure_scan(rects, qx, qy)
-        got, probes = idx.report_counted(qx, qy)
+        got, probes = idx.report(qx, qy)
         assert sorted(got) == want, (qx, qy)
-        assert sorted(idx.report(qx, qy)) == want, (qx, qy)
         assert probes <= enclosure_probe_bound(len(rects), len(want)), (len(rects), qx, qy, probes)
 
 
@@ -415,7 +414,7 @@ def test_enclosure_duplicate_degenerate_and_negative_on_every_slot():
         degenerate = {r.payload for r in rects if r.x1_lo == r.x1_hi or r.x2_lo == r.x2_hi}
         assert_enclosure_matches_scan(rects, grid(-23, 23))
         idx = EnclosureIndex(rects)
-        assert not degenerate & {p for q in grid(-23, 23) for p in idx.report(*q)}
+        assert not degenerate & {p for q in grid(-23, 23) for p in idx.report(*q)[0]}
 
 
 def test_enclosure_deep_concentric_family_within_the_probe_bound():
@@ -451,26 +450,71 @@ def test_enclosure_chain_star_rectangles():
         for qx, qy in ((2 * iv1.s[b] + 1, 2 * iv2.s[b] + 1), (2 * iv1.s[b], 2 * iv2.s[b])):
             # a rectangle holding (qx, qy) starts below qy on x2
             want = enclosure_scan(by_x2[: bisect_right(x2_los, qy)], qx, qy)
-            got, probes = idx.report_counted(qx, qy)
+            got, probes = idx.report(qx, qy)
             assert sorted(got) == want, b
             assert probes <= enclosure_probe_bound(n, len(want))
-        assert b in idx.report(2 * iv1.s[b] + 1, 2 * iv2.s[b] + 1), b
+        assert b in idx.report(2 * iv1.s[b] + 1, 2 * iv2.s[b] + 1)[0], b
 
 
 def test_enclosure_rejects_non_integer_coordinates():
     good = Rect(0, 4, 0, 4, 7)
-    assert EnclosureIndex([good]).report(2, 2) == [7]
+    assert EnclosureIndex([good]).report(2, 2)[0] == [7]
     for field in ("x1_lo", "x1_hi", "x2_lo", "x2_hi"):
         bad = good._replace(**{field: float(getattr(good, field))})
         with pytest.raises(TypeError):
             EnclosureIndex([good, bad])
 
 
+def range_scan(pts, x1_lo, x1_hi, x2_lo, x2_hi):
+    return sorted(p for x, y, p in pts if x1_lo <= x <= x1_hi and x2_lo <= y <= x2_hi)
+
+
+def range_probe_bound(m, k):
+    """c(ceil(lg m) + 1)^2 + k with c = 8: with G = ceil(lg m) + 1 the
+    structure's argument (its docstring) allows 2G^2 + 6G + k probes,
+    at most 8G^2 + k for G >= 1."""
+    g = (m - 1).bit_length() + 1 if m else 1
+    return 8 * g * g + k
+
+
+def assert_range_matches_scan(pts, queries):
+    idx = RangeTree2D(pts)
+    for q in queries:
+        want = range_scan(pts, *q)
+        got, probes = idx.report(*q)
+        assert sorted(got) == want, q
+        assert probes <= range_probe_bound(len(pts), len(want)), (len(pts), q, probes)
+
+
+def boxes(lo, hi):
+    """Every closed rectangle with integer corners in lo..hi."""
+    spans = [(a, b) for a in range(lo, hi + 1) for b in range(a, hi + 1)]
+    return [(*s1, *s2) for s1 in spans for s2 in spans]
+
+
+def test_range2d_empty_and_single_point():
+    assert_range_matches_scan([], boxes(-2, 2))
+    assert_range_matches_scan([(0, 5, -7)], boxes(-1, 6))
+    assert RangeTree2D([(0, 5, -7)]).report(0, 0, 5, 5)[0] == [-7]
+
+
+def test_range2d_duplicates_and_negative_payloads_on_the_boundaries():
+    # Sizes 2..40 pass the powers of two up to 32, coordinates from a
+    # small range repeat on both axes, and negative payloads sit on every
+    # x2_lo and x2_hi a query takes.
+    rng = random.Random(87)
+    for m in range(2, 41):
+        pts = [(rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(-9, 9)) for _ in range(m)]
+        if m % 5 == 0:  # one column, one row
+            pts = [(1, y, p) for _, y, p in pts] if m % 2 else [(x, 1, p) for x, _, p in pts]
+        assert_range_matches_scan(pts, boxes(-4, 4))
+
+
 def test_range2d_full_and_empty():
     pts = [(i, 2 * i, i) for i in range(20)]
     idx = RangeTree2D(pts)
-    assert sorted(idx.report(0, 19, 0, 40)) == list(range(20))
-    assert idx.report(100, 200, 0, 40) == []
+    assert sorted(idx.report(0, 19, 0, 40)[0]) == list(range(20))
+    assert idx.report(100, 200, 0, 40)[0] == []
     with pytest.raises(ValueError):
         idx.report(5, 4, 0, 1)
 
@@ -488,8 +532,7 @@ def test_range2d_random_matches_scan():
     for _ in range(50):
         x1 = sorted((rng.randrange(500), rng.randrange(500)))
         x2 = sorted((rng.randrange(500), rng.randrange(500)))
-        got = sorted(idx.report(x1[0], x1[1], x2[0], x2[1]))
-        want = sorted(
-            p for x, y, p in pts if x1[0] <= x <= x1[1] and x2[0] <= y <= x2[1]
-        )
-        assert got == want
+        got, probes = idx.report(x1[0], x1[1], x2[0], x2[1])
+        want = range_scan(pts, x1[0], x1[1], x2[0], x2[1])
+        assert sorted(got) == want
+        assert probes <= range_probe_bound(len(pts), len(want))

@@ -20,6 +20,7 @@ from joinreach.graph import (
     GraphClassError,
     dipath_of,
     layer_decompose,
+    topo_order,
     transitive_closure,
 )
 from joinreach.hpd import hpd_build
@@ -34,6 +35,7 @@ from joinreach.jrindex import (
     _postorder_labels,
     kameda_labels,
 )
+from test_geom import enclosure_probe_bound, range_probe_bound
 
 
 def zigzag_path(n):
@@ -289,6 +291,46 @@ def test_two_trees_on_chain_star_counts_polylog_probes():
         assert total <= n * 12 * (e + 1) ** 2, (n, total)
 
 
+def query_probe_bound(idx, b, k):
+    """The bounds derived for the structures of the pairs a query of b
+    touches, summed: the range tree's and the enclosure index's for
+    m = 4n points or rectangles (a vertex lies in at most four block
+    pairs), and 6(k + 1) for the sweep and the Cartesian tree, with k the
+    size of the answer."""
+    m = 4 * idx.n
+    total = 0
+    for _, struct, _, _ in idx._impl.lists[b]:
+        if isinstance(struct, RangeTree2D):
+            total += range_probe_bound(m, k)
+        elif isinstance(struct, EnclosureIndex):
+            total += enclosure_probe_bound(m, k)
+        else:
+            total += 6 * (k + 1)
+    return total
+
+
+def test_in_in_and_unoriented_tree_probes_within_the_derived_bounds():
+    # The range tree serves in/in block pairs: every pair of two rooted
+    # in-trees, and the in-oriented layer graphs of unoriented trees.
+    rng = random.Random(57)
+    range_queries = 0
+    for _ in range(16):
+        n = rng.randrange(2, 65)
+        for g1, g2 in (
+            (rand_tree(rng, n, "in-tree"), rand_tree(rng, n, "in-tree")),
+            (rand_utree(rng, n), rand_utree(rng, n)),
+        ):
+            idx = index_two_trees(g1, g2)
+            want = oracle_pred_sets(g1, g2)
+            for b in range(n):
+                res, probes, pairs = idx.query_counted(b)
+                assert res == want[b]
+                assert len(pairs) <= 4
+                assert probes <= query_probe_bound(idx, b, len(res)), (n, b, probes)
+                range_queries += any(isinstance(e[1], RangeTree2D) for e in idx._impl.lists[b])
+    assert range_queries > 500
+
+
 def tree_mix(rng, kind, n):
     """One tree or path of the named shape on n vertices."""
     if kind == "dipath":
@@ -518,11 +560,27 @@ def test_planar_st_index_oracle():
         assert_index_matches(idx, g1, p2)
 
 
+def test_planar_st_reversed_topological_path_answers_only_b():
+    # The second graph reaches b only from b's successors in the first,
+    # so every answer is {b}, while the range tree reports all of b's
+    # predecessors in the first graph and the count charges them.
+    rng = random.Random(59)
+    for n in (2, 3, 17, 64, 1 << 8):
+        g1 = rand_sp_st(rng, n)
+        p2 = dipath_of(topo_order(g1)[::-1])
+        idx = index_planar_st(g1, p2)
+        want = oracle_pred_sets(g1, p2)
+        m1 = transitive_closure(g1)
+        for b in range(n):
+            res, probes, _ = idx.query_counted(b)
+            assert res == want[b] == [b]
+            preds = sum(m1.reach(a, b) for a in range(n))
+            assert preds <= probes <= range_probe_bound(n, preds), (n, b, probes)
+
+
 def test_planar_st_topo_order_path_collapses_to_g1():
     rng = random.Random(33)
     g1 = rand_sp_st(rng, 30)
-    from joinreach.graph import topo_order
-
     order = topo_order(g1)
     p2 = dipath_of(order)
     idx = index_planar_st(g1, p2)
