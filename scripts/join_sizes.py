@@ -1,5 +1,5 @@
-"""Explicit join-graph sizes on a seeded random corpus of all five builders
-and of planar st-graph pairs.
+"""Explicit join-graph sizes on a seeded random corpus of all five builders,
+of planar st-graph pairs and of cyclic pairs.
 
 Run from the repository root:
 
@@ -20,9 +20,8 @@ probes rose, and exits 1 when a pair is larger. Pairs are compared in
 order, so rows the file lacks, appended to the corpus after it was
 written, are only counted as new. A pair whose index
 answers changed but whose answer sets did not lists the same pairs in
-another order. Files of 3 to 7 fields per row, written before the fields
-they lack, still compare by what they hold; a fifth field of a 5-field
-row hashed whole triples, so it is not compared.
+another order. A file whose rows are not of this script's eight fields
+exits 2; regenerate it with the first form.
 Every output is checked with `verify_join_graph` as it is built.
 """
 
@@ -35,6 +34,7 @@ import random
 import sys
 
 from joinreach import classes, explicit
+from joinreach.graph import Digraph, topo_order
 from joinreach.jrindex import index_hpd_two_trees
 from joinreach.gen import rand_dag, rand_path, rand_sp_st, rand_tree, rand_upath, rand_utree
 
@@ -50,10 +50,28 @@ def _pair(rng, builder, n):
         return tuple(rand_tree(rng, n, rng.choice(("out-tree", "in-tree"))) for _ in "12")
     if builder == "build_unoriented_trees":
         return rand_utree(rng, n), rng.choice((rand_utree, rand_upath, rand_path))(rng, n)
-    second = rng.choice(("dag", "path", "out-tree"))
-    g2 = (rand_dag(rng, n, 4.0 / n) if second == "dag"
-          else rand_path(rng, n) if second == "path" else rand_tree(rng, n, "out-tree"))
-    return rand_dag(rng, n, 4.0 / n), g2
+    if builder == "cyclic":
+        g1 = _graph(rng, n, "cyclic")
+        return g1, _graph(rng, n, rng.choice(("dag", "path", "out-tree", "cyclic")))
+    g2 = _graph(rng, n, rng.choice(("dag", "path", "out-tree")))
+    return _graph(rng, n, "dag"), g2
+
+
+def _graph(rng, n, shape):
+    """A random dipath, out-tree, DAG, or ("cyclic") DAG plus both arcs of
+    one pair u != v and ceil(n/8) random arcs."""
+    if shape == "path":
+        return rand_path(rng, n)
+    if shape == "out-tree":
+        return rand_tree(rng, n, "out-tree")
+    g = rand_dag(rng, n, 4.0 / n)
+    if shape == "dag":
+        return g
+    u, v = rng.sample(range(n), 2)
+    extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(-(-n // 8))]
+    g = Digraph(n, [*g.arcs, (u, v), (v, u), *extra])
+    assert topo_order(g) is None
+    return g
 
 
 BUILDERS = ("build_two_paths", "build_tree_path", "build_two_trees",
@@ -94,8 +112,9 @@ def _row(name, build, g1, g2):
 def corpus_sizes():
     """[(builder, n, size, join sha256, answers sha256, probes sha256,
     probe total, answer sets sha256)] for 60 seeded pairs per builder,
-    n < 80, then 60 planar st-graphs with a dipath, 2 <= n < 80, built
-    and indexed by their class (builder "planar-st")."""
+    n < 80, then 60 planar st-graphs with a dipath and 60 cyclic digraphs
+    with a DAG, dipath, out-tree or cyclic digraph, 2 <= n < 80, built and
+    indexed by their class (builders "planar-st" and "cyclic")."""
     rng = random.Random(0)
     out = []
     for builder in BUILDERS:
@@ -105,6 +124,9 @@ def corpus_sizes():
     for _ in range(60):
         n = rng.randrange(2, 80)
         out.append(_row("planar-st", classes.build, rand_sp_st(rng, n), rand_path(rng, n)))
+    for _ in range(60):
+        n = rng.randrange(2, 80)
+        out.append(_row("cyclic", classes.build, *_pair(rng, "cyclic", n)))
     return out
 
 
@@ -122,27 +144,20 @@ def main(argv=None):
             json.dump(sizes, f)
     if args.against:
         with open(args.against, encoding="utf-8") as f:
-            old = [o[:4] if len(o) == 5 else o for o in json.load(f)]
+            old = json.load(f)
+        if any(len(o) != len(sizes[0]) for o in old):
+            print(f"{args.against}: rows are not of {len(sizes[0])} fields;"
+                  " regenerate it with -o", file=sys.stderr)
+            return 2
         larger = [(k, o, s) for k, (o, s) in enumerate(zip(old, sizes)) if s[2] > o[2]]
         print(f"against\t{sum(o[2] for o in old)}\tlarger pairs\t{len(larger)}")
         print(f"new pairs\t{max(len(sizes) - len(old), 0)}")
         for col, what in ((3, "changed pairs"), (4, "changed index answers"),
-                          (5, "changed index probes")):
-            if all(len(o) > col for o in old):
-                print(f"{what}\t{sum(o[col] != s[col] for o, s in zip(old, sizes))}")
-            else:
-                print(f"{what}\tunknown: the file has no such hashes")
-        if all(len(o) > 6 for o in old):
-            rose = sum(s[6] > o[6] for o, s in zip(old, sizes))
-            now = sum(s[6] for _, s in zip(old, sizes))
-            print(f"probe total\t{sum(o[6] for o in old)}\t{now}"
-                  f"\tpairs with more probes\t{rose}")
-        else:
-            print("probe total\tunknown: the file has no probe totals")
-        if all(len(o) > 7 for o in old):
-            print(f"changed answer sets\t{sum(o[7] != s[7] for o, s in zip(old, sizes))}")
-        else:
-            print("changed answer sets\tunknown: the file has no answer-set hashes")
+                          (5, "changed index probes"), (7, "changed answer sets")):
+            print(f"{what}\t{sum(o[col] != s[col] for o, s in zip(old, sizes))}")
+        rose = sum(s[6] > o[6] for o, s in zip(old, sizes))
+        now = sum(s[6] for _, s in zip(old, sizes))
+        print(f"probe total\t{sum(o[6] for o in old)}\t{now}\tpairs with more probes\t{rose}")
         for k, o, s in larger:
             print(f"  pair {k} {s[0]} n={s[1]}: {o[2]} -> {s[2]}")
         return 1 if larger else 0

@@ -15,7 +15,7 @@ from collections import Counter
 
 from . import gen as generators
 from .classes import CLASSES, build, classify
-from .explicit import format_join, read_join, verify_join_graph, write_join
+from .explicit import format_join, read_join, tag_depth, verify_join_graph, write_join
 from .graph import read_graph, write_graph
 
 
@@ -89,7 +89,7 @@ def _ratios(jg):
 
 def cmd_stats(args):
     jg = read_join(args.join)
-    depths = Counter(map(_tag_depth, jg.steiner_tags))
+    depths = Counter(map(tag_depth, jg.steiner_tags))
     r1, r2 = _ratios(jg)
     print(f"n\t{jg.n_original}")
     print(f"steiner\t{jg.steiner_count}")
@@ -100,14 +100,6 @@ def cmd_stats(args):
     for depth, count in sorted(depths.items()):
         print(f"steiner_d{depth}\t{count}")
     return 0
-
-
-def _tag_depth(tag):
-    """The recursion depth k of a Steiner tag ending `d<k>;h=<lo>..<hi>`."""
-    parts = tag.split(";")
-    if len(parts) < 2 or parts[-2][:1] != "d" or not parts[-2][1:].isdigit():
-        raise ValueError(f"Steiner tag {tag!r} has no d<k> depth field")
-    return int(parts[-2][1:])
 
 
 BENCH_CAPS = {"paths": 1 << 14, "trees": 1 << 14, "pathcover": 1 << 10}

@@ -25,7 +25,7 @@ pair of cover paths is one walk in x1 order whose ranges all run to its
 end, with h ranking x2, so it is inclusive dominance in (x1, x2).
 
 Steiner tags end in `d<k>;h=<lo>..<hi>`: the depth of the last halving
-and the rank slab being halved. Before that comes the builder's label,
+and the rank slab being halved (`tag_depth` reads k back). Before that comes the builder's label,
 then `i<i>;j<j>` for the cover-path pair, or for the block pair (and
 `rev` for an in-core first block) unless both inputs are one block, then
 one `p<k>` per further array, outermost first: the depth of the halving
@@ -43,9 +43,10 @@ from .graph import (
     CyclicGraphError,
     Digraph,
     GraphClassError,
-    _parse_arcs,
+    _graph_section,
     _reach_rows,
     block_pairs,
+    format_graph,
     topo_order,
     transitive_closure,
 )
@@ -277,6 +278,14 @@ def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
         _nest_connect(b, s_lo, k_lo, end, hs, lo, mid, vert, tag, depth + 1)
 
 
+def tag_depth(tag):
+    """The recursion depth k of a Steiner tag ending `d<k>;h=<lo>..<hi>`."""
+    parts = tag.split(";")
+    if len(parts) < 2 or parts[-2][:1] != "d" or not parts[-2][1:].isdigit():
+        raise ValueError(f"Steiner tag {tag!r} has no d<k> depth field")
+    return int(parts[-2][1:])
+
+
 # ----------------------------------------------------------------------
 # Path covers for general DAG pairs
 
@@ -365,34 +374,25 @@ def verify_join_graph(jg, g1, g2):
 
 
 # ----------------------------------------------------------------------
-# Join-graph file format: the graph section plus a steiner section
+# Join-graph file format: the graph section of a `digraph` graph file
+# (`graph.format_graph`, `graph._graph_section`), then "steiner k" and k
+# tag lines
 
 
 def format_join(jg):
-    g = jg.graph
-    lines = [f"{g.n} {g.m} digraph"]
-    lines.extend(f"{u} {v}" for u, v in g.arcs)
-    lines.append(f"steiner {jg.steiner_count}")
-    lines.extend(jg.steiner_tags)
-    return "\n".join(lines) + "\n"
+    tags = "".join(f"{t}\n" for t in jg.steiner_tags)
+    return f"{format_graph(jg.graph)}steiner {jg.steiner_count}\n{tags}"
 
 
 def parse_join(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty join file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"bad header {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    if n < 0 or m < 0:
-        raise ValueError(f"negative count in header {lines[0]!r}")
-    arcs = _parse_arcs(lines[1 : 1 + m], m)
-    sline = lines[1 + m].split() if len(lines) > 1 + m else []
+    n, kind, arcs, rest = _graph_section(text)
+    if kind != "digraph":
+        raise ValueError(f"join file kind must be digraph, not {kind!r}")
+    sline = rest[0].split() if rest else []
     if len(sline) != 2 or sline[0] != "steiner":
         raise ValueError("missing steiner section")
     k = int(sline[1])
-    tags = lines[2 + m :]
+    tags = rest[1:]
     if len(tags) != k or not 0 <= k <= n:
         raise ValueError(f"steiner section says {k} tags for n={n}; {len(tags)} tag lines follow")
     return JoinGraph(Digraph(n, arcs), n - k, tags)

@@ -363,13 +363,11 @@ def condense_pair(g1, g2):
         s = key_to_sub[(comp1_of[v], comp2_of[v])]
         sub_of[v] = s
         members[s].append(v)
-    for lst in members:
-        lst.sort()
 
     def build_hat(comps_a, comp_a_of, comp_b_of, g):
         # Subcomponents of one a-component, chained by the other graph's
         # topological position; inter-component arcs last-sub -> first-sub.
-        arcs = set()
+        arcs = []
         first_sub = {}
         last_sub = {}
         for ci, comp in enumerate(comps_a):
@@ -378,12 +376,12 @@ def condense_pair(g1, g2):
             first_sub[ci] = chain[0]
             last_sub[ci] = chain[-1]
             for i in range(len(chain) - 1):
-                arcs.add((chain[i], chain[i + 1]))
+                arcs.append((chain[i], chain[i + 1]))
         for u, v in g.arcs:
             cu, cv = comp_a_of[u], comp_a_of[v]
             if cu != cv:
-                arcs.add((last_sub[cu], first_sub[cv]))
-        return Digraph(len(members), sorted(arcs))
+                arcs.append((last_sub[cu], first_sub[cv]))
+        return Digraph(len(members), arcs)
 
     g1_hat = build_hat(comps1, comp1_of, comp2_of, g1)
     g2_hat = build_hat(comps2, comp2_of, comp1_of, g2)
@@ -666,23 +664,14 @@ def dfs_intervals(g, root=None):
 # ----------------------------------------------------------------------
 # Graph file format: line 1 "n m kind", then m lines "u v"; planar-st
 # files append per-vertex clockwise out-arc order lines "v: w1 w2 ...".
+# A join file is this graph section plus a Steiner section
+# (`explicit.parse_join`). Blank lines are dropped; tokens are read by
+# str.split and int, which ignore the spaces around them.
 
 def parse_graph(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"bad header {lines[0]!r}")
-    n, m, kind = int(head[0]), int(head[1]), head[2]
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if n < 0 or m < 0:
-        raise ValueError(f"negative count in header {lines[0]!r}")
-    arcs = _parse_arcs(lines[1 : 1 + m], m)
-    rest = lines[1 + m :]
+    n, kind, arcs, rest = _graph_section(text)
     if any(kind != "planar-st" or ":" not in ln for ln in rest):
-        raise ValueError(f"header says {m} arcs, but more arc lines follow")
+        raise ValueError(f"header says {len(arcs)} arcs, but more arc lines follow")
     out_order = None
     if kind == "planar-st":
         out_order = [[] for _ in range(n)]
@@ -695,12 +684,25 @@ def parse_graph(text):
     return Digraph(n, arcs, kind=kind, out_order=out_order)
 
 
-def _parse_arcs(lines, m):
-    """The m "u v" arc lines of a graph or join file."""
-    if len(lines) < m:
+def _graph_section(text):
+    """(n, kind, arcs, rest) of a graph or join file: its header, its m
+    arc lines read as integer pairs, and the nonblank lines after them."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty file")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise ValueError(f"bad header {lines[0]!r}")
+    n, m, kind = int(head[0]), int(head[1]), head[2]
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if n < 0 or m < 0:
+        raise ValueError(f"negative count in header {lines[0]!r}")
+    if len(lines) <= m:
         raise ValueError(f"header says {m} arcs, but fewer arc lines follow")
-    # ValueError unless each line is two integer tokens
-    return [(int(u), int(v)) for u, v in map(str.split, lines)]
+    # ValueError unless each arc line is two integer tokens
+    arcs = [(int(u), int(v)) for u, v in map(str.split, lines[1 : 1 + m])]
+    return n, kind, arcs, lines[1 + m :]
 
 
 def format_graph(g):

@@ -244,7 +244,7 @@ class _PathCover(_Packed):
         array of prefix minima over each pair's columns answers."""
         stride = band_stride(self.n)
         path_of1, path_of2 = self.pc1.path_of, self.pc2.path_of
-        shared = sorted(shared_vertices(self.pc1, self.pc2).items())
+        shared = list(shared_vertices(self.pc1, self.pc2).items())
         ct = CartesianTree(
             [
                 (k * stride + path_of1[v][1], path_of2[v][1], v)

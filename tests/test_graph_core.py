@@ -19,6 +19,7 @@ from joinreach.graph import (
     transitive_closure,
 )
 
+from joinreach.gen import rand_sp_st
 from layer_ref import layer_graphs
 
 
@@ -449,3 +450,18 @@ def test_graph_format_planar_st_roundtrip():
     )
     g2 = parse_graph(format_graph(g))
     assert g2.out_order == ((1, 2), (3,), (3,), ())
+
+
+def test_graph_parse_ignores_padding_spaces_and_blank_lines():
+    # Tokens are read by split and int, so no line needs stripping first:
+    # spaces around any token, and lines of only spaces, change nothing,
+    # out-order lines such as " 0 : 1 2" included.
+    g = rand_sp_st(random.Random(5), 16)
+    clean = format_graph(g)
+    padded = "\n \t\n".join(
+        "  " + ln.replace(":", " :").replace(" ", "  ") + " \t" for ln in clean.splitlines()
+    ) + "\n\n  \n"
+    assert " 0  :  " in padded
+    want, got = parse_graph(clean), parse_graph(padded)
+    assert (got.n, got.kind, got.arcs, got.out_order) == (want.n, want.kind, want.arcs, want.out_order)
+    assert want.out_order is not None

@@ -1,0 +1,94 @@
+"""Seeded fuzz of the three file parsers: any text gives an object or
+ValueError, never another exception."""
+
+import random
+
+from joinreach import explicit
+from joinreach.cover import format_cover, min_path_cover, parse_cover
+from joinreach.explicit import format_join, parse_join
+from joinreach.gen import InstanceSpec, generate, rand_dag, rand_path, rand_tree, rand_utree
+from joinreach.graph import format_graph, parse_graph
+
+PARSERS = (parse_graph, parse_join, parse_cover)
+MUTATIONS = 12_000
+# Inserted or substituted material: single characters, and short tokens
+# of the three formats.
+CHARS = "0123456789 -:;.x\t\n"
+TOKENS = ("0", "1", "-1", "99", "1.5", "steiner", "digraph", "path", "planar-st",
+          "out-tree", ":", ";d1", "\n\n", " 0 1\n", "\nsteiner 0\n")
+# A header naming more vertices is drawn again: the graph constructor
+# allocates per vertex before it reads an arc, so such a text tests the
+# memory of the machine, not the parser.
+MAX_N = 4096
+
+
+def _valid_texts():
+    """(text, its parser) for graph files from `gen`, join files from the
+    five builders and cover files from `min_path_cover`."""
+    texts = []
+    for kind in ("path", "utree-random", "out-tree", "in-tree", "dag-gnp", "bitrev", "sp-st"):
+        for g in generate(InstanceSpec(kind, 16, seed=1)):
+            texts.append((format_graph(g), parse_graph))
+    rng = random.Random(7)
+    n = 10
+    pairs = (
+        ("build_two_paths", rand_path(rng, n), rand_path(rng, n)),
+        ("build_tree_path", rand_tree(rng, n, "out-tree"), rand_path(rng, n)),
+        ("build_two_trees", rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")),
+        ("build_unoriented_trees", rand_utree(rng, n), rand_utree(rng, n)),
+        ("build_pathcover", rand_dag(rng, n, 0.3), rand_dag(rng, n, 0.3)),
+    )
+    for name, g1, g2 in pairs:
+        texts.append((format_join(getattr(explicit, name)(g1, g2)), parse_join))
+    for _ in range(3):
+        texts.append((format_cover(min_path_cover(rand_dag(rng, n, 0.3))), parse_cover))
+    return texts
+
+
+def _mutate(rng, text):
+    """One to three insertions, deletions (of one to four characters) or
+    replacements of a character or short token."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        piece = rng.choice(CHARS) if rng.random() < 0.6 else rng.choice(TOKENS)
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:at] + piece + text[at:]
+        elif op == 1:
+            text = text[:at] + text[at + rng.randint(1, 4):]
+        else:
+            text = text[:at] + piece + text[at + len(piece):]
+    return text
+
+
+def _header_n(text):
+    for ln in text.splitlines():
+        if ln.strip():
+            try:
+                return int(ln.split()[0])
+            except ValueError:
+                return 0
+    return 0
+
+
+def test_parsers_return_an_object_or_raise_value_error():
+    texts = _valid_texts()
+    for text, parse in texts:
+        parse(text)  # every unmutated text is valid for its own parser
+    rng = random.Random(20)
+    outcomes = {parse: set() for parse in PARSERS}
+    done = 0
+    while done < MUTATIONS:
+        text = _mutate(rng, rng.choice(texts)[0])
+        if _header_n(text) > MAX_N:
+            continue
+        done += 1
+        for parse in PARSERS:
+            try:
+                parse(text)
+            except ValueError:
+                outcomes[parse].add("error")
+            else:
+                outcomes[parse].add("object")
+    # each parser both accepted and rejected some mutants
+    assert all(seen == {"error", "object"} for seen in outcomes.values()), outcomes
