@@ -1,5 +1,5 @@
 """Explicit join-graph sizes on a seeded random corpus of all five builders,
-of planar st-graph pairs and of cyclic pairs.
+of planar st-graph pairs, of cyclic pairs and of DAG + in-tree pairs.
 
 Run from the repository root:
 
@@ -111,10 +111,11 @@ def _row(name, build, g1, g2):
 
 def corpus_sizes():
     """[(builder, n, size, join sha256, answers sha256, probes sha256,
-    probe total, answer sets sha256)] for 60 seeded pairs per builder,
-    n < 80, then 60 planar st-graphs with a dipath and 60 cyclic digraphs
-    with a DAG, dipath, out-tree or cyclic digraph, 2 <= n < 80, built and
-    indexed by their class (builders "planar-st" and "cyclic")."""
+    probe total, answer sets sha256)] for 480 seeded pairs: 60 per
+    builder, n < 80, then 60 planar st-graphs with a dipath, 60 cyclic
+    digraphs with a DAG, dipath, out-tree or cyclic digraph, and 60 DAGs
+    with an in-tree, 2 <= n < 80, built and indexed by their class
+    (builders "planar-st", "cyclic" and "dag-in-tree")."""
     rng = random.Random(0)
     out = []
     for builder in BUILDERS:
@@ -127,6 +128,10 @@ def corpus_sizes():
     for _ in range(60):
         n = rng.randrange(2, 80)
         out.append(_row("cyclic", classes.build, *_pair(rng, "cyclic", n)))
+    for _ in range(60):
+        n = rng.randrange(2, 80)
+        g1 = rand_dag(rng, n, 4.0 / n)
+        out.append(_row("dag-in-tree", classes.build, g1, rand_tree(rng, n, "in-tree")))
     return out
 
 

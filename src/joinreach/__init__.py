@@ -20,7 +20,6 @@ from .geom import (
     CartesianTree,
     EnclosureIndex,
     HSegment,
-    Point2,
     RangeTree2D,
     Rect,
     SegRayIndex,

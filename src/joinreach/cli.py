@@ -82,8 +82,8 @@ def cmd_verify(args):
 
 
 def _ratios(jg):
-    n = jg.n_original
-    logn = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    n = max(1, jg.n_original)  # an empty join reads 0, not a division by zero
+    logn = max(1, math.ceil(math.log2(n)))
     return jg.size / (n * logn), jg.size / (n * logn * logn)
 
 

@@ -182,14 +182,16 @@ def paths_against_tree(paths, rows, tree):
     rows[b] is {path i: highest rank on i of a vertex reaching b}, as
     `from_ranks` returns. Path i holds its vertices at (doubled DFS interval
     in the tree, rank on i), its x1 shifted by i times a stride above
-    every doubled DFS time: registered segments of one segment/ray sweep
-    for an out-tree, stabbed from b's interval start (b's ancestors and
+    every doubled DFS time: segments of one segment/ray sweep for an
+    out-tree, stabbed just right of b's interval start (b's ancestors and
     b), or points of one Cartesian tree at the interval start for an
     in-tree, taken strictly inside b's interval (b's proper descendants).
 
     Returns lists: lists[b] is I(b), the paths of rows[b] whose report
     for b is nonempty, each as ((i, 0), structure, report method name,
-    arguments); the named method returns (payloads, probes).
+    arguments); the named method returns (payloads, probes). Emptiness
+    is tested with the structure's smallest x2 over the query's range
+    (`min_x2_at`, `min_x2_in_range`).
     """
     n = len(rows)
     stride = band_stride(n)
@@ -197,19 +199,17 @@ def paths_against_tree(paths, rows, tree):
     s, t = iv.s, iv.t
     lists = [[] for _ in range(n)]
     if tree.kind == "out-tree":
-        queries = [(b, i, f, (i * stride + 2 * s[b] + 1, 0)) for b, row in enumerate(rows) for i, f in row.items()]
         seg = SegRayIndex(
-            [
-                HSegment(i * stride + 2 * s[v], i * stride + 2 * t[v], rank, v)
-                for i, path in enumerate(paths)
-                for rank, v in enumerate(path)
-            ],
-            [q for *_, q in queries],
+            HSegment(i * stride + 2 * s[v], i * stride + 2 * t[v], rank, v)
+            for i, path in enumerate(paths)
+            for rank, v in enumerate(path)
         )
-        for b, i, f, q in queries:
-            low = seg.min_x2_registered(q)
-            if low is not None and low <= f:
-                lists[b].append(((i, 0), seg, "report_registered", (q, f)))
+        for b, row in enumerate(rows):
+            for i, f in row.items():
+                x = i * stride + 2 * s[b] + 1
+                low = seg.min_x2_at(x)
+                if low is not None and low <= f:
+                    lists[b].append(((i, 0), seg, "report_at", (x, 0, f)))
     else:
         ct = CartesianTree(
             [(i * stride + 2 * s[v], rank, v) for i, path in enumerate(paths) for rank, v in enumerate(path)]

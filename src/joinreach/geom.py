@@ -21,12 +21,6 @@ from operator import index, itemgetter
 from typing import NamedTuple
 
 
-class Point2(NamedTuple):
-    x1: int
-    x2: int
-    payload: int
-
-
 class HSegment(NamedTuple):
     x1_lo: int
     x1_hi: int
@@ -203,18 +197,18 @@ def _seed_stack(root, key_lo):
             node = node[3]
         else:
             node = node[4]
-    return tuple(stack)
+    return stack
 
 
-def _walk(stack_seed, x2_hi):
-    """(payloads in key order up to x2 <= x2_hi, nodes visited)."""
+def _walk(stack, x2_hi):
+    """(payloads in key order up to x2 <= x2_hi, nodes visited); it
+    consumes `stack`."""
     out = []
-    stack = list(stack_seed)
     probes = 0
     while stack:
         node = stack.pop()
         probes += 1
-        if x2_hi is not None and node[0][0] > x2_hi:
+        if node[0][0] > x2_hi:
             break
         out.append(node[2])
         t = node[4]
@@ -230,9 +224,10 @@ class SegRayIndex:
 
     A query from (x, y) reports exactly the segments with
     x1_lo < x < x1_hi and x2 >= y, in increasing x2 order, ties by
-    position in `segments`. Query points registered at build time get a
-    precomputed entry stack, so reporting does no point-location search;
-    unregistered points pay one binary search over sweep versions.
+    position in `segments`, up to a cap on x2. It finds the treap version
+    at x by one binary search over the sweep's stops (persistent point
+    location, Sarnak and Tarjan) and descends to the first key >= y;
+    nothing is stored per query point.
 
     The segments' x1 spans must be laminar: any two are nested, equal or
     disjoint, and spans that only touch at an endpoint are disjoint. DFS
@@ -244,21 +239,17 @@ class SegRayIndex:
     O(log m) new nodes per segment and deletes nothing.
     """
 
-    __slots__ = ("entries", "_xs", "_mid", "_end")
+    __slots__ = ("_xs", "_mid", "_end")
 
-    def __init__(self, segments, query_points):
+    def __init__(self, segments):
         segs = list(segments)
         rng = _random.Random(0x5E9)
         prios = [rng.random() for _ in segs]
-        queries = {}
-        for q in query_points:
-            queries.setdefault(q[0], []).append(q[1])
-        xs = self._xs = sorted({s.x1_lo for s in segs} | {s.x1_hi for s in segs} | queries.keys())
+        xs = self._xs = sorted({s.x1_lo for s in segs} | {s.x1_hi for s in segs})
         # Outer spans first. A treap's shape is fixed by its (key, prio)
         # set, so the order among equal spans changes no version.
         pending = iter(sorted((s.x1_lo, -s.x1_hi, s.x2, i, s.payload) for i, s in enumerate(segs)))
         nxt = next(pending, None)
-        entries = self.entries = {}
         mids = self._mid = []
         ends = self._end = []
         opened = [(float("inf"), None)]  # (x1_hi, version) of the open spans
@@ -267,8 +258,6 @@ class SegRayIndex:
                 opened.pop()
             root = opened[-1][1]
             mids.append(root)
-            for y in queries.get(x, ()):
-                entries[(x, y)] = _seed_stack(root, (y, -1))
             while nxt is not None and nxt[0] == x:
                 _, hi, x2, i, payload = nxt
                 hi = -hi
@@ -281,25 +270,29 @@ class SegRayIndex:
                 nxt = next(pending, None)
             ends.append(root)
 
-    def report_registered(self, q, x2_hi=None):
-        """Report for a query point registered at build time."""
-        key = (q[0], q[1])
-        if key not in self.entries:
-            raise KeyError(f"query point {key} was not registered")
-        return _walk(self.entries[key], x2_hi)
-
-    def min_x2_registered(self, q):
-        """Smallest x2 that a registered point reports, or None."""
-        stack = self.entries[(q[0], q[1])]
-        return stack[-1][0][0] if stack else None
-
-    def report_at(self, x, y_lo, x2_hi=None):
-        """Report for an arbitrary point; costs a version search."""
+    def _version(self, x):
+        """Treap of the segments whose open x1 span holds x, or None."""
         i = bisect_right(self._xs, x) - 1
         if i < 0:
-            return [], 0
-        root = self._mid[i] if self._xs[i] == x else self._end[i]
-        return _walk(_seed_stack(root, (y_lo, -1)), x2_hi)
+            return None
+        return self._mid[i] if self._xs[i] == x else self._end[i]
+
+    def report_at(self, x, y_lo, x2_hi):
+        """(payloads of the segments stabbed by the ray from (x, y_lo) with
+        x2 <= x2_hi, probes); the probes count the walk only."""
+        return _walk(_seed_stack(self._version(x), (y_lo, -1)), x2_hi)
+
+    # An alias only: perfbench/tracing.py's METHODS still wraps this name.
+    report_registered = report_at
+
+    def min_x2_at(self, x):
+        """Smallest x2 among the segments whose open x1 span holds x, or None."""
+        node = self._version(x)
+        if node is None:
+            return None
+        while node[3] is not None:
+            node = node[3]
+        return node[0][0]
 
 
 # ----------------------------------------------------------------------

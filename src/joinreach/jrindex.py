@@ -154,7 +154,7 @@ class _BlockPairs(_Packed):
                 segs += [HSegment(base + iv1[v][0], base + iv1[v][1], iv2[v][0], v) for v in stored]
             else:
                 (rpts if _rank(b2) == 1 else pts).extend((base + iv1[v][0], iv2[v][0], v) for v in stored)
-        ct, seg = CartesianTree(pts), SegRayIndex(segs, [])
+        ct, seg = CartesianTree(pts), SegRayIndex(segs)
         enc, rt = EnclosureIndex(rects), RangeTree2D(rpts)
         self.lists = [[] for _ in range(n)]
         for k, ((b1, b2), (key, members)) in enumerate(zip(sides, pairs)):

@@ -134,6 +134,20 @@ def test_cli_stats_two_paths_ratio(tmp_path, capsys):
     assert float(lines["ratio_log"]) <= 3.0
 
 
+def test_cli_stats_on_an_empty_join(tmp_path, capsys):
+    a, out = tmp_path / "a.g", tmp_path / "j.jg"
+    a.write_text("0 0 digraph\n")
+    assert main(["build", str(a), str(a), "-o", str(out)]) == 0
+    assert out.read_text() == "0 0 digraph\nsteiner 0\n"
+    capsys.readouterr()
+    assert main(["stats", str(out)]) == 0
+    rows = [ln.split("\t") for ln in capsys.readouterr().out.strip().splitlines()]
+    assert rows == [
+        ["n", "0"], ["steiner", "0"], ["arcs", "0"], ["size", "0"],
+        ["ratio_log", "0.000"], ["ratio_log2", "0.000"],
+    ]
+
+
 @pytest.mark.parametrize("cls,kind1,kind2", [
     ("two-paths", "bitrev", None),
     ("two-trees", "out-tree", "in-tree"),

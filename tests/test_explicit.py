@@ -17,7 +17,7 @@ from joinreach.explicit import (
     JoinGraph,
 )
 from joinreach.cover import min_path_cover
-from joinreach.gen import gen_bitreversal, rand_upath
+from joinreach.gen import gen_bitreversal, rand_dag, rand_tree, rand_upath
 from joinreach.graph import (
     Digraph,
     GraphClassError,
@@ -34,17 +34,7 @@ def rand_perm_path(rng, n):
     return dipath_of(order)
 
 
-def rand_tree(rng, n, kind):
-    parent = [-1] + [rng.randrange(v) for v in range(1, n)]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    if kind == "out-tree":
-        arcs = [(perm[parent[v]], perm[v]) for v in range(1, n)]
-    else:
-        arcs = [(perm[v], perm[parent[v]]) for v in range(1, n)]
-    return Digraph(n, arcs, kind=kind)
-
-
+# differs from gen.rand_utree, which relabels: here parents stay below children
 def rand_utree(rng, n):
     arcs = []
     for v in range(1, n):
@@ -53,17 +43,11 @@ def rand_utree(rng, n):
     return Digraph(n, arcs, kind="utree")
 
 
+# gen makes no zigzag path
 def zigzag_path(n):
     """Unoriented path 0-1-...-(n-1) whose arcs alternate direction."""
     arcs = [(k, k + 1) if k % 2 == 0 else (k + 1, k) for k in range(n - 1)]
     return Digraph(n, arcs, kind="path")
-
-
-def rand_dag(rng, n, p=0.2):
-    arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Digraph(n, [(perm[u], perm[v]) for u, v in arcs])
 
 
 def logceil(n):

@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_right
 
@@ -7,7 +8,6 @@ from joinreach.geom import (
     CartesianTree,
     EnclosureIndex,
     HSegment,
-    Point2,
     RangeTree2D,
     Rect,
     SegRayIndex,
@@ -152,22 +152,24 @@ def test_seg_nested_reports_bottom_up():
         HSegment(2, 7, 2, 20),
         HSegment(3, 6, 1, 10),
     ]
-    idx = SegRayIndex(segs, [Point2(4, 0, -1)])
-    out, _ = idx.report_registered(Point2(4, 0, -1))
+    idx = SegRayIndex(segs)
+    out, _ = idx.report_at(4, 0, math.inf)
     assert out == [10, 20, 30]
+
+
+def test_seg_min_x2_at_nested_spans():
+    segs = [HSegment(1, 8, 3, 30), HSegment(2, 7, 2, 20), HSegment(3, 6, 1, 10)]
+    idx = SegRayIndex(segs)
+    # before the first stop, at stops, strictly inside nested spans, past the last
+    got = {x: idx.min_x2_at(x) for x in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)}
+    assert got == {0: None, 1: None, 2: 3, 3: 2, 4: 1, 5: 1, 6: 2, 7: 3, 8: None, 9: None}
 
 
 def test_seg_disjoint_spans():
     segs = [HSegment(0, 3, 5, 0), HSegment(4, 7, 5, 1), HSegment(8, 11, 5, 2)]
-    idx = SegRayIndex(segs, [Point2(5, 0, -1)])
-    out, _ = idx.report_registered(Point2(5, 0, -1))
+    idx = SegRayIndex(segs)
+    out, _ = idx.report_at(5, 0, math.inf)
     assert out == [1]
-
-
-def test_seg_unregistered_query_raises():
-    idx = SegRayIndex([HSegment(0, 2, 1, 0)], [])
-    with pytest.raises(KeyError):
-        idx.report_registered(Point2(1, 0, -1))
 
 
 def seg_scan(segs, qx, qy, y_hi=None):
@@ -189,20 +191,16 @@ def test_seg_random_tree_intervals_match_scan():
         heights = list(range(n))
         rng.shuffle(heights)
         segs = [HSegment(iv.s[a], iv.t[a], heights[a], a) for a in range(n)]
-        queries = [Point2(iv.s[b], heights[b], b) for b in range(n)]
-        idx = SegRayIndex(segs, queries)
-        for q in queries:
-            out, visits = idx.report_registered(q)
-            want = seg_scan(segs, q.x1, q.x2)
+        idx = SegRayIndex(segs)
+        for x, y in [(iv.s[b], heights[b]) for b in range(n)]:
+            out, visits = idx.report_at(x, y, math.inf)
+            want = seg_scan(segs, x, y)
             assert out == want
             assert visits <= 2 * len(want) + 2
             # capped variant
             cap = rng.randrange(n + 1)
-            out2, _ = idx.report_registered(q, x2_hi=cap)
-            assert out2 == seg_scan(segs, q.x1, q.x2, cap)
-            # unregistered path answers identically
-            out3, _ = idx.report_at(q.x1, q.x2)
-            assert out3 == want
+            out2, _ = idx.report_at(x, y, cap)
+            assert out2 == seg_scan(segs, x, y, cap)
 
 
 def test_seg_crossing_or_empty_spans_raise():
@@ -215,49 +213,42 @@ def test_seg_crossing_or_empty_spans_raise():
         [HSegment(5, 2, 1, 0)],
     ):
         with pytest.raises(ValueError):
-            SegRayIndex(segs, [])
+            SegRayIndex(segs)
 
 
 def test_seg_empty_segment_list_builds():
-    idx = SegRayIndex([], [Point2(3, 0, -1)])
-    assert idx.report_registered(Point2(3, 0, -1)) == ([], 0)
-    assert idx.min_x2_registered(Point2(3, 0, -1)) is None
-    assert idx.report_at(3, 0) == ([], 0)
-    assert SegRayIndex([], []).report_at(0, 0) == ([], 0)
+    idx = SegRayIndex([])
+    assert idx.report_at(3, 0, math.inf) == ([], 0)
+    assert idx.min_x2_at(3) is None
+    assert idx.report_at(0, 0, math.inf) == ([], 0)
 
 
 def test_seg_equal_spans_all_reported():
     # fringe members share their supervertex's interval
     segs = [HSegment(2, 8, 5, 0), HSegment(2, 8, 5, 1), HSegment(2, 8, 3, 2), HSegment(3, 7, 4, 3)]
-    q = Point2(5, 0, -1)
-    idx = SegRayIndex(segs, [q])
-    assert idx.report_registered(q)[0] == [2, 3, 0, 1]
-    assert idx.report_at(5, 0)[0] == [2, 3, 0, 1]
-    assert idx.report_at(2, 0)[0] == []
-    assert idx.min_x2_registered(q) == 3
+    idx = SegRayIndex(segs)
+    assert idx.report_at(5, 0, math.inf)[0] == [2, 3, 0, 1]
+    assert idx.report_at(2, 0, math.inf)[0] == []
+    assert idx.min_x2_at(5) == 3
 
 
 def test_seg_spans_touching_at_an_endpoint():
     segs = [HSegment(0, 4, 1, 0), HSegment(4, 8, 2, 1), HSegment(8, 12, 3, 2), HSegment(0, 12, 9, 3)]
-    points = [Point2(x, 0, -1) for x in range(-1, 14)]
-    idx = SegRayIndex(segs, points)
-    for q in points:
-        want = seg_scan(segs, q.x1, 0)
-        assert idx.report_registered(q)[0] == want
-        assert idx.report_at(q.x1, 0)[0] == want
-    assert idx.report_at(4, 0)[0] == [3]
-    assert idx.report_at(6, 0)[0] == [1, 3]
+    idx = SegRayIndex(segs)
+    for x in range(-1, 14):
+        assert idx.report_at(x, 0, math.inf)[0] == seg_scan(segs, x, 0)
+    assert idx.report_at(4, 0, math.inf)[0] == [3]
+    assert idx.report_at(6, 0, math.inf)[0] == [1, 3]
 
 
 def test_seg_query_at_an_endpoint_is_strict():
     segs = [HSegment(2, 6, 1, 0)]
-    idx = SegRayIndex(segs, [Point2(2, 0, -1), Point2(6, 0, -1)])
+    idx = SegRayIndex(segs)
     for x in (2, 6):
-        assert idx.report_registered(Point2(x, 0, -1))[0] == []
-        assert idx.report_at(x, 0)[0] == []
-    assert idx.report_at(3, 0)[0] == [0]
-    assert idx.report_at(5, 1)[0] == [0]
-    assert idx.report_at(5, 2)[0] == []
+        assert idx.report_at(x, 0, math.inf)[0] == []
+    assert idx.report_at(3, 0, math.inf)[0] == [0]
+    assert idx.report_at(5, 1, math.inf)[0] == [0]
+    assert idx.report_at(5, 2, math.inf)[0] == []
 
 
 def test_seg_deep_nested_chain_builds_without_recursion():
@@ -265,13 +256,12 @@ def test_seg_deep_nested_chain_builds_without_recursion():
     heights = list(range(m))
     random.Random(37).shuffle(heights)
     segs = [HSegment(i, 2 * m - i, heights[i], i) for i in range(m)]
-    q = Point2(m, 0, -1)
-    idx = SegRayIndex(segs, [q])
+    idx = SegRayIndex(segs)
     order = sorted(range(m), key=heights.__getitem__)
-    out, probes = idx.report_registered(q)
+    out, probes = idx.report_at(m, 0, math.inf)
     assert out == order
     assert probes <= 2 * m + 2
-    assert idx.report_at(m, 0, x2_hi=9)[0] == order[:10]
+    assert idx.report_at(m, 0, 9)[0] == order[:10]
 
 
 def laminar_segments(rng, budget):
@@ -295,19 +285,17 @@ def test_seg_random_laminar_families_match_scan():
     rng = random.Random(53)
     for _ in range(40):
         segs = laminar_segments(rng, rng.randrange(1, 40))
-        queries = [Point2(x, rng.randrange(-1, 5), -1) for x in range(-1, 62)]
-        idx = SegRayIndex(segs, queries)
-        for q in queries:
-            want = seg_scan(segs, q.x1, q.x2)
-            out, probes = idx.report_registered(q)
+        queries = [(x, rng.randrange(-1, 5)) for x in range(-1, 62)]
+        idx = SegRayIndex(segs)
+        for x, y in queries:
+            want = seg_scan(segs, x, y)
+            out, probes = idx.report_at(x, y, math.inf)
             assert out == want
             assert probes <= 2 * len(want) + 2
-            assert idx.report_at(q.x1, q.x2) == (out, probes)
-            low = min((s.x2 for s in segs if s.payload in want), default=None)
-            assert idx.min_x2_registered(q) == low
+            low = min((s.x2 for s in segs if s.x1_lo < x < s.x1_hi), default=None)
+            assert idx.min_x2_at(x) == low
             cap = rng.randrange(-1, 5)
-            assert idx.report_registered(q, x2_hi=cap)[0] == seg_scan(segs, q.x1, q.x2, cap)
-            assert idx.report_at(q.x1, q.x2, x2_hi=cap)[0] == seg_scan(segs, q.x1, q.x2, cap)
+            assert idx.report_at(x, y, cap)[0] == seg_scan(segs, x, y, cap)
 
 
 def test_enclosure_concentric():

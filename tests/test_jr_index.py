@@ -1,9 +1,14 @@
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import joinreach
 from joinreach.geom import CartesianTree, EnclosureIndex, RangeTree2D, SegRayIndex
 
 from joinreach.explicit import build_unoriented_trees, verify_join_graph
@@ -482,6 +487,54 @@ def test_pathcover_rejects_cycles():
     cyc = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(Exception):
         index_pathcover(cyc, dipath_of([0, 1, 2]))
+
+
+def test_pathcover_against_an_out_tree_at_2_13_in_256_mb():
+    """A DAG of arc probability 8/n against an out-tree at n = 2^13, built
+    and queried at every vertex in a child process whose own address space
+    is capped at 256 MB; the largest answer is checked by search.
+    Registering a sweep point per from-rank entry (995,951 here) needed
+    more."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    child = textwrap.dedent(
+        """
+        import random, resource, sys
+        sys.path.insert(0, sys.argv[1])
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 256 << 20
+        if hard != resource.RLIM_INFINITY:
+            cap = min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        from joinreach.gen import rand_dag, rand_tree
+        from joinreach.jrindex import index_pathcover
+
+        n = 1 << 13
+        rng = random.Random(13)
+        g1, g2 = rand_dag(rng, n, 8 / n), rand_tree(rng, n, "out-tree")
+        idx = index_pathcover(g1, g2)
+        answers = [idx.query_counted(v) for v in range(n)]
+        assert all(probes <= 6 * (len(found) + 1) for found, probes, _ in answers)
+        b = max(range(n), key=lambda v: len(answers[v][0]))
+        found = answers[b][0]
+        want = None
+        for g in (g1, g2):
+            seen, todo = {b}, [b]
+            while todo:
+                for a in g.inn[todo.pop()]:
+                    if a not in seen:
+                        seen.add(a)
+                        todo.append(a)
+            want = seen if want is None else want & seen
+        assert found == sorted(want), (found, sorted(want))
+        """
+    )
+    src = str(Path(joinreach.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", child, src], capture_output=True, text=True, timeout=600
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_kameda_single_arc_and_diamond():

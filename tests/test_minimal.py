@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from joinreach.gen import gen_bitreversal
 from joinreach.graph import Digraph, ReachMatrix, transitive_closure
 from joinreach.minimal import and_closure, minimal_restricted_join, transitive_reduction
 
@@ -15,22 +16,6 @@ def random_digraph(rng, n, p):
     """Random digraph with arcs both ways, so usually cyclic."""
     arcs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p]
     return Digraph(n, arcs)
-
-
-def bitrev(x, bits):
-    r = 0
-    for _ in range(bits):
-        r = (r << 1) | (x & 1)
-        x >>= 1
-    return r
-
-
-def bitrev_paths(n):
-    bits = n.bit_length() - 1
-    p1 = Digraph(n, [(i, i + 1) for i in range(n - 1)], kind="path")
-    order = sorted(range(n), key=lambda v: bitrev(v, bits))
-    p2 = Digraph(n, [(order[i], order[i + 1]) for i in range(n - 1)], kind="path")
-    return p1, p2
 
 
 def test_and_closure_identity_and_annihilator():
@@ -164,7 +149,7 @@ def test_minimal_join_reversed_dag_is_arcless():
 def test_minimal_join_bitrev_has_at_least_half_n_lg_n_arcs():
     for k in range(10):
         n = 1 << k
-        p1, p2 = bitrev_paths(n)
+        p1, p2 = gen_bitreversal(n)
         out = minimal_restricted_join(p1, p2)
         assert out.m >= n * k // 2, (n, out.m)
         if n == 512:
