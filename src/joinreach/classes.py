@@ -44,7 +44,7 @@ def _build_pathcover(g1, g2):
     n = g1.n
     arcs = [(ms[k - 1], ms[k]) for ms in cp.members if len(ms) > 1 for k in range(len(ms))]
     vertex = [ms[0] for ms in cp.members] + list(range(n, n + inner.steiner_count))
-    arcs += [(vertex[u], vertex[v]) for u, v in inner.graph.arcs]
+    arcs += [(vertex[u], vertex[v]) for u, row in enumerate(inner.graph.out) for v in row]
     return JoinGraph(Digraph(n + inner.steiner_count, arcs), n, list(inner.steiner_tags))
 
 

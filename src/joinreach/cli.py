@@ -196,6 +196,9 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:  # e.g. a header naming more vertices than fit
+        print("error: memory ran out", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

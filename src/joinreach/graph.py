@@ -28,12 +28,14 @@ class Digraph:
     """Simple digraph over vertices 0..n-1.
 
     Arcs are normalized on construction, in one pass over them sorted:
-    self-loops and duplicates are dropped, the arcs are stored sorted as
-    tuples, and an out-of-range arc raises, naming the first in input
-    order. Instances are treated as immutable after construction.
+    self-loops and duplicates are dropped, the graph keeps only its sorted
+    out and in rows, and an out-of-range arc raises, naming the first in
+    input order. `arcs` is read off the out rows on each access. A parsed
+    graph shares one int per vertex (`_graph_section`), as a built one
+    does. Instances are treated as immutable after construction.
     """
 
-    __slots__ = ("n", "arcs", "kind", "out", "inn", "out_order")
+    __slots__ = ("n", "m", "kind", "out", "inn", "out_order")
 
     def __init__(self, n, arcs, kind="digraph", out_order=None):
         if kind not in KINDS:
@@ -46,7 +48,6 @@ class Digraph:
             for u, v in arcs:  # in input order, to name the first bad arc
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-        kept = []
         out = [[] for _ in range(n)]
         inn = [[] for _ in range(n)]
         pu = pv = -1
@@ -54,10 +55,9 @@ class Digraph:
             if u == v or (u == pu and v == pv):
                 continue
             pu, pv = u, v
-            kept.append((u, v))
             out[u].append(v)
             inn[v].append(u)
-        self.arcs = tuple(kept)
+        self.m = sum(map(len, out))
         self.kind = kind
         self.out = tuple(tuple(a) for a in out)
         self.inn = tuple(tuple(a) for a in inn)
@@ -73,13 +73,15 @@ class Digraph:
         self._validate()
 
     @property
-    def m(self):
-        return len(self.arcs)
+    def arcs(self):
+        """The arcs as a sorted tuple of (u, v) pairs, built anew from the
+        out rows on each access."""
+        return tuple((u, v) for u, row in enumerate(self.out) for v in row)
 
     @property
     def size(self):
         """Vertex count plus arc count."""
-        return self.n + len(self.arcs)
+        return self.n + self.m
 
     def _validate(self):
         kind = self.kind
@@ -123,9 +125,15 @@ class Digraph:
         seen[0] = True
         stack = [0]
         count = 1
+        out, inn = self.out, self.inn
         while stack:
             v = stack.pop()
-            for w in self.out[v] + self.inn[v]:
+            for w in out[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    count += 1
+                    stack.append(w)
+            for w in inn[v]:
                 if not seen[w]:
                     seen[w] = True
                     count += 1
@@ -136,7 +144,7 @@ class Digraph:
         kind = {"out-tree": "in-tree", "in-tree": "out-tree"}.get(self.kind, self.kind)
         if kind == "planar-st":
             kind = "digraph"
-        return Digraph(self.n, [(v, u) for u, v in self.arcs], kind=kind)
+        return Digraph(self.n, [(v, u) for v, row in enumerate(self.inn) for u in row], kind=kind)
 
     def root(self):
         """Root of a rooted tree (out-tree or in-tree)."""
@@ -377,10 +385,11 @@ def condense_pair(g1, g2):
             last_sub[ci] = chain[-1]
             for i in range(len(chain) - 1):
                 arcs.append((chain[i], chain[i + 1]))
-        for u, v in g.arcs:
-            cu, cv = comp_a_of[u], comp_a_of[v]
-            if cu != cv:
-                arcs.append((last_sub[cu], first_sub[cv]))
+        for u, row in enumerate(g.out):
+            for v in row:
+                cu, cv = comp_a_of[u], comp_a_of[v]
+                if cu != cv:
+                    arcs.append((last_sub[cu], first_sub[cv]))
         return Digraph(len(members), arcs)
 
     g1_hat = build_hat(comps1, comp1_of, comp2_of, g1)
@@ -686,7 +695,9 @@ def parse_graph(text):
 
 def _graph_section(text):
     """(n, kind, arcs, rest) of a graph or join file: its header, its m
-    arc lines read as integer pairs, and the nonblank lines after them."""
+    arc lines read as integer pairs, and the nonblank lines after them.
+    In-range tokens of one value share one int object, so a parsed graph
+    holds one int per vertex, as a built one does."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty file")
@@ -700,14 +711,20 @@ def _graph_section(text):
         raise ValueError(f"negative count in header {lines[0]!r}")
     if len(lines) <= m:
         raise ValueError(f"header says {m} arcs, but fewer arc lines follow")
+    ids = list(range(n))
+
+    def vertex(tok):  # an out-of-range one is left for Digraph to name
+        v = int(tok)
+        return ids[v] if 0 <= v < n else v
+
     # ValueError unless each arc line is two integer tokens
-    arcs = [(int(u), int(v)) for u, v in map(str.split, lines[1 : 1 + m])]
+    arcs = [(vertex(u), vertex(v)) for u, v in map(str.split, lines[1 : 1 + m])]
     return n, kind, arcs, lines[1 + m :]
 
 
 def format_graph(g):
     lines = [f"{g.n} {g.m} {g.kind}"]
-    lines.extend(f"{u} {v}" for u, v in g.arcs)
+    lines.extend(f"{u} {v}" for u, row in enumerate(g.out) for v in row)
     if g.kind == "planar-st" and g.out_order is not None:
         for v in range(g.n):
             lines.append(f"{v}: " + " ".join(str(w) for w in g.out_order[v]))

@@ -1,7 +1,12 @@
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import joinreach
 from joinreach import classes, cli, cover, explicit, jrindex
 from joinreach import graph as graph_mod
 from joinreach.classes import index
@@ -118,6 +123,37 @@ def test_cli_malformed_file_is_input_error(tmp_path, capsys, suffix, text):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_oversized_header_is_input_error(tmp_path):
+    """A join file whose header names 10^9 vertices, read by `jr stats` in
+    a child process whose own address space is capped at 256 MB: the
+    allocation fails with MemoryError, which is an input error."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    bad = tmp_path / "huge.jg"
+    bad.write_text("1000000000 0 digraph\nsteiner 0\n")
+    child = textwrap.dedent(
+        """
+        import resource, sys
+        sys.path.insert(0, sys.argv[1])
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 256 << 20
+        if hard != resource.RLIM_INFINITY:
+            cap = min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        from joinreach.cli import main
+
+        sys.exit(main(["stats", sys.argv[2]]))
+        """
+    )
+    src = str(Path(joinreach.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", child, src, str(bad)], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 2, run.stderr[-2000:]
+    assert run.stderr == "error: memory ran out\n"
 
 
 def test_cli_stats_two_paths_ratio(tmp_path, capsys):

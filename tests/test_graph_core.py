@@ -394,6 +394,7 @@ def test_kind_validation():
 def test_normalization_drops_loops_and_duplicates():
     g = Digraph(3, [(0, 1), (0, 1), (1, 1), (1, 2)])
     assert g.arcs == ((0, 1), (1, 2))
+    assert (g.m, g.size) == (2, 5)
 
 
 def test_normalization_names_first_bad_arc_in_input_order():
@@ -416,16 +417,32 @@ def test_normalization_stores_sorted_tuples_from_any_iterable():
     assert (g.n, g.arcs, g.out, g.inn) == (0, (), (), ())
 
 
-def test_normalization_matches_brute_force():
+# n = 0, 1 and 2 with no arcs, only loops, only duplicates, and both ways
+NORMALIZATION_EDGES = [
+    (0, []), (1, []), (2, []),
+    (1, [(0, 0)]), (2, [(0, 0), (1, 1), (0, 0)]),
+    (2, [(0, 1), (0, 1)]), (2, [(1, 0), (0, 1), (1, 0), (0, 1)]),
+]
+
+
+def _normalization_inputs():
+    yield from NORMALIZATION_EDGES
     rng = random.Random(17)
     for _ in range(300):
         n = rng.randrange(1, 12)
-        arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(30))]
+        yield n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(30))]
+
+
+def test_normalization_matches_brute_force():
+    for n, arcs in _normalization_inputs():
         g = Digraph(n, arcs)
         want = sorted({(u, v) for u, v in arcs if u != v})
         assert g.arcs == tuple(want)
+        assert (g.m, g.size) == (len(want), n + len(want))
         assert g.out == tuple(tuple(v for u, v in want if u == w) for w in range(n))
         assert g.inn == tuple(tuple(u for u, v in want if v == w) for w in range(n))
+        back = parse_graph(format_graph(g))
+        assert (back.n, back.m, back.arcs, back.out, back.inn) == (n, g.m, g.arcs, g.out, g.inn)
 
 
 def test_path_order_roundtrip():

@@ -16,9 +16,11 @@ MUTATIONS = 12_000
 CHARS = "0123456789 -:;.x\t\n"
 TOKENS = ("0", "1", "-1", "99", "1.5", "steiner", "digraph", "path", "planar-st",
           "out-tree", ":", ";d1", "\n\n", " 0 1\n", "\nsteiner 0\n")
-# A header naming more vertices is drawn again: the graph constructor
-# allocates per vertex before it reads an arc, so such a text tests the
-# memory of the machine, not the parser.
+# A header naming more vertices is drawn again: the graph reader
+# allocates per vertex before it reads an arc, and without a cap on the
+# address space an allocation that large ends in an out-of-memory kill,
+# not a MemoryError (which `jr` reports as an input error; see
+# tests/test_cli.py::test_cli_oversized_header_is_input_error).
 MAX_N = 4096
 
 
