@@ -385,7 +385,7 @@ def format_join(jg):
 
 
 def parse_join(text):
-    n, kind, arcs, rest = _graph_section(text)
+    n, _, kind, arcs, rest = _graph_section(text)
     if kind != "digraph":
         raise ValueError(f"join file kind must be digraph, not {kind!r}")
     sline = rest[0].split() if rest else []

@@ -10,7 +10,7 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice
 
 
 KINDS = ("digraph", "path", "out-tree", "in-tree", "utree", "planar-st")
@@ -27,40 +27,36 @@ class CyclicGraphError(ValueError):
 class Digraph:
     """Simple digraph over vertices 0..n-1.
 
-    Arcs are normalized on construction, in one pass over them sorted:
-    self-loops and duplicates are dropped, the graph keeps only its sorted
-    out and in rows, and an out-of-range arc raises, naming the first in
-    input order. `arcs` is read off the out rows on each access. A parsed
-    graph shares one int per vertex (`_graph_section`), as a built one
-    does. Instances are treated as immutable after construction.
+    Arcs are normalized on construction, row by row, in time linear in n
+    plus the arcs but for the sort of each row: one pass over the arcs,
+    any iterable of pairs (a one-shot generator too), puts each in its
+    tail's row, drops self-loops and raises on the first out-of-range arc
+    in input order; each row is then sorted and deduplicated. The graph
+    keeps only these out rows and its arc count. `arcs` is read off the
+    out rows on each access; the in rows `inn` are built from them on
+    first read and then kept, and the kinds whose validation reads them
+    build them at once. An in row holds the int object its vertex has as
+    a head, so a graph whose heads share one int per vertex, as a built
+    and a parsed one do (`_graph_section`), holds one int per vertex.
+    Instances are treated as immutable after construction.
     """
 
-    __slots__ = ("n", "m", "kind", "out", "inn", "out_order")
+    __slots__ = ("n", "m", "kind", "out", "out_order", "_inn")
 
     def __init__(self, n, arcs, kind="digraph", out_order=None):
         if kind not in KINDS:
             raise GraphClassError(f"unknown graph kind {kind!r}")
         self.n = n
-        arcs = list(arcs)
-        srt, head = sorted(arcs), itemgetter(1)
-        if srt and not (0 <= srt[0][0] and srt[-1][0] < n
-                        and 0 <= min(srt, key=head)[1] and max(srt, key=head)[1] < n):
-            for u, v in arcs:  # in input order, to name the first bad arc
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"arc ({u},{v}) out of range for n={n}")
         out = [[] for _ in range(n)]
-        inn = [[] for _ in range(n)]
-        pu = pv = -1
-        for u, v in srt:  # a duplicate follows its twin once sorted
-            if u == v or (u == pu and v == pv):
-                continue
-            pu, pv = u, v
-            out[u].append(v)
-            inn[v].append(u)
-        self.m = sum(map(len, out))
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
+            if u != v:
+                out[u].append(v)
+        self.out = tuple(tuple(sorted(set(row))) if len(row) > 1 else tuple(row) for row in out)
+        self.m = sum(map(len, self.out))
         self.kind = kind
-        self.out = tuple(tuple(a) for a in out)
-        self.inn = tuple(tuple(a) for a in inn)
+        self._inn = None
         self.out_order = None
         if out_order is not None:
             order = tuple(tuple(ws) for ws in out_order)
@@ -71,6 +67,27 @@ class Digraph:
                     )
             self.out_order = order
         self._validate()
+
+    @property
+    def inn(self):
+        """The sorted in rows, built from the out rows on first read and
+        then kept. A tail is entered as the int object the out rows hold
+        for it as a head, and only a source gets a new one, so building
+        them makes no int per arc."""
+        if self._inn is None:
+            n, out = self.n, self.out
+            ids = [None] * n
+            for row in out:
+                for v in row:
+                    ids[v] = v
+            inn = [[] for _ in range(n)]
+            for u, row in enumerate(out):
+                if ids[u] is not None:  # else a source: its int is made here
+                    u = ids[u]
+                for v in row:
+                    inn[v].append(u)
+            self._inn = tuple(map(tuple, inn))
+        return self._inn
 
     @property
     def arcs(self):
@@ -144,14 +161,14 @@ class Digraph:
         kind = {"out-tree": "in-tree", "in-tree": "out-tree"}.get(self.kind, self.kind)
         if kind == "planar-st":
             kind = "digraph"
-        return Digraph(self.n, [(v, u) for v, row in enumerate(self.inn) for u in row], kind=kind)
+        return Digraph(self.n, ((v, u) for u, row in enumerate(self.out) for v in row), kind=kind)
 
     def root(self):
         """Root of a rooted tree (out-tree or in-tree)."""
         if self.kind == "out-tree":
-            return next(v for v in range(self.n) if not self.inn[v])
+            return self.inn.index(())
         if self.kind == "in-tree":
-            return next(v for v in range(self.n) if not self.out[v])
+            return self.out.index(())
         raise GraphClassError(f"{self.kind} has no canonical root")
 
     def is_directed_path(self):
@@ -172,7 +189,7 @@ def path_order(g):
         raise GraphClassError("graph is not a fully oriented dipath")
     if g.n == 1:
         return [0]
-    v = next(x for x in range(g.n) if not g.inn[x])
+    v = g.inn.index(())
     seq = [v]
     while g.out[v]:
         v = g.out[v][0]
@@ -188,8 +205,12 @@ def dipath_of(order):
 
 def topo_order(g):
     """A topological order of g, or None if g has a cycle: Kahn's pass
-    with a stack of the vertices whose in-arcs are all taken."""
-    indeg = [len(p) for p in g.inn]
+    with a stack of the vertices whose in-arcs are all taken. In-degrees
+    are counted off the out rows, so g's in rows are not built."""
+    indeg = [0] * g.n
+    for row in g.out:
+        for w in row:
+            indeg[w] += 1
     stack = [v for v in range(g.n) if not indeg[v]]
     order = []
     while stack:
@@ -533,11 +554,12 @@ def split_unoriented_path(p):
     n = p.n
     if n == 1:
         return [[0]]
-    v = min(x for x in range(n) if len(p.out[x]) + len(p.inn[x]) == 1)
+    out, inn = p.out, p.inn
+    v = min(x for x in range(n) if len(out[x]) + len(inn[x]) == 1)
     seq, fwd = [v], []  # fwd[k]: the arc of seq[k] and seq[k + 1] points forward
     prev = -1
     while len(seq) < n:
-        step = [(w, True) for w in p.out[v] if w != prev] + [(w, False) for w in p.inn[v] if w != prev]
+        step = [(w, True) for w in out[v] if w != prev] + [(w, False) for w in inn[v] if w != prev]
         prev, (v, d) = v, step[0]
         seq.append(v)
         fwd.append(d)
@@ -678,9 +700,9 @@ def dfs_intervals(g, root=None):
 # str.split and int, which ignore the spaces around them.
 
 def parse_graph(text):
-    n, kind, arcs, rest = _graph_section(text)
+    n, m, kind, arcs, rest = _graph_section(text)
     if any(kind != "planar-st" or ":" not in ln for ln in rest):
-        raise ValueError(f"header says {len(arcs)} arcs, but more arc lines follow")
+        raise ValueError(f"header says {m} arcs, but more arc lines follow")
     out_order = None
     if kind == "planar-st":
         out_order = [[] for _ in range(n)]
@@ -694,10 +716,14 @@ def parse_graph(text):
 
 
 def _graph_section(text):
-    """(n, kind, arcs, rest) of a graph or join file: its header, its m
-    arc lines read as integer pairs, and the nonblank lines after them.
-    In-range tokens of one value share one int object, so a parsed graph
-    holds one int per vertex, as a built one does."""
+    """(n, m, kind, arcs, rest) of a graph or join file: its header, its
+    m arc lines as a one-shot generator of integer pairs, and the nonblank
+    lines after them. The arc lines are read as the generator is drawn, so
+    a malformed one raises then: the constructor takes the pairs one by
+    one and no list of them is held. In-range heads of one value share one
+    int object; a tail only picks its row, and the in rows reuse the
+    heads' ints, so a parsed graph holds one int per vertex, as a built
+    one does."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty file")
@@ -713,13 +739,14 @@ def _graph_section(text):
         raise ValueError(f"header says {m} arcs, but fewer arc lines follow")
     ids = list(range(n))
 
-    def vertex(tok):  # an out-of-range one is left for Digraph to name
-        v = int(tok)
-        return ids[v] if 0 <= v < n else v
+    def arcs():  # ValueError unless each arc line is two integer tokens
+        for ln in islice(lines, 1, 1 + m):
+            u, v = ln.split()
+            u, v = int(u), int(v)
+            # an out-of-range head is left for Digraph to name
+            yield u, ids[v] if 0 <= v < n else v
 
-    # ValueError unless each arc line is two integer tokens
-    arcs = [(vertex(u), vertex(v)) for u, v in map(str.split, lines[1 : 1 + m])]
-    return n, kind, arcs, lines[1 + m :]
+    return n, m, kind, arcs(), lines[1 + m :]
 
 
 def format_graph(g):

@@ -322,7 +322,7 @@ def _suffix_masks(labels):
 
 
 def _postorder_labels(g, reverse_order):
-    source = next(v for v in range(g.n) if not g.inn[v])
+    source = g.inn.index(())
     labels = [0] * g.n
     next_label = g.n
     seen = [False] * g.n

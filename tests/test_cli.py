@@ -104,6 +104,8 @@ MALFORMED_FILES = {
     "join-arc-three-tokens": (".jg", "4 1 digraph\n0 1 2\nsteiner 0\n"),
     "join-arc-not-integer": (".jg", "4 1 digraph\n0 x\nsteiner 0\n"),
     "join-kind-not-digraph": (".jg", "4 1 path\n0 1\nsteiner 0\n"),
+    # the steiner section is read before the arcs are drawn
+    "join-bad-arc-and-bad-steiner": (".jg", "4 2 digraph\n0 x\n1 2\nsteiner 3\nt0\n"),
     "graph-empty": (".g", ""),
     "graph-m-too-high": (".g", "3 5 digraph\n0 1\n"),
     "graph-m-too-low": (".g", "3 1 digraph\n0 1\n1 2\n"),

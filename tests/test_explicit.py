@@ -25,6 +25,7 @@ from joinreach.graph import (
     Digraph,
     GraphClassError,
     dipath_of,
+    parse_graph,
     split_unoriented_path,
     topo_order,
     transitive_closure,
@@ -623,25 +624,36 @@ def test_join_format_roundtrip():
     assert jg2.steiner_tags == jg.steiner_tags
 
 
-def _held_bytes(make):
-    """(bytes freed by dropping the graph of make()'s join, the graph's n
-    and m, its layout bound). Traced from before the graph is made, so
-    every block it holds is counted."""
+def test_parsed_arcs_normalize_as_the_constructor_does():
+    arcs = [(3, 1), (0, 2), (3, 1), (2, 2), (1, 0), (0, 2), (2, 3)]
+    section = f"4 {len(arcs)} digraph\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+    want = Digraph(4, arcs)
+    jg = parse_join(section + "steiner 1\nt;d0;h=0..1\n")
+    assert jg.n_original == 3
+    for g in (parse_graph(section), jg.graph):
+        assert (g.n, g.m, g.kind, g.out, g.inn) == (4, 4, "digraph", want.out, want.inn)
+
+
+def _held_bytes(make, rows):
+    """(bytes freed by dropping the graph make() returns, its n and m, the
+    bound of a layout of `rows` row tuples per vertex). Traced from
+    before the graph is made, so every block it holds is counted."""
     tracemalloc.start()
     try:
-        g = make().graph
+        g = make()
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         n, m = g.n, g.m
-        # The row layout: per vertex an out and an in row tuple, each
-        # referenced from its outer tuple, and one int; per arc one
-        # pointer in each of its two rows. An int's struct is padded to a
-        # whole pointer. Vertices with no row entries or ids below 257
-        # (cached ints) hold less.
+        # The row layout: per vertex `rows` row tuples, each referenced
+        # from its outer tuple, and one int; per arc one pointer in each
+        # of its rows. An int's struct is padded to a whole pointer.
+        # Vertices with no row entries or ids below 257 (cached ints)
+        # hold less.
         empty = sys.getsizeof(())
         ptr = sys.getsizeof((0,)) - empty
         int_size = -(-sys.getsizeof(n) // ptr) * ptr
-        bound = n * (2 * (empty + ptr) + int_size) + m * 2 * ptr + 2 * empty + sys.getsizeof(g)
+        bound = (n * (rows * (empty + ptr) + int_size) + m * rows * ptr
+                 + rows * empty + sys.getsizeof(g))
         del g
         gc.collect()
         return before - tracemalloc.get_traced_memory()[0], n, m, bound
@@ -650,15 +662,29 @@ def _held_bytes(make):
 
 
 def test_a_built_and_a_parsed_join_hold_only_their_rows():
-    # No tuple per arc, and a parsed graph shares one int per vertex like
-    # a built one: without both, 92.8 (built) and 123.8 (parsed) bytes per
-    # (n + m) against a layout bound of about 46.6.
+    # A verified join holds its out rows alone: verification walks them
+    # and counts in-degrees off them, so no in row is built (at most 27.6
+    # bytes per (n + m) here, against 46.5 with both rows). Once `inn` is
+    # read the in rows are kept, and they reuse the graph's one int per
+    # vertex: without that, each tail above 256 would be a fresh int.
     p1, p2 = gen_bitreversal(1 << 12)
     text = format_join(build_two_paths(p1, p2))
+
+    def verified(make):
+        jg = make()
+        assert verify_join_graph(jg, p1, p2)
+        return jg.graph
+
+    def in_rows_read(make):
+        g = verified(make)
+        assert len(g.inn) == g.n
+        return g
+
     for what, make in (("built", lambda: build_two_paths(p1, p2)),
                        ("parsed", lambda: parse_join(text))):
-        held, n, m, bound = _held_bytes(make)
-        assert held <= bound, (what, n, m, held / (n + m), bound / (n + m))
+        for rows, held_graph in ((1, verified), (2, in_rows_read)):
+            held, n, m, bound = _held_bytes(lambda: held_graph(make), rows)
+            assert held <= bound, (what, rows, n, m, held / (n + m), bound / (n + m))
 
 
 def test_builders_reject_mismatched_sizes():

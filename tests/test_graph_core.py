@@ -405,6 +405,12 @@ def test_normalization_names_first_bad_arc_in_input_order():
         Digraph(4, [(0, 1), (2, -1), (-3, 0)])
     with pytest.raises(ValueError, match=r"arc \(0,0\) out of range for n=0"):
         Digraph(0, [(0, 0)])
+    # A one-shot generator is read once, in order, and a negative tail
+    # raises rather than wrapping into row n - 1.
+    with pytest.raises(ValueError, match=r"arc \(3,4\) out of range for n=4"):
+        Digraph(4, (a for a in [(0, 1), (1, 2), (3, 4), (5, 0)]))
+    with pytest.raises(ValueError, match=r"arc \(-1,2\) out of range for n=4"):
+        Digraph(4, (a for a in [(0, 1), (2, 3), (-1, 2)]))
 
 
 def test_normalization_stores_sorted_tuples_from_any_iterable():
@@ -417,11 +423,13 @@ def test_normalization_stores_sorted_tuples_from_any_iterable():
     assert (g.n, g.arcs, g.out, g.inn) == (0, (), (), ())
 
 
-# n = 0, 1 and 2 with no arcs, only loops, only duplicates, and both ways
+# n = 0, 1 and 2 with no arcs, only loops, only duplicates, and both
+# ways; then duplicates and loops spread through unsorted arcs
 NORMALIZATION_EDGES = [
     (0, []), (1, []), (2, []),
     (1, [(0, 0)]), (2, [(0, 0), (1, 1), (0, 0)]),
     (2, [(0, 1), (0, 1)]), (2, [(1, 0), (0, 1), (1, 0), (0, 1)]),
+    (4, [(2, 0), (1, 1), (0, 2), (2, 0), (3, 3), (0, 2), (1, 3), (2, 2), (3, 0), (1, 0), (2, 0)]),
 ]
 
 
@@ -443,6 +451,28 @@ def test_normalization_matches_brute_force():
         assert g.inn == tuple(tuple(u for u, v in want if v == w) for w in range(n))
         back = parse_graph(format_graph(g))
         assert (back.n, back.m, back.arcs, back.out, back.inn) == (n, g.m, g.arcs, g.out, g.inn)
+
+
+def test_in_rows_read_before_and_after_the_out_rows():
+    arcs = [(2, 0), (0, 1), (1, 2), (0, 2)]
+    in_first, out_first = Digraph(3, arcs), Digraph(3, arcs)
+    inn = in_first.inn
+    assert inn == ((2,), (0,), (0, 1))
+    assert in_first.out == out_first.out == ((1, 2), (2,), (0,))
+    assert out_first.inn == inn
+    assert in_first.inn is inn  # built once, then kept
+    with pytest.raises(AttributeError):
+        in_first.inn = ()
+
+
+def test_in_rows_hold_the_ints_of_the_out_rows():
+    # Every arc brings fresh ints (values above 256 are not cached); an in
+    # row enters each tail as an int object the out rows already hold.
+    n = 600
+    g = Digraph(n, [(int(str(u)), int(str((u * 7 + 1) % n))) for u in range(n)])
+    heads = {id(v) for row in g.out for v in row}
+    assert len(heads) == n
+    assert all(id(u) in heads for row in g.inn for u in row)
 
 
 def test_path_order_roundtrip():
