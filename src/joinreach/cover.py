@@ -175,10 +175,11 @@ def band_stride(n):
     return 4 * n + 5
 
 
-def paths_against_tree(paths, rows, tree):
+def paths_against_tree(cover, rows, tree):
     """Per-vertex reports of dipaths of one graph against a rooted tree.
 
-    `paths` are vertex-disjoint dipaths covering the first graph, and
+    `cover.paths` are vertex-disjoint dipaths covering the first graph,
+    `cover.path_of[v]` is v's (path, rank), as in a `PathCover`, and
     rows[b] is {path i: highest rank on i of a vertex reaching b}, as
     `from_ranks` returns. Path i holds its vertices at (doubled DFS interval
     in the tree, rank on i), its x1 shifted by i times a stride above
@@ -190,9 +191,12 @@ def paths_against_tree(paths, rows, tree):
     Returns lists: lists[b] is I(b), the paths of rows[b] whose report
     for b is nonempty, each as ((i, 0), structure, report method name,
     arguments); the named method returns (payloads, probes). Emptiness
-    is tested with the structure's smallest x2 over the query's range
-    (`min_x2_at`, `min_x2_in_range`).
+    is the smallest rank over the query's range against the from-rank:
+    for an out-tree, the smallest rank on each path among b's ancestors
+    and b, which one walk in DFS order keeps on a stack per path, so each
+    test is O(1); for an in-tree the Cartesian tree's `min_x2_in_range`.
     """
+    paths, path_of = cover.paths, cover.path_of
     n = len(rows)
     stride = band_stride(n)
     iv = dfs_intervals(tree)
@@ -204,11 +208,22 @@ def paths_against_tree(paths, rows, tree):
             for i, path in enumerate(paths)
             for rank, v in enumerate(path)
         )
-        for b, row in enumerate(rows):
-            for i, f in row.items():
-                x = i * stride + 2 * s[b] + 1
-                low = seg.min_x2_at(x)
-                if low is not None and low <= f:
+        # low[i][-1]: the smallest rank on path i among the vertices on the
+        # walk's current root path, n (above every rank) if there is none
+        low = [[n] for _ in paths]
+        stack = [tree.root()]  # ~v: leave v
+        while stack:
+            b = stack.pop()
+            if b < 0:
+                low[path_of[~b][0]].pop()
+                continue
+            i, rank = path_of[b]
+            low[i].append(min(rank, low[i][-1]))
+            stack.append(~b)
+            stack += tree.out[b]
+            for i, f in rows[b].items():
+                if low[i][-1] <= f:
+                    x = i * stride + 2 * s[b] + 1
                     lists[b].append(((i, 0), seg, "report_at", (x, 0, f)))
     else:
         ct = CartesianTree(

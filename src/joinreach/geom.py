@@ -285,15 +285,6 @@ class SegRayIndex:
     # An alias only: perfbench/tracing.py's METHODS still wraps this name.
     report_registered = report_at
 
-    def min_x2_at(self, x):
-        """Smallest x2 among the segments whose open x1 span holds x, or None."""
-        node = self._version(x)
-        if node is None:
-            return None
-        while node[3] is not None:
-            node = node[3]
-        return node[0][0]
-
 
 # ----------------------------------------------------------------------
 # Rectangle point enclosure: an interval tree on x1 over segment trees on x2

@@ -10,7 +10,8 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import add
 
 
 KINDS = ("digraph", "path", "out-tree", "in-tree", "utree", "planar-st")
@@ -34,14 +35,17 @@ class Digraph:
     in input order; each row is then sorted and deduplicated. The graph
     keeps only these out rows and its arc count. `arcs` is read off the
     out rows on each access; the in rows `inn` are built from them on
-    first read and then kept, and the kinds whose validation reads them
-    build them at once. An in row holds the int object its vertex has as
-    a head, so a graph whose heads share one int per vertex, as a built
-    and a parsed one do (`_graph_section`), holds one int per vertex.
-    Instances are treated as immutable after construction.
+    first read and then kept. In-trees, unoriented paths, utrees and
+    planar-st graphs read them to validate their kind, so build them at
+    once; out-trees and dipaths are validated by one heads check and one
+    walk of the out rows (`_out_walk`), and build them only when a caller
+    reads `inn`. An in row holds the int object its vertex has as a head,
+    so a graph whose heads share one int per vertex, as a built and a
+    parsed one do (`_graph_section`), holds one int per vertex. Instances
+    are treated as immutable after construction.
     """
 
-    __slots__ = ("n", "m", "kind", "out", "out_order", "_inn")
+    __slots__ = ("n", "m", "kind", "out", "out_order", "_inn", "_root")
 
     def __init__(self, n, arcs, kind="digraph", out_order=None):
         if kind not in KINDS:
@@ -56,7 +60,7 @@ class Digraph:
         self.out = tuple(tuple(sorted(set(row))) if len(row) > 1 else tuple(row) for row in out)
         self.m = sum(map(len, self.out))
         self.kind = kind
-        self._inn = None
+        self._inn = self._root = None
         self.out_order = None
         if out_order is not None:
             order = tuple(tuple(ws) for ws in out_order)
@@ -71,9 +75,10 @@ class Digraph:
     @property
     def inn(self):
         """The sorted in rows, built from the out rows on first read and
-        then kept. A tail is entered as the int object the out rows hold
-        for it as a head, and only a source gets a new one, so building
-        them makes no int per arc."""
+        then kept; an out-tree or a dipath never builds them unless read
+        here. A tail is entered as the int object the out rows hold for it
+        as a head, and only a source gets a new one, so building them
+        makes no int per arc."""
         if self._inn is None:
             n, out = self.n, self.out
             ids = [None] * n
@@ -101,35 +106,73 @@ class Digraph:
         return self.n + self.m
 
     def _validate(self):
-        kind = self.kind
+        """Raise the first failing check of the kind, in this order:
+        - path: n - 1 arcs, degrees at most 2, connected; a dipath
+          (`_dipath_walk`) passes at once
+        - out-tree: n - 1 arcs, in-degrees at most 1, connected
+        - in-tree: n - 1 arcs, out-degrees at most 1, connected
+        - utree: n - 1 arcs, connected
+        - planar-st: acyclic, one source, one sink
+        A tree with n - 1 arcs and in-degrees (or out-degrees) at most 1
+        has exactly one root, so no root check can fail after them."""
+        kind, n, out = self.kind, self.n, self.out
         if kind == "digraph":
             return
         if kind == "path":
-            self._require(self.m == self.n - 1, "a path on n vertices needs n-1 arcs")
-            deg = [len(self.out[v]) + len(self.inn[v]) for v in range(self.n)]
-            self._require(all(d <= 2 for d in deg), "path vertex with degree > 2")
+            if self._dipath_walk() is not None:
+                return
+            self._require(self.m == n - 1, "a path on n vertices needs n-1 arcs")
+            deg = map(add, map(len, out), map(len, self.inn))
+            self._require(max(deg) <= 2, "path vertex with degree > 2")
             self._require(self._underlying_connected(), "path is not connected")
         elif kind == "out-tree":
-            self._require(self.m == self.n - 1, "a tree on n vertices needs n-1 arcs")
-            self._require(all(len(p) <= 1 for p in self.inn), "out-tree vertex with in-degree > 1")
-            roots = [v for v in range(self.n) if not self.inn[v]]
-            self._require(len(roots) == 1, "out-tree must have exactly one root")
-            self._require(self._underlying_connected(), "out-tree is not connected")
+            order = self._out_walk()
+            if order is None:  # name the first failing check
+                self._require(self.m == n - 1, "a tree on n vertices needs n-1 arcs")
+                heads = set(chain.from_iterable(out))
+                self._require(len(heads) == self.m, "out-tree vertex with in-degree > 1")
+                self._require(False, "out-tree is not connected")
+            self._root = order[0]
         elif kind == "in-tree":
-            self._require(self.m == self.n - 1, "a tree on n vertices needs n-1 arcs")
-            self._require(all(len(s) <= 1 for s in self.out), "in-tree vertex with out-degree > 1")
-            roots = [v for v in range(self.n) if not self.out[v]]
-            self._require(len(roots) == 1, "in-tree must have exactly one root")
-            self._require(self._underlying_connected(), "in-tree is not connected")
+            self._require(self.m == n - 1, "a tree on n vertices needs n-1 arcs")
+            self._require(max(map(len, out)) <= 1, "in-tree vertex with out-degree > 1")
+            inn = self.inn
+            order = [out.index(())]
+            for v in order:  # each vertex is a tail once, so met at most once
+                order += inn[v]
+            self._require(len(order) == n, "in-tree is not connected")
+            self._root = order[0]
         elif kind == "utree":
-            self._require(self.m == self.n - 1, "a tree on n vertices needs n-1 arcs")
+            self._require(self.m == n - 1, "a tree on n vertices needs n-1 arcs")
             self._require(self._underlying_connected(), "utree is not connected")
         elif kind == "planar-st":
             self._require(topo_order(self) is not None, "planar-st graph must be acyclic")
-            sources = [v for v in range(self.n) if not self.inn[v]]
-            sinks = [v for v in range(self.n) if not self.out[v]]
-            self._require(len(sources) == 1, "planar-st graph must have exactly one source")
-            self._require(len(sinks) == 1, "planar-st graph must have exactly one sink")
+            self._require(self.inn.count(()) == 1, "planar-st graph must have exactly one source")
+            self._require(out.count(()) == 1, "planar-st graph must have exactly one sink")
+
+    def _out_walk(self):
+        """The vertices in the order a walk of the out rows meets them from
+        the one vertex that is no head, or None unless the graph has n - 1
+        arcs with n - 1 distinct heads and the walk reaches all n vertices:
+        that is, unless it is an out-tree. Distinct heads mean the walk
+        meets each vertex at most once, and the vertex that is no head is
+        the sum 0 + ... + (n - 1) less the heads'."""
+        n, out = self.n, self.out
+        if self.m != n - 1:
+            return None
+        heads = set(chain.from_iterable(out))
+        if len(heads) != n - 1:
+            return None
+        order = [n * (n - 1) // 2 - sum(heads)]
+        for v in order:
+            order += out[v]
+        return order if len(order) == n else None
+
+    def _dipath_walk(self):
+        """`_out_walk` if every row has at most one arc, else None: the
+        vertices of a fully oriented dipath from source to sink, or None
+        unless the graph is one."""
+        return self._out_walk() if max(map(len, self.out), default=0) <= 1 else None
 
     def _require(self, cond, msg):
         if not cond:
@@ -164,37 +207,28 @@ class Digraph:
         return Digraph(self.n, ((v, u) for u, row in enumerate(self.out) for v in row), kind=kind)
 
     def root(self):
-        """Root of a rooted tree (out-tree or in-tree)."""
-        if self.kind == "out-tree":
-            return self.inn.index(())
-        if self.kind == "in-tree":
-            return self.out.index(())
-        raise GraphClassError(f"{self.kind} has no canonical root")
+        """Root of a rooted tree (out-tree or in-tree), kept from the walk
+        that validated it, so an out-tree's in rows are not built."""
+        if self._root is None:
+            raise GraphClassError(f"{self.kind} has no canonical root")
+        return self._root
 
     def is_directed_path(self):
-        return (
-            self.m == self.n - 1
-            and all(len(s) <= 1 for s in self.out)
-            and all(len(p) <= 1 for p in self.inn)
-            and self._underlying_connected()
-        )
+        """True iff the graph is a fully oriented dipath (`_dipath_walk`);
+        the in rows are not read."""
+        return self._dipath_walk() is not None
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m}, kind={self.kind!r})"
 
 
 def path_order(g):
-    """Vertex sequence of a fully oriented dipath, source to sink."""
-    if not g.is_directed_path():
+    """Vertex sequence of a fully oriented dipath, source to sink: its
+    `_dipath_walk`, so the in rows are not read."""
+    order = g._dipath_walk()
+    if order is None:
         raise GraphClassError("graph is not a fully oriented dipath")
-    if g.n == 1:
-        return [0]
-    v = g.inn.index(())
-    seq = [v]
-    while g.out[v]:
-        v = g.out[v][0]
-        seq.append(v)
-    return seq
+    return order
 
 
 def dipath_of(order):
@@ -547,14 +581,15 @@ def split_unoriented_path(p):
     """Maximal uniformly oriented subpaths (runs) of a path.
 
     Returned as vertex sequences in arc direction, in walk order from the
-    smaller end; each vertex lies on at most two of them.
+    smaller end; each vertex lies on at most two of them. A dipath is one
+    run, its `_dipath_walk`, found without reading the in rows.
     """
     if p.kind != "path":
         raise GraphClassError("split requires kind=path")
-    n = p.n
-    if n == 1:
-        return [[0]]
-    out, inn = p.out, p.inn
+    order = p._dipath_walk()
+    if order is not None:
+        return [order]
+    n, out, inn = p.n, p.out, p.inn
     v = min(x for x in range(n) if len(out[x]) + len(inn[x]) == 1)
     seq, fwd = [v], []  # fwd[k]: the arc of seq[k] and seq[k + 1] points forward
     prev = -1
@@ -596,13 +631,13 @@ def tree_blocks(g):
                 of[v].append(j)
         return blocks, of
     orient = {"out-tree": "out", "in-tree": "in"}.get(g.kind)
-    if orient is None and all(len(p) <= 1 for p in g.inn):
-        orient = "out"
-    elif orient is None and all(len(s) <= 1 for s in g.out):
-        orient = "in"
     if orient is not None:
-        up = g.inn if orient == "out" else g.out
-        iv = dfs_intervals(g, next(v for v in range(n) if not up[v]))
+        iv = dfs_intervals(g)
+    elif all(len(p) <= 1 for p in g.inn):
+        orient, iv = "out", dfs_intervals(g, g.inn.index(()))
+    elif all(len(s) <= 1 for s in g.out):
+        orient, iv = "in", dfs_intervals(g, g.out.index(()))
+    if orient is not None:
         su_iv = {v: (2 * iv.s[v], 2 * iv.t[v]) for v in range(n)}
         return [TreeBlock(orient, dict.fromkeys(range(n), True), su_iv, False)], [(0,)] * n
     dec = layer_decompose(g, 0)
@@ -656,14 +691,24 @@ def dfs_intervals(g, root=None):
     """DFS intervals of a rooted tree or dipath g, walked away from `root`.
 
     The walk follows out-arcs from an out-root and in-arcs from an
-    in-root, children in increasing vertex id. A counter is bumped after
-    every visit and every leave, so the 2n assigned values are distinct
-    and ancestry equals interval nesting. Raises unless the walk is a
-    spanning tree of g.
+    in-root, children in increasing vertex id. The kind picks the
+    direction from a rooted tree's own root, and `root`'s out row that of
+    a path, so an out-tree or a dipath walked from its root reads no in
+    rows; otherwise `root`'s in and out rows pick it. A counter is bumped
+    after every visit and every leave, so the 2n assigned values are
+    distinct and ancestry equals interval nesting. Raises unless the walk
+    is a spanning tree of g.
     """
+    kind = g.kind
     if root is None:
         root = g.root()
-    if not g.inn[root]:
+    elif kind in ("out-tree", "in-tree") and root != g.root():
+        kind = None
+    if kind == "out-tree" or kind == "path" and g.out[root]:
+        adj = g.out
+    elif kind in ("in-tree", "path"):
+        adj = g.inn
+    elif not g.inn[root]:
         adj = g.out
     elif not g.out[root]:
         adj = g.inn

@@ -95,7 +95,7 @@ def hpd_two_trees_build(t1, t2):
     if t1.n != t2.n:
         raise ValueError("vertex-set mismatch")
     hpd = hpd_build(t1)
-    return HpdTwoTrees(hpd, paths_against_tree(hpd.paths, from_ranks(t1, hpd, hpd.order), t2))
+    return HpdTwoTrees(hpd, paths_against_tree(hpd, from_ranks(t1, hpd, hpd.order), t2))
 
 
 def hpd_two_trees_report(idx, b):

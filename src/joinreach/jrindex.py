@@ -232,7 +232,7 @@ class _PathCover(_Packed):
         self.pc1 = min_path_cover(g1, order1)
         fr1 = from_ranks(g1, self.pc1, order1)
         if tree2:
-            self.lists = paths_against_tree(self.pc1.paths, fr1, g2)
+            self.lists = paths_against_tree(self.pc1, fr1, g2)
         else:
             self.pc2 = min_path_cover(g2, order2)
             self._build_cover_side(fr1, from_ranks(g2, self.pc2, order2))

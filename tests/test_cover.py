@@ -3,7 +3,15 @@ import sys
 
 import pytest
 
-from joinreach.cover import format_cover, from_ranks, min_path_cover, parse_cover
+from joinreach.cover import (
+    PathCover,
+    format_cover,
+    from_ranks,
+    min_path_cover,
+    parse_cover,
+    paths_against_tree,
+)
+from joinreach.gen import rand_tree
 from joinreach.graph import CyclicGraphError, Digraph, transitive_closure
 
 
@@ -170,3 +178,69 @@ def test_from_ranks_match_closure_scan():
                 fu, fv = fr[u].get(i), fr[v].get(i)
                 if fu is not None:
                     assert fv is not None and fu <= fv
+
+
+def cover_of(paths):
+    return PathCover(paths, [pr for _, pr in sorted((v, (i, r)) for i, p in enumerate(paths) for r, v in enumerate(p))])
+
+
+def out_tree_lists_by_scan(paths, rows, tree):
+    """lists[b] of `paths_against_tree` for an out-tree, as (key, args):
+    path i reports for b iff one of its vertices on b's root path, b
+    included, has rank at most f = rows[b][i]."""
+    up = [None] * tree.n
+    for u, row in enumerate(tree.out):
+        for v in row:
+            up[v] = u
+    on = {v: (i, r) for i, path in enumerate(paths) for r, v in enumerate(path)}
+    lists = []
+    for b, row in enumerate(rows):
+        anc = [b]
+        while up[anc[-1]] is not None:
+            anc.append(up[anc[-1]])
+        lists.append([
+            (i, f) for i, f in row.items()
+            if min((on[a][1] for a in anc if on[a][0] == i), default=tree.n) <= f
+        ])
+    return lists
+
+
+def test_paths_against_tree_nested_root_paths():
+    """The emptiness test of an out-tree second at nested DFS spans:
+    root 3 above the chain 0 -> 1 -> 2, leaf 4 beside it, and path 0 of
+    the cover holding 4, 2, 1, 0 at ranks 0..3. Its smallest rank on the
+    root path is none at the root (above the first span), 3, 2, 1 down the
+    chain (strictly inside the nested spans) and 0 at the leaf (a
+    disjoint span). With 1 and 0 swapped on the path, 1's larger rank
+    hides behind 0's."""
+    tree = Digraph(5, [(3, 0), (0, 1), (1, 2), (3, 4)], kind="out-tree")
+    root_path = {3: [], 0: [0], 1: [0, 1], 2: [0, 1, 2], 4: [4]}
+    for path, low in (
+        ([4, 2, 1, 0], {3: None, 0: 3, 1: 2, 2: 1, 4: 0}),
+        ([4, 2, 0, 1], {3: None, 0: 2, 1: 2, 2: 1, 4: 0}),
+    ):
+        for f in range(4):
+            lists = paths_against_tree(cover_of([path, [3]]), [{0: f} for _ in range(5)], tree)
+            for b, want in low.items():
+                assert bool(lists[b]) == (want is not None and want <= f), (path, b, f)
+                for _, struct, report, args in lists[b]:
+                    got = getattr(struct, report)(*args)[0]
+                    assert sorted(got) == [v for v in root_path[b] if path.index(v) <= f]
+
+
+def test_paths_against_tree_out_tree_lists_match_scan():
+    rng = random.Random(87)
+    for _ in range(40):
+        n = rng.randrange(1, 40)
+        tree = rand_tree(rng, n, "out-tree")
+        vs = list(range(n))
+        rng.shuffle(vs)
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(n))) if n > 1 else []
+        paths = [vs[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        rows = [
+            {i: rng.randrange(len(paths[i])) for i in rng.sample(range(len(paths)), rng.randrange(len(paths) + 1))}
+            for _ in range(n)
+        ]
+        lists = paths_against_tree(cover_of(paths), rows, tree)
+        got = [[(key[0], args[2]) for key, _, _, args in row] for row in lists]
+        assert got == out_tree_lists_by_scan(paths, rows, tree)

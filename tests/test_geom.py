@@ -157,14 +157,6 @@ def test_seg_nested_reports_bottom_up():
     assert out == [10, 20, 30]
 
 
-def test_seg_min_x2_at_nested_spans():
-    segs = [HSegment(1, 8, 3, 30), HSegment(2, 7, 2, 20), HSegment(3, 6, 1, 10)]
-    idx = SegRayIndex(segs)
-    # before the first stop, at stops, strictly inside nested spans, past the last
-    got = {x: idx.min_x2_at(x) for x in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)}
-    assert got == {0: None, 1: None, 2: 3, 3: 2, 4: 1, 5: 1, 6: 2, 7: 3, 8: None, 9: None}
-
-
 def test_seg_disjoint_spans():
     segs = [HSegment(0, 3, 5, 0), HSegment(4, 7, 5, 1), HSegment(8, 11, 5, 2)]
     idx = SegRayIndex(segs)
@@ -219,7 +211,6 @@ def test_seg_crossing_or_empty_spans_raise():
 def test_seg_empty_segment_list_builds():
     idx = SegRayIndex([])
     assert idx.report_at(3, 0, math.inf) == ([], 0)
-    assert idx.min_x2_at(3) is None
     assert idx.report_at(0, 0, math.inf) == ([], 0)
 
 
@@ -229,7 +220,6 @@ def test_seg_equal_spans_all_reported():
     idx = SegRayIndex(segs)
     assert idx.report_at(5, 0, math.inf)[0] == [2, 3, 0, 1]
     assert idx.report_at(2, 0, math.inf)[0] == []
-    assert idx.min_x2_at(5) == 3
 
 
 def test_seg_spans_touching_at_an_endpoint():
@@ -292,8 +282,6 @@ def test_seg_random_laminar_families_match_scan():
             out, probes = idx.report_at(x, y, math.inf)
             assert out == want
             assert probes <= 2 * len(want) + 2
-            low = min((s.x2 for s in segs if s.x1_lo < x < s.x1_hi), default=None)
-            assert idx.min_x2_at(x) == low
             cap = rng.randrange(-1, 5)
             assert idx.report_at(x, y, cap)[0] == seg_scan(segs, x, y, cap)
 

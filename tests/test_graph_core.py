@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 
 import pytest
 
@@ -14,12 +15,30 @@ from joinreach.graph import (
     parse_graph,
     format_graph,
     path_order,
+    split_unoriented_path,
     tarjan_scc,
     topo_order,
     transitive_closure,
 )
 
-from joinreach.gen import rand_sp_st
+from joinreach.classes import build, index
+from joinreach.explicit import (
+    build_pathcover,
+    build_tree_path,
+    build_two_paths,
+    build_two_trees,
+    build_unoriented_trees,
+    verify_join_graph,
+)
+from joinreach.gen import rand_path, rand_sp_st, rand_tree
+from joinreach.jrindex import (
+    index_hpd_two_trees,
+    index_pathcover,
+    index_planar_st,
+    index_tree_path,
+    index_two_paths,
+    index_two_trees,
+)
 from layer_ref import layer_graphs
 
 
@@ -473,6 +492,145 @@ def test_in_rows_hold_the_ints_of_the_out_rows():
     heads = {id(v) for row in g.out for v in row}
     assert len(heads) == n
     assert all(id(u) in heads for row in g.inn for u in row)
+
+
+def _brute_kind(kind, n, arcs):
+    """(message of the first failing check of `kind` in the order
+    `Digraph._validate` documents, or None; in-degrees; out-degrees;
+    connected) by degree counts and union-find."""
+    indeg, outdeg = [0] * n, [0] * n
+    comp = list(range(n))
+
+    def find(v):
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    for u, v in arcs:
+        outdeg[u] += 1
+        indeg[v] += 1
+        comp[find(u)] = find(v)
+    connected = len({find(v) for v in range(n)}) <= 1
+    count = len(arcs) == n - 1
+    checks = {
+        "path": [
+            (count, "a path on n vertices needs n-1 arcs"),
+            (all(a + b <= 2 for a, b in zip(indeg, outdeg)), "path vertex with degree > 2"),
+            (connected, "path is not connected"),
+        ],
+        "out-tree": [
+            (count, "a tree on n vertices needs n-1 arcs"),
+            (all(d <= 1 for d in indeg), "out-tree vertex with in-degree > 1"),
+            (connected, "out-tree is not connected"),
+        ],
+        "in-tree": [
+            (count, "a tree on n vertices needs n-1 arcs"),
+            (all(d <= 1 for d in outdeg), "in-tree vertex with out-degree > 1"),
+            (connected, "in-tree is not connected"),
+        ],
+        "utree": [(count, "a tree on n vertices needs n-1 arcs"), (connected, "utree is not connected")],
+    }
+    msg = next((f"{kind}: {msg}" for ok, msg in checks[kind] if not ok), None)
+    return msg, indeg, outdeg, connected
+
+
+def _brute_runs(n, arcs):
+    """Maximal uniformly oriented runs of a path, walked from its smaller end."""
+    if n == 1:
+        return [[0]]
+    nb = [[] for _ in range(n)]
+    for u, v in arcs:
+        nb[u].append((v, True))
+        nb[v].append((u, False))
+    seq, fwd = [min(v for v in range(n) if len(nb[v]) == 1)], []
+    while len(seq) < n:
+        prev = seq[-2] if len(seq) > 1 else None
+        ((w, d),) = [(w, d) for w, d in nb[seq[-1]] if w != prev]
+        seq.append(w)
+        fwd.append(d)
+    runs = []
+    for d, ks in groupby(range(n - 1), key=fwd.__getitem__):
+        ks = list(ks)
+        run = seq[ks[0] : ks[-1] + 2]
+        runs.append(run if d else run[::-1])
+    return runs
+
+
+def test_validation_matches_brute_force_on_every_arc_set_up_to_4_vertices():
+    """Every arc set on n <= 4 vertices (n = 0 and arc-free graphs too),
+    under each tree and path kind: the constructor accepts exactly what
+    the brute-force checks accept and otherwise names their first failing
+    check; on accepted graphs root, is_directed_path, path_order,
+    split_unoriented_path and the lazily built in rows match brute
+    force, and only out-trees and dipaths leave their in rows unbuilt."""
+    for n in range(5):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for mask in range(1 << len(pairs)):
+            arcs = [a for k, a in enumerate(pairs) if mask >> k & 1]
+            for kind in ("path", "out-tree", "in-tree", "utree"):
+                want, indeg, outdeg, connected = _brute_kind(kind, n, arcs)
+                try:
+                    g = Digraph(n, arcs, kind=kind)
+                except GraphClassError as e:
+                    assert str(e) == want, (kind, n, arcs)
+                    continue
+                assert want is None, (kind, n, arcs)
+                is_dipath = len(arcs) == n - 1 and connected and max(indeg + outdeg, default=0) <= 1
+                assert g.is_directed_path() == is_dipath, (kind, arcs)
+                if kind in ("out-tree", "in-tree"):
+                    deg = indeg if kind == "out-tree" else outdeg
+                    assert g.root() == deg.index(0)
+                else:
+                    with pytest.raises(GraphClassError):
+                        g.root()
+                if is_dipath:
+                    order = [indeg.index(0)]
+                    while len(order) < n:
+                        order.append(next(v for u, v in arcs if u == order[-1]))
+                    assert path_order(g) == order
+                else:
+                    with pytest.raises(GraphClassError):
+                        path_order(g)
+                if kind == "path":
+                    assert split_unoriented_path(g) == _brute_runs(n, arcs)
+                assert (g._inn is None) == (kind == "out-tree" or kind == "path" and is_dipath)
+                assert g.inn == tuple(tuple(u for u, v in sorted(arcs) if v == w) for w in range(n))
+
+
+def test_out_trees_and_dipaths_never_build_their_in_rows():
+    """A 2^10 out-tree and dipath (each with a partner of its kind) go
+    through every explicit and index builder that accepts them and
+    through verification without building their in rows; read after, the
+    in rows are right."""
+    rng = random.Random(1024)
+    n = 1 << 10
+    t1, t2 = rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "out-tree")
+    p1, p2 = rand_path(rng, n), rand_path(rng, n)
+    st = rand_sp_st(rng, n)
+    graphs = (t1, t2, p1, p2)
+    assert all(g._inn is None for g in graphs)
+    explicit = [
+        (build_two_paths, p1, p2), (build_tree_path, t1, p1), (build_two_trees, t1, t2),
+        (build_unoriented_trees, t1, t2), (build_unoriented_trees, t1, p1),
+        (build_pathcover, t1, p1), (build_pathcover, p1, t1), (build_pathcover, t1, t2),
+        (build, t1, p1), (build, p1, p2), (build, t1, t2),
+    ]
+    for builder, a, b in explicit:
+        jg = builder(a, b)
+        assert all(g._inn is None for g in graphs), builder
+        assert verify_join_graph(jg, a, b), builder
+        assert all(g._inn is None for g in graphs), builder
+    indexes = [
+        (index_two_paths, p1, p2), (index_tree_path, t1, p1), (index_two_trees, t1, t2),
+        (index_two_trees, t1, p1), (index_hpd_two_trees, t1, t2), (index_pathcover, t1, p1),
+        (index_pathcover, p1, t1), (index_pathcover, t1, t2), (index_planar_st, st, p1),
+        (index, t1, p1), (index, p1, p2), (index, t1, t2), (index, st, p1),
+    ]
+    for builder, a, b in indexes:
+        builder(a, b).query(0)
+        assert all(g._inn is None for g in graphs), builder
+    for g in graphs:
+        assert g.inn == tuple(tuple(u for u, row in enumerate(g.out) if w in row) for w in range(n))
 
 
 def test_path_order_roundtrip():
