@@ -113,7 +113,7 @@ def build_unoriented_trees(g1, g2):
 
 def _tree_blocks_join(g1, g2, label):
     # One wiring per pair of blocks sharing at least two vertices; a pair
-    # of rooted trees or dipaths is the single pair of their all-core blocks.
+    # of rooted trees or dipaths is the single pair of their fringeless blocks.
     blocks1, blocks2, pairs = block_pairs(g1, g2)
     rooted = len(blocks1) == len(blocks2) == 1
     b = _Builder(g1.n)
@@ -131,12 +131,12 @@ def _pair_connect(b, blk1, blk2, members, tag):
     # An in-core first block is wired on the reversed pair, arcs flipped.
     rev = blk1.orient == "in"
     eff_o2 = ({"out": "in", "in": "out"}[blk2.orient]) if rev else blk2.orient
-    core1, core2, iv1 = blk1.core, blk2.core, blk1.su_iv
+    fringe1, fringe2, iv1 = blk1.fringe, blk2.fringe, blk1.su_iv
     # Walk order of the first block: by supervertex interval, fringe
     # hangers before their core supervertex. Position p's range
     # p..end[p] then holds every member p reaches in that block; the
     # others it holds are fringe hangers, which are never sinks there.
-    vert = sorted(members, key=lambda v: (iv1[v][0], core1[v], v))
+    vert = sorted(members, key=lambda v: (iv1[v][0], v not in fringe1, v))
     starts = [iv1[v][0] for v in vert]
     end = [bisect_left(starts, iv1[v][1]) - 1 for v in vert]
 
@@ -145,15 +145,15 @@ def _pair_connect(b, blk1, blk2, members, tag):
     # emit only; in-core fringes only receive.
     if eff_o2 == "out":
         srcs = list(range(len(vert)))
-        snks = [p for p, v in enumerate(vert) if core1[v] and core2[v]]
+        snks = [p for p, v in enumerate(vert) if v not in fringe1 and v not in fringe2]
     else:
-        srcs = [p for p, v in enumerate(vert) if core2[v]]
-        snks = [p for p, v in enumerate(vert) if core1[v]]
+        srcs = [p for p, v in enumerate(vert) if v not in fringe2]
+        snks = [p for p, v in enumerate(vert) if v not in fringe1]
 
     if snks == srcs:
         snks = srcs  # one list: every member is a source and a sink
 
-    h2, h3 = _interval_orders(vert, blk2.su_iv, core2, eff_o2)
+    h2, h3 = _interval_orders(vert, blk2.su_iv, fringe2, eff_o2)
     first = len(b.arcs)
     # Members forming a chain in the second block relate by h2 alone.
     hs = (h2,) if h2 == h3 else (h2, h3)
@@ -162,7 +162,7 @@ def _pair_connect(b, blk1, blk2, members, tag):
         b.arcs[first:] = [(v, u) for u, v in b.arcs[first:]]
 
 
-def _interval_orders(vert, iv2, core2, o2):
+def _interval_orders(vert, iv2, fringe2, o2):
     """(h2, h3): rank-space coordinates per walk position encoding the
     second block's relation.
 
@@ -172,8 +172,8 @@ def _interval_orders(vert, iv2, core2, o2):
     side that genuinely reaches the other gets the dominating rank.
     """
     m = len(vert)
-    s_key = [(iv2[v][0], core2[v], v) for v in vert]
-    t_key = [(iv2[v][1], not core2[v], v) for v in vert]
+    s_key = [(iv2[v][0], v not in fringe2, v) for v in vert]
+    t_key = [(iv2[v][1], v in fringe2, v) for v in vert]
     by_s = sorted(range(m), key=s_key.__getitem__)
     by_t = sorted(range(m), key=t_key.__getitem__)
     (by_s if o2 == "out" else by_t).reverse()

@@ -36,7 +36,8 @@ class CartesianTree:
     """Binary tree over points: in-order by x1, heap order (min) on x2.
 
     Each point is one column; x1 coordinates must be distinct. Ties in x2
-    go to the leftmost column.
+    go to the leftmost column. The points are kept only as the columns
+    `colx`, `x2` and `payload`, in x1 order.
 
     Range minima come from a sparse table over the columns' x2 keys
     (Bender and Farach-Colton): level k holds, per start column, the
@@ -46,18 +47,16 @@ class CartesianTree:
     Tarjan). A probe is one node visited.
     """
 
-    __slots__ = (
-        "colx", "reps", "left", "right", "root", "_x2", "_payload", "_table",
-    )
+    __slots__ = ("colx", "x2", "payload", "left", "right", "root", "_table")
 
     def __init__(self, points):
-        reps = self.reps = sorted(points)
-        colx = self.colx = [p[0] for p in reps]
+        pts = sorted(points)
+        colx = self.colx = [p[0] for p in pts]
         m = len(colx)
         if len(set(colx)) < m:
             raise ValueError("duplicate x1 coordinate")
-        x2 = self._x2 = [p[1] for p in reps]
-        self._payload = [p[2] for p in reps]
+        x2 = self.x2 = [p[1] for p in pts]
+        self.payload = [p[2] for p in pts]
         left = self.left = [-1] * m
         right = self.right = [-1] * m
         stack = []
@@ -83,7 +82,7 @@ class CartesianTree:
         k = (hi - lo + 1).bit_length() - 1
         row = self._table[k]
         a, b = row[lo], row[hi - (1 << k) + 1]
-        return b if self._x2[b] < self._x2[a] else a
+        return b if self.x2[b] < self.x2[a] else a
 
     def col_span(self, x1_lo, x1_hi):
         """(lo, hi): the columns whose x1 lies in [x1_lo, x1_hi]; lo > hi
@@ -103,7 +102,7 @@ class CartesianTree:
         out = []
         if self.root == -1 or lo_col > hi_col:
             return out, 0
-        x2, payload, table = self._x2, self._payload, self._table
+        x2, payload, table = self.x2, self.payload, self._table
         left, right = self.left, self.right
         last = len(x2) - 1
         probes = 0
@@ -149,7 +148,7 @@ class CartesianTree:
     def min_x2_in_range(self, lo_col, hi_col):
         if self.root == -1 or lo_col > hi_col:
             return None
-        return self._x2[self.range_min(lo_col, hi_col)]
+        return self.x2[self.range_min(lo_col, hi_col)]
 
 
 # ----------------------------------------------------------------------

@@ -64,6 +64,8 @@ class Digraph:
         self.out_order = None
         if out_order is not None:
             order = tuple(tuple(ws) for ws in out_order)
+            if len(order) != n:
+                raise GraphClassError(f"out_order has {len(order)} rows for {n} vertices")
             for v in range(n):
                 if sorted(order[v]) != sorted(self.out[v]):
                     raise GraphClassError(
@@ -458,14 +460,14 @@ class LayerDecomposition:
 
     iota[v] is v's layer. up[v] is the vertex v was first reached from
     when that lies in v's own layer, else -1: v hangs off the root of its
-    layer graph (v0 also has -1). fringe_root[(v, i)] is the vertex of
-    layer i that v, a vertex of layer i + 1, hangs off in graph i.
+    layer graph (v0 also has -1). fringe_root[v] is the vertex of layer
+    iota[v] - 1 that v hangs off in that layer's graph, -1 in layer 0.
     """
 
     layers: list
     iota: list
     up: list
-    fringe_root: dict
+    fringe_root: list
 
     @property
     def mu(self):
@@ -496,7 +498,7 @@ def layer_decompose(g, v0=None):
     iota = [-1] * n
     iota[v0] = 0
     up = [-1] * n
-    fringe_root = {}
+    fringe_root = [-1] * n
 
     def search(i, seeds):
         # Unassigned vertices reached from seeds, labelled layer i.
@@ -510,7 +512,7 @@ def layer_decompose(g, v0=None):
                     if iota[v] == i:
                         up[w] = v
                     if i:
-                        fringe_root[(w, i - 1)] = v if iota[v] < i else fringe_root[(v, i - 1)]
+                        fringe_root[w] = v if iota[v] < i else fringe_root[v]
                     found.append(w)
                     queue.append(w)
         return found
@@ -564,16 +566,17 @@ class TreeBlock:
     tree's layer decomposition.
 
     Core members form a tree oriented `orient` ("out" or "in") below the
-    block's root; a rooted tree or a run is all core. Each fringe member
-    hangs off a core member, its supervertex, and shares that member's
-    interval. A chain block (a run, out-oriented) orders its members
-    totally: b's predecessors in it are the members whose interval starts
-    at or before b's.
+    block's root. `fringe` holds the other members: none in a rooted tree
+    or a run, layer i + 1 in layer block i. Each fringe member hangs off a
+    core member, its supervertex, and shares that member's interval. A
+    chain block (a run, out-oriented) orders its members totally: b's
+    predecessors in it are the members whose interval starts at or before
+    b's.
     """
 
     orient: str
-    core: dict   # member -> True for core members, False for fringe ones
-    su_iv: dict  # member -> doubled DFS interval of its supervertex
+    fringe: frozenset
+    su_iv: dict | list  # member -> doubled DFS interval of its supervertex
     chain: bool
 
 
@@ -612,10 +615,11 @@ def tree_blocks(g):
     """(blocks, of): the blocks of a tree, and per vertex the ascending
     indices of the at most two blocks holding it.
 
-    A rooted tree is one all-core block, and a path one all-core chain
-    block per maximal run (a dipath is one run). An unoriented tree gives
-    block i for layer graph i: out-oriented for even i, in-oriented for
-    odd i, core on layer i and fringe on layer i + 1.
+    A rooted tree is one block with no fringe, its `su_iv` a list over
+    all vertices, and a path one chain block with no fringe per maximal
+    run (a dipath is one run). An unoriented tree gives block i for layer
+    graph i: out-oriented for even i, in-oriented for odd i, core on layer
+    i and fringe on layer i + 1.
     """
     if g.kind not in ("out-tree", "in-tree", "utree", "path"):
         raise GraphClassError("expected a tree")
@@ -626,7 +630,7 @@ def tree_blocks(g):
         for j, run in enumerate(split_unoriented_path(g)):
             # the DFS intervals of the run walked from its source, doubled
             su_iv = {v: (2 * k + 2, 4 * len(run) - 2 * k) for k, v in enumerate(run)}
-            blocks.append(TreeBlock("out", dict.fromkeys(run, True), su_iv, True))
+            blocks.append(TreeBlock("out", frozenset(), su_iv, True))
             for v in run:
                 of[v].append(j)
         return blocks, of
@@ -638,21 +642,19 @@ def tree_blocks(g):
     elif all(len(s) <= 1 for s in g.out):
         orient, iv = "in", dfs_intervals(g, g.out.index(()))
     if orient is not None:
-        su_iv = {v: (2 * iv.s[v], 2 * iv.t[v]) for v in range(n)}
-        return [TreeBlock(orient, dict.fromkeys(range(n), True), su_iv, False)], [(0,)] * n
+        su_iv = [(2 * s, 2 * t) for s, t in zip(iv.s, iv.t)]
+        return [TreeBlock(orient, frozenset(), su_iv, False)], [(0,)] * n
     dec = layer_decompose(g, 0)
     blocks = []
     of = [[] for _ in range(n)]
     for i, core in enumerate(dec.layers):
-        fringe = dec.layers[i + 1] if i + 1 < dec.mu else []
+        fringe = frozenset(dec.layers[i + 1] if i + 1 < dec.mu else ())
         civ = contracted_intervals(dec, i)
         su_iv = {v: (2 * civ[v][0], 2 * civ[v][1]) for v in core}
         for v in fringe:
-            su_iv[v] = su_iv[dec.fringe_root[(v, i)]]
-        is_core = dict.fromkeys(core, True)
-        is_core.update(dict.fromkeys(fringe, False))
-        blocks.append(TreeBlock("in" if i % 2 else "out", is_core, su_iv, False))
-        for v in is_core:
+            su_iv[v] = su_iv[dec.fringe_root[v]]
+        blocks.append(TreeBlock("in" if i % 2 else "out", fringe, su_iv, False))
+        for v in su_iv:
             of[v].append(i)
     return blocks, of
 
@@ -688,26 +690,20 @@ class DfsIntervals:
 
 
 def dfs_intervals(g, root=None):
-    """DFS intervals of a rooted tree or dipath g, walked away from `root`.
+    """DFS intervals of a rooted tree g, walked away from `root`.
 
     The walk follows out-arcs from an out-root and in-arcs from an
-    in-root, children in increasing vertex id. The kind picks the
-    direction from a rooted tree's own root, and `root`'s out row that of
-    a path, so an out-tree or a dipath walked from its root reads no in
-    rows; otherwise `root`'s in and out rows pick it. A counter is bumped
-    after every visit and every leave, so the 2n assigned values are
-    distinct and ancestry equals interval nesting. Raises unless the walk
-    is a spanning tree of g.
+    in-root, children in increasing vertex id. With no `root` it starts
+    at a rooted tree's own root and walks its child rows, so an out-tree
+    reads no in rows; an explicit `root` walks out rows if it has no
+    in-arcs and in rows if it has no out-arcs. A counter is bumped after
+    every visit and every leave, so the 2n assigned values are distinct
+    and ancestry equals interval nesting. Raises unless the walk is a
+    spanning tree of g.
     """
-    kind = g.kind
     if root is None:
         root = g.root()
-    elif kind in ("out-tree", "in-tree") and root != g.root():
-        kind = None
-    if kind == "out-tree" or kind == "path" and g.out[root]:
-        adj = g.out
-    elif kind in ("in-tree", "path"):
-        adj = g.inn
+        adj = g.inn if g.kind == "in-tree" else g.out
     elif not g.inn[root]:
         adj = g.out
     elif not g.out[root]:

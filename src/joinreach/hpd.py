@@ -2,12 +2,11 @@
 
 `hpd_build` splits a rooted tree into heavy paths, so a root path meets
 at most floor(lg n) + 1 of them. It reads subtree sizes off the tree's
-DFS intervals and sets the heavy children, light levels and paths in one
-breadth-first walk of the child lists. `hpd_two_trees_build` pairs an
-out-tree with a second rooted tree: the out-tree's heavy paths are one
-more dipath cover, indexed against the second tree by
-`cover.paths_against_tree`, and each vertex keeps only the heavy paths
-that report for it.
+DFS intervals and sets the light levels and paths in one breadth-first
+walk of the child lists. `hpd_two_trees_build` pairs an out-tree with a
+second rooted tree: the out-tree's heavy paths are one more dipath
+cover, indexed against the second tree by `cover.paths_against_tree`,
+and each vertex keeps only the heavy paths that report for it.
 """
 
 from __future__ import annotations
@@ -20,9 +19,10 @@ from .graph import GraphClassError, dfs_intervals
 
 @dataclass
 class HeavyPathDecomp:
-    root: int
-    heavy_child: list
-    is_heavy: list
+    """Heavy paths of a rooted tree, top to bottom; paths[0][0] is the
+    root. path_of[v] is v's (path, rank): v's heavy child is the next
+    vertex on its path, and v is heavy iff its rank is above 0."""
+
     light_level: list
     paths: list
     path_of: list
@@ -39,12 +39,10 @@ def hpd_build(g):
     heads.
     """
     root = g.root()
-    iv = dfs_intervals(g, root)
+    iv = dfs_intervals(g)
     s, t = iv.s, iv.t  # t - s = 2 * subtree size - 1
     kids = g.inn if g.kind == "in-tree" else g.out
     n = g.n
-    heavy_child = [-1] * n
-    is_heavy = [False] * n
     light_level = [0] * n
     paths = [[root]]
     path_of = [None] * n
@@ -55,8 +53,6 @@ def hpd_build(g):
         for c in kids[v]:
             order.append(c)
             if 2 * (t[c] - s[c] + 1) >= t[v] - s[v] + 1:
-                heavy_child[v] = c
-                is_heavy[c] = True
                 light_level[c] = light_level[v]
                 path_of[c] = (pid, pos + 1)
                 paths[pid].append(c)
@@ -64,7 +60,7 @@ def hpd_build(g):
                 light_level[c] = light_level[v] + 1
                 path_of[c] = (len(paths), 0)
                 paths.append([c])
-    return HeavyPathDecomp(root, heavy_child, is_heavy, light_level, paths, path_of, order)
+    return HeavyPathDecomp(light_level, paths, path_of, order)
 
 
 @dataclass
@@ -78,7 +74,6 @@ class HpdTwoTrees:
     for b is nonempty, as (key, structure, report method name, arguments).
     """
 
-    hpd: HeavyPathDecomp
     lists: list
 
     def query_counted(self, b):
@@ -95,7 +90,7 @@ def hpd_two_trees_build(t1, t2):
     if t1.n != t2.n:
         raise ValueError("vertex-set mismatch")
     hpd = hpd_build(t1)
-    return HpdTwoTrees(hpd, paths_against_tree(hpd, from_ranks(t1, hpd, hpd.order), t2))
+    return HpdTwoTrees(paths_against_tree(hpd, from_ranks(t1, hpd, hpd.order), t2))
 
 
 def hpd_two_trees_report(idx, b):

@@ -109,7 +109,7 @@ def _pred_range(blk, b):
     lo, hi = blk.su_iv[b]
     if blk.chain:
         return 0, lo
-    if blk.core[b]:
+    if b not in blk.fringe:
         return lo + 1, hi - 1
     return lo, hi
 
@@ -146,7 +146,7 @@ class _BlockPairs(_Packed):
             iv1, iv2 = b1.su_iv, b2.su_iv
             stored = [
                 v for v in members
-                if (b1.orient == "out" or b1.core[v]) and (b2.orient == "out" or b2.core[v])
+                if (b1.orient == "out" or v not in b1.fringe) and (b2.orient == "out" or v not in b2.fringe)
             ]
             if _rank(b2) == 0:
                 rects += [Rect(base + iv1[v][0], base + iv1[v][1], *iv2[v], v) for v in stored]
@@ -162,7 +162,7 @@ class _BlockPairs(_Packed):
             r1, r2 = _rank(b1), _rank(b2)
             for b in members:
                 if r1 == 0:
-                    if not b1.core[b] or (r2 == 0 and not b2.core[b]):
+                    if b in b1.fringe or (r2 == 0 and b in b2.fringe):
                         continue
                     x = base + b1.su_iv[b][0] + 1
                     if r2 == 0:
@@ -257,7 +257,7 @@ class _PathCover(_Packed):
         for k, ((i, j), common) in enumerate(shared):
             pair_of[i][j] = k
             first.append(len(mins))
-            mins += accumulate((p[1] for p in ct.reps[first[k] : first[k] + len(common)]), min)
+            mins += accumulate(ct.x2[first[k] : first[k] + len(common)], min)
         self.lists = []
         for row1, row2 in zip(fr1, fr2):
             hits = []

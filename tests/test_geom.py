@@ -25,10 +25,10 @@ def bitrev(x, bits):
 
 def test_ct_diagonal_is_right_spine():
     ct = CartesianTree([(i, i, i) for i in range(8)])
-    assert ct.reps[ct.root][2] == 0
+    assert ct.payload[ct.root] == 0
     node = ct.root
     for i in range(8):
-        assert ct.reps[node][2] == i
+        assert ct.payload[node] == i
         assert ct.left[node] == -1
         node = ct.right[node]
     assert node == -1
@@ -37,10 +37,10 @@ def test_ct_diagonal_is_right_spine():
 def test_ct_antidiagonal_is_left_spine():
     n = 8
     ct = CartesianTree([(i, n - 1 - i, i) for i in range(n)])
-    assert ct.reps[ct.root][2] == n - 1
+    assert ct.payload[ct.root] == n - 1
     node = ct.root
     for i in range(n - 1, -1, -1):
-        assert ct.reps[node][2] == i
+        assert ct.payload[node] == i
         assert ct.right[node] == -1
         node = ct.left[node]
 
@@ -67,7 +67,7 @@ def test_ct_range_min_equals_scan_all_subranges():
         for lo in range(n):
             for hi in range(lo, n):
                 want = min(range(lo, hi + 1), key=lambda i: ys[i])
-                assert ct.reps[ct.range_min(lo, hi)][0] == want
+                assert ct.colx[ct.range_min(lo, hi)] == want
         for c in range(n):
             assert ct.range_min(*_subtree_span(ct, c)) == c
 

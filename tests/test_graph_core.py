@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import tracemalloc
 from itertools import groupby
 
 import pytest
@@ -17,6 +20,7 @@ from joinreach.graph import (
     path_order,
     split_unoriented_path,
     tarjan_scc,
+    tree_blocks,
     topo_order,
     transitive_closure,
 )
@@ -30,7 +34,8 @@ from joinreach.explicit import (
     build_unoriented_trees,
     verify_join_graph,
 )
-from joinreach.gen import rand_path, rand_sp_st, rand_tree
+from joinreach.gen import rand_path, rand_sp_st, rand_tree, rand_upath, rand_utree
+from joinreach.geom import CartesianTree
 from joinreach.jrindex import (
     index_hpd_two_trees,
     index_pathcover,
@@ -270,7 +275,7 @@ def test_layers_fringe_roles_on_utrees():
             i = dec.iota[v] - 1
             if i < 0:
                 continue
-            root = dec.fringe_root[(v, i)]
+            root = dec.fringe_root[v]
             assert dec.iota[root] == i  # a core vertex of graph i
             if i % 2 == 0:
                 assert m.reach(v, root)
@@ -670,3 +675,104 @@ def test_graph_parse_ignores_padding_spaces_and_blank_lines():
     want, got = parse_graph(clean), parse_graph(padded)
     assert (got.n, got.kind, got.arcs, got.out_order) == (want.n, want.kind, want.arcs, want.out_order)
     assert want.out_order is not None
+
+
+def test_out_order_of_the_wrong_length_is_an_input_error():
+    arcs = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    rows = [[1, 2], [3], [3], []]
+    for order, k in ((rows[:3], 3), (rows + [[]], 5)):
+        with pytest.raises(GraphClassError, match=f"out_order has {k} rows for 4 vertices"):
+            Digraph(4, arcs, kind="planar-st", out_order=order)
+
+
+def test_tree_blocks_match_brute_force():
+    """Every block's members, fringe and intervals against the of lists,
+    the layers and reachability: core members nest exactly as they reach
+    one another along the block's orientation, and a fringe member sits
+    at its fringe root's interval."""
+    rng = random.Random(2501)
+    graphs = []
+    for n in [1, 2, 3] + [rng.randrange(4, 41) for _ in range(12)]:
+        graphs += [rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree"), rand_path(rng, n),
+                   rand_upath(rng, n), rand_utree(rng, n)]
+        graphs += [Digraph(n, rand_tree(rng, n, k).arcs, kind="utree") for k in ("out-tree", "in-tree")]
+    for g in graphs:
+        n = g.n
+        m = transitive_closure(g)
+        blocks, of = tree_blocks(g)
+        in_deg = [0] * n
+        for u, v in g.arcs:
+            in_deg[v] += 1
+        rooted = g.kind != "path" and (max(in_deg, default=0) <= 1 or max(map(len, g.out), default=0) <= 1)
+        runs = split_unoriented_path(g) if g.kind == "path" else None
+        dec = layer_decompose(g, 0) if g.kind == "utree" and not rooted else None
+        assert len(blocks) == (len(runs) if runs else dec.mu if dec else 1)
+        for v in range(n):
+            assert list(of[v]) == sorted(set(of[v])) and 1 <= len(of[v]) <= 2
+        for k, blk in enumerate(blocks):
+            members = range(n) if isinstance(blk.su_iv, list) else blk.su_iv
+            assert sorted(members) == [v for v in range(n) if k in of[v]]
+            if dec:
+                want = dec.layers[k + 1] if k + 1 < dec.mu else []
+                assert sorted(blk.fringe) == want and sorted(members) == sorted(dec.layers[k] + want)
+                assert blk.orient == ("in" if k % 2 else "out") and not blk.chain
+            else:
+                assert not blk.fringe and blk.chain == bool(runs)
+                if runs:
+                    assert list(members) == runs[k] and blk.orient == "out"
+            iv = blk.su_iv
+            core = [v for v in members if v not in blk.fringe]
+            for a in core:
+                for b in core:
+                    nested = iv[a][0] <= iv[b][0] and iv[b][1] <= iv[a][1]
+                    assert nested == (m.reach(a, b) if blk.orient == "out" else m.reach(b, a)), (g, k, a, b)
+            for v in blk.fringe:
+                root = dec.fringe_root[v]
+                assert dec.iota[root] == k and iv[v] == iv[root]
+
+
+def _held_bytes_per_vertex(build, n):
+    """Bytes per vertex that build() allocates and its result keeps. A
+    full collection empties the interpreter's free lists before and after,
+    so a freed tuple parked on one is not counted as kept."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / n, kept
+    finally:
+        tracemalloc.stop()
+
+
+# Bounds on held memory, from the containers kept: a list slot is 8 bytes,
+# plus an eighth for over-allocation, and an int below 2^30 at most 32.
+SLOT, INT = 8 * 9 / 8, 32
+
+
+def test_tree_blocks_held_bytes_per_vertex():
+    """A rooted tree's block keeps, per vertex, an `su_iv` slot holding a
+    2-tuple of two ints, and an `of` slot: 2 * 9 + 56 + 2 * 32 = 138 bytes
+    on CPython 3.11 (135 measured), so no per-vertex dict fits beside
+    them."""
+    n = 1 << 12
+    g = rand_tree(random.Random(12), n, "out-tree")
+    held, _ = _held_bytes_per_vertex(lambda: tree_blocks(g), n)
+    assert held <= 2 * SLOT + sys.getsizeof((0, 0)) + 2 * INT, held
+
+
+def test_cartesian_tree_held_bytes_per_vertex():
+    """A Cartesian tree keeps, per column, five column slots (`colx`,
+    `x2`, `payload`, `left`, `right`), its sparse table's entries and two
+    ints (the table's first row and the child links each make one per
+    column): 208 bytes at 4,096 columns (187 measured), so no copy of its
+    input fits beside them."""
+    n = 1 << 12
+    rng = random.Random(4096)
+    ys = [rng.randrange(n) for _ in range(n)]
+    xs = list(range(n))
+    rng.shuffle(xs)
+    held, ct = _held_bytes_per_vertex(lambda: CartesianTree((x, ys[x], x) for x in xs), n)
+    slots = 5 * n + sum(map(len, ct._table))
+    assert held <= (slots * SLOT + n * 2 * INT) / n, held

@@ -26,11 +26,11 @@ def test_hpd_chain_single_path():
 
 def test_hpd_star_heavy_only_for_tiny_n():
     two = Digraph(2, [(0, 1)], kind="out-tree")
-    assert hpd_build(two).heavy_child[0] == 1
+    assert hpd_build(two).paths[0] == [0, 1]  # 1 is 0's heavy child
     for n in (3, 4, 6):
         star = Digraph(n, [(0, v) for v in range(1, n)], kind="out-tree")
         hpd = hpd_build(star)
-        assert hpd.heavy_child[0] == -1
+        assert hpd.paths[0] == [0]  # 0 has no heavy child
         assert all(hpd.light_level[v] == 1 for v in range(1, n))
 
 
@@ -44,8 +44,8 @@ def test_hpd_light_level_bound_and_root_walk():
         assert hpd.light_level[v] <= bound
         # recompute by walking to the root
         lv, x = 0, v
-        while x != hpd.root:
-            if not hpd.is_heavy[x]:
+        while x != hpd.paths[0][0]:
+            if not hpd.path_of[x][1]:  # rank 0 on its path: light
                 lv += 1
             x = parent[x]
         assert lv == hpd.light_level[v]
@@ -54,7 +54,7 @@ def test_hpd_light_level_bound_and_root_walk():
     assert seen == list(range(n))
     # topmost vertex of each heavy path is light
     for p in hpd.paths:
-        assert not hpd.is_heavy[p[0]] or p[0] == hpd.root
+        assert hpd.path_of[p[0]][1] == 0
 
 
 def test_hpd_build_matches_brute_force_on_out_and_in_trees():
@@ -78,7 +78,14 @@ def test_hpd_build_matches_brute_force_on_out_and_in_trees():
         n = g.n
         hpd = hpd_build(g)
         root = parent.index(-1)
-        assert hpd.root == root
+        assert hpd.paths[0][0] == root
+        # v's heavy child is the next vertex on its path; v is heavy iff
+        # its rank there is above 0
+        heavy_child = [-1] * n
+        for path in hpd.paths:
+            for a, b in zip(path, path[1:]):
+                heavy_child[a] = b
+        is_heavy = [hpd.path_of[v][1] > 0 for v in range(n)]
         size = [0] * n
         depth = [0] * n
         for v in range(n):
@@ -90,11 +97,11 @@ def test_hpd_build_matches_brute_force_on_out_and_in_trees():
         for v in range(n):
             kids = [c for c in range(n) if parent[c] == v]
             heavy = [c for c in kids if 2 * size[c] >= size[v]]
-            assert hpd.heavy_child[v] == (heavy[0] if heavy else -1), (g.kind, v)
-            assert hpd.is_heavy[v] == (v != root and hpd.heavy_child[parent[v]] == v)
+            assert heavy_child[v] == (heavy[0] if heavy else -1), (g.kind, v)
+            assert is_heavy[v] == (v != root and heavy_child[parent[v]] == v)
             lv, x = 0, v
             while x != root:
-                lv += not hpd.is_heavy[x]
+                lv += not is_heavy[x]
                 x = parent[x]
             assert hpd.light_level[v] == lv
         order = hpd.order
@@ -102,12 +109,12 @@ def test_hpd_build_matches_brute_force_on_out_and_in_trees():
         pos = {v: k for k, v in enumerate(order)}
         assert all(pos[parent[v]] < pos[v] for v in range(n) if v != root)
         assert all(depth[a] <= depth[b] for a, b in zip(order, order[1:]))
-        heads = [v for v in order if not hpd.is_heavy[v]]
+        heads = [v for v in order if not is_heavy[v]]
         assert [p[0] for p in hpd.paths] == heads
         assert sorted(v for p in hpd.paths for v in p) == list(range(n))
         for pid, path in enumerate(hpd.paths):
-            assert all(hpd.heavy_child[a] == b for a, b in zip(path, path[1:]))
-            assert hpd.heavy_child[path[-1]] == -1
+            assert all(heavy_child[a] == b for a, b in zip(path, path[1:]))
+            assert heavy_child[path[-1]] == -1
             assert all(hpd.path_of[v] == (pid, k) for k, v in enumerate(path))
 
 
@@ -182,12 +189,13 @@ def test_hpd_two_trees_probes_charge_only_reporting_heavy_paths():
                       Digraph(n, [(w, v) for v, w in chain], kind="in-tree")))
     for g1, g2 in pairs:
         idx = hpd_two_trees_build(g1, g2)
+        light_level = hpd_build(g1).light_level
         for b in range(g1.n):
             got, probes = hpd_two_trees_report(idx, b)
             assert sorted(got) == join_oracle(g1, g2, b)
             touched = idx.lists[b]
             assert all(getattr(struct, report)(*args)[0] for _, struct, report, args in touched), b
-            level = idx.hpd.light_level[b]
+            level = light_level[b]
             assert len(touched) <= probes <= 3 * len(got) + 3 * (level + 1), (b, probes)
 
 
