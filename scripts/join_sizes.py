@@ -23,6 +23,12 @@ answers changed but whose answer sets did not lists the same pairs in
 another order. A file whose rows are not of this script's eight fields
 exits 2; regenerate it with the first form.
 Every output is checked with `verify_join_graph` as it is built.
+
+Each pair's smallest join without relay vertices
+(`minimal_restricted_join`) is built too, and its closure checked to be
+the AND of the inputs' closures; its size is totalled per builder beside
+the emitted size ("restricted"), but kept out of the rows and the
+comparison.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ import random
 import sys
 
 from joinreach import classes, explicit
-from joinreach.graph import Digraph, topo_order
+from joinreach.graph import Digraph, topo_order, transitive_closure
 from joinreach.jrindex import index_hpd_two_trees
+from joinreach.minimal import and_closure, minimal_restricted_join
 from joinreach.gen import rand_dag, rand_path, rand_sp_st, rand_tree, rand_upath, rand_utree
 
 
@@ -101,17 +108,22 @@ def _index_digests(g1, g2):
 
 
 def _row(name, build, g1, g2):
-    """One corpus row: the pair's join built by `build` and verified."""
+    """One corpus row, the pair's join built by `build` and verified, and
+    the size of its minimal restricted join, checked against the oracle."""
     jg = build(g1, g2)
     if not explicit.verify_join_graph(jg, g1, g2).ok:
         raise SystemExit(f"{name} at n={g1.n}: output fails verification")
     digest = hashlib.sha256(explicit.format_join(jg).encode()).hexdigest()
-    return (name, g1.n, jg.size, digest, *_index_digests(g1, g2))
+    red = minimal_restricted_join(g1, g2)
+    if transitive_closure(red) != and_closure(transitive_closure(g1), transitive_closure(g2)):
+        raise SystemExit(f"{name} at n={g1.n}: minimal join's closure is not the AND")
+    return (name, g1.n, jg.size, digest, *_index_digests(g1, g2)), red.size
 
 
 def corpus_sizes():
-    """[(builder, n, size, join sha256, answers sha256, probes sha256,
-    probe total, answer sets sha256)] for 480 seeded pairs: 60 per
+    """([(builder, n, size, join sha256, answers sha256, probes sha256,
+    probe total, answer sets sha256)], [minimal restricted join size])
+    for 480 seeded pairs: 60 per
     builder, n < 80, then 60 planar st-graphs with a dipath, 60 cyclic
     digraphs with a DAG, dipath, out-tree or cyclic digraph, and 60 DAGs
     with an in-tree, 2 <= n < 80, built and indexed by their class
@@ -132,7 +144,7 @@ def corpus_sizes():
         n = rng.randrange(2, 80)
         g1 = rand_dag(rng, n, 4.0 / n)
         out.append(_row("dag-in-tree", classes.build, g1, rand_tree(rng, n, "in-tree")))
-    return out
+    return [row for row, _ in out], [size for _, size in out]
 
 
 def main(argv=None):
@@ -140,10 +152,12 @@ def main(argv=None):
     ap.add_argument("-o", "--output", help="write the per-pair sizes as JSON")
     ap.add_argument("--against", help="JSON sizes to compare with")
     args = ap.parse_args(argv)
-    sizes = corpus_sizes()
+    sizes, restricted = corpus_sizes()
     for name in dict.fromkeys(s[0] for s in sizes):
-        print(f"{name}\t{sum(s[2] for s in sizes if s[0] == name)}")
-    print(f"total\t{sum(s[2] for s in sizes)}")
+        emitted = sum(s[2] for s in sizes if s[0] == name)
+        least = sum(r for s, r in zip(sizes, restricted) if s[0] == name)
+        print(f"{name}\t{emitted}\trestricted\t{least}")
+    print(f"total\t{sum(s[2] for s in sizes)}\trestricted\t{sum(restricted)}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             json.dump(sizes, f)

@@ -5,7 +5,6 @@ from .graph import (
     Digraph,
     DfsIntervals,
     GraphClassError,
-    ReachMatrix,
     condense_pair,
     dfs_intervals,
     dipath_of,

@@ -116,31 +116,6 @@ def shared_vertices(pc1, pc2):
     return dict(sorted(groups.items()))
 
 
-def format_cover(pc):
-    """Cover file format: kappa, then one vertex-sequence line per path."""
-    lines = [str(pc.kappa)]
-    lines.extend(" ".join(str(v) for v in path) for path in pc.paths)
-    return "\n".join(lines) + "\n"
-
-
-def parse_cover(text):
-    """Inverse of format_cover; ValueError on any malformed text."""
-    rows = [[int(t) for t in ln.split()] for ln in text.splitlines() if ln.strip()]
-    if not rows or len(rows[0]) != 1:
-        raise ValueError("cover text must start with a kappa line")
-    paths = rows[1:]
-    if rows[0][0] != len(paths):
-        raise ValueError(f"kappa {rows[0][0]} but {len(paths)} path lines")
-    n = sum(len(p) for p in paths)
-    path_of = [None] * n
-    for pid, path in enumerate(paths):
-        for rank, v in enumerate(path):
-            if not 0 <= v < n or path_of[v] is not None:
-                raise ValueError(f"paths do not cover 0..{n - 1} exactly once (vertex {v})")
-            path_of[v] = (pid, rank)
-    return PathCover(paths, path_of)
-
-
 def from_ranks(g, pc, order=None):
     """rows[v] = {cover path i: highest rank on i of a vertex reaching v},
     from a max-propagating pass in topological order.

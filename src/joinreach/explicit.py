@@ -360,12 +360,12 @@ def verify_join_graph(jg, g1, g2):
         raise ValueError(
             f"join graph has {n} original vertices, the inputs {g1.n} and {g2.n}"
         )
-    want = transitive_closure(g1).and_with(transitive_closure(g2))
-    got = _reach_rows(jg.graph, n)[:n]
+    want = [x & y for x, y in zip(transitive_closure(g1), transitive_closure(g2))]
+    got = _reach_rows(jg.graph, n)
     for a in range(n):
-        if got[a] == want.rows[a]:
+        if got[a] == want[a]:
             continue
-        diff = got[a] ^ want.rows[a]
+        diff = got[a] ^ want[a]
         bvs = diff & -diff
         bpos = bvs.bit_length() - 1
         kind = "spurious" if got[a] >> bpos & 1 else "missing"

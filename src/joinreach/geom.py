@@ -59,8 +59,10 @@ class CartesianTree:
         self.payload = [p[2] for p in pts]
         left = self.left = [-1] * m
         right = self.right = [-1] * m
+        # the child links hold the table's first-row ints: one int per column
+        table = self._table = [list(range(m))]
         stack = []
-        for i, key in enumerate(x2):
+        for i, key in zip(table[0], x2):
             last = -1
             while stack and x2[stack[-1]] > key:
                 last = stack.pop()
@@ -69,7 +71,6 @@ class CartesianTree:
                 right[stack[-1]] = i
             stack.append(i)
         self.root = stack[0] if stack else -1
-        table = self._table = [list(range(m))]
         span = 1
         while 2 * span <= m:
             row = table[-1]

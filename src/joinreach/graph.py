@@ -38,7 +38,7 @@ class Digraph:
     first read and then kept. In-trees, unoriented paths, utrees and
     planar-st graphs read them to validate their kind, so build them at
     once; out-trees and dipaths are validated by one heads check and one
-    walk of the out rows (`_out_walk`), and build them only when a caller
+    walk of the out rows (`_walk`), and build them only when a caller
     reads `inn`. An in row holds the int object its vertex has as a head,
     so a graph whose heads share one int per vertex, as a built and a
     parsed one do (`_graph_section`), holds one int per vertex. Instances
@@ -127,22 +127,15 @@ class Digraph:
             deg = map(add, map(len, out), map(len, self.inn))
             self._require(max(deg) <= 2, "path vertex with degree > 2")
             self._require(self._underlying_connected(), "path is not connected")
-        elif kind == "out-tree":
-            order = self._out_walk()
+        elif kind in ("out-tree", "in-tree"):
+            rows = out if kind == "out-tree" else self.inn
+            order = self._walk(rows)
             if order is None:  # name the first failing check
                 self._require(self.m == n - 1, "a tree on n vertices needs n-1 arcs")
-                heads = set(chain.from_iterable(out))
-                self._require(len(heads) == self.m, "out-tree vertex with in-degree > 1")
-                self._require(False, "out-tree is not connected")
-            self._root = order[0]
-        elif kind == "in-tree":
-            self._require(self.m == n - 1, "a tree on n vertices needs n-1 arcs")
-            self._require(max(map(len, out)) <= 1, "in-tree vertex with out-degree > 1")
-            inn = self.inn
-            order = [out.index(())]
-            for v in order:  # each vertex is a tail once, so met at most once
-                order += inn[v]
-            self._require(len(order) == n, "in-tree is not connected")
+                ends = set(chain.from_iterable(rows))
+                degree = "in-degree" if kind == "out-tree" else "out-degree"
+                self._require(len(ends) == self.m, f"{kind} vertex with {degree} > 1")
+                self._require(False, f"{kind} is not connected")
             self._root = order[0]
         elif kind == "utree":
             self._require(self.m == n - 1, "a tree on n vertices needs n-1 arcs")
@@ -152,29 +145,31 @@ class Digraph:
             self._require(self.inn.count(()) == 1, "planar-st graph must have exactly one source")
             self._require(out.count(()) == 1, "planar-st graph must have exactly one sink")
 
-    def _out_walk(self):
-        """The vertices in the order a walk of the out rows meets them from
-        the one vertex that is no head, or None unless the graph has n - 1
-        arcs with n - 1 distinct heads and the walk reaches all n vertices:
-        that is, unless it is an out-tree. Distinct heads mean the walk
-        meets each vertex at most once, and the vertex that is no head is
-        the sum 0 + ... + (n - 1) less the heads'."""
-        n, out = self.n, self.out
+    def _walk(self, rows):
+        """The vertices in the order a walk of `rows` (the out rows or the
+        in rows) meets them from the one vertex in no row, or None unless
+        the graph has n - 1 arcs with n - 1 distinct row entries and the
+        walk reaches all n vertices: that is, unless it is an out-tree
+        (an in-tree for the in rows). Distinct entries mean the walk meets
+        each vertex at most once, and the vertex in no row is the sum
+        0 + ... + (n - 1) less the entries'."""
+        n = self.n
         if self.m != n - 1:
             return None
-        heads = set(chain.from_iterable(out))
-        if len(heads) != n - 1:
+        ends = set(chain.from_iterable(rows))
+        if len(ends) != n - 1:
             return None
-        order = [n * (n - 1) // 2 - sum(heads)]
+        order = [n * (n - 1) // 2 - sum(ends)]
         for v in order:
-            order += out[v]
+            order += rows[v]
         return order if len(order) == n else None
 
     def _dipath_walk(self):
-        """`_out_walk` if every row has at most one arc, else None: the
-        vertices of a fully oriented dipath from source to sink, or None
-        unless the graph is one."""
-        return self._out_walk() if max(map(len, self.out), default=0) <= 1 else None
+        """`_walk` of the out rows if every row has at most one arc, else
+        None: the vertices of a fully oriented dipath from source to sink,
+        or None unless the graph is one."""
+        out = self.out
+        return self._walk(out) if max(map(len, out), default=0) <= 1 else None
 
     def _require(self, cond, msg):
         if not cond:
@@ -201,12 +196,6 @@ class Digraph:
                     count += 1
                     stack.append(w)
         return count == self.n
-
-    def reverse(self):
-        kind = {"out-tree": "in-tree", "in-tree": "out-tree"}.get(self.kind, self.kind)
-        if kind == "planar-st":
-            kind = "digraph"
-        return Digraph(self.n, ((v, u) for u, row in enumerate(self.out) for v in row), kind=kind)
 
     def root(self):
         """Root of a rooted tree (out-tree or in-tree), kept from the walk
@@ -319,41 +308,6 @@ def tarjan_scc(g):
     return comp_of, comps
 
 
-class ReachMatrix:
-    """n x n boolean reachability relation stored as packed bit rows.
-
-    rows[a] has bit b set iff b is reachable from a. Always reflexive.
-    """
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n, rows):
-        self.n = n
-        self.rows = list(rows)
-
-    def reach(self, a, b):
-        return bool(self.rows[a] >> b & 1)
-
-    def and_with(self, other):
-        if self.n != other.n:
-            raise ValueError("matrix size mismatch")
-        return ReachMatrix(self.n, [x & y for x, y in zip(self.rows, other.rows)])
-
-    def __eq__(self, other):
-        return isinstance(other, ReachMatrix) and self.n == other.n and self.rows == other.rows
-
-    def is_transitive(self):
-        for a in range(self.n):
-            row = self.rows[a]
-            rest = row
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if self.rows[b] & ~row:
-                    return False
-        return True
-
-
 def _reach_rows(g, keep):
     """Per vertex of g, the bit row of the vertices below `keep` that it
     reaches, itself included.
@@ -385,8 +339,9 @@ def _reach_rows(g, keep):
 
 
 def transitive_closure(g):
-    """Reachability oracle: reflexive-transitive closure of g."""
-    return ReachMatrix(g.n, _reach_rows(g, g.n))
+    """Reachability oracle: the reflexive-transitive closure of g as one
+    int bit row per vertex, bit b of row a set iff a reaches b."""
+    return _reach_rows(g, g.n)
 
 
 @dataclass
@@ -397,10 +352,6 @@ class CondensedPair:
     g2_hat: Digraph
     sub_of: list
     members: list
-
-    @property
-    def n_sub(self):
-        return len(self.members)
 
 
 def condense_pair(g1, g2):

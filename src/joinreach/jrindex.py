@@ -300,10 +300,10 @@ def kameda_labels(g):
         raise GraphClassError("kameda labels need a planar-st graph with embedding")
     l1 = _postorder_labels(g, reverse_order=False)
     l2 = _postorder_labels(g, reverse_order=True)
-    m = transitive_closure(g)
+    rows = transitive_closure(g)
     at_least1, at_least2 = _suffix_masks(l1), _suffix_masks(l2)
     for a in range(g.n):
-        diff = m.rows[a] ^ (at_least1[l1[a]] & at_least2[l2[a]])
+        diff = rows[a] ^ (at_least1[l1[a]] & at_least2[l2[a]])
         if diff:
             b = (diff & -diff).bit_length() - 1
             raise GraphClassError(

@@ -25,20 +25,23 @@ from .graph import Digraph, transitive_closure
 
 
 def and_closure(m1, m2):
-    """Entrywise AND of two closure matrices; transitive and reflexive."""
-    return m1.and_with(m2)
+    """Entrywise AND of two closures given as bit rows (`transitive_closure`);
+    transitive and reflexive."""
+    if len(m1) != len(m2):
+        raise ValueError("matrix size mismatch")
+    return [x & y for x, y in zip(m1, m2)]
 
 
-def transitive_reduction(m):
-    """Minimum digraph over 0..n-1 whose closure equals the matrix m.
+def transitive_reduction(rows):
+    """Minimum digraph over 0..n-1, n = len(rows), whose closure is the
+    bit-row matrix `rows` (row a has bit b set iff a reaches b).
 
     Mutually-related classes (equal rows) are condensed, each keeps
     exactly its cover arcs between representatives, and each class with
     two or more members is re-expanded as a simple cycle in increasing id
     order. For the acyclic part the result is the unique reduction.
-    Raises ValueError unless m is reflexive and transitive.
+    Raises ValueError unless the matrix is reflexive and transitive.
     """
-    rows = m.rows
     if any(not (row >> a & 1) for a, row in enumerate(rows)):
         raise ValueError("matrix is not reflexive")
 
@@ -76,7 +79,7 @@ def transitive_reduction(m):
         # the transitivity test of the module docstring
         if rebuilt != row:
             raise ValueError("matrix is not transitive")
-    return Digraph(m.n, arcs)
+    return Digraph(len(rows), arcs)
 
 
 def minimal_restricted_join(g1, g2):

@@ -20,7 +20,7 @@ from joinreach.explicit import (
     JoinGraph,
 )
 from joinreach.cover import min_path_cover
-from joinreach.gen import gen_bitreversal, rand_dag, rand_tree, rand_upath
+from joinreach.gen import gen_bitreversal, rand_dag, rand_path, rand_tree, rand_upath
 from joinreach.graph import (
     Digraph,
     GraphClassError,
@@ -30,21 +30,7 @@ from joinreach.graph import (
     topo_order,
     transitive_closure,
 )
-
-
-def rand_perm_path(rng, n):
-    order = list(range(n))
-    rng.shuffle(order)
-    return dipath_of(order)
-
-
-# differs from gen.rand_utree, which relabels: here parents stay below children
-def rand_utree(rng, n):
-    arcs = []
-    for v in range(1, n):
-        p = rng.randrange(v)
-        arcs.append((p, v) if rng.random() < 0.5 else (v, p))
-    return Digraph(n, arcs, kind="utree")
+from test_graph_core import random_utree
 
 
 # gen makes no zigzag path
@@ -60,7 +46,7 @@ def logceil(n):
 
 def test_two_paths_identical_and_reversed():
     rng = random.Random(1)
-    p1 = rand_perm_path(rng, 12)
+    p1 = rand_path(rng, 12)
     jg = build_two_paths(p1, p1)
     assert verify_join_graph(jg, p1, p1).ok
     p2 = Digraph(12, [(v, u) for u, v in p1.arcs], kind="path")
@@ -71,7 +57,7 @@ def test_two_paths_identical_and_reversed():
     for a in range(12):
         for b in range(12):
             if a != b:
-                assert not rows.reach(a, b)
+                assert not rows[a] >> b & 1
 
 
 def test_two_paths_bitrev_matches_dominance_scan():
@@ -86,15 +72,15 @@ def test_two_paths_bitrev_matches_dominance_scan():
     for a in range(16):
         for b in range(16):
             want = r1[a] <= r1[b] and r2[a] <= r2[b]
-            assert m.reach(a, b) == want
+            assert bool(m[a] >> b & 1) == want
 
 
 def test_two_paths_size_bound_and_random_instances():
     rng = random.Random(2)
     for _ in range(40):
         n = rng.randrange(1, 65)
-        p1 = rand_perm_path(rng, n)
-        p2 = rand_perm_path(rng, n)
+        p1 = rand_path(rng, n)
+        p2 = rand_path(rng, n)
         jg = build_two_paths(p1, p2)
         assert verify_join_graph(jg, p1, p2).ok
         assert jg.size <= 3 * n * (logceil(n) + 1)
@@ -105,12 +91,12 @@ def test_two_paths_steiner_tags_stay_in_their_slab():
     rng = random.Random(33)
     out_tree, in_tree = rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")
     cases = [
-        ("two-paths", build_two_paths(rand_perm_path(rng, n), rand_perm_path(rng, n))),
-        ("tree-path", build_tree_path(out_tree, rand_perm_path(rng, n))),
-        ("tree-path", build_tree_path(in_tree, rand_perm_path(rng, n))),
+        ("two-paths", build_two_paths(rand_path(rng, n), rand_path(rng, n))),
+        ("tree-path", build_tree_path(out_tree, rand_path(rng, n))),
+        ("tree-path", build_tree_path(in_tree, rand_path(rng, n))),
         ("two-trees", build_two_trees(out_tree, in_tree)),
-        ("tree-path", build_tree_path(rand_utree(rng, n), rand_perm_path(rng, n))),
-        ("pathcover", build_pathcover(rand_dag(rng, n, 0.1), rand_perm_path(rng, n))),
+        ("tree-path", build_tree_path(random_utree(rng, n), rand_path(rng, n))),
+        ("pathcover", build_pathcover(rand_dag(rng, n, 0.1), rand_path(rng, n))),
     ]
     # tag format: <label>[;i<i>;j<j>[;rev]][;p<k>];d<depth>;h=<lo>..<hi>; the
     # slab at depth d is a ceil-halving of [0, m), where m <= n for the
@@ -204,7 +190,7 @@ def test_tree_path_chain_equals_order():
     m = transitive_closure(jg.graph)
     for a in range(6):
         for b in range(6):
-            assert m.reach(a, b) == (a <= b)
+            assert bool(m[a] >> b & 1) == (a <= b)
 
 
 def test_tree_path_star_with_root_last():
@@ -216,7 +202,7 @@ def test_tree_path_star_with_root_last():
     m = transitive_closure(jg.graph)
     for a in range(n):
         for b in range(n):
-            assert m.reach(a, b) == (a == b)
+            assert bool(m[a] >> b & 1) == (a == b)
 
 
 def test_tree_path_random_instances_both_orientations():
@@ -225,7 +211,7 @@ def test_tree_path_random_instances_both_orientations():
         n = rng.randrange(2, 49)
         kind = "out-tree" if rng.random() < 0.5 else "in-tree"
         t = rand_tree(rng, n, kind)
-        p = rand_perm_path(rng, n)
+        p = rand_path(rng, n)
         jg = build_tree_path(t, p)
         assert verify_join_graph(jg, t, p).ok
         assert jg.size <= 3 * n * (logceil(n) + 1)
@@ -252,7 +238,7 @@ def test_two_trees_chain_second_matches_tree_path_relation():
     m2 = transitive_closure(jg_path.graph)
     for a in range(16):
         for b in range(16):
-            assert m1.reach(a, b) == m2.reach(a, b)
+            assert bool(m1[a] >> b & 1) == bool(m2[a] >> b & 1)
 
 
 def test_two_trees_all_orientation_mixes():
@@ -282,9 +268,9 @@ def test_unoriented_trees_random_instances():
     rng = random.Random(15)
     for _ in range(25):
         n = rng.randrange(2, 41)
-        g1 = rand_utree(rng, n)
-        g2 = rand_utree(rng, n)
-        p = rand_perm_path(rng, n)
+        g1 = random_utree(rng, n)
+        g2 = random_utree(rng, n)
+        p = rand_path(rng, n)
         z = zigzag_path(n)
         for a, b in ((g1, g2), (z, g2), (g1, z), (z, p), (p, z)):
             jg = build_unoriented_trees(a, b)
@@ -302,8 +288,8 @@ def test_unoriented_trees_random_instances():
 
 def test_pathcover_dipath_reduces_to_two_paths():
     rng = random.Random(17)
-    p1 = rand_perm_path(rng, 20)
-    p2 = rand_perm_path(rng, 20)
+    p1 = rand_path(rng, 20)
+    p2 = rand_path(rng, 20)
     g1 = Digraph(20, p1.arcs)  # same arcs, digraph kind: kappa = 1
     jg = build_pathcover(g1, p2)
     assert verify_join_graph(jg, g1, p2).ok
@@ -311,7 +297,7 @@ def test_pathcover_dipath_reduces_to_two_paths():
     ref = transitive_closure(build_two_paths(p1, p2).graph)
     for a in range(20):
         for b in range(20):
-            assert mm.reach(a, b) == ref.reach(a, b)
+            assert bool(mm[a] >> b & 1) == bool(ref[a] >> b & 1)
 
 
 def test_pathcover_antichain_is_reflexive_only():
@@ -322,7 +308,7 @@ def test_pathcover_antichain_is_reflexive_only():
     m = transitive_closure(jg.graph)
     for a in range(10):
         for b in range(10):
-            assert m.reach(a, b) == (a == b)
+            assert bool(m[a] >> b & 1) == (a == b)
     # a join with no arc is the bare vertex set, with no relay
     for n in (1, 2, 64):
         g1, p2 = Digraph(n, []), dipath_of(list(range(n)))
@@ -334,7 +320,7 @@ def test_pairs_with_an_empty_join_get_no_relay():
     # a dipath or out-tree against its reverse relates no two vertices
     rng = random.Random(45)
     for n in (1, 2, 64):
-        p = rand_perm_path(rng, n)
+        p = rand_path(rng, n)
         t = rand_tree(rng, n, "out-tree")
         cases = [
             (build_two_paths, p, Digraph(n, [(v, u) for u, v in p.arcs], kind="path")),
@@ -441,9 +427,9 @@ def test_nest_connect_matches_brute_force_in_one_to_three_coordinates(monkeypatc
         is_snk = set(snks)
         want = Digraph(m, [(p, q) for p in srcs for q in range(p, end[p] + 1)
                            if q in is_snk and all(h[q] < h[p] for h in hs)])
-        got = transitive_closure(jg.graph).rows[:m]
+        got = transitive_closure(jg.graph)[:m]
         mask = (1 << m) - 1
-        assert [r & mask for r in got] == transitive_closure(want).rows, (trial, k, m)
+        assert [r & mask for r in got] == transitive_closure(want), (trial, k, m)
         for t in jg.steiner_tags:
             assert re.search(r";d\d+;h=\d+\.\.\d+$", t), t
         assert depth["deepest"] <= k * (logceil(m) + 1), (trial, k, m, depth)
@@ -467,13 +453,13 @@ def assert_relays_live(jg):
 
 def _tree_mix(rng, kind, n):
     if kind == "dipath":
-        return rand_perm_path(rng, n)
+        return rand_path(rng, n)
     if kind == "upath":
         return rand_upath(rng, n)
     if kind == "zigzag":
         return zigzag_path(n)
     if kind == "utree":
-        return rand_utree(rng, n)
+        return random_utree(rng, n)
     return rand_tree(rng, n, kind)
 
 
@@ -495,7 +481,7 @@ def test_every_relay_is_live():
     for _ in range(10):
         n = rng.randrange(2, 49)
         g1 = rand_dag(rng, n, 0.15)
-        for g2 in (rand_perm_path(rng, n), rand_dag(rng, n, 0.15), rand_tree(rng, n, "out-tree")):
+        for g2 in (rand_path(rng, n), rand_dag(rng, n, 0.15), rand_tree(rng, n, "out-tree")):
             jg = build_pathcover(g1, g2)
             assert verify_join_graph(jg, g1, g2).ok
             assert_relays_live(jg)
@@ -506,7 +492,7 @@ def test_pathcover_random_dag_and_path():
     for _ in range(20):
         n = rng.randrange(2, 41)
         g1 = rand_dag(rng, n, 0.25)
-        p2 = rand_perm_path(rng, n)
+        p2 = rand_path(rng, n)
         jg = build_pathcover(g1, p2)
         assert verify_join_graph(jg, g1, p2).ok
 
@@ -557,7 +543,7 @@ def test_verify_detects_mutations():
 def _bfs_report(jg, g1, g2):
     """verify_join_graph's report, from a BFS over the join graph per original."""
     n = jg.n_original
-    want = transitive_closure(g1).and_with(transitive_closure(g2))
+    want = [x & y for x, y in zip(transitive_closure(g1), transitive_closure(g2))]
     g = jg.graph
     for a in range(n):
         seen = {a}
@@ -568,7 +554,7 @@ def _bfs_report(jg, g1, g2):
                     seen.add(w)
                     queue.append(w)
         for b in range(n):
-            if (b in seen) != want.reach(a, b):
+            if (b in seen) != bool(want[a] >> b & 1):
                 return False, (a, b, "spurious" if b in seen else "missing"), n * n
     return True, None, n * n
 
@@ -578,7 +564,7 @@ def test_verify_matches_bfs_on_perturbed_join_graphs():
     builds = []
     for _ in range(12):
         n = rng.randrange(2, 20)
-        g1, g2 = rand_perm_path(rng, n), rand_perm_path(rng, n)
+        g1, g2 = rand_path(rng, n), rand_path(rng, n)
         builds.append((build_two_paths(g1, g2), g1, g2))
         kinds = ("out-tree", "in-tree")
         g1, g2 = rand_tree(rng, n, rng.choice(kinds)), rand_tree(rng, n, rng.choice(kinds))

@@ -11,6 +11,8 @@ from joinreach.hpd import (
 )
 
 
+# differs from gen.rand_tree, which relabels and returns only the graph:
+# here parents stay below children and come back with it
 def random_out_tree(rng, n):
     parent = [-1] + [rng.randrange(v) for v in range(1, n)]
     return Digraph(n, [(parent[v], v) for v in range(1, n)], kind="out-tree"), parent
@@ -128,7 +130,7 @@ def _ancestors(parent, b):
 def join_oracle(g1, g2, b):
     m1 = transitive_closure(g1)
     m2 = transitive_closure(g2)
-    return sorted(a for a in range(g1.n) if m1.reach(a, b) and m2.reach(a, b))
+    return sorted(a for a in range(g1.n) if m1[a] >> b & 1 and m2[a] >> b & 1)
 
 
 def test_hpd_two_trees_same_tree_gives_ancestry():

@@ -40,13 +40,8 @@ from joinreach.jrindex import (
     _postorder_labels,
     kameda_labels,
 )
+from test_explicit import zigzag_path
 from test_geom import enclosure_probe_bound, range_probe_bound
-
-
-def zigzag_path(n):
-    """Unoriented path 0-1-...-(n-1) whose arcs alternate direction."""
-    arcs = [(k, k + 1) if k % 2 == 0 else (k + 1, k) for k in range(n - 1)]
-    return Digraph(n, arcs, kind="path")
 
 
 def chain_star(rng, n):
@@ -99,7 +94,7 @@ def oracle_pred_sets(g1, g2):
     m2 = transitive_closure(g2)
     n = g1.n
     return [
-        sorted(a for a in range(n) if m1.reach(a, b) and m2.reach(a, b))
+        sorted(a for a in range(n) if m1[a] >> b & 1 and m2[a] >> b & 1)
         for b in range(n)
     ]
 
@@ -477,7 +472,7 @@ def test_pathcover_nonempty_lists_match_definition():
                 {
                     (of1[a][0], of2[a][0])
                     for a in range(g1.n)
-                    if m1.reach(a, v) and m2.reach(a, v) and not (skip_self and a == v)
+                    if m1[a] >> v & 1 and m2[a] >> v & 1 and not (skip_self and a == v)
                 }
             )
             assert sorted(idx.query_counted(v)[2]) == want, (idx, g2.kind, v)
@@ -561,7 +556,7 @@ def test_kameda_random_sp_graphs():
         m = transitive_closure(g)
         for a in range(n):
             for b in range(n):
-                assert m.reach(a, b) == (lab.l1[a] <= lab.l1[b] and lab.l2[a] <= lab.l2[b])
+                assert bool(m[a] >> b & 1) == (lab.l1[a] <= lab.l1[b] and lab.l2[a] <= lab.l2[b])
 
 
 def test_kameda_rejects_exactly_the_misembedded_graphs():
@@ -584,7 +579,7 @@ def test_kameda_rejects_exactly_the_misembedded_graphs():
                 (a, b)
                 for a in range(n)
                 for b in range(n)
-                if m.reach(a, b) != (l1[a] <= l1[b] and l2[a] <= l2[b])
+                if bool(m[a] >> b & 1) != (l1[a] <= l1[b] and l2[a] <= l2[b])
             ),
             None,
         )
@@ -627,7 +622,7 @@ def test_planar_st_reversed_topological_path_answers_only_b():
         for b in range(n):
             res, probes, _ = idx.query_counted(b)
             assert res == want[b] == [b]
-            preds = sum(m1.reach(a, b) for a in range(n))
+            preds = sum(m1[a] >> b & 1 for a in range(n))
             assert preds <= probes <= range_probe_bound(n, preds), (n, b, probes)
 
 
@@ -639,7 +634,7 @@ def test_planar_st_topo_order_path_collapses_to_g1():
     idx = index_planar_st(g1, p2)
     m = transitive_closure(g1)
     for b in range(30):
-        assert idx.query(b) == sorted(a for a in range(30) if m.reach(a, b))
+        assert idx.query(b) == sorted(a for a in range(30) if m[a] >> b & 1)
 
 
 def test_query_rejects_out_of_range():

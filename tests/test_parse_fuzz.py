@@ -1,18 +1,17 @@
-"""Seeded fuzz of the three file parsers: any text gives an object or
+"""Seeded fuzz of the two file parsers: any text gives an object or
 ValueError, never another exception."""
 
 import random
 
 from joinreach import explicit
-from joinreach.cover import format_cover, min_path_cover, parse_cover
 from joinreach.explicit import format_join, parse_join
 from joinreach.gen import InstanceSpec, generate, rand_dag, rand_path, rand_tree, rand_utree
 from joinreach.graph import format_graph, parse_graph
 
-PARSERS = (parse_graph, parse_join, parse_cover)
+PARSERS = (parse_graph, parse_join)
 MUTATIONS = 12_000
 # Inserted or substituted material: single characters, and short tokens
-# of the three formats.
+# of the two formats.
 CHARS = "0123456789 -:;.x\t\n"
 TOKENS = ("0", "1", "-1", "99", "1.5", "steiner", "digraph", "path", "planar-st",
           "out-tree", ":", ";d1", "\n\n", " 0 1\n", "\nsteiner 0\n")
@@ -25,8 +24,8 @@ MAX_N = 4096
 
 
 def _valid_texts():
-    """(text, its parser) for graph files from `gen`, join files from the
-    five builders and cover files from `min_path_cover`."""
+    """(text, its parser) for graph files from `gen` and join files from
+    the five builders."""
     texts = []
     for kind in ("path", "utree-random", "out-tree", "in-tree", "dag-gnp", "bitrev", "sp-st"):
         for g in generate(InstanceSpec(kind, 16, seed=1)):
@@ -42,8 +41,6 @@ def _valid_texts():
     )
     for name, g1, g2 in pairs:
         texts.append((format_join(getattr(explicit, name)(g1, g2)), parse_join))
-    for _ in range(3):
-        texts.append((format_cover(min_path_cover(rand_dag(rng, n, 0.3))), parse_cover))
     return texts
 
 
