@@ -51,7 +51,7 @@ from .jrindex import (
     index_two_trees,
     kameda_labels,
 )
-from .gen import GENERATOR_KINDS, InstanceSpec, gen_bitreversal, generate
+from .gen import GENERATOR_KINDS, gen_bitreversal, generate
 from .classes import CLASSES, build, classify, index
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,10 +31,7 @@ def _pair_class(args):
 
 
 def cmd_gen(args):
-    spec = generators.InstanceSpec(args.kind, args.n, args.seed, {})
-    if args.p is not None:
-        spec.params["p"] = args.p
-    graphs = generators.generate(spec)
+    graphs = generators.generate(args.kind, args.n, args.seed, args.p)
     outs = [args.output] + (args.extra_output or [])
     if len(graphs) != len(outs):
         raise UsageError(
@@ -102,16 +99,25 @@ def cmd_stats(args):
     return 0
 
 
-BENCH_CAPS = {"paths": 1 << 14, "trees": 1 << 14, "pathcover": 1 << 10}
+# Each `jr bench` suite: its largest n, and its instances as (name, the
+# generator kinds whose graphs make the pair), drawn in order from one rng
+# seeded by (suite, n, seed), with p = 4/n (only dag-gnp reads it).
+BENCH_SUITES = {
+    "paths": (1 << 14, (("bitrev", ("bitrev",)), ("random", ("path", "path")))),
+    "trees": (1 << 14, (("random", ("utree-random", "utree-random")),)),
+    "pathcover": (1 << 10, (("random", ("dag-gnp", "path")),)),
+}
 
 
 def cmd_bench(args):
     suite = args.suite
-    cap = min(args.max_n, BENCH_CAPS[suite])
+    cap, instances = BENCH_SUITES[suite]
     print("suite\tinst\tn\tseed\tbuild_s\tsize\tratio_log\tverify")
     n, failed = 256, False
-    while n <= cap:
-        for inst, (g1, g2) in _bench_instances(suite, n, args.seed):
+    while n <= min(args.max_n, cap):
+        rng = random.Random((suite, n, args.seed).__repr__())
+        for inst, kinds in instances:
+            g1, g2 = [g for kind in kinds for g in generators.GENERATORS[kind](rng, n, 4 / n)]
             t0 = time.perf_counter()
             jg = build(g1, g2)
             dt = time.perf_counter() - t0
@@ -126,29 +132,15 @@ def cmd_bench(args):
     return 1 if failed else 0
 
 
-def _bench_instances(suite, n, seed):
-    rng = random.Random((suite, n, seed).__repr__())
-    if suite == "paths":
-        yield "bitrev", generators.gen_bitreversal(n)
-        yield "random", (generators.rand_path(rng, n), generators.rand_path(rng, n))
-    elif suite == "trees":
-        yield "random", (generators.rand_utree(rng, n), generators.rand_utree(rng, n))
-    else:
-        yield "random", (
-            generators.rand_dag(rng, n, 4.0 / n),
-            generators.rand_path(rng, n),
-        )
-
-
 def make_parser():
     ap = argparse.ArgumentParser(prog="jr", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate instance files")
-    g.add_argument("--kind", required=True, choices=generators.GENERATOR_KINDS)
+    g.add_argument("--kind", required=True, choices=generators.GENERATORS)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--p", type=float, default=None, help="arc probability for dag-gnp")
+    g.add_argument("--p", type=float, default=0.2, help="arc probability for dag-gnp")
     g.add_argument("-o", "--output", required=True)
     g.add_argument("extra_output", nargs="*", help="second file for bitrev")
     g.set_defaults(func=cmd_gen)
@@ -178,7 +170,7 @@ def make_parser():
     s.set_defaults(func=cmd_stats)
 
     be = sub.add_parser("bench", help="size/time sweep, tab-separated table")
-    be.add_argument("--suite", choices=("paths", "trees", "pathcover"), required=True)
+    be.add_argument("--suite", choices=BENCH_SUITES, required=True)
     be.add_argument("--max-n", type=int, default=1 << 14)
     be.add_argument("--seed", type=int, default=0)
     be.set_defaults(func=cmd_bench)

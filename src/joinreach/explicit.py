@@ -50,6 +50,7 @@ from .graph import (
     topo_order,
     transitive_closure,
 )
+from .minimal import and_closure
 
 
 @dataclass
@@ -360,7 +361,7 @@ def verify_join_graph(jg, g1, g2):
         raise ValueError(
             f"join graph has {n} original vertices, the inputs {g1.n} and {g2.n}"
         )
-    want = [x & y for x, y in zip(transitive_closure(g1), transitive_closure(g2))]
+    want = and_closure(transitive_closure(g1), transitive_closure(g2))
     got = _reach_rows(jg.graph, n)
     for a in range(n):
         if got[a] == want[a]:

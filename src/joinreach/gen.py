@@ -1,56 +1,37 @@
 """Seeded instance generators for every supported graph class.
 
-Identical (kind, n, seed, params) always reproduce identical instances.
+Identical (kind, n, seed, p) always reproduce identical instances.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .graph import Digraph
 
 
-GENERATOR_KINDS = (
-    "path",
-    "utree-random",
-    "out-tree",
-    "in-tree",
-    "dag-gnp",
-    "bitrev",
-    "sp-st",
-)
+# Each `jr gen` kind and its maker (rng, n, p) -> [graphs]; only dag-gnp
+# reads the arc probability p, and bitrev, a pair, reads no rng.
+GENERATORS = {
+    "path": lambda rng, n, p: [rand_path(rng, n)],
+    "utree-random": lambda rng, n, p: [rand_utree(rng, n)],
+    "out-tree": lambda rng, n, p: [rand_tree(rng, n, "out-tree")],
+    "in-tree": lambda rng, n, p: [rand_tree(rng, n, "in-tree")],
+    "dag-gnp": lambda rng, n, p: [rand_dag(rng, n, p)],
+    "bitrev": lambda rng, n, p: list(gen_bitreversal(n)),
+    "sp-st": lambda rng, n, p: [rand_sp_st(rng, n)],
+}
+GENERATOR_KINDS = tuple(GENERATORS)
 
 
-@dataclass
-class InstanceSpec:
-    kind: str
-    n: int
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-
-def generate(spec):
-    """One or two graphs described by an InstanceSpec; bitrev yields a pair."""
-    if spec.kind not in GENERATOR_KINDS:
-        raise ValueError(f"unknown generator kind {spec.kind!r}")
-    if spec.n < 1:
+def generate(kind, n, seed=0, p=0.2):
+    """The graphs of one `jr gen` kind, drawn from an rng seeded by
+    (kind, n, seed); bitrev yields a pair."""
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if n < 1:
         raise ValueError("n must be positive")
-    rng = random.Random((spec.kind, spec.n, spec.seed).__repr__())
-    if spec.kind == "path":
-        return [rand_path(rng, spec.n)]
-    if spec.kind == "utree-random":
-        return [rand_utree(rng, spec.n)]
-    if spec.kind == "out-tree":
-        return [rand_tree(rng, spec.n, "out-tree")]
-    if spec.kind == "in-tree":
-        return [rand_tree(rng, spec.n, "in-tree")]
-    if spec.kind == "dag-gnp":
-        p = spec.params.get("p", 0.2)
-        return [rand_dag(rng, spec.n, p)]
-    if spec.kind == "bitrev":
-        return list(gen_bitreversal(spec.n))
-    return [rand_sp_st(rng, spec.n)]
+    return GENERATORS[kind](random.Random((kind, n, seed).__repr__()), n, p)
 
 
 def gen_bitreversal(n):

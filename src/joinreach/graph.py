@@ -176,8 +176,7 @@ class Digraph:
             raise GraphClassError(f"{self.kind}: {msg}")
 
     def _underlying_connected(self):
-        if self.n == 0:
-            return True
+        # each caller first requires m == n - 1, so n >= 1 here
         seen = [False] * self.n
         seen[0] = True
         stack = [0]

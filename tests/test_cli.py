@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -11,8 +12,8 @@ from joinreach import classes, cli, cover, explicit, jrindex
 from joinreach import graph as graph_mod
 from joinreach.classes import index
 from joinreach.cli import main
-from joinreach.gen import InstanceSpec, generate, rand_dag, rand_path, rand_sp_st, rand_upath
-from joinreach.graph import Digraph, read_graph, transitive_closure, write_graph
+from joinreach.gen import GENERATOR_KINDS, generate, rand_dag, rand_path, rand_sp_st, rand_upath
+from joinreach.graph import Digraph, format_graph, read_graph, transitive_closure, write_graph
 from joinreach.explicit import read_join
 
 
@@ -26,10 +27,10 @@ def test_generators_are_deterministic():
         ("bitrev", 16),
         ("sp-st", 20),
     ]:
-        a = generate(InstanceSpec(kind, n, seed=3))
-        b = generate(InstanceSpec(kind, n, seed=3))
+        a = generate(kind, n, seed=3)
+        b = generate(kind, n, seed=3)
         assert [g.arcs for g in a] == [g.arcs for g in b]
-        c = generate(InstanceSpec(kind, n, seed=4))
+        c = generate(kind, n, seed=4)
         if kind != "bitrev":  # bitrev ignores the seed
             assert [g.arcs for g in a] != [g.arcs for g in c] or n <= 2
 
@@ -39,8 +40,38 @@ def test_generator_class_invariants():
     for seed in range(5):
         for kind in ("path", "utree-random", "out-tree", "in-tree", "sp-st"):
             n = rng.randrange(2, 40)
-            (g,) = generate(InstanceSpec(kind, n, seed=seed))
+            (g,) = generate(kind, n, seed=seed)
             assert g.n == n  # kind validation ran in the constructor
+
+
+# SHA-256 over `format_graph` of every graph a kind makes at PIN_POINTS
+# (n, seed), recorded before the kinds moved into `gen.GENERATORS`: a
+# change to any generator's draws, or to the order it takes them from its
+# rng, changes its digest. bitrev takes powers of two only.
+PIN_POINTS = ((2, 0), (16, 3), (256, 0), (257, 1))
+PINNED_DIGESTS = {
+    ("path", 0.2): "7238c62c1471e17a1eb496ceecf3c950e0eec5a92ad9f1477253e7dceb9d477d",
+    ("utree-random", 0.2): "282b2dcdbc7a930b530d7e2458a6c49dd1b046dfdaa64ec510ace20dadc45538",
+    ("out-tree", 0.2): "ddb6b3589d38dae16f6297d051eab5b9daf1048afc106a460beb6ad6c030cf18",
+    ("in-tree", 0.2): "d0685a36de1379f368c263e0374d1a9655e49b629ef45de6c6d3ac8aa2f868b1",
+    ("dag-gnp", 0.2): "a7a6e699e6613e91af45b6c049ed8adfdd066470549bc6fb8bdd093df7d69422",
+    ("dag-gnp", 0.05): "5902ad0a1588ebbe8c16b595241d5331e96f2ae2d443fbe82a60dd52e9ef48b9",
+    ("dag-gnp", 0.9): "dca614da59af24fa45a290c8e7eabcd20669234092d456e7bb39c171d3a101f4",
+    ("bitrev", 0.2): "08f6eef61e1677e8d878bfa97edc86fc6af185d665a5ed89928b16ded9f68d4c",
+    ("sp-st", 0.2): "bc5e445942e9f16db54cc5f06110a6285ab82fc2c4472569c320310977aed14e",
+}
+
+
+def test_generators_draw_as_pinned():
+    assert {kind for kind, _ in PINNED_DIGESTS} == set(GENERATOR_KINDS)
+    for (kind, p), want in PINNED_DIGESTS.items():
+        h = hashlib.sha256()
+        for n, seed in PIN_POINTS:
+            if kind == "bitrev" and n & (n - 1):
+                continue
+            for g in generate(kind, n, seed, p):
+                h.update(format_graph(g).encode())
+        assert h.hexdigest() == want, (kind, p)
 
 
 def test_cli_gen_build_verify_roundtrip(tmp_path):
@@ -364,6 +395,35 @@ def test_cli_bench_exits_1_when_a_row_fails(monkeypatch, capsys):
 def test_cli_gen_output_count_mismatch(tmp_path):
     a = tmp_path / "a.g"
     assert main(["gen", "--kind", "bitrev", "--n", "8", "-o", str(a)]) == 2
+
+
+def test_cli_gen_dag_gnp_reads_p(tmp_path):
+    a, b = tmp_path / "a.g", tmp_path / "b.g"
+    assert main(["gen", "--kind", "dag-gnp", "--n", "40", "--seed", "5", "--p", "0.5", "-o", str(a)]) == 0
+    assert main(["gen", "--kind", "dag-gnp", "--n", "40", "--seed", "5", "-o", str(b)]) == 0
+    (want,) = generate("dag-gnp", 40, 5, 0.5)
+    assert a.read_text() == format_graph(want)
+    assert b.read_text() == format_graph(*generate("dag-gnp", 40, 5))
+    assert a.read_text() != b.read_text()
+
+
+def test_cli_build_without_output_writes_the_join_to_stdout(tmp_path, capsys):
+    a, b = tmp_path / "a.g", tmp_path / "b.g"
+    assert main(["gen", "--kind", "bitrev", "--n", "16", "-o", str(a), str(b)]) == 0
+    assert main(["build", str(a), str(b)]) == 0
+    captured = capsys.readouterr()
+    jg = explicit.parse_join(captured.out)
+    assert explicit.verify_join_graph(jg, read_graph(str(a)), read_graph(str(b))).ok
+    assert captured.err == (
+        f"built two-paths: n=16 steiner={jg.steiner_count} arcs={jg.graph.m} size={jg.size}\n"
+    )
+
+
+def test_cli_usage_error_exit_code(capsys):
+    assert main(["gen", "--kind", "no-such-kind", "--n", "4", "-o", "x.g"]) == 2
+    assert main(["bench", "--suite", "no-such-suite"]) == 2
+    assert main([]) == 2
+    assert "usage: jr" in capsys.readouterr().err
 
 
 PIPELINE_PAIRS = [

@@ -512,3 +512,10 @@ def test_range2d_random_matches_scan():
         want = range_scan(pts, x1[0], x1[1], x2[0], x2[1])
         assert sorted(got) == want
         assert probes <= range_probe_bound(len(pts), len(want))
+
+
+def test_ct_min_x2_of_an_empty_range_is_none():
+    assert CartesianTree([]).min_x2_in_range(0, 0) is None
+    ct = CartesianTree([(0, 5, "a"), (1, 3, "b")])
+    assert ct.min_x2_in_range(1, 0) is None
+    assert ct.min_x2_in_range(0, 1) == 3

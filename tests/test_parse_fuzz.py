@@ -5,7 +5,7 @@ import random
 
 from joinreach import explicit
 from joinreach.explicit import format_join, parse_join
-from joinreach.gen import InstanceSpec, generate, rand_dag, rand_path, rand_tree, rand_utree
+from joinreach.gen import generate, rand_dag, rand_path, rand_tree, rand_utree
 from joinreach.graph import format_graph, parse_graph
 
 PARSERS = (parse_graph, parse_join)
@@ -28,7 +28,7 @@ def _valid_texts():
     the five builders."""
     texts = []
     for kind in ("path", "utree-random", "out-tree", "in-tree", "dag-gnp", "bitrev", "sp-st"):
-        for g in generate(InstanceSpec(kind, 16, seed=1)):
+        for g in generate(kind, 16, seed=1):
             texts.append((format_graph(g), parse_graph))
     rng = random.Random(7)
     n = 10
