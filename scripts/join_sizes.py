@@ -27,8 +27,8 @@ Every output is checked with `verify_join_graph` as it is built.
 Each pair's smallest join without relay vertices
 (`minimal_restricted_join`) is built too, and its closure checked to be
 the AND of the inputs' closures; its size is totalled per builder beside
-the emitted size ("restricted"), but kept out of the rows and the
-comparison.
+the emitted size ("restricted"), as is the emitted joins' Steiner vertex
+count ("steiner"), but both are kept out of the rows and the comparison.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ def _index_digests(g1, g2):
 
 
 def _row(name, build, g1, g2):
-    """One corpus row, the pair's join built by `build` and verified, and
-    the size of its minimal restricted join, checked against the oracle."""
+    """One corpus row, the pair's join built by `build` and verified, its
+    Steiner vertex count, and the size of its minimal restricted join,
+    checked against the oracle."""
     jg = build(g1, g2)
     if not explicit.verify_join_graph(jg, g1, g2).ok:
         raise SystemExit(f"{name} at n={g1.n}: output fails verification")
@@ -117,13 +118,13 @@ def _row(name, build, g1, g2):
     red = minimal_restricted_join(g1, g2)
     if transitive_closure(red) != and_closure(transitive_closure(g1), transitive_closure(g2)):
         raise SystemExit(f"{name} at n={g1.n}: minimal join's closure is not the AND")
-    return (name, g1.n, jg.size, digest, *_index_digests(g1, g2)), red.size
+    return (name, g1.n, jg.size, digest, *_index_digests(g1, g2)), jg.steiner_count, red.size
 
 
 def corpus_sizes():
     """([(builder, n, size, join sha256, answers sha256, probes sha256,
-    probe total, answer sets sha256)], [minimal restricted join size])
-    for 480 seeded pairs: 60 per
+    probe total, answer sets sha256)], [Steiner vertex count], [minimal
+    restricted join size]) for 480 seeded pairs: 60 per
     builder, n < 80, then 60 planar st-graphs with a dipath, 60 cyclic
     digraphs with a DAG, dipath, out-tree or cyclic digraph, and 60 DAGs
     with an in-tree, 2 <= n < 80, built and indexed by their class
@@ -144,7 +145,8 @@ def corpus_sizes():
         n = rng.randrange(2, 80)
         g1 = rand_dag(rng, n, 4.0 / n)
         out.append(_row("dag-in-tree", classes.build, g1, rand_tree(rng, n, "in-tree")))
-    return [row for row, _ in out], [size for _, size in out]
+    rows, steiner, restricted = zip(*out)
+    return list(rows), steiner, restricted
 
 
 def main(argv=None):
@@ -152,12 +154,14 @@ def main(argv=None):
     ap.add_argument("-o", "--output", help="write the per-pair sizes as JSON")
     ap.add_argument("--against", help="JSON sizes to compare with")
     args = ap.parse_args(argv)
-    sizes, restricted = corpus_sizes()
+    sizes, steiner, restricted = corpus_sizes()
     for name in dict.fromkeys(s[0] for s in sizes):
         emitted = sum(s[2] for s in sizes if s[0] == name)
+        relays = sum(k for s, k in zip(sizes, steiner) if s[0] == name)
         least = sum(r for s, r in zip(sizes, restricted) if s[0] == name)
-        print(f"{name}\t{emitted}\trestricted\t{least}")
-    print(f"total\t{sum(s[2] for s in sizes)}\trestricted\t{sum(restricted)}")
+        print(f"{name}\t{emitted}\tsteiner\t{relays}\trestricted\t{least}")
+    print(f"total\t{sum(s[2] for s in sizes)}\tsteiner\t{sum(steiner)}"
+          f"\trestricted\t{sum(restricted)}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             json.dump(sizes, f)

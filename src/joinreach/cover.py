@@ -210,6 +210,7 @@ def paths_against_tree(cover, rows, tree):
                 continue
             for i, f in row.items():
                 lo, hi = ct.col_span(i * stride + x_lo, i * stride + x_hi)
-                if lo <= hi and ct.min_x2_in_range(lo, hi) <= f:
+                low = ct.min_x2_in_range(lo, hi)  # None: no point in the range
+                if low is not None and low <= f:
                     lists[b].append(((i, 0), ct, "report_range", (lo, hi, f)))
     return lists

@@ -11,8 +11,10 @@ nested ranges of walk positions and halves the last of a tuple of rank
 arrays: a source reaches each sink of its range lying below it in every
 array. With one array, the upper half's sources meet the lower half's
 sinks in one relay walk: a source gets a relay only when its range holds
-such a sink, the outermost one is its own relay, and only a nested one
-gets a Steiner vertex. With more, the halves meet by the kernel on the
+such a sink, the outermost one is its own relay, and a nested one gets
+a Steiner vertex only when that beats direct arcs: entered from its
+vertex and the enclosing relay, it must reach three targets or more
+(i * o > i + o). With more, the halves meet by the kernel on the
 arrays before the last, after dropping the members that can never be
 wired (`_live`): no output changes, but nothing to wire stops at once.
 
@@ -191,23 +193,41 @@ def _live(srcs, snks, end, h):
     """The sources whose nested range holds a sink below them in h, and the
     sinks such a source encloses, ascending: one stack walk, the ranges
     being laminar."""
-    is_src, is_snk = set(srcs), set(snks)
-    live, k_live = set(), []
-    stack = []  # enclosing sources: [end, source, max h on the stack, min sink h]
-    for p in sorted(is_src | is_snk) + [len(end)]:  # the last pops every range
-        while stack and stack[-1][0] < p:
-            _, s, _, low = stack.pop()
-            if low < h[s]:
-                live.add(s)
-            if stack:
-                stack[-1][3] = min(stack[-1][3], low)
-        if p in is_src:
-            stack.append([end[p], p, max(h[p], stack[-1][2]) if stack else h[p], len(h)])
-        if p in is_snk and stack:
-            if stack[-1][2] > h[p]:
+    stop = len(end)
+    # Event 2p is p as a sink and 2p + 1 p as a source, so a member that is
+    # both meets the sources enclosing it before its own range opens.
+    walk = sorted([p << 1 for p in snks] + [p << 1 | 1 for p in srcs])
+    walk.append(stop << 1)  # the sentinel closes every range
+    live, k_live = [], []
+    # per enclosing source: range end, max h over it and those enclosing
+    # it, position, min h of the sinks in its range so far
+    ends, tops, ps, lows = [], [], [], []
+    for e in walk:
+        p = e >> 1
+        while ends and ends[-1] < p:
+            ends.pop()
+            tops.pop()
+            q = ps.pop()
+            low = lows.pop()
+            if low < h[q]:
+                live.append(q)
+            if lows and low < lows[-1]:
+                lows[-1] = low
+        if p == stop:
+            break
+        hp = h[p]
+        if e & 1:
+            ends.append(end[p])
+            tops.append(tops[-1] if tops and tops[-1] > hp else hp)
+            ps.append(p)
+            lows.append(stop)
+        elif ends:
+            if tops[-1] > hp:
                 k_live.append(p)
-            stack[-1][3] = min(stack[-1][3], h[p])
-    return [p for p in srcs if p in live], k_live
+            if hp < lows[-1]:
+                lows[-1] = hp
+    live.sort()
+    return live, k_live
 
 
 def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
@@ -217,10 +237,14 @@ def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
     srcs and snks are ascending walk positions, or one list when every
     member is both; position p's nested range is p..end[p], and vert[p]
     is its vertex. With one array h, a source in the upper half of
-    [lo, hi) whose range holds a lower-half sink gets a relay: itself when
-    no such source encloses it, else one Steiner vertex entered from its
-    vertex and from the relay of its nearest enclosing such source. Each
-    lower-half sink hangs off the relay of its nearest one. With more, the
+    [lo, hi) whose range holds a lower-half sink gets a relay, and each
+    lower-half sink hangs off the relay of its nearest such source. A
+    relay's targets are held until its range closes, inner ranges first.
+    A source that no other relayed source encloses is its own relay and
+    gets an arc to each target. A nested one would be a Steiner vertex
+    entered from its vertex and from the enclosing relay: kept when it
+    has three targets or more, else its vertex gets an arc to each target
+    and the targets pass to the enclosing relay. With more, the
     upper half's sources meet the lower half's sinks by a call on hs[:-1]
     over the whole rank range [0, len(end)); members that can never be
     wired, in the halved array for the level and in the next for the
@@ -251,28 +275,38 @@ def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
     elif s_hi and k_lo:
         label = f"{tag};d{depth};h={lo}..{hi}"
         arcs = b.arcs
+        stop = len(end)  # the walk's sentinel: it closes every open range
         ends = []  # range ends of the enclosing relayed sources
-        relays = []  # and their relays
+        us = []  # and their vertices
+        outs = []  # and the targets their relays reach so far
         nxt, n_lo = 0, len(k_lo)  # k_lo[nxt]: the first sink after p
-        for p in srcs if srcs is snks else sorted(s_hi + k_lo):
+        for p in (srcs if srcs is snks else sorted(s_hi + k_lo)) + [stop]:
             while ends and ends[-1] < p:
                 ends.pop()
-                relays.pop()
+                u = us.pop()
+                ts = outs.pop()
+                if outs:  # nested: a relay costs 1 + 2 + o, direct arcs 2o
+                    if len(ts) > 2:
+                        sv = b.steiner(label)
+                        arcs.append((u, sv))
+                        outs[-1].append(sv)
+                        u = sv
+                    else:
+                        outs[-1] += ts
+                for t in ts:
+                    arcs.append((u, t))
+            if p == stop:
+                break
             if h[p] < mid:
                 nxt += 1
-                if relays:
-                    arcs.append((relays[-1], vert[p]))
+                if outs:
+                    outs[-1].append(vert[p])
                 continue
             if nxt == n_lo or k_lo[nxt] > end[p]:
                 continue  # no sink in its range: no relay
-            if relays:
-                sv = b.steiner(label)
-                arcs.append((vert[p], sv))
-                arcs.append((relays[-1], sv))
-            else:
-                sv = vert[p]
             ends.append(end[p])
-            relays.append(sv)
+            us.append(vert[p])
+            outs.append([])
     if s_hi and k_hi and hi - mid > 1:
         _nest_connect(b, s_hi, k_hi, end, hs, mid, hi, vert, tag, depth + 1)
     if s_lo and k_lo and mid - lo > 1:

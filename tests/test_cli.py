@@ -235,8 +235,11 @@ def test_cli_stats_steiner_rows_per_depth(tmp_path, capsys, cls, kind1, kind2):
     assert main(["stats", str(out)]) == 0
     rows = dict(ln.split("\t") for ln in capsys.readouterr().out.strip().splitlines())
     per_depth = {k: int(v) for k, v in rows.items() if k.startswith("steiner_d")}
-    assert per_depth and all(per_depth.values()), rows
-    assert sum(per_depth.values()) == int(rows["steiner"])
+    assert sum(per_depth.values()) == int(rows["steiner"]), rows  # at 0 too
+    # this out-tree + in-tree join has no Steiner vertex: no nested relay
+    # in it reaches the three targets that make one pay
+    if cls != "two-trees":
+        assert per_depth and all(per_depth.values()), rows
     want = {}
     for tag in read_join(str(out)).steiner_tags:
         key = "steiner_" + tag.split(";")[-2]

@@ -94,7 +94,8 @@ def test_two_paths_steiner_tags_stay_in_their_slab():
         ("two-paths", build_two_paths(rand_path(rng, n), rand_path(rng, n))),
         ("tree-path", build_tree_path(out_tree, rand_path(rng, n))),
         ("tree-path", build_tree_path(in_tree, rand_path(rng, n))),
-        ("two-trees", build_two_trees(out_tree, in_tree)),
+        # a random out/in pair keeps no relay; an out-tree with itself does
+        ("two-trees", build_two_trees(out_tree, out_tree)),
         ("tree-path", build_tree_path(random_utree(rng, n), rand_path(rng, n))),
         ("pathcover", build_pathcover(rand_dag(rng, n, 0.1), rand_path(rng, n))),
     ]
@@ -390,6 +391,88 @@ def _laminar_ends(rng, m):
             end[q] = p
         stack.append(p)
     return end
+
+
+def _live_by_sets(srcs, snks, end, h):
+    """The stack walk `_live` replaced: list stack entries, set membership
+    per position and a final filter; kept as its oracle."""
+    is_src, is_snk = set(srcs), set(snks)
+    live, k_live = set(), []
+    stack = []  # enclosing sources: [end, source, max h on the stack, min sink h]
+    for p in sorted(is_src | is_snk) + [len(end)]:
+        while stack and stack[-1][0] < p:
+            _, s, _, low = stack.pop()
+            if low < h[s]:
+                live.add(s)
+            if stack:
+                stack[-1][3] = min(stack[-1][3], low)
+        if p in is_src:
+            stack.append([end[p], p, max(h[p], stack[-1][2]) if stack else h[p], len(h)])
+        if p in is_snk and stack:
+            if stack[-1][2] > h[p]:
+                k_live.append(p)
+            stack[-1][3] = min(stack[-1][3], h[p])
+    return [p for p in srcs if p in live], k_live
+
+
+def test_live_matches_the_set_walk():
+    from joinreach.explicit import _live
+
+    rng = random.Random(67)
+    for trial in range(3000):
+        m = rng.randrange(1, 48)
+        end = _laminar_ends(rng, m)
+        # distinct ranks, as the two-coordinate wiring passes, or ties
+        h = rng.sample(range(m), m) if trial % 2 else [rng.randrange(m) for _ in range(m)]
+        srcs = [p for p in range(m) if rng.random() < 0.7]
+        snks = srcs if trial % 3 == 0 else [p for p in range(m) if rng.random() < 0.7]
+        assert _live(srcs, snks, end, h) == _live_by_sets(srcs, snks, end, h), trial
+
+
+def assert_relays_pay(jg):
+    """A relay with i in-arcs and o out-arcs stands for i * o direct arcs
+    at the cost of i + o arcs and itself, so every kept one has
+    i * o > i + o."""
+    g, n = jg.graph, jg.n_original
+    for v in range(n, g.n):
+        i, o = len(g.inn[v]), len(g.out[v])
+        assert i * o > i + o, (i, o, jg.steiner_tags[v - n])
+
+
+def test_no_relay_costs_more_than_its_direct_arcs():
+    rng = random.Random(71)
+    steiner = {}
+    for n in (2, 5, 16, 37, 64, 128):
+        order = rng.sample(range(n), n)
+        chain = Digraph(n, list(zip(order, order[1:])), kind="out-tree")
+        star = Digraph(n, [(order[0], v) for v in order[1:]], kind="out-tree")
+        cases = [
+            (build_two_paths, rand_path(rng, n), rand_path(rng, n)),
+            (build_two_paths, rand_upath(rng, n), rand_path(rng, n)),
+            (build_tree_path, rand_tree(rng, n, "out-tree"), rand_path(rng, n)),
+            (build_tree_path, rand_tree(rng, n, "in-tree"), rand_path(rng, n)),
+            (build_two_trees, chain, star),
+            (build_two_trees, star, chain),
+            (build_unoriented_trees, zigzag_path(n), rand_upath(rng, n)),
+            (build_unoriented_trees, random_utree(rng, n), zigzag_path(n)),
+            (build_unoriented_trees, random_utree(rng, n), rand_path(rng, n)),
+            (build_pathcover, rand_dag(rng, n, 0.2), rand_path(rng, n)),
+            (build_pathcover, rand_dag(rng, n, 0.2), rand_dag(rng, n, 0.2)),
+            (build_pathcover, rand_dag(rng, n, 0.2), rand_tree(rng, n, "out-tree")),
+        ]
+        cases += [(build_two_trees, rand_tree(rng, n, k1), rand_tree(rng, n, k2))
+                  for k1, k2 in product(("out-tree", "in-tree"), repeat=2)]
+        t = rand_tree(rng, n, "out-tree")
+        cases.append((build_two_trees, t, t))  # random pairs keep few relays; this keeps some
+        if not n & (n - 1):
+            cases.append((build_two_paths, *gen_bitreversal(n)))
+        for build, g1, g2 in cases:
+            jg = build(g1, g2)
+            assert verify_join_graph(jg, g1, g2).ok, (build.__name__, n)
+            assert_relays_pay(jg)
+            steiner[build.__name__] = steiner.get(build.__name__, 0) + jg.steiner_count
+    # the check runs on kept relays of every builder
+    assert all(steiner.values()) and len(steiner) == 5, steiner
 
 
 def test_nest_connect_matches_brute_force_in_one_to_three_coordinates(monkeypatch):
