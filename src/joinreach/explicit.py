@@ -14,9 +14,10 @@ sinks in one relay walk: a source gets a relay only when its range holds
 such a sink, the outermost one is its own relay, and a nested one gets
 a Steiner vertex only when that beats direct arcs: entered from its
 vertex and the enclosing relay, it must reach three targets or more
-(i * o > i + o). With more, the halves meet by the kernel on the
-arrays before the last, after dropping the members that can never be
-wired (`_live`): no output changes, but nothing to wire stops at once.
+(i * o > i + o); a call too small to keep one wires its arcs directly.
+With more arrays, the halves meet by the kernel on the arrays before the
+last, after dropping the members that can never be wired (`_live`): no
+output changes, but nothing to wire stops at once.
 
 Paths and trees: each pair of tree blocks (`graph.tree_blocks`; a path
 gives one chain block per maximal run, a dipath exactly one) is walked
@@ -37,7 +38,8 @@ whose meeting made the relay. So tags read
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .cover import from_ranks, min_path_cover, shared_vertices
@@ -71,18 +73,23 @@ class JoinGraph:
 
 
 class _Builder:
+    """The join being built: the heads of each vertex's out-arcs, one list
+    per vertex (`out`), and the Steiner tags. `_nest_connect` wires into
+    `rows`, which is `out` but while an in-core first block is wired
+    into a scratch map (`_pair_connect`)."""
+
     def __init__(self, n_original):
         self.n_original = n_original
-        self.arcs = []
+        self.out = self.rows = [[] for _ in range(n_original)]
         self.tags = []
 
     def steiner(self, tag):
-        v = self.n_original + len(self.tags)
         self.tags.append(tag)
-        return v
+        self.out.append([])
+        return len(self.out) - 1
 
     def finish(self):
-        g = Digraph(self.n_original + len(self.tags), self.arcs)
+        g = Digraph.from_rows(len(self.out), self.out, "digraph")
         return JoinGraph(g, self.n_original, self.tags)
 
 
@@ -131,7 +138,8 @@ def _tree_blocks_join(g1, g2, label):
 
 
 def _pair_connect(b, blk1, blk2, members, tag):
-    # An in-core first block is wired on the reversed pair, arcs flipped.
+    # An in-core first block is wired on the reversed pair, into a scratch
+    # map that is then transposed into the out rows.
     rev = blk1.orient == "in"
     eff_o2 = ({"out": "in", "in": "out"}[blk2.orient]) if rev else blk2.orient
     fringe1, fringe2, iv1 = blk1.fringe, blk2.fringe, blk1.su_iv
@@ -157,12 +165,17 @@ def _pair_connect(b, blk1, blk2, members, tag):
         snks = srcs  # one list: every member is a source and a sink
 
     h2, h3 = _interval_orders(vert, blk2.su_iv, fringe2, eff_o2)
-    first = len(b.arcs)
+    if rev:
+        b.rows = defaultdict(list)
     # Members forming a chain in the second block relate by h2 alone.
     hs = (h2,) if h2 == h3 else (h2, h3)
     _nest_connect(b, srcs, snks, end, hs, 0, len(vert), vert, tag)
-    if rev:
-        b.arcs[first:] = [(v, u) for u, v in b.arcs[first:]]
+    if rev:  # transpose the scratch map into the out rows
+        out = b.out
+        for u, heads in b.rows.items():
+            for v in heads:
+                out[v].append(u)
+        b.rows = out
 
 
 def _interval_orders(vert, iv2, fringe2, o2):
@@ -236,7 +249,8 @@ def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
 
     srcs and snks are ascending walk positions, or one list when every
     member is both; position p's nested range is p..end[p], and vert[p]
-    is its vertex. With one array h, a source in the upper half of
+    is its vertex. Each arc is a head appended to its tail's list in
+    `b.rows`. With one array h, a source in the upper half of
     [lo, hi) whose range holds a lower-half sink gets a relay, and each
     lower-half sink hangs off the relay of its nearest such source. A
     relay's targets are held until its range closes, inner ranges first.
@@ -251,8 +265,28 @@ def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
     meeting, are dropped first. The recursion then halves [lo, hi),
     entering only halves that hold a source and a sink and span more than
     one rank: within one rank no source lies above a sink.
+
+    A kept relay needs two sources, itself and the one enclosing it, and
+    three sinks below them, so five members. Every call beneath this one
+    takes a subset of its sources and sinks, so a call with fewer than
+    two sources, three sinks or five members keeps no relay anywhere
+    beneath it, and the recursion would give each source an arc to
+    exactly the sinks of its range that lie below it in every array.
+    Such a call wires those arcs directly and returns: no Steiner
+    vertex, tag or id changes.
     """
     if not srcs or not snks:
+        return
+    if (len(srcs) < 2 or len(snks) < 3
+            or max(len(srcs), len(snks)) < 5 and len(set(srcs).union(snks)) < 5):
+        rows = b.rows
+        for p in srcs:
+            qs = snks[bisect_right(snks, p):bisect_right(snks, end[p])]
+            for h in hs:
+                hp = h[p]
+                qs = [q for q in qs if h[q] < hp]
+            if qs:
+                rows[vert[p]] += [vert[q] for q in qs]
         return
     h = hs[-1]
     if len(hs) > 1:
@@ -274,7 +308,7 @@ def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
                           f"{tag};p{depth}")
     elif s_hi and k_lo:
         label = f"{tag};d{depth};h={lo}..{hi}"
-        arcs = b.arcs
+        rows = b.rows
         stop = len(end)  # the walk's sentinel: it closes every open range
         ends = []  # range ends of the enclosing relayed sources
         us = []  # and their vertices
@@ -288,13 +322,12 @@ def _nest_connect(b, srcs, snks, end, hs, lo, hi, vert, tag, depth=0):
                 if outs:  # nested: a relay costs 1 + 2 + o, direct arcs 2o
                     if len(ts) > 2:
                         sv = b.steiner(label)
-                        arcs.append((u, sv))
+                        rows[u].append(sv)
                         outs[-1].append(sv)
                         u = sv
                     else:
                         outs[-1] += ts
-                for t in ts:
-                    arcs.append((u, t))
+                rows[u] += ts
             if p == stop:
                 break
             if h[p] < mid:

@@ -10,7 +10,7 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import add
 
 
@@ -25,39 +25,72 @@ class CyclicGraphError(ValueError):
     """Operation requires an acyclic digraph."""
 
 
+def _sorted_rows(rows):
+    """Each row as the sorted tuple of its distinct entries."""
+    return tuple([tuple(sorted(set(row))) if len(row) > 1 else tuple(row) for row in rows])
+
+
 class Digraph:
     """Simple digraph over vertices 0..n-1.
 
     Arcs are normalized on construction, row by row, in time linear in n
-    plus the arcs but for the sort of each row: one pass over the arcs,
-    any iterable of pairs (a one-shot generator too), puts each in its
-    tail's row, drops self-loops and raises on the first out-of-range arc
-    in input order; each row is then sorted and deduplicated. The graph
-    keeps only these out rows and its arc count. `arcs` is read off the
-    out rows on each access; the in rows `inn` are built from them on
-    first read and then kept. In-trees, unoriented paths, utrees and
-    planar-st graphs read them to validate their kind, so build them at
-    once; out-trees and dipaths are validated by one heads check and one
-    walk of the out rows (`_walk`), and build them only when a caller
-    reads `inn`. An in row holds the int object its vertex has as a head,
-    so a graph whose heads share one int per vertex, as a built and a
-    parsed one do (`_graph_section`), holds one int per vertex. Instances
-    are treated as immutable after construction.
+    plus the arcs but for the sort of each row. `Digraph(n, arcs)` makes
+    one pass over the arcs, any iterable of pairs (a one-shot generator
+    too): it raises on the first out-of-range arc in input order, drops
+    self-loops and puts each other arc in its tail's row.
+    `Digraph.from_rows(n, rows, kind)` takes one row per vertex instead
+    and checks each once it is sorted: its ends must lie in range and its
+    tail must not be in it. A row that fails sends all the rows, in row
+    order, through the pass over arcs. Both share one normaliser
+    (`_sorted_rows`, `_keep`), which sorts and deduplicates each row and
+    validates the kind. The graph keeps only these out rows and its arc
+    count. `arcs` is read off the out rows on each access; the in rows
+    `inn` are built from them on first read and then kept. In-trees,
+    unoriented paths, utrees and planar-st graphs read them to validate
+    their kind, so build them at once; out-trees and dipaths are
+    validated by one heads check and one walk of the out rows (`_walk`),
+    and build them only when a caller reads `inn`. An in row holds the
+    int object its vertex has as a head, so a graph whose heads share one
+    int per vertex, as a built and a parsed one do (`_graph_section`),
+    holds one int per vertex. Instances are treated as immutable after
+    construction.
     """
 
     __slots__ = ("n", "m", "kind", "out", "out_order", "_inn", "_root")
 
     def __init__(self, n, arcs, kind="digraph", out_order=None):
-        if kind not in KINDS:
-            raise GraphClassError(f"unknown graph kind {kind!r}")
-        self.n = n
         out = [[] for _ in range(n)]
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range for n={n}")
             if u != v:
                 out[u].append(v)
-        self.out = tuple(tuple(sorted(set(row))) if len(row) > 1 else tuple(row) for row in out)
+        self._keep(n, _sorted_rows(out), kind, out_order)
+
+    @classmethod
+    def from_rows(cls, n, rows, kind):
+        """The graph whose row u lists the heads of u's out-arcs, in any
+        order and with repeats: n rows of ints. Unless a row has a loop
+        or a head out of range, they are sorted and kept; else its arcs
+        are read row by row as `Digraph(n, arcs)` reads arcs, which drops
+        the loops and names the first bad arc in row order."""
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} rows for n={n}")
+        out = _sorted_rows(rows)
+        for u in compress(range(n), out):  # the rows with arcs
+            row = out[u]
+            if row[0] < 0 or row[-1] >= n or u in row:
+                return cls(n, ((t, v) for t, heads in enumerate(rows) for v in heads), kind)
+        g = cls.__new__(cls)
+        g._keep(n, out, kind, None)
+        return g
+
+    def _keep(self, n, out, kind, out_order):
+        """Keep the sorted rows `out` and validate the kind."""
+        if kind not in KINDS:
+            raise GraphClassError(f"unknown graph kind {kind!r}")
+        self.n = n
+        self.out = out
         self.m = sum(map(len, self.out))
         self.kind = kind
         self._inn = self._root = None
@@ -697,11 +730,15 @@ def parse_graph(text):
     out_order = None
     if kind == "planar-st":
         out_order = [[] for _ in range(n)]
+        listed = set()
         for ln in rest:
             vpart, _, ws = ln.partition(":")
             v = int(vpart)
             if not 0 <= v < n:
                 raise ValueError(f"out-order line of vertex {v} out of range for n={n}")
+            if v in listed:
+                raise ValueError(f"out-order of vertex {v} listed twice")
+            listed.add(v)
             out_order[v] = [int(w) for w in ws.split()]
     return Digraph(n, arcs, kind=kind, out_order=out_order)
 

@@ -141,6 +141,7 @@ MALFORMED_FILES = {
     "graph-m-too-high": (".g", "3 5 digraph\n0 1\n"),
     "graph-m-too-low": (".g", "3 1 digraph\n0 1\n1 2\n"),
     "graph-out-order-vertex": (".g", "3 2 planar-st\n0 1\n1 2\n0: 1\n1: 2\n7: 0\n"),
+    "graph-out-order-twice": (".g", "3 2 planar-st\n0 1\n1 2\n0: 2\n0: 1\n1: 2\n"),
     "graph-arc-one-token": (".g", "3 1 digraph\n0\n"),
     "graph-arc-three-tokens": (".g", "3 1 digraph\n0 1 2\n"),
     "graph-arc-not-integer": (".g", "3 1 digraph\n0 1.5\n"),

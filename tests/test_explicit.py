@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import re
@@ -20,7 +21,8 @@ from joinreach.explicit import (
     JoinGraph,
 )
 from joinreach.cover import min_path_cover
-from joinreach.gen import gen_bitreversal, rand_dag, rand_path, rand_tree, rand_upath
+from joinreach import classes
+from joinreach.gen import gen_bitreversal, rand_dag, rand_path, rand_tree, rand_upath, rand_utree
 from joinreach.graph import (
     Digraph,
     GraphClassError,
@@ -691,6 +693,57 @@ def test_join_format_roundtrip():
     assert jg2.n_original == jg.n_original
     assert jg2.graph.arcs == jg.graph.arcs
     assert jg2.steiner_tags == jg.steiner_tags
+
+
+def _cyclic_digraph(rng, n):
+    """A random digraph with about 1.5 arcs per vertex: cyclic for most n."""
+    return Digraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n // 2)])
+
+
+# Seeded pairs that take every builder and every wiring path: one rank
+# array (a dipath pair, an out-tree with a dipath), two (out/in trees,
+# and an out-tree with itself, which keeps relays), a reversed pair (an
+# in-tree first), in-core layer blocks (a zigzag path, a random
+# unoriented tree), path-cover walks with few sources, and a cyclic pair
+# built on its condensation.
+JOIN_PIN_CASES = {
+    "dipath-dipath": lambda r, n: build_two_paths(rand_path(r, n), rand_path(r, n)),
+    "out-tree-dipath": lambda r, n: build_tree_path(rand_tree(r, n, "out-tree"), rand_path(r, n)),
+    "out-in-trees": lambda r, n: build_two_trees(rand_tree(r, n, "out-tree"),
+                                                  rand_tree(r, n, "in-tree")),
+    "out-tree-twice": lambda r, n: build_two_trees(*[rand_tree(r, n, "out-tree")] * 2),
+    "in-tree-dipath": lambda r, n: build_tree_path(rand_tree(r, n, "in-tree"), rand_path(r, n)),
+    "zigzag-upath": lambda r, n: build_unoriented_trees(zigzag_path(n), rand_upath(r, n)),
+    "utree-dipath": lambda r, n: build_unoriented_trees(rand_utree(r, n), rand_path(r, n)),
+    "dag-dipath": lambda r, n: build_pathcover(rand_dag(r, n, 0.2), rand_path(r, n)),
+    "dag-dag": lambda r, n: build_pathcover(rand_dag(r, n, 0.2), rand_dag(r, n, 0.2)),
+    "cyclic-pair": lambda r, n: classes.build(_cyclic_digraph(r, n), _cyclic_digraph(r, n)),
+}
+JOIN_PIN_SIZES = (1, 2, 5, 16, 45, 200)
+# SHA-256 over `format_join` of each case at JOIN_PIN_SIZES, recorded
+# before the wiring kernel wrote adjacency rows: a change to any arc,
+# Steiner id or tag changes its digest.
+PINNED_JOIN_DIGESTS = {
+    "dipath-dipath": "487e5ee4e4e16ba526883113aab6b2174883a625878379dd030deb456f8379ca",
+    "out-tree-dipath": "ed7dc814351cc94f3f98109343be0c852442d540157f759d83ea2e7e685370e8",
+    "out-in-trees": "07aa366a2b2f92b74796209904c60c0a6d0bdc5fc0f62ab1fa3ed6de5d531459",
+    "out-tree-twice": "9be19bb6e2510b0740fc9fe9fa5eefd69acd281cf5ca346f7954234983168c2c",
+    "in-tree-dipath": "c736b472d511c3d18659b8d11296815940ad0b17018de7a01c5b8a2b07d47f45",
+    "zigzag-upath": "ab42a3238d86521fa02de03adb6d0403b27b251c07e9d34ae10dff7fcb11db28",
+    "utree-dipath": "2c2adb8dd00cba750a4060ce08e679d6bf865b621abd22ba3a76d10799b46d29",
+    "dag-dipath": "ce33b8051e536b27ac53471cfe170b71d22165fa9defdc727e17ef57dd23a23d",
+    "dag-dag": "0a7e8c5fba14f4b121562044af05c7d985cba8c621f070a09f58099eff35c9ba",
+    "cyclic-pair": "8d387ff456e35a59130300c8ff0405b13dd59e2b1abe55f32db9e96767ed5192",
+}
+
+
+def test_joins_build_as_pinned():
+    assert set(PINNED_JOIN_DIGESTS) == set(JOIN_PIN_CASES)
+    for name, make in JOIN_PIN_CASES.items():
+        h = hashlib.sha256()
+        for n in JOIN_PIN_SIZES:
+            h.update(format_join(make(random.Random(f"{name};{n}"), n)).encode())
+        assert h.hexdigest() == PINNED_JOIN_DIGESTS[name], name
 
 
 def test_parsed_arcs_normalize_as_the_constructor_does():

@@ -485,6 +485,59 @@ def test_normalization_matches_brute_force():
         assert (back.n, back.m, back.arcs, back.out, back.inn) == (n, g.m, g.arcs, g.out, g.inn)
 
 
+def test_rows_normalize_as_arcs_do():
+    # Digraph.from_rows takes each vertex's heads as one row, in any order
+    # and with repeats, and must give the graph Digraph(n, arcs) gives.
+    for n, arcs in _normalization_inputs():
+        rows = [[] for _ in range(n)]
+        for u, v in reversed(arcs):
+            rows[u].append(v)
+        want, got = Digraph(n, arcs), Digraph.from_rows(n, rows, "digraph")
+        assert (got.n, got.m, got.kind) == (n, want.m, want.kind)
+        assert (got.out, got.inn) == (want.out, want.inn)
+    g = Digraph.from_rows(4, [[3, 1, 2, 1], [], [0], [2, 0]], "digraph")
+    assert g.out == ((1, 2, 3), (), (0,), (0, 2)) and g.m == 6
+    assert all(type(row) is tuple for row in g.out)
+    g = Digraph.from_rows(3, [[0, 1, 0], [1], [2, 0, 2]], "digraph")  # loops are dropped
+    assert (g.out, g.m) == (((1,), (), (0,)), 2)
+
+
+def test_rows_name_their_first_bad_arc_in_row_order():
+    # (0, 9) comes first in row order, though -2 sorts before 9 in its
+    # row; the loop (0, 0) in the second case does not hide (2, -1).
+    with pytest.raises(ValueError, match=r"arc \(0,9\) out of range for n=4"):
+        Digraph.from_rows(4, [[1, 9, -2], [-1], [], [7]], "digraph")
+    with pytest.raises(ValueError, match=r"arc \(2,-1\) out of range for n=4"):
+        Digraph.from_rows(4, [[0, 1], [1], [3, -1, 5], [9]], "digraph")
+    with pytest.raises(ValueError, match="3 rows for n=4"):
+        Digraph.from_rows(4, [[1], [2], [3]], "digraph")
+
+
+@pytest.mark.parametrize("kind,rows,msg", [
+    ("path", [[1], [], [1]], None),
+    ("path", [[1, 2], [2], []], "a path on n vertices needs n-1 arcs"),
+    ("out-tree", [[1, 2], [], []], None),
+    ("out-tree", [[1], [0], []], "out-tree is not connected"),
+    ("in-tree", [[2], [2], []], None),
+    ("in-tree", [[1, 2], [], []], "in-tree vertex with out-degree > 1"),
+    ("utree", [[1], [], [1]], None),
+    ("utree", [[1], [0, 2], [0]], "a tree on n vertices needs n-1 arcs"),
+    ("planar-st", [[1, 2], [2], []], None),
+    ("planar-st", [[1], [2], [0]], "planar-st graph must be acyclic"),
+    ("digraph", [[1, 2], [0], [0]], None),
+    ("tree", [[1], [], []], "unknown graph kind 'tree'"),
+])
+def test_rows_validate_their_kind(kind, rows, msg):
+    arcs = [(u, v) for u, row in enumerate(rows) for v in row]
+    if msg is None:
+        got = Digraph.from_rows(3, rows, kind)
+        assert (got.kind, got.out) == (kind, Digraph(3, arcs, kind).out)
+    else:
+        for make in (lambda: Digraph.from_rows(3, rows, kind), lambda: Digraph(3, arcs, kind)):
+            with pytest.raises(GraphClassError, match=msg):
+                make()
+
+
 def test_in_rows_read_before_and_after_the_out_rows():
     arcs = [(2, 0), (0, 1), (1, 2), (0, 2)]
     in_first, out_first = Digraph(3, arcs), Digraph(3, arcs)
@@ -691,6 +744,14 @@ def test_out_order_of_the_wrong_length_is_an_input_error():
     for order, k in ((rows[:3], 3), (rows + [[]], 5)):
         with pytest.raises(GraphClassError, match=f"out_order has {k} rows for 4 vertices"):
             Digraph(4, arcs, kind="planar-st", out_order=order)
+
+
+def test_an_out_order_listed_twice_is_an_input_error():
+    # Each vertex has one out-order line at most; a second would replace
+    # the first.
+    text = "3 2 planar-st\n0 1\n1 2\n0: 2\n0: 1\n1: 2\n"
+    with pytest.raises(ValueError, match="out-order of vertex 0 listed twice"):
+        parse_graph(text)
 
 
 def test_tree_blocks_match_brute_force():
