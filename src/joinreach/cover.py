@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import CartesianTree, HSegment, SegRayIndex
+from .geom import CartesianTree, SegRayIndex
 from .graph import CyclicGraphError, dfs_intervals, topo_order
 
 
@@ -179,7 +179,7 @@ def paths_against_tree(cover, rows, tree):
     lists = [[] for _ in range(n)]
     if tree.kind == "out-tree":
         seg = SegRayIndex(
-            HSegment(i * stride + 2 * s[v], i * stride + 2 * t[v], rank, v)
+            (i * stride + 2 * s[v], i * stride + 2 * t[v], rank, v)
             for i, path in enumerate(paths)
             for rank, v in enumerate(path)
         )

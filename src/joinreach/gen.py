@@ -26,11 +26,14 @@ GENERATOR_KINDS = tuple(GENERATORS)
 
 def generate(kind, n, seed=0, p=0.2):
     """The graphs of one `jr gen` kind, drawn from an rng seeded by
-    (kind, n, seed); bitrev yields a pair."""
+    (kind, n, seed); bitrev yields a pair. The arc probability p must lie
+    in [0, 1] whichever kind reads it."""
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator kind {kind!r}")
     if n < 1:
         raise ValueError("n must be positive")
+    if not 0 <= p <= 1:  # also false for nan
+        raise ValueError("p must lie in [0, 1]")
     return GENERATORS[kind](random.Random((kind, n, seed).__repr__()), n, p)
 
 

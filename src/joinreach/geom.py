@@ -2,15 +2,18 @@
 
 Cartesian trees for dominance and grounded (3-sided) range reporting, a
 persistent-treap sweep for horizontal segments with laminar (nested or
-disjoint) x1 spans versus vertical rays, and, both in O(log^2 m + k), an
-interval tree over segment trees for point enclosure in integer
-rectangles and a merge-sort range tree for orthogonal range reporting.
-All structures are immutable after build. The Cartesian tree finds range
-minima in a sparse table over its column keys and descends whole
-subtrees through child links with no lookup. Every report returns
-(payloads, probes) so callers can assert output sensitivity: a probe is
-one node, run or list entry visited, and the enclosure index and the
-range tree charge each binary search its bit length.
+disjoint) x1 spans versus vertical rays, its nodes keyed by one int per
+segment, and, both in O(log^2 m + k), an interval tree over segment
+trees for point enclosure in integer rectangles and a merge-sort range
+tree for orthogonal range reporting. Points, segments and rectangles are
+read as plain tuples; `HSegment` and `Rect` are optional named views of
+the last two. All structures are immutable after build. The Cartesian
+tree finds range minima in a sparse table over its column keys and
+descends whole subtrees through child links with no lookup. Every
+report returns (payloads, probes) so callers can assert output
+sensitivity: a probe is one node, run or list entry visited, and the
+enclosure index and the range tree charge each binary search its bit
+length.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from typing import NamedTuple
 
 
 class HSegment(NamedTuple):
+    """A segment of `SegRayIndex`, named; any 4-sequence in this order serves."""
+
     x1_lo: int
     x1_hi: int
     x2: int
@@ -156,7 +161,8 @@ class CartesianTree:
 # Persistent-treap sweep for segment / vertical-ray intersection
 #
 # A treap node is a plain tuple (key, prio, payload, left, right) with
-# key = (x2, segment position): in-order by key, min-heap on prio.
+# the int key x2 * w + position, w being the segment count plus one:
+# in-order by (x2, position), min-heap on prio.
 
 
 def _persistent_insert(root, key, prio, payload):
@@ -168,21 +174,27 @@ def _persistent_insert(root, key, prio, payload):
     while t is not None and t[1] < prio:
         path.append(t)
         t = t[3] if key < t[0] else t[4]
-    lower, upper = [], []  # the split's nodes below and above key, top down
-    while t is not None:
-        if t[0] < key:
-            lower.append(t)
-            t = t[4]
-        else:
-            upper.append(t)
-            t = t[3]
-    left = right = None
-    for k, p, v, l, _ in reversed(lower):
-        left = (k, p, v, l, left)
-    for k, p, v, _, r in reversed(upper):
-        right = (k, p, v, right, r)
-    node = (key, prio, payload, left, right)
-    for k, p, v, l, r in reversed(path):
+    if t is None:
+        node = (key, prio, payload, None, None)
+    else:
+        lower, upper = [], []  # the split's nodes below and above key, top down
+        while t is not None:
+            if t[0] < key:
+                lower.append(t)
+                t = t[4]
+            else:
+                upper.append(t)
+                t = t[3]
+        left = right = None
+        while lower:
+            k, p, v, l, _ = lower.pop()
+            left = (k, p, v, l, left)
+        while upper:
+            k, p, v, _, r = upper.pop()
+            right = (k, p, v, right, r)
+        node = (key, prio, payload, left, right)
+    while path:
+        k, p, v, l, r = path.pop()
         node = (k, p, v, node, r) if key < k else (k, p, v, l, node)
     return node
 
@@ -200,15 +212,15 @@ def _seed_stack(root, key_lo):
     return stack
 
 
-def _walk(stack, x2_hi):
-    """(payloads in key order up to x2 <= x2_hi, nodes visited); it
-    consumes `stack`."""
+def _walk(stack, key_end):
+    """(payloads in key order below key_end, nodes visited); it consumes
+    `stack`."""
     out = []
     probes = 0
     while stack:
         node = stack.pop()
         probes += 1
-        if node[0][0] > x2_hi:
+        if node[0] >= key_end:
             break
         out.append(node[2])
         t = node[4]
@@ -222,12 +234,17 @@ def _walk(stack, x2_hi):
 class SegRayIndex:
     """Horizontal segments queried by upward vertical rays.
 
-    A query from (x, y) reports exactly the segments with
-    x1_lo < x < x1_hi and x2 >= y, in increasing x2 order, ties by
-    position in `segments`, up to a cap on x2. It finds the treap version
-    at x by one binary search over the sweep's stops (persistent point
-    location, Sarnak and Tarjan) and descends to the first key >= y;
-    nothing is stored per query point.
+    A segment is any 4-sequence (x1_lo, x1_hi, x2, payload), such as an
+    `HSegment` or a plain tuple; its x2 is an integer, read through
+    `operator.index`, so a float raises TypeError. A query from (x, y)
+    reports exactly the segments with x1_lo < x < x1_hi and x2 >= y, in
+    increasing x2 order, ties by position in `segments`, up to a cap on
+    x2; y and the cap are integers or infinities. It finds the treap
+    version at x by one binary search over the sweep's stops (persistent
+    point location, Sarnak and Tarjan) and descends to the first key
+    >= y; nothing is stored per query point. A node's key is the int
+    x2 * w + position with w the segment count plus one, so keys order
+    as (x2, position) pairs and a query's x2 bounds scale by w.
 
     The segments' x1 spans must be laminar: any two are nested, equal or
     disjoint, and spans that only touch at an endpoint are disjoint. DFS
@@ -239,17 +256,24 @@ class SegRayIndex:
     O(log m) new nodes per segment and deletes nothing.
     """
 
-    __slots__ = ("_xs", "_mid", "_end")
+    __slots__ = ("_xs", "_mid", "_end", "_w")
 
     def __init__(self, segments):
         segs = list(segments)
+        m = len(segs)
         rng = _random.Random(0x5E9)
         prios = [rng.random() for _ in segs]
-        xs = self._xs = sorted({s.x1_lo for s in segs} | {s.x1_hi for s in segs})
-        # Outer spans first. A treap's shape is fixed by its (key, prio)
-        # set, so the order among equal spans changes no version.
-        pending = iter(sorted((s.x1_lo, -s.x1_hi, s.x2, i, s.payload) for i, s in enumerate(segs)))
-        nxt = next(pending, None)
+        los, his, x2s, pays = zip(*segs) if segs else ((),) * 4
+        w = self._w = m + 1
+        keys = [index(x2) * w + i for i, x2 in enumerate(x2s)]
+        xs = self._xs = sorted({*los, *his})
+        # Outer spans first: by x1_lo, then x1_hi descending. A treap's
+        # shape is fixed by its (key, prio) set, so the order among equal
+        # spans changes no version.
+        order = sorted(range(m), key=his.__getitem__, reverse=True)
+        order.sort(key=los.__getitem__)
+        pending = iter(order)
+        j = next(pending, -1)  # the next span to open; -1 once all are open
         mids = self._mid = []
         ends = self._end = []
         opened = [(float("inf"), None)]  # (x1_hi, version) of the open spans
@@ -258,16 +282,15 @@ class SegRayIndex:
                 opened.pop()
             root = opened[-1][1]
             mids.append(root)
-            while nxt is not None and nxt[0] == x:
-                _, hi, x2, i, payload = nxt
-                hi = -hi
+            while j >= 0 and los[j] == x:
+                hi = his[j]
                 if hi <= x:
                     raise ValueError("segment with empty x1 span")
                 if hi > opened[-1][0]:
                     raise ValueError("segment x1 spans cross")
-                root = _persistent_insert(root, (x2, i), prios[i], payload)
+                root = _persistent_insert(root, keys[j], prios[j], pays[j])
                 opened.append((hi, root))
-                nxt = next(pending, None)
+                j = next(pending, -1)
             ends.append(root)
 
     def _version(self, x):
@@ -280,7 +303,8 @@ class SegRayIndex:
     def report_at(self, x, y_lo, x2_hi):
         """(payloads of the segments stabbed by the ray from (x, y_lo) with
         x2 <= x2_hi, probes); the probes count the walk only."""
-        return _walk(_seed_stack(self._version(x), (y_lo, -1)), x2_hi)
+        w = self._w
+        return _walk(_seed_stack(self._version(x), y_lo * w), (x2_hi + 1) * w)
 
     # An alias only: perfbench/tracing.py's METHODS still wraps this name.
     report_registered = report_at
@@ -291,7 +315,9 @@ class SegRayIndex:
 
 
 class Rect(NamedTuple):
-    """A rectangle with integer corners; it contains the points strictly inside."""
+    """A rectangle with integer corners; it contains the points strictly
+    inside. A rectangle of `EnclosureIndex`, named; any 5-sequence in
+    this order serves."""
 
     x1_lo: int
     x1_hi: int

@@ -647,11 +647,17 @@ def block_pairs(g1, g2):
     vertex set, and the pairs of blocks that share at least two vertices
     as ((k1, k2), ascending shared vertices), in key order, from one pass
     over the vertices. A pair sharing one vertex could relate only that
-    vertex to itself."""
+    vertex to itself.
+
+    When each tree is one block, as a rooted tree or a dipath is, that
+    block holds every vertex, so the one pair is ((0, 0), all vertices)
+    and there is none for n = 1; it is returned without the pass."""
     if g1.n != g2.n:
         raise ValueError("vertex-set mismatch")
     blocks1, of1 = tree_blocks(g1)
     blocks2, of2 = tree_blocks(g2)
+    if len(blocks1) == len(blocks2) == 1:
+        return blocks1, blocks2, [((0, 0), list(range(g1.n)))] if g1.n > 1 else []
     groups = {}
     for v, (ks1, ks2) in enumerate(zip(of1, of2)):
         for k1 in ks1:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .cover import band_stride, from_ranks, min_path_cover, paths_against_tree, shared_vertices
-from .geom import CartesianTree, EnclosureIndex, HSegment, RangeTree2D, Rect, SegRayIndex
+from .geom import CartesianTree, EnclosureIndex, RangeTree2D, SegRayIndex
 from .graph import (
     CyclicGraphError,
     GraphClassError,
@@ -102,16 +102,16 @@ def _rank(blk):
     return 2 if blk.chain else int(blk.orient == "in")
 
 
-def _pred_range(blk, b):
-    """(lo, hi): the interval starts of b's predecessors in an in-oriented
-    or chain block. A chain's run up to b; otherwise b's interval, open at
-    a core b and closed at a fringe one, which its supervertex reaches."""
-    lo, hi = blk.su_iv[b]
+def _pred_ranges(blk, members):
+    """Per member b, in order, (lo, hi): the interval starts of b's
+    predecessors in an in-oriented or chain block. A chain's run up to b;
+    otherwise b's interval, open at a core b and closed at a fringe one,
+    which its supervertex reaches."""
+    iv = blk.su_iv
     if blk.chain:
-        return 0, lo
-    if b not in blk.fringe:
-        return lo + 1, hi - 1
-    return lo, hi
+        return [(0, iv[b][0]) for b in members]
+    fringe = blk.fringe
+    return [iv[b] if b in fringe else (iv[b][0] + 1, iv[b][1] - 1) for b in members]
 
 
 class _BlockPairs(_Packed):
@@ -120,7 +120,7 @@ class _BlockPairs(_Packed):
     In an out-oriented block that is not a chain, b's predecessors are the
     members whose interval holds b's: a query stabs intervals. In an
     in-oriented or chain block they are the members whose interval start
-    lies in `_pred_range`. The join is symmetric, so each pair is ordered
+    lies in `_pred_ranges`. The join is symmetric, so each pair is ordered
     out, in, chain by `_rank` and stored as
     - out with out: rectangles, stabbed in the enclosure index in
       O(log^2 m + k) counted probes;
@@ -144,42 +144,41 @@ class _BlockPairs(_Packed):
         for k, ((b1, b2), (_, members)) in enumerate(zip(sides, pairs)):
             base = k * stride
             iv1, iv2 = b1.su_iv, b2.su_iv
-            stored = [
-                v for v in members
-                if (b1.orient == "out" or v not in b1.fringe) and (b2.orient == "out" or v not in b2.fringe)
-            ]
+            f1 = b1.fringe if b1.orient == "in" else ()
+            f2 = b2.fringe if b2.orient == "in" else ()
+            stored = [v for v in members if v not in f1 and v not in f2] if f1 or f2 else members
             if _rank(b2) == 0:
-                rects += [Rect(base + iv1[v][0], base + iv1[v][1], *iv2[v], v) for v in stored]
+                rects += [(base + iv1[v][0], base + iv1[v][1], *iv2[v], v) for v in stored]
             elif _rank(b1) == 0:
-                segs += [HSegment(base + iv1[v][0], base + iv1[v][1], iv2[v][0], v) for v in stored]
+                segs += [(base + iv1[v][0], base + iv1[v][1], iv2[v][0], v) for v in stored]
             else:
                 (rpts if _rank(b2) == 1 else pts).extend((base + iv1[v][0], iv2[v][0], v) for v in stored)
         ct, seg = CartesianTree(pts), SegRayIndex(segs)
         enc, rt = EnclosureIndex(rects), RangeTree2D(rpts)
-        self.lists = [[] for _ in range(n)]
+        lists = self.lists = [[] for _ in range(n)]
         for k, ((b1, b2), (key, members)) in enumerate(zip(sides, pairs)):
             base = k * stride
             r1, r2 = _rank(b1), _rank(b2)
-            for b in members:
-                if r1 == 0:
-                    if b in b1.fringe or (r2 == 0 and b in b2.fringe):
-                        continue
-                    x = base + b1.su_iv[b][0] + 1
-                    if r2 == 0:
-                        entry = (key, enc, "report", (x, b2.su_iv[b][0] + 1))
-                    else:
-                        entry = (key, seg, "report_at", (x, *_pred_range(b2, b)))
+            iv1, f1, f2 = b1.su_iv, b1.fringe, b2.fringe
+            if r2 == 0:
+                iv2 = b2.su_iv
+                for b in members:
+                    if b not in f1 and b not in f2:
+                        lists[b].append((key, enc, "report", (base + iv1[b][0] + 1, iv2[b][0] + 1)))
+            elif r1 == 0:
+                for b, (lo2, hi2) in zip(members, _pred_ranges(b2, members)):
+                    if b not in f1:
+                        lists[b].append((key, seg, "report_at", (base + iv1[b][0] + 1, lo2, hi2)))
+            else:
+                ranges = zip(members, _pred_ranges(b1, members), _pred_ranges(b2, members))
+                if r2 == 1:
+                    for b, (lo, hi), (lo2, hi2) in ranges:
+                        lists[b].append((key, rt, "report", (base + lo, base + hi, lo2, hi2)))
                 else:
-                    lo, hi = _pred_range(b1, b)
-                    lo2, hi2 = _pred_range(b2, b)
-                    if r2 == 1:
-                        entry = (key, rt, "report", (base + lo, base + hi, lo2, hi2))
-                    else:
+                    for b, (lo, hi), (_, hi2) in ranges:
                         lo, hi = ct.col_span(base + lo, base + hi)
-                        if lo > hi:
-                            continue
-                        entry = (key, ct, "report_range", (lo, hi, hi2))
-                self.lists[b].append(entry)
+                        if lo <= hi:
+                            lists[b].append((key, ct, "report_range", (lo, hi, hi2)))
 
 
 def index_two_paths(p1, p2):

@@ -401,7 +401,7 @@ def test_cli_gen_output_count_mismatch(tmp_path):
     assert main(["gen", "--kind", "bitrev", "--n", "8", "-o", str(a)]) == 2
 
 
-def test_cli_gen_dag_gnp_reads_p(tmp_path):
+def test_cli_gen_dag_gnp_reads_p(tmp_path, capsys):
     a, b = tmp_path / "a.g", tmp_path / "b.g"
     assert main(["gen", "--kind", "dag-gnp", "--n", "40", "--seed", "5", "--p", "0.5", "-o", str(a)]) == 0
     assert main(["gen", "--kind", "dag-gnp", "--n", "40", "--seed", "5", "-o", str(b)]) == 0
@@ -409,6 +409,11 @@ def test_cli_gen_dag_gnp_reads_p(tmp_path):
     assert a.read_text() == format_graph(want)
     assert b.read_text() == format_graph(*generate("dag-gnp", 40, 5))
     assert a.read_text() != b.read_text()
+    c = tmp_path / "c.g"
+    for p in ("-0.5", "inf", "1.5", "nan"):
+        assert main(["gen", "--kind", "dag-gnp", "--n", "5", "--p", p, "-o", str(c)]) == 2
+        assert capsys.readouterr().err == "error: p must lie in [0, 1]\n"
+    assert not c.exists()
 
 
 def test_cli_build_without_output_writes_the_join_to_stdout(tmp_path, capsys):

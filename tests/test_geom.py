@@ -267,23 +267,32 @@ def laminar_segments(rng, budget):
             cuts = sorted(rng.sample(range(a, b + 1), rng.randrange(2, min(5, b - a + 2))))
             todo += [(c, d) for c, d in zip(cuts, cuts[1:]) if rng.random() < 0.8]
     rng.shuffle(spans)
-    # payloads increase with the index, so ties in x2 break the same way
-    return [HSegment(a, b, rng.randrange(4), 7 * i + 3) for i, (a, b) in enumerate(spans)]
+    # payloads increase with the index, so ties in x2 break the same way;
+    # negative heights check the key order x2 * w + position below zero
+    return [HSegment(a, b, rng.randrange(-3, 4), 7 * i + 3) for i, (a, b) in enumerate(spans)]
 
 
 def test_seg_random_laminar_families_match_scan():
     rng = random.Random(53)
     for _ in range(40):
         segs = laminar_segments(rng, rng.randrange(1, 40))
-        queries = [(x, rng.randrange(-1, 5)) for x in range(-1, 62)]
+        queries = [(x, rng.randrange(-4, 5)) for x in range(-1, 62)]
         idx = SegRayIndex(segs)
         for x, y in queries:
             want = seg_scan(segs, x, y)
             out, probes = idx.report_at(x, y, math.inf)
             assert out == want
             assert probes <= 2 * len(want) + 2
-            cap = rng.randrange(-1, 5)
+            cap = rng.randrange(-4, 5)
             assert idx.report_at(x, y, cap)[0] == seg_scan(segs, x, y, cap)
+
+
+def test_seg_rejects_non_integer_x2():
+    good = HSegment(0, 4, 1, 7)
+    assert SegRayIndex([good]).report_at(2, 0, math.inf)[0] == [7]
+    assert SegRayIndex([tuple(good)]).report_at(2, -math.inf, 1)[0] == [7]
+    with pytest.raises(TypeError):
+        SegRayIndex([good, good._replace(x2=1.0)])
 
 
 def test_enclosure_concentric():

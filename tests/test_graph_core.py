@@ -10,6 +10,7 @@ from joinreach.graph import (
     CondensedPair,
     Digraph,
     GraphClassError,
+    block_pairs,
     condense_pair,
     contracted_intervals,
     dfs_intervals,
@@ -798,6 +799,37 @@ def test_tree_blocks_match_brute_force():
             for v in blk.fringe:
                 root = dec.fringe_root[v]
                 assert dec.iota[root] == k and iv[v] == iv[root]
+
+
+def test_block_pairs_match_brute_force():
+    """The pairs of blocks sharing at least two members, each with its
+    shared members ascending, in key order, for every pairing of tree
+    kinds; two one-block trees give the one pair of all vertices."""
+    rng = random.Random(3001)
+    makers = (
+        lambda n: rand_tree(rng, n, "out-tree"),
+        lambda n: rand_tree(rng, n, "in-tree"),
+        lambda n: rand_path(rng, n),
+        lambda n: rand_upath(rng, n),
+        lambda n: rand_utree(rng, n),
+    )
+    for n in [1, 2] + [rng.randrange(3, 41) for _ in range(4)]:
+        for make1 in makers:
+            for make2 in makers:
+                g1, g2 = make1(n), make2(n)
+                blocks1, blocks2, pairs = block_pairs(g1, g2)
+                assert blocks1 == tree_blocks(g1)[0] and blocks2 == tree_blocks(g2)[0]
+                members1, members2 = (
+                    [set(range(n)) if isinstance(blk.su_iv, list) else set(blk.su_iv) for blk in blocks]
+                    for blocks in (blocks1, blocks2)
+                )
+                want = [
+                    ((i, j), sorted(m1 & m2))
+                    for i, m1 in enumerate(members1)
+                    for j, m2 in enumerate(members2)
+                    if len(m1 & m2) >= 2
+                ]
+                assert pairs == want, (g1, g2)
 
 
 def _held_bytes_per_vertex(build, n):

@@ -1,6 +1,7 @@
 """Each input check of the library that no other test reaches, with the
 exact exception type and message it raises."""
 
+import math
 import random
 
 import pytest
@@ -62,6 +63,10 @@ RAISES = {
     "generate-unknown-kind": (
         lambda: generate("grid", 4), ValueError, "unknown generator kind 'grid'"),
     "generate-empty": (lambda: generate("path", 0), ValueError, "n must be positive"),
+    **{
+        f"generate-p-{p}": (lambda p=p: generate("dag-gnp", 5, 0, p), ValueError, "p must lie in [0, 1]")
+        for p in (-0.5, math.inf, 1.5, math.nan)
+    },
     "sp-st-one-vertex": (
         lambda: rand_sp_st(random.Random(0), 1), ValueError, "sp-st needs n >= 2"),
 }
