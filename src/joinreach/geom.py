@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random as _random
 from bisect import bisect_left, bisect_right
+from math import ceil, floor, inf
 from operator import index, itemgetter
 from typing import NamedTuple
 
@@ -239,7 +240,7 @@ class SegRayIndex:
     `operator.index`, so a float raises TypeError. A query from (x, y)
     reports exactly the segments with x1_lo < x < x1_hi and x2 >= y, in
     increasing x2 order, ties by position in `segments`, up to a cap on
-    x2; y and the cap are integers or infinities. It finds the treap
+    x2; y and the cap are reals or infinities. It finds the treap
     version at x by one binary search over the sweep's stops (persistent
     point location, Sarnak and Tarjan) and descends to the first key
     >= y; nothing is stored per query point. A node's key is the int
@@ -276,7 +277,7 @@ class SegRayIndex:
         j = next(pending, -1)  # the next span to open; -1 once all are open
         mids = self._mid = []
         ends = self._end = []
-        opened = [(float("inf"), None)]  # (x1_hi, version) of the open spans
+        opened = [(inf, None)]  # (x1_hi, version) of the open spans
         for x in xs:
             while opened[-1][0] == x:
                 opened.pop()
@@ -302,9 +303,11 @@ class SegRayIndex:
 
     def report_at(self, x, y_lo, x2_hi):
         """(payloads of the segments stabbed by the ray from (x, y_lo) with
-        x2 <= x2_hi, probes); the probes count the walk only."""
-        w = self._w
-        return _walk(_seed_stack(self._version(x), y_lo * w), (x2_hi + 1) * w)
+        x2 <= x2_hi, probes); the probes count the walk only. A finite
+        bound is rounded to the integer x2 it admits: y_lo up, x2_hi down."""
+        lo = y_lo if y_lo.__class__ is int or not -inf < y_lo < inf else ceil(y_lo)
+        hi = x2_hi if x2_hi.__class__ is int or not -inf < x2_hi < inf else floor(x2_hi)
+        return _walk(_seed_stack(self._version(x), lo * self._w), (hi + 1) * self._w)
 
     # An alias only: perfbench/tracing.py's METHODS still wraps this name.
     report_registered = report_at
@@ -491,6 +494,8 @@ class EnclosureIndex:
 # ----------------------------------------------------------------------
 # Range tree for orthogonal range reporting, in the merge-sort layout
 
+_first = itemgetter(0)  # a point's x1, an (x2, payload) entry's x2
+
 
 class RangeTree2D:
     """Points reported by an axis-parallel closed rectangle.
@@ -510,19 +515,22 @@ class RangeTree2D:
     at most G each, and at most two runs on each of the G levels k that
     hold a run of 2^k <= m points, each run costing itself and two
     searches of k + 1, beside the reported entries.
+
+    Only coordinates are compared, never payloads, so any payload serves;
+    bounds may be any numbers, infinities included.
     """
 
     __slots__ = ("_x1", "_levels")
 
     def __init__(self, points):
-        pts = sorted(points)
+        pts = sorted(points, key=_first)
         self._x1 = [p[0] for p in pts]
         level = [(p[1], p[2]) for p in pts]
         levels = self._levels = [level]
         m, width = len(pts), 1
         while width < m:
             width *= 2
-            level = [e for j in range(0, m, width) for e in sorted(level[j : j + width])]
+            level = [e for j in range(0, m, width) for e in sorted(level[j : j + width], key=_first)]
             levels.append(level)
 
     def report(self, x1_lo, x1_hi, x2_lo, x2_hi):
@@ -540,12 +548,11 @@ class RangeTree2D:
             if hi & 1:
                 runs.append((k, hi - 1))
             lo, hi, k = (lo + 1) >> 1, hi >> 1, k + 1
-        low, high = (x2_lo,), (x2_hi, float("inf"))
         out = []
         for k, j in runs:
             level, s, e = self._levels[k], j << k, (j + 1) << k
-            a = bisect_left(level, low, s, e)
-            b = bisect_right(level, high, a, e)
+            a = bisect_left(level, x2_lo, s, e, key=_first)
+            b = bisect_right(level, x2_hi, a, e, key=_first)
             out += [p for _, p in level[a:b]]
             probes += 3 + 2 * k + b - a
         return out, probes

@@ -211,23 +211,13 @@ class Digraph:
     def _underlying_connected(self):
         # each caller first requires m == n - 1, so n >= 1 here
         seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
+        order = [0]
         out, inn = self.out, self.inn
-        while stack:
-            v = stack.pop()
-            for w in out[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-            for w in inn[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        for v in order:  # each arc adds its far end from both ends: 2m + 1 at most
+            if not seen[v]:
+                seen[v] = True
+                order += out[v] + inn[v]
+        return all(seen)
 
     def root(self):
         """Root of a rooted tree (out-tree or in-tree), kept from the walk
@@ -285,59 +275,45 @@ def tarjan_scc(g):
 
     Returns (comp_of, comps) where comps[i] is the sorted member list of
     the i-th component and i < j implies no arc from comps[j] to comps[i].
-    Single-pass iterative Tarjan; emission order is reversed to obtain a
+    Tarjan's search as one stack walk that pushes ~v, then v's arcs; ~v
+    takes its heads' low values. Emission order is reversed to obtain a
     topological order of the condensation.
     """
     n = g.n
+    out = g.out
     index_of = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comp_of = [-1] * n
-    comps_rev = []
+    stack = []  # the vertices of the components not yet closed
+    comps = []  # in emission order
     counter = 0
-    for start in range(n):
-        if index_of[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(g.out[v]):
-                w = g.out[v][pi]
-                pi += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
+    work = list(range(n - 1, -1, -1))  # each vertex starts a search unless met before
+    while work:
+        v = work.pop()
+        if v < 0:
+            v = ~v
+            for w in out[v]:
+                if low[w] < low[v]:
+                    low[v] = low[w]
             if low[v] == index_of[v]:
+                # a closed vertex's low becomes n plus its component's emission
+                # index: above every number, so it lowers no other vertex's
                 comp = []
-                while True:
+                w = -1
+                while w != v:
                     w = stack.pop()
-                    on_stack[w] = False
+                    low[w] = n + len(comps)
                     comp.append(w)
-                    if w == v:
-                        break
-                comps_rev.append(sorted(comp))
-    comps = list(reversed(comps_rev))
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    return comp_of, comps
+                comp.sort()
+                comps.append(comp)
+        elif index_of[v] == -1:
+            index_of[v] = low[v] = counter
+            counter += 1
+            stack.append(v)
+            work.append(~v)
+            work.extend(reversed(out[v]))
+    comps.reverse()
+    last = n + len(comps) - 1
+    return [last - x for x in low], comps
 
 
 def _reach_rows(g, keep):
@@ -397,39 +373,28 @@ def condense_pair(g1, g2):
     """
     if g1.n != g2.n:
         raise ValueError("vertex-set mismatch")
-    n = g1.n
     comp1_of, comps1 = tarjan_scc(g1)
     comp2_of, comps2 = tarjan_scc(g2)
 
-    key_to_sub = {}
-    members = []
-    for key in sorted({(comp1_of[v], comp2_of[v]) for v in range(n)}):
-        key_to_sub[key] = len(members)
-        members.append([])
-    sub_of = [0] * n
-    for v in range(n):
-        s = key_to_sub[(comp1_of[v], comp2_of[v])]
-        sub_of[v] = s
+    keys = list(zip(comp1_of, comp2_of))
+    key_to_sub = {key: s for s, key in enumerate(sorted(set(keys)))}
+    sub_of = [key_to_sub[key] for key in keys]
+    members = [[] for _ in key_to_sub]
+    for v, s in enumerate(sub_of):
         members[s].append(v)
 
     def build_hat(comps_a, comp_a_of, comp_b_of, g):
         # Subcomponents of one a-component, chained by the other graph's
         # topological position; inter-component arcs last-sub -> first-sub.
-        arcs = []
-        first_sub = {}
-        last_sub = {}
-        for ci, comp in enumerate(comps_a):
-            subs = sorted({(comp_b_of[v], sub_of[v]) for v in comp})
-            chain = [s for _, s in subs]
-            first_sub[ci] = chain[0]
-            last_sub[ci] = chain[-1]
-            for i in range(len(chain) - 1):
-                arcs.append((chain[i], chain[i + 1]))
+        arcs, first_sub, last_sub = [], [], []
+        for comp in comps_a:
+            subs = [s for _, s in sorted({(comp_b_of[v], sub_of[v]) for v in comp})]
+            first_sub.append(subs[0])
+            last_sub.append(subs[-1])
+            arcs += zip(subs, subs[1:])
         for u, row in enumerate(g.out):
-            for v in row:
-                cu, cv = comp_a_of[u], comp_a_of[v]
-                if cu != cv:
-                    arcs.append((last_sub[cu], first_sub[cv]))
+            cu = comp_a_of[u]
+            arcs += [(last_sub[cu], first_sub[comp_a_of[v]]) for v in row if comp_a_of[v] != cu]
         return Digraph(len(members), arcs)
 
     g1_hat = build_hat(comps1, comp1_of, comp2_of, g1)

@@ -321,26 +321,22 @@ def _suffix_masks(labels):
 
 
 def _postorder_labels(g, reverse_order):
-    source = g.inn.index(())
-    labels = [0] * g.n
-    next_label = g.n
-    seen = [False] * g.n
-    order = [tuple(reversed(ws)) if reverse_order else ws for ws in g.out_order]
-    stack = [(source, 0)]
-    seen[source] = True
+    """Labels n down to 1 in the order a search from the source, taking
+    arcs in `g.out_order` or its reverse, leaves the vertices (pops ~v)."""
+    label = g.n
+    labels = [0] * label
+    seen = [False] * label
+    stack = [g.inn.index(())]
     while stack:
-        v, k = stack[-1]
-        if k < len(order[v]):
-            stack[-1] = (v, k + 1)
-            w = order[v][k]
-            if not seen[w]:
-                seen[w] = True
-                stack.append((w, 0))
-        else:
-            stack.pop()
-            labels[v] = next_label
-            next_label -= 1
-    if any(not s for s in seen):
+        v = stack.pop()
+        if v < 0:
+            labels[~v] = label
+            label -= 1
+        elif not seen[v]:
+            seen[v] = True
+            stack.append(~v)
+            stack += g.out_order[v] if reverse_order else reversed(g.out_order[v])
+    if label:
         raise GraphClassError("source does not reach every vertex")
     return labels
 

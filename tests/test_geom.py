@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 
@@ -295,6 +296,19 @@ def test_seg_rejects_non_integer_x2():
         SegRayIndex([good, good._replace(x2=1.0)])
 
 
+def test_seg_finite_non_integer_bounds_round_to_the_integers_they_admit():
+    segs = [(0, 10, 3, "a"), (0, 10, 3, "b"), (0, 10, 2, "c"), (0, 10, 2, "d")]
+    idx = SegRayIndex(segs)
+    assert idx.report_at(5, 0, 2.5) == idx.report_at(5, 0, 2)
+    assert idx.report_at(5, 0, 2.5)[0] == ["c", "d"]
+    assert idx.report_at(5, 2.5, 9) == idx.report_at(5, 3, 9)
+    assert idx.report_at(5, 2.5, 9)[0] == ["a", "b"]
+    assert idx.report_at(5, Fraction(5, 2), Fraction(7, 2)) == idx.report_at(5, 3, 3)
+    assert idx.report_at(5, -2.5, 2.9999)[0] == ["c", "d"]
+    assert idx.report_at(5, -math.inf, math.inf)[0] == ["c", "d", "a", "b"]
+    assert idx.report_at(5, 2.1, 2.9)[0] == []
+
+
 def test_enclosure_concentric():
     rects = [Rect(-i, i, -i, i, i) for i in range(1, 6)]
     idx = EnclosureIndex(rects)
@@ -493,6 +507,21 @@ def test_range2d_duplicates_and_negative_payloads_on_the_boundaries():
         if m % 5 == 0:  # one column, one row
             pts = [(1, y, p) for _, y, p in pts] if m % 2 else [(x, 1, p) for x, _, p in pts]
         assert_range_matches_scan(pts, boxes(-4, 4))
+
+
+def test_range2d_never_compares_payloads():
+    idx = RangeTree2D([(1, 2, "a"), (2, 3, "b")])
+    assert idx.report(0, 5, 2.5, 3) == idx.report(0, 5, 3, 3)
+    assert idx.report(0, 5, 2.5, 3)[0] == ["b"]
+    assert sorted(idx.report(-math.inf, math.inf, -math.inf, math.inf)[0]) == ["a", "b"]
+    # ties on x1, on x2 and on both, with payloads that do not compare
+    pts = [(x, y, p) for x, y in [(0, 0), (0, 0), (0, 1), (1, 1), (2, 0), (2, 1)] for p in (None, "s")]
+    idx = RangeTree2D(pts)
+    for q in boxes(-1, 3):
+        got, probes = idx.report(*q)
+        want = [p for x, y, p in pts if q[0] <= x <= q[1] and q[2] <= y <= q[3]]
+        assert sorted(got, key=str) == sorted(want, key=str), q
+        assert probes <= range_probe_bound(len(pts), len(want))
 
 
 def test_range2d_full_and_empty():

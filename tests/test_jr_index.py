@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -590,6 +591,23 @@ def test_kameda_rejects_exactly_the_misembedded_graphs():
         with pytest.raises(GraphClassError, match=rf"at pair \({first[0]},{first[1]}\);"):
             kameda_labels(bad)
     assert rejected >= 5
+
+
+def test_postorder_labels_as_pinned():
+    """Both label orders of seeded rand_sp_st graphs, as embedded and with
+    every out-arc order shuffled, hashed; recorded with the frame-based
+    walk that the push-all walk replaced."""
+    rng = random.Random(43)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        g = rand_sp_st(rng, rng.randrange(2, 81))
+        order = [list(ws) for ws in g.out_order]
+        for ws in order:
+            rng.shuffle(ws)
+        for h in (g, Digraph(g.n, g.arcs, kind="planar-st", out_order=order)):
+            for reverse_order in (False, True):
+                digest.update(repr(_postorder_labels(h, reverse_order)).encode())
+    assert digest.hexdigest() == "c3bde659dd71c56088b043376a364721f984f22309d7d527afe03226466ec782"
 
 
 def test_kameda_rejects_missing_embedding():
