@@ -453,7 +453,9 @@ def format_join(jg):
 
 
 def parse_join(text):
-    n, _, kind, arcs, rest = _graph_section(text)
+    """The join graph of a join file; a bad arc line is reported before a
+    bad kind or Steiner section, as `_graph_section` reads arcs first."""
+    n, _, kind, out, rest = _graph_section(text)
     if kind != "digraph":
         raise ValueError(f"join file kind must be digraph, not {kind!r}")
     sline = rest[0].split() if rest else []
@@ -463,7 +465,7 @@ def parse_join(text):
     tags = rest[1:]
     if len(tags) != k or not 0 <= k <= n:
         raise ValueError(f"steiner section says {k} tags for n={n}; {len(tags)} tag lines follow")
-    return JoinGraph(Digraph(n, arcs), n - k, tags)
+    return JoinGraph(Digraph._of_rows(n, out, "digraph"), n - k, tags)
 
 
 def read_join(path):

@@ -43,17 +43,19 @@ class Digraph:
     tail must not be in it. A row that fails sends all the rows, in row
     order, through the pass over arcs. Both share one normaliser
     (`_sorted_rows`, `_keep`), which sorts and deduplicates each row and
-    validates the kind. The graph keeps only these out rows and its arc
-    count. `arcs` is read off the out rows on each access; the in rows
-    `inn` are built from them on first read and then kept. In-trees,
-    unoriented paths, utrees and planar-st graphs read them to validate
-    their kind, so build them at once; out-trees and dipaths are
-    validated by one heads check and one walk of the out rows (`_walk`),
-    and build them only when a caller reads `inn`. An in row holds the
-    int object its vertex has as a head, so a graph whose heads share one
-    int per vertex, as a built and a parsed one do (`_graph_section`),
-    holds one int per vertex. Instances are treated as immutable after
-    construction.
+    validates the kind. A parsed file's arc lines take that pass in
+    `_graph_section`, which sorts only rows that arrive out of order, and
+    are kept through `_of_rows`, as `from_rows` keeps its rows. The graph
+    keeps only these out rows and its arc count. `arcs` is read off the
+    out rows on each access; the in rows `inn` are built from them on
+    first read and then kept. In-trees, unoriented paths, utrees and
+    planar-st graphs read them to validate their kind, so build them at
+    once; out-trees and dipaths are validated by one heads check and one
+    walk of the out rows (`_walk`), and build them only when a caller
+    reads `inn`. An in row holds the int object its vertex has as a head,
+    so a graph whose heads share one int per vertex, as a built and a
+    parsed one do (`_graph_section`), holds one int per vertex. Instances
+    are treated as immutable after construction.
     """
 
     __slots__ = ("n", "m", "kind", "out", "out_order", "_inn", "_root")
@@ -81,8 +83,13 @@ class Digraph:
             row = out[u]
             if row[0] < 0 or row[-1] >= n or u in row:
                 return cls(n, ((t, v) for t, heads in enumerate(rows) for v in heads), kind)
+        return cls._of_rows(n, out, kind)
+
+    @classmethod
+    def _of_rows(cls, n, out, kind, out_order=None):
+        """The graph of the normalised rows `out`, kept as they are."""
         g = cls.__new__(cls)
-        g._keep(n, out, kind, None)
+        g._keep(n, out, kind, out_order)
         return g
 
     def _keep(self, n, out, kind, out_order):
@@ -695,7 +702,7 @@ def dfs_intervals(g, root=None):
 # str.split and int, which ignore the spaces around them.
 
 def parse_graph(text):
-    n, m, kind, arcs, rest = _graph_section(text)
+    n, m, kind, out, rest = _graph_section(text)
     if any(kind != "planar-st" or ":" not in ln for ln in rest):
         raise ValueError(f"header says {m} arcs, but more arc lines follow")
     out_order = None
@@ -711,18 +718,18 @@ def parse_graph(text):
                 raise ValueError(f"out-order of vertex {v} listed twice")
             listed.add(v)
             out_order[v] = [int(w) for w in ws.split()]
-    return Digraph(n, arcs, kind=kind, out_order=out_order)
+    return Digraph._of_rows(n, out, kind, out_order)
 
 
 def _graph_section(text):
-    """(n, m, kind, arcs, rest) of a graph or join file: its header, its
-    m arc lines as a one-shot generator of integer pairs, and the nonblank
-    lines after them. The arc lines are read as the generator is drawn, so
-    a malformed one raises then: the constructor takes the pairs one by
-    one and no list of them is held. In-range heads of one value share one
-    int object; a tail only picks its row, and the in rows reuse the
-    heads' ints, so a parsed graph holds one int per vertex, as a built
-    one does."""
+    """(n, m, kind, out, rest) of a graph or join file: its header, the
+    normalised out rows of its m arc lines, and the nonblank lines after.
+    The arc lines are read first, in one pass, as `Digraph(n, arcs)` reads
+    arcs, so a malformed one is reported before any later fault. Rows that
+    all arrived strictly ascending, as `format_graph` writes them, become
+    tuples in place; else every row is sorted (`_sorted_rows`). Heads of
+    one value share one int object, which the in rows reuse, so a parsed
+    graph holds one int per vertex, as a built one does."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty file")
@@ -737,15 +744,23 @@ def _graph_section(text):
     if len(lines) <= m:
         raise ValueError(f"header says {m} arcs, but fewer arc lines follow")
     ids = list(range(n))
-
-    def arcs():  # ValueError unless each arc line is two integer tokens
-        for ln in islice(lines, 1, 1 + m):
-            u, v = ln.split()
-            u, v = int(u), int(v)
-            # an out-of-range head is left for Digraph to name
-            yield u, ids[v] if 0 <= v < n else v
-
-    return n, m, kind, arcs(), lines[1 + m :]
+    out = [[] for _ in range(n)]
+    ascending = True
+    for ln in islice(lines, 1, 1 + m):
+        u, v = ln.split()  # ValueError unless two tokens
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u},{v}) out of range for n={n}")
+        if u != v:
+            row = out[u]
+            if row and row[-1] >= v:
+                ascending = False
+            row.append(ids[v])
+    if not ascending:
+        return n, m, kind, _sorted_rows(out), lines[1 + m :]
+    for u in range(n):  # each list is freed as its tuple is made
+        out[u] = tuple(out[u])
+    return n, m, kind, tuple(out), lines[1 + m :]
 
 
 def format_graph(g):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -135,7 +136,7 @@ MALFORMED_FILES = {
     "join-arc-three-tokens": (".jg", "4 1 digraph\n0 1 2\nsteiner 0\n"),
     "join-arc-not-integer": (".jg", "4 1 digraph\n0 x\nsteiner 0\n"),
     "join-kind-not-digraph": (".jg", "4 1 path\n0 1\nsteiner 0\n"),
-    # the steiner section is read before the arcs are drawn
+    # the arc lines are read before the steiner section
     "join-bad-arc-and-bad-steiner": (".jg", "4 2 digraph\n0 x\n1 2\nsteiner 3\nt0\n"),
     "graph-empty": (".g", ""),
     "graph-m-too-high": (".g", "3 5 digraph\n0 1\n"),
@@ -157,6 +158,44 @@ def test_cli_malformed_file_is_input_error(tmp_path, capsys, suffix, text):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# A file's arc lines are read first: the first bad one is named, in file
+# order, before any fault in the kind, out-order or Steiner lines after.
+ARC_LINE_FIRST = {
+    "join-out-of-range-in-file-order": (".jg", "4 3 digraph\n1 2\n5 1\n0 7\nsteiner 0\n",
+                                        r"arc \(5,1\) out of range for n=4"),
+    "graph-out-of-range-in-file-order": (".g", "4 3 digraph\n1 2\n5 1\n0 7\n",
+                                         r"arc \(5,1\) out of range for n=4"),
+    "join-out-of-range-and-bad-steiner": (".jg", "4 2 digraph\n0 1\n5 1\nsteiner 3\nt0\n",
+                                          r"arc \(5,1\) out of range for n=4"),
+    "join-out-of-range-and-bad-kind": (".jg", "4 1 path\n0 9\nsteiner 0\n",
+                                    r"arc \(0,9\) out of range for n=4"),
+    "join-one-token-and-no-steiner": (".jg", "4 2 digraph\n0 1\n2\n", "not enough values"),
+    "join-not-integer-and-no-steiner": (".jg", "4 1 digraph\n0 x\n", "invalid literal for int"),
+    "graph-out-of-range-and-bad-out-order": (".g", "3 2 planar-st\n0 1\n1 5\n0: 1\n7: 0\n",
+                                             r"arc \(1,5\) out of range for n=3"),
+    "graph-not-integer-and-bad-out-order": (".g", "3 2 planar-st\n0 1\n1 2.0\n0: 1\n7: 0\n",
+                                            "invalid literal for int"),
+    "graph-three-tokens-and-extra-arc-line": (".g", "3 1 digraph\n0 1 2\n1 2\n", "too many values"),
+}
+
+
+@pytest.mark.parametrize("suffix,text,msg", ARC_LINE_FIRST.values(), ids=ARC_LINE_FIRST)
+def test_a_bad_arc_line_is_reported_before_the_lines_after_it(tmp_path, capsys, suffix, text, msg):
+    parse = explicit.parse_join if suffix == ".jg" else graph_mod.parse_graph
+    with pytest.raises(ValueError, match=msg):
+        parse(text)
+    bad, g, jg = tmp_path / f"bad{suffix}", tmp_path / "ok.g", tmp_path / "ok.jg"
+    bad.write_text(text)
+    g.write_text("1 0 path\n")
+    jg.write_text("1 0 digraph\nsteiner 0\n")
+    verify = [str(bad), str(g), str(g)] if suffix == ".jg" else [str(jg), str(bad), str(g)]
+    for argv in (["stats", str(bad)], ["verify", *verify]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert re.search(msg, err), (argv, err)
 
 
 def test_cli_oversized_header_is_input_error(tmp_path):

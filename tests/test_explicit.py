@@ -32,7 +32,9 @@ from joinreach.graph import (
     topo_order,
     transitive_closure,
 )
+from joinreach import graph as graph_mod
 from test_graph_core import random_utree
+from test_parse_fuzz import _valid_texts
 
 
 # gen makes no zigzag path
@@ -746,7 +748,41 @@ def test_joins_build_as_pinned():
         assert h.hexdigest() == PINNED_JOIN_DIGESTS[name], name
 
 
-def test_parsed_arcs_normalize_as_the_constructor_does():
+def _perturbed(rng, text):
+    """(name, text) pairs: `text` with its arc lines shuffled, one of them
+    repeated, a self-loop line added, padded graph-section lines between
+    blank ones, CRLF line ends, and all of these at once."""
+    lines = text.splitlines()
+    n, m, kind = lines[0].split()
+    arc_lines, rest = lines[1 : 1 + int(m)], lines[1 + int(m) :]
+    loop = list(arc_lines)
+    loop.insert(rng.randrange(len(loop) + 1), f"{rng.randrange(int(n))} " * 2)
+    mixed = rng.sample(loop, len(loop)) + [rng.choice(arc_lines)]
+
+    def text_of(arc_lines, pad="", sep="\n"):
+        section = [f"{n} {len(arc_lines)} {kind}"] + arc_lines
+        padded = [pad + ln.replace(" ", " " + pad) + pad for ln in section]
+        blank = sep + pad + sep if pad else sep
+        return blank.join(padded + rest) + sep
+
+    return [
+        ("shuffled", text_of(rng.sample(arc_lines, len(arc_lines)))),
+        ("repeat", text_of(arc_lines + [rng.choice(arc_lines)])),
+        ("loop", text_of(loop)),
+        ("padded", text_of(arc_lines, pad=" \t ")),
+        ("crlf", text_of(arc_lines, sep="\r\n")),
+        ("all", text_of(mixed, pad="  ", sep="\r\n")),
+    ]
+
+
+def _arc_section(text):
+    """(n, kind, arcs) read back from a graph section's lines."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    n, m, kind = lines[0].split()
+    return int(n), kind, [tuple(map(int, ln.split())) for ln in lines[1 : 1 + int(m)]]
+
+
+def test_parsed_arcs_normalize_as_the_constructor_does(monkeypatch):
     arcs = [(3, 1), (0, 2), (3, 1), (2, 2), (1, 0), (0, 2), (2, 3)]
     section = f"4 {len(arcs)} digraph\n" + "".join(f"{u} {v}\n" for u, v in arcs)
     want = Digraph(4, arcs)
@@ -754,6 +790,33 @@ def test_parsed_arcs_normalize_as_the_constructor_does():
     assert jg.n_original == 3
     for g in (parse_graph(section), jg.graph):
         assert (g.n, g.m, g.kind, g.out, g.inn) == (4, 4, "digraph", want.out, want.inn)
+    # Every valid fuzz text, perturbed: each parse equals the constructor's
+    # graph of the arcs as the file lists them. A repeated line puts a row
+    # out of order, so the rows are sorted; a self-loop, padding and CRLF
+    # ends leave every row ascending, so they are not.
+    sorts = []
+    sorted_rows = graph_mod._sorted_rows
+    monkeypatch.setattr(graph_mod, "_sorted_rows", lambda rows: sorts.append(1) or sorted_rows(rows))
+    rng = random.Random(32)
+    for text, parse in _valid_texts():
+        plain = parse(text)
+        for name, variant in _perturbed(rng, text):
+            before = len(sorts)
+            got = parse(variant)
+            sorted_here = len(sorts) > before
+            if parse is parse_join:
+                assert (got.n_original, got.steiner_tags) == (plain.n_original, plain.steiner_tags)
+                got, plain_graph = got.graph, plain.graph
+            else:
+                plain_graph = plain
+            n, kind, arcs = _arc_section(variant)
+            want = Digraph(n, arcs, kind, out_order=plain_graph.out_order)
+            assert (got.out, got.m, got.kind, got.out_order) == (want.out, want.m, want.kind, want.out_order), name
+            assert got.out == plain_graph.out, name
+            if name in ("repeat", "all"):
+                assert sorted_here, name
+            elif name != "shuffled":
+                assert not sorted_here, name
 
 
 def _held_bytes(make, rows):

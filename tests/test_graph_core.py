@@ -34,6 +34,7 @@ from joinreach.explicit import (
     build_two_paths,
     build_two_trees,
     build_unoriented_trees,
+    parse_join,
     verify_join_graph,
 )
 from joinreach.gen import rand_dag, rand_path, rand_sp_st, rand_tree, rand_upath, rand_utree
@@ -498,6 +499,12 @@ def test_normalization_names_first_bad_arc_in_input_order():
         Digraph(4, (a for a in [(0, 1), (1, 2), (3, 4), (5, 0)]))
     with pytest.raises(ValueError, match=r"arc \(-1,2\) out of range for n=4"):
         Digraph(4, (a for a in [(0, 1), (2, 3), (-1, 2)]))
+    # Both parsers read arc lines as the constructor reads arcs.
+    for parse, tail in ((parse_graph, ""), (parse_join, "steiner 0\n")):
+        with pytest.raises(ValueError, match=r"arc \(5,1\) out of range for n=4"):
+            parse("4 3 digraph\n1 2\n5 1\n0 7\n" + tail)
+        with pytest.raises(ValueError, match=r"arc \(-1,2\) out of range for n=4"):
+            parse("4 3 digraph\n0 1\n-1 2\n2 -3\n" + tail)
 
 
 def test_normalization_stores_sorted_tuples_from_any_iterable():

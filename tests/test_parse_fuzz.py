@@ -3,9 +3,9 @@ ValueError, never another exception."""
 
 import random
 
-from joinreach import explicit
+from joinreach import explicit, graph
 from joinreach.explicit import format_join, parse_join
-from joinreach.gen import generate, rand_dag, rand_path, rand_tree, rand_utree
+from joinreach.gen import GENERATOR_KINDS, generate, rand_dag, rand_path, rand_tree, rand_utree
 from joinreach.graph import format_graph, parse_graph
 
 PARSERS = (parse_graph, parse_join)
@@ -24,10 +24,10 @@ MAX_N = 4096
 
 
 def _valid_texts():
-    """(text, its parser) for graph files from `gen` and join files from
-    the five builders."""
+    """(text, its parser) for graph files of every `gen` kind and join
+    files from the five builders."""
     texts = []
-    for kind in ("path", "utree-random", "out-tree", "in-tree", "dag-gnp", "bitrev", "sp-st"):
+    for kind in GENERATOR_KINDS:
         for g in generate(kind, 16, seed=1):
             texts.append((format_graph(g), parse_graph))
     rng = random.Random(7)
@@ -91,3 +91,17 @@ def test_parsers_return_an_object_or_raise_value_error():
                 outcomes[parse].add("object")
     # each parser both accepted and rejected some mutants
     assert all(seen == {"error", "object"} for seen in outcomes.values()), outcomes
+
+
+def test_written_files_are_read_without_a_sort(monkeypatch):
+    # format_graph and format_join write every row ascending, so reading
+    # them back never sorts a row, and writes back the same text.
+    texts = _valid_texts()
+
+    def no_sort(rows):
+        raise AssertionError("a written file's rows were sorted")
+
+    monkeypatch.setattr(graph, "_sorted_rows", no_sort)
+    for text, parse in texts:
+        write = format_join if parse is parse_join else format_graph
+        assert write(parse(text)) == text
