@@ -15,10 +15,10 @@ probe counts, the pair's probe total, and a SHA-256 of the answer sets:
 every vertex's answer with its touched pairs sorted. The second, run on
 another checkout, compares with such a file: it counts the pairs whose
 join bytes, index answers, index probes and answer sets changed, prints
-the corpus probe totals before and after with the number of pairs whose
-probes rose, and exits 1 when a pair is larger. Pairs are compared in
-order, so rows the file lacks, appended to the corpus after it was
-written, are only counted as new. A pair whose index
+the corpus probe totals before and after with the numbers of pairs whose
+probes rose and fell, and exits 1 when a pair is larger. Pairs are
+compared in order, so rows the file lacks, appended to the corpus after
+it was written, are only counted as new. A pair whose index
 answers changed but whose answer sets did not lists the same pairs in
 another order. A file whose rows are not of this script's eight fields
 exits 2; regenerate it with the first form.
@@ -179,8 +179,10 @@ def main(argv=None):
                           (5, "changed index probes"), (7, "changed answer sets")):
             print(f"{what}\t{sum(o[col] != s[col] for o, s in zip(old, sizes))}")
         rose = sum(s[6] > o[6] for o, s in zip(old, sizes))
+        fell = sum(s[6] < o[6] for o, s in zip(old, sizes))
         now = sum(s[6] for _, s in zip(old, sizes))
-        print(f"probe total\t{sum(o[6] for o in old)}\t{now}\tpairs with more probes\t{rose}")
+        print(f"probe total\t{sum(o[6] for o in old)}\t{now}\tpairs with more probes\t{rose}"
+              f"\tpairs with fewer probes\t{fell}")
         for k, o, s in larger:
             print(f"  pair {k} {s[0]} n={s[1]}: {o[2]} -> {s[2]}")
         return 1 if larger else 0

@@ -49,15 +49,16 @@ def _build_pathcover(g1, g2):
 
 
 class _CondensedQueries:
-    """Queries on a cyclic pair, answered on its condensation."""
+    """Queries on a cyclic pair, answered by the index of its condensation."""
 
-    def __init__(self, cp, inner):
-        self.cp = cp
+    def __init__(self, sub_of, members, inner):
+        self.sub_of = sub_of
+        self.members = members
         self.inner = inner
 
     def query_counted(self, b):
-        subs, probes, pairs = self.inner.query_counted(self.cp.sub_of[b])
-        return {v for s in subs for v in self.cp.members[s]}, probes, pairs
+        subs, probes, pairs = self.inner.query_counted(self.sub_of[b])
+        return {v for s in subs for v in self.members[s]}, probes, pairs
 
 
 def _index_pathcover(g1, g2):
@@ -66,7 +67,7 @@ def _index_pathcover(g1, g2):
     except CyclicGraphError:
         cp = condense_pair(g1, g2)
     inner = index_pathcover(cp.g1_hat, cp.g2_hat)
-    return JRIndex("pathcover", g1.n, _CondensedQueries(cp, inner))
+    return JRIndex("pathcover", g1.n, _CondensedQueries(cp.sub_of, cp.members, inner))
 
 
 class PairClass(NamedTuple):

@@ -18,7 +18,10 @@ from .graph import CyclicGraphError, dfs_intervals, topo_order
 
 @dataclass
 class PathCover:
-    """Vertex-disjoint dipaths covering a DAG; consecutive pairs are arcs."""
+    """Vertex-disjoint dipaths covering a DAG; consecutive pairs are arcs.
+
+    A minimum cover (`min_path_cover`) is one; the heavy paths of an
+    out-tree (`hpd.hpd_build`) are another."""
 
     paths: list
     path_of: list  # vertex -> (path index, rank within path)
@@ -165,11 +168,12 @@ def paths_against_tree(cover, rows, tree):
 
     Returns lists: lists[b] is I(b), the paths of rows[b] whose report
     for b is nonempty, each as ((i, 0), structure, report method name,
-    arguments); the named method returns (payloads, probes). Emptiness
-    is the smallest rank over the query's range against the from-rank:
-    for an out-tree, the smallest rank on each path among b's ancestors
-    and b, which one walk in DFS order keeps on a stack per path, so each
-    test is O(1); for an in-tree the Cartesian tree's `min_x2_in_range`.
+    arguments); the named method returns (payloads, probes), and path
+    i's entries share one key tuple. Emptiness is the smallest rank over
+    the query's range against the from-rank: for an out-tree, the
+    smallest rank on each path among b's ancestors and b, which one walk
+    in DFS order keeps on a stack per path, so each test is O(1); for an
+    in-tree the Cartesian tree's `min_x2_in_range`.
     """
     paths, path_of = cover.paths, cover.path_of
     n = len(rows)
@@ -177,6 +181,7 @@ def paths_against_tree(cover, rows, tree):
     iv = dfs_intervals(tree)
     s, t = iv.s, iv.t
     lists = [[] for _ in range(n)]
+    keys = [(i, 0) for i in range(len(paths))]
     if tree.kind == "out-tree":
         seg = SegRayIndex(
             (i * stride + 2 * s[v], i * stride + 2 * t[v], rank, v)
@@ -199,7 +204,7 @@ def paths_against_tree(cover, rows, tree):
             for i, f in rows[b].items():
                 if low[i][-1] <= f:
                     x = i * stride + 2 * s[b] + 1
-                    lists[b].append(((i, 0), seg, "report_at", (x, 0, f)))
+                    lists[b].append((keys[i], seg, "report_at", (x, 0, f)))
     else:
         ct = CartesianTree(
             [(i * stride + 2 * s[v], rank, v) for i, path in enumerate(paths) for rank, v in enumerate(path)]
@@ -212,5 +217,5 @@ def paths_against_tree(cover, rows, tree):
                 lo, hi = ct.col_span(i * stride + x_lo, i * stride + x_hi)
                 low = ct.min_x2_in_range(lo, hi)  # None: no point in the range
                 if low is not None and low <= f:
-                    lists[b].append(((i, 0), ct, "report_range", (lo, hi, f)))
+                    lists[b].append((keys[i], ct, "report_range", (lo, hi, f)))
     return lists

@@ -462,7 +462,7 @@ def parse_join(text):
     if len(sline) != 2 or sline[0] != "steiner":
         raise ValueError("missing steiner section")
     k = int(sline[1])
-    tags = rest[1:]
+    tags = [t.strip() for t in rest[1:]]
     if len(tags) != k or not 0 <= k <= n:
         raise ValueError(f"steiner section says {k} tags for n={n}; {len(tags)} tag lines follow")
     return JoinGraph(Digraph._of_rows(n, out, "digraph"), n - k, tags)

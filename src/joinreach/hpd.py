@@ -2,50 +2,38 @@
 
 `hpd_build` splits a rooted tree into heavy paths, so a root path meets
 at most floor(lg n) + 1 of them. It reads subtree sizes off the tree's
-DFS intervals and sets the light levels and paths in one breadth-first
-walk of the child lists. `hpd_two_trees_build` pairs an out-tree with a
-second rooted tree: the out-tree's heavy paths are one more dipath
-cover, indexed against the second tree by `cover.paths_against_tree`,
-and each vertex keeps only the heavy paths that report for it.
+DFS intervals and lays out the paths, a `cover.PathCover`, in one
+breadth-first walk of the child lists. `hpd_two_trees_build` pairs an
+out-tree with a second rooted tree: the out-tree's heavy paths are one
+more dipath cover, indexed against the second tree by
+`cover.paths_against_tree`, and each vertex keeps only the heavy paths
+that report for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import from_ranks, paths_against_tree
+from .cover import PathCover, from_ranks, paths_against_tree
 from .graph import GraphClassError, dfs_intervals
 
 
-@dataclass
-class HeavyPathDecomp:
-    """Heavy paths of a rooted tree, top to bottom; paths[0][0] is the
-    root. path_of[v] is v's (path, rank): v's heavy child is the next
-    vertex on its path, and v is heavy iff its rank is above 0."""
-
-    light_level: list
-    paths: list
-    path_of: list
-    order: list  # breadth first from the root
-
-
 def hpd_build(g):
-    """Partition a rooted tree into heavy paths.
+    """Partition a rooted tree into heavy paths, top to bottom, as a
+    `PathCover`: paths[0][0] is the root, and v's heavy child is the next
+    vertex on its path, so v is heavy iff its rank is above 0.
 
     A child is heavy iff its subtree holds at least half of its parent's;
-    at most one child can qualify. Light level counts the light vertices
-    strictly below the root on the root path, which keeps it within
-    floor(log2 n). Paths are numbered in breadth-first order of their
-    heads.
+    at most one child can qualify, and a root path meets at most
+    floor(log2 n) light vertices below the root. Paths are numbered in
+    breadth-first order of their heads.
     """
     root = g.root()
     iv = dfs_intervals(g)
     s, t = iv.s, iv.t  # t - s = 2 * subtree size - 1
     kids = g.inn if g.kind == "in-tree" else g.out
-    n = g.n
-    light_level = [0] * n
     paths = [[root]]
-    path_of = [None] * n
+    path_of = [None] * g.n
     path_of[root] = (0, 0)
     order = [root]
     for v in order:  # grows as the walk finds children: a BFS
@@ -53,14 +41,12 @@ def hpd_build(g):
         for c in kids[v]:
             order.append(c)
             if 2 * (t[c] - s[c] + 1) >= t[v] - s[v] + 1:
-                light_level[c] = light_level[v]
                 path_of[c] = (pid, pos + 1)
                 paths[pid].append(c)
             else:
-                light_level[c] = light_level[v] + 1
                 path_of[c] = (len(paths), 0)
                 paths.append([c])
-    return HeavyPathDecomp(light_level, paths, path_of, order)
+    return PathCover(paths, path_of)
 
 
 @dataclass
@@ -90,7 +76,10 @@ def hpd_two_trees_build(t1, t2):
     if t1.n != t2.n:
         raise ValueError("vertex-set mismatch")
     hpd = hpd_build(t1)
-    return HpdTwoTrees(paths_against_tree(hpd, from_ranks(t1, hpd, hpd.order), t2))
+    # Heads are numbered breadth first, so each head's parent lies on an
+    # earlier path: the paths in turn are a topological order of t1.
+    order = [v for path in hpd.paths for v in path]
+    return HpdTwoTrees(paths_against_tree(hpd, from_ranks(t1, hpd, order), t2))
 
 
 def hpd_two_trees_report(idx, b):

@@ -136,7 +136,7 @@ class _BlockPairs(_Packed):
     """
 
     def __init__(self, g1, g2):
-        n = self.n = g1.n
+        n = g1.n
         blocks1, blocks2, pairs = block_pairs(g1, g2)
         stride = band_stride(n)
         sides = [sorted((blocks1[i], blocks2[j]), key=_rank) for (i, j), _ in pairs]
@@ -220,7 +220,6 @@ class _PathCover(_Packed):
     def __init__(self, g1, g2):
         if g1.n != g2.n:
             raise ValueError("vertex-set mismatch")
-        self.n = g1.n
         tree2 = g2.kind in ("out-tree", "in-tree")
         order1 = topo_order(g1)
         if order1 is None:
@@ -228,22 +227,22 @@ class _PathCover(_Packed):
         order2 = None if tree2 else topo_order(g2)
         if order2 is None and not tree2:
             raise CyclicGraphError("second graph must be acyclic")
-        self.pc1 = min_path_cover(g1, order1)
-        fr1 = from_ranks(g1, self.pc1, order1)
+        pc1 = min_path_cover(g1, order1)
+        fr1 = from_ranks(g1, pc1, order1)
         if tree2:
-            self.lists = paths_against_tree(self.pc1, fr1, g2)
+            self.lists = paths_against_tree(pc1, fr1, g2)
         else:
-            self.pc2 = min_path_cover(g2, order2)
-            self._build_cover_side(fr1, from_ranks(g2, self.pc2, order2))
+            pc2 = min_path_cover(g2, order2)
+            self._build_cover_side(pc1, pc2, fr1, from_ranks(g2, pc2, order2))
 
-    def _build_cover_side(self, fr1, fr2):
+    def _build_cover_side(self, pc1, pc2, fr1, fr2):
         """Pair k = (i, j) holds the vertices on both cover paths at
         (rank on i, rank on j). It is in I(v) when one of them has rank at
         most fr1(v, i) on i and at most fr2(v, j) on j, which one flat
         array of prefix minima over each pair's columns answers."""
-        stride = band_stride(self.n)
-        path_of1, path_of2 = self.pc1.path_of, self.pc2.path_of
-        shared = list(shared_vertices(self.pc1, self.pc2).items())
+        stride = band_stride(len(fr1))
+        path_of1, path_of2 = pc1.path_of, pc2.path_of
+        shared = list(shared_vertices(pc1, pc2).items())
         ct = CartesianTree(
             [
                 (k * stride + path_of1[v][1], path_of2[v][1], v)
@@ -252,7 +251,7 @@ class _PathCover(_Packed):
             ]
         )
         first, mins = [], []
-        pair_of = [{} for _ in range(self.pc1.kappa)]  # i -> {j: k}
+        pair_of = [{} for _ in range(pc1.kappa)]  # i -> {j: k}
         for k, ((i, j), common) in enumerate(shared):
             pair_of[i][j] = k
             first.append(len(mins))
@@ -345,13 +344,13 @@ class _PlanarSt:
     def __init__(self, g1, p2):
         if g1.n != p2.n:
             raise ValueError("vertex-set mismatch")
-        self.n = g1.n
+        n = g1.n
         lab = kameda_labels(g1)
         self.l1, self.l2 = lab.l1, lab.l2
-        self.l3 = [0] * self.n
+        self.l3 = [0] * n
         for r, v in enumerate(path_order(p2)):
             self.l3[v] = r
-        self.rt = RangeTree2D([(self.l1[v], self.l2[v], v) for v in range(self.n)])
+        self.rt = RangeTree2D([(self.l1[v], self.l2[v], v) for v in range(n)])
 
     def query_counted(self, b):
         cands, probes = self.rt.report(1, self.l1[b], 1, self.l2[b])

@@ -32,7 +32,6 @@ from joinreach.graph import (
     layer_decompose,
     transitive_closure,
 )
-from joinreach.hpd import hpd_build
 from joinreach.jrindex import (
     index_hpd_two_trees,
     index_pathcover,
@@ -45,6 +44,7 @@ from joinreach.jrindex import (
 from joinreach.minimal import and_closure, minimal_restricted_join
 
 from layer_ref import layer_graphs
+from test_hpd import light_levels
 
 
 def logceil(n):
@@ -269,9 +269,8 @@ def test_criterion_7_structural_invariants():
                 if lo <= hi:
                     assert iv.contains(a, b) or iv.contains(b, a)
         lam_checked += 1
-        hpd = hpd_build(t)
         bound = int(math.log2(n)) if n > 1 else 0
-        assert all(lv <= bound for lv in hpd.light_level)
+        assert all(lv <= bound for lv in light_levels(t))
         light_checked += 1
     # layer decomposition invariants on the unoriented-tree corpus
     for seed in range(200):

@@ -17,6 +17,7 @@ from joinreach.explicit import (
     build_unoriented_trees,
     format_join,
     parse_join,
+    tag_depth,
     verify_join_graph,
     JoinGraph,
 )
@@ -690,11 +691,14 @@ def test_verify_matches_bfs_on_perturbed_join_graphs():
 
 def test_join_format_roundtrip():
     p1, p2 = gen_bitreversal(8)
-    jg = build_two_paths(p1, p2)
-    jg2 = parse_join(format_join(jg))
-    assert jg2.n_original == jg.n_original
-    assert jg2.graph.arcs == jg.graph.arcs
-    assert jg2.steiner_tags == jg.steiner_tags
+    # spaces around a tag line change nothing: the tag is read unpadded
+    padded = parse_join("2 1 digraph\n0 1\nsteiner 1\n  t;d3;h=0..1  \n")
+    assert padded.steiner_tags == ["t;d3;h=0..1"] and tag_depth(padded.steiner_tags[0]) == 3
+    for jg in (build_two_paths(p1, p2), padded):
+        jg2 = parse_join(format_join(jg))
+        assert jg2.n_original == jg.n_original
+        assert jg2.graph.arcs == jg.graph.arcs
+        assert jg2.steiner_tags == jg.steiner_tags
 
 
 def _cyclic_digraph(rng, n):
@@ -717,6 +721,9 @@ JOIN_PIN_CASES = {
     "in-tree-dipath": lambda r, n: build_tree_path(rand_tree(r, n, "in-tree"), rand_path(r, n)),
     "zigzag-upath": lambda r, n: build_unoriented_trees(zigzag_path(n), rand_upath(r, n)),
     "utree-dipath": lambda r, n: build_unoriented_trees(rand_utree(r, n), rand_path(r, n)),
+    # fringes on the second block, which the cases above never have
+    "dipath-utree": lambda r, n: build_unoriented_trees(rand_path(r, n), rand_utree(r, n)),
+    "utree-utree": lambda r, n: build_unoriented_trees(rand_utree(r, n), rand_utree(r, n)),
     "dag-dipath": lambda r, n: build_pathcover(rand_dag(r, n, 0.2), rand_path(r, n)),
     "dag-dag": lambda r, n: build_pathcover(rand_dag(r, n, 0.2), rand_dag(r, n, 0.2)),
     "cyclic-pair": lambda r, n: classes.build(_cyclic_digraph(r, n), _cyclic_digraph(r, n)),
@@ -733,6 +740,8 @@ PINNED_JOIN_DIGESTS = {
     "in-tree-dipath": "c736b472d511c3d18659b8d11296815940ad0b17018de7a01c5b8a2b07d47f45",
     "zigzag-upath": "ab42a3238d86521fa02de03adb6d0403b27b251c07e9d34ae10dff7fcb11db28",
     "utree-dipath": "2c2adb8dd00cba750a4060ce08e679d6bf865b621abd22ba3a76d10799b46d29",
+    "dipath-utree": "e47ebd2f843dec94fb47df4d23ff21ce4860a77ebee0765cb98e2ddb57f3589f",
+    "utree-utree": "d4915a5f412be20f79ace500d2217dc87f562423c34576f35a4191c01cb2c7db",
     "dag-dipath": "ce33b8051e536b27ac53471cfe170b71d22165fa9defdc727e17ef57dd23a23d",
     "dag-dag": "0a7e8c5fba14f4b121562044af05c7d985cba8c621f070a09f58099eff35c9ba",
     "cyclic-pair": "8d387ff456e35a59130300c8ff0405b13dd59e2b1abe55f32db9e96767ed5192",

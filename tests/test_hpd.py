@@ -18,12 +18,28 @@ def random_out_tree(rng, n):
     return Digraph(n, [(parent[v], v) for v in range(1, n)], kind="out-tree"), parent
 
 
+def light_levels(g):
+    """Per vertex of a rooted tree, the light vertices strictly below the
+    root on its root path, by a walk to the root: a vertex is light iff it
+    heads its heavy path."""
+    path_of = hpd_build(g).path_of
+    up = g.out if g.kind == "in-tree" else g.inn
+    levels = []
+    for v in range(g.n):
+        lv = 0
+        while up[v]:
+            lv += path_of[v][1] == 0
+            v = up[v][0]
+        levels.append(lv)
+    return levels
+
+
 def test_hpd_chain_single_path():
     g = Digraph(6, [(i, i + 1) for i in range(5)], kind="out-tree")
     hpd = hpd_build(g)
     assert len(hpd.paths) == 1
     assert hpd.paths[0] == list(range(6))
-    assert all(lv == 0 for lv in hpd.light_level)
+    assert light_levels(g) == [0] * 6
 
 
 def test_hpd_star_heavy_only_for_tiny_n():
@@ -33,7 +49,7 @@ def test_hpd_star_heavy_only_for_tiny_n():
         star = Digraph(n, [(0, v) for v in range(1, n)], kind="out-tree")
         hpd = hpd_build(star)
         assert hpd.paths[0] == [0]  # 0 has no heavy child
-        assert all(hpd.light_level[v] == 1 for v in range(1, n))
+        assert light_levels(star) == [0] + [1] * (n - 1)
 
 
 def test_hpd_light_level_bound_and_root_walk():
@@ -43,14 +59,13 @@ def test_hpd_light_level_bound_and_root_walk():
     hpd = hpd_build(g)
     bound = int(math.log2(n))
     for v in range(n):
-        assert hpd.light_level[v] <= bound
-        # recompute by walking to the root
+        # the light level, by walking to the root
         lv, x = 0, v
         while x != hpd.paths[0][0]:
             if not hpd.path_of[x][1]:  # rank 0 on its path: light
                 lv += 1
             x = parent[x]
-        assert lv == hpd.light_level[v]
+        assert lv <= bound
     # heavy paths partition the vertex set
     seen = sorted(v for p in hpd.paths for v in p)
     assert seen == list(range(n))
@@ -62,8 +77,8 @@ def test_hpd_light_level_bound_and_root_walk():
 def test_hpd_build_matches_brute_force_on_out_and_in_trees():
     # Sizes by parent chasing, the heavy-child rule (the first child in
     # ascending id whose subtree holds at least half of its parent's),
-    # light levels, a breadth-first order, and paths that partition the
-    # vertices, numbered in that order of their heads.
+    # light levels within floor(lg n), and paths that partition the
+    # vertices, numbered in the breadth-first order of their heads.
     rng = random.Random(157)
     cases = []
     for n in [1, 2, 2] + [rng.randrange(3, 90) for _ in range(30)]:
@@ -89,15 +104,16 @@ def test_hpd_build_matches_brute_force_on_out_and_in_trees():
                 heavy_child[a] = b
         is_heavy = [hpd.path_of[v][1] > 0 for v in range(n)]
         size = [0] * n
-        depth = [0] * n
         for v in range(n):
             x = v
             while x != -1:
                 size[x] += 1
-                depth[v] += 1
                 x = parent[x]
-        for v in range(n):
+        bound = int(math.log2(n)) if n > 1 else 0
+        order = [root]  # breadth first, children in ascending id
+        for v in order:
             kids = [c for c in range(n) if parent[c] == v]
+            order += kids
             heavy = [c for c in kids if 2 * size[c] >= size[v]]
             assert heavy_child[v] == (heavy[0] if heavy else -1), (g.kind, v)
             assert is_heavy[v] == (v != root and heavy_child[parent[v]] == v)
@@ -105,14 +121,12 @@ def test_hpd_build_matches_brute_force_on_out_and_in_trees():
             while x != root:
                 lv += not is_heavy[x]
                 x = parent[x]
-            assert hpd.light_level[v] == lv
-        order = hpd.order
-        assert sorted(order) == list(range(n)) and order[0] == root
-        pos = {v: k for k, v in enumerate(order)}
-        assert all(pos[parent[v]] < pos[v] for v in range(n) if v != root)
-        assert all(depth[a] <= depth[b] for a, b in zip(order, order[1:]))
+            assert lv <= bound
+        assert sorted(order) == list(range(n))
         heads = [v for v in order if not is_heavy[v]]
         assert [p[0] for p in hpd.paths] == heads
+        # so the paths in turn are a topological order of the tree
+        assert all(hpd.path_of[parent[p[0]]][0] < pid for pid, p in enumerate(hpd.paths) if pid)
         assert sorted(v for p in hpd.paths for v in p) == list(range(n))
         for pid, path in enumerate(hpd.paths):
             assert all(heavy_child[a] == b for a, b in zip(path, path[1:]))
@@ -191,13 +205,13 @@ def test_hpd_two_trees_probes_charge_only_reporting_heavy_paths():
                       Digraph(n, [(w, v) for v, w in chain], kind="in-tree")))
     for g1, g2 in pairs:
         idx = hpd_two_trees_build(g1, g2)
-        light_level = hpd_build(g1).light_level
+        levels = light_levels(g1)
         for b in range(g1.n):
             got, probes = hpd_two_trees_report(idx, b)
             assert sorted(got) == join_oracle(g1, g2, b)
             touched = idx.lists[b]
             assert all(getattr(struct, report)(*args)[0] for _, struct, report, args in touched), b
-            level = light_level[b]
+            level = levels[b]
             assert len(touched) <= probes <= 3 * len(got) + 3 * (level + 1), (b, probes)
 
 

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import random
 import subprocess
 import sys
 import textwrap
+import types
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import joinreach
+from joinreach import classes
+from joinreach.cover import PathCover, min_path_cover
 from joinreach.geom import CartesianTree, EnclosureIndex, RangeTree2D, SegRayIndex
 
 from joinreach.explicit import build_unoriented_trees, verify_join_graph
@@ -22,6 +26,7 @@ from joinreach.gen import (
     rand_utree,
 )
 from joinreach.graph import (
+    CondensedPair,
     Digraph,
     GraphClassError,
     dipath_of,
@@ -41,7 +46,7 @@ from joinreach.jrindex import (
     _postorder_labels,
     kameda_labels,
 )
-from test_explicit import zigzag_path
+from test_explicit import _cyclic_digraph, zigzag_path
 from test_geom import enclosure_probe_bound, range_probe_bound
 
 
@@ -455,9 +460,8 @@ def test_pathcover_nonempty_lists_match_definition():
             rand_tree(rng, n, "out-tree"),
             rand_tree(rng, n, "in-tree"),
         ):
-            pcx = _PathCover(g1, g2)
-            of2 = pcx.pc2.path_of if g2.kind == "digraph" else [(0, 0)] * n
-            cases.append((pcx, g1, g2, pcx.pc1.path_of, of2))
+            of2 = min_path_cover(g2).path_of if g2.kind == "digraph" else [(0, 0)] * n
+            cases.append((_PathCover(g1, g2), g1, g2, min_path_cover(g1).path_of, of2))
     rng = random.Random(36)
     for _ in range(10):
         n = rng.randrange(1, 41)
@@ -477,6 +481,43 @@ def test_pathcover_nonempty_lists_match_definition():
                 }
             )
             assert sorted(idx.query_counted(v)[2]) == want, (idx, g2.kind, v)
+
+
+def _held(root):
+    """Every object reachable from root through `gc.get_referents`,
+    stopping at classes, modules and functions, which reach the whole
+    program."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        for r in gc.get_referents(obj):
+            if id(r) not in seen and not isinstance(r, (type, types.ModuleType, types.FunctionType)):
+                seen.add(id(r))
+                stack.append(r)
+
+
+def test_an_index_holds_no_graph_or_decomposition():
+    """A built index keeps what its queries read: no input or condensed
+    graph and no path cover, on every route."""
+    rng = random.Random(38)
+    n = 40
+    indexes = [
+        index_two_paths(rand_upath(rng, n), rand_path(rng, n)),
+        index_tree_path(rand_tree(rng, n, "in-tree"), rand_path(rng, n)),
+        index_two_trees(rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")),
+        classes.index(rand_utree(rng, n), rand_utree(rng, n)),
+        index_pathcover(rand_dag(rng, n, 0.2), rand_dag(rng, n, 0.2)),
+        index_pathcover(rand_dag(rng, n, 0.2), rand_tree(rng, n, "out-tree")),
+        index_pathcover(rand_dag(rng, n, 0.2), rand_tree(rng, n, "in-tree")),
+        index_hpd_two_trees(rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "in-tree")),
+        index_planar_st(rand_sp_st(rng, n), rand_path(rng, n)),
+        classes.index(_cyclic_digraph(rng, n), _cyclic_digraph(rng, n)),
+    ]
+    assert type(indexes[-1]._impl).__name__ == "_CondensedQueries"
+    for idx in indexes:
+        kept = [type(o).__name__ for o in _held(idx) if isinstance(o, (Digraph, PathCover, CondensedPair))]
+        assert not kept, (idx.variant, kept)
 
 
 def test_pathcover_rejects_cycles():
