@@ -173,7 +173,7 @@ def paths_against_tree(cover, rows, tree):
     the query's range against the from-rank: for an out-tree, the
     smallest rank on each path among b's ancestors and b, which one walk
     in DFS order keeps on a stack per path, so each test is O(1); for an
-    in-tree the Cartesian tree's `min_x2_in_range`.
+    in-tree one `col_span_min` of the Cartesian tree per entry.
     """
     paths, path_of = cover.paths, cover.path_of
     n = len(rows)
@@ -214,8 +214,7 @@ def paths_against_tree(cover, rows, tree):
             if x_lo == x_hi:  # a leaf has no proper descendant
                 continue
             for i, f in row.items():
-                lo, hi = ct.col_span(i * stride + x_lo, i * stride + x_hi)
-                low = ct.min_x2_in_range(lo, hi)  # None: no point in the range
-                if low is not None and low <= f:
+                lo, hi, low = ct.col_span_min(i * stride + x_lo, i * stride + x_hi)
+                if low is not None and low <= f:  # None: no point in the range
                     lists[b].append((keys[i], ct, "report_range", (lo, hi, f)))
     return lists

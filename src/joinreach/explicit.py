@@ -142,14 +142,14 @@ def _pair_connect(b, blk1, blk2, members, tag):
     # map that is then transposed into the out rows.
     rev = blk1.orient == "in"
     eff_o2 = ({"out": "in", "in": "out"}[blk2.orient]) if rev else blk2.orient
-    fringe1, fringe2, iv1 = blk1.fringe, blk2.fringe, blk1.su_iv
+    fringe1, fringe2, s1, t1 = blk1.fringe, blk2.fringe, blk1.s, blk1.t
     # Walk order of the first block: by supervertex interval, fringe
     # hangers before their core supervertex. Position p's range
     # p..end[p] then holds every member p reaches in that block; the
     # others it holds are fringe hangers, which are never sinks there.
-    vert = sorted(members, key=lambda v: (iv1[v][0], v not in fringe1, v))
-    starts = [iv1[v][0] for v in vert]
-    end = [bisect_left(starts, iv1[v][1]) - 1 for v in vert]
+    vert = sorted(members, key=lambda v: (s1[v], v not in fringe1, v))
+    starts = [s1[v] for v in vert]
+    end = [bisect_left(starts, t1[v]) - 1 for v in vert]
 
     # After an effective reversal the first side is out-core: its fringe
     # hangers may only emit. Out-core fringes on the second side likewise
@@ -164,7 +164,7 @@ def _pair_connect(b, blk1, blk2, members, tag):
     if snks == srcs:
         snks = srcs  # one list: every member is a source and a sink
 
-    h2, h3 = _interval_orders(vert, blk2.su_iv, fringe2, eff_o2)
+    h2, h3 = _interval_orders(vert, blk2, eff_o2)
     if rev:
         b.rows = defaultdict(list)
     # Members forming a chain in the second block relate by h2 alone.
@@ -178,9 +178,9 @@ def _pair_connect(b, blk1, blk2, members, tag):
         b.rows = out
 
 
-def _interval_orders(vert, iv2, fringe2, o2):
+def _interval_orders(vert, blk2, o2):
     """(h2, h3): rank-space coordinates per walk position encoding the
-    second block's relation.
+    relation of the second block `blk2`.
 
     Dominance (h2[z], h3[z]) <= (h2[a], h3[a]) must hold iff a's interval
     contains z's (out-orientation) or z's contains a's (in-orientation),
@@ -188,8 +188,9 @@ def _interval_orders(vert, iv2, fringe2, o2):
     side that genuinely reaches the other gets the dominating rank.
     """
     m = len(vert)
-    s_key = [(iv2[v][0], v not in fringe2, v) for v in vert]
-    t_key = [(iv2[v][1], v in fringe2, v) for v in vert]
+    s2, t2, fringe2 = blk2.s, blk2.t, blk2.fringe
+    s_key = [(s2[v], v not in fringe2, v) for v in vert]
+    t_key = [(t2[v], v in fringe2, v) for v in vert]
     by_s = sorted(range(m), key=s_key.__getitem__)
     by_t = sorted(range(m), key=t_key.__getitem__)
     (by_s if o2 == "out" else by_t).reverse()

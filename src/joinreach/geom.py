@@ -96,6 +96,17 @@ class CartesianTree:
         when there are none."""
         return bisect_left(self.colx, x1_lo), bisect_right(self.colx, x1_hi) - 1
 
+    def col_span_min(self, x1_lo, x1_hi):
+        """(lo, hi, low): the columns of `col_span(x1_lo, x1_hi)` and the
+        minimum x2 over them, None when there are none."""
+        colx = self.colx
+        lo, hi = bisect_left(colx, x1_lo), bisect_right(colx, x1_hi) - 1
+        if lo > hi:
+            return lo, hi, None
+        k = (hi - lo + 1).bit_length() - 1
+        row, x2 = self._table[k], self.x2
+        return lo, hi, min(x2[row[lo]], x2[row[hi - (1 << k) + 1]])
+
     def report_range(self, lo_col, hi_col, x2_max):
         """Payloads of points in columns lo..hi with x2 <= x2_max, in
         O(1 + k) probes for k reported points, at most 3k + 3.
@@ -151,11 +162,6 @@ class CartesianTree:
     def report_dominated(self, x1_max, x2_max):
         """Payloads of points with x1 <= x1_max and x2 <= x2_max."""
         return self.report_range(0, bisect_right(self.colx, x1_max) - 1, x2_max)
-
-    def min_x2_in_range(self, lo_col, hi_col):
-        if self.root == -1 or lo_col > hi_col:
-            return None
-        return self.x2[self.range_min(lo_col, hi_col)]
 
 
 # ----------------------------------------------------------------------

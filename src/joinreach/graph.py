@@ -9,6 +9,7 @@ blocks.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from operator import add
@@ -510,7 +511,7 @@ def contracted_intervals(dec, i):
             continue
         start[v] = clock
         stack.append(~v)
-        stack.extend(reversed(kids[v]))
+        stack += kids[v][::-1]
     return iv
 
 
@@ -524,6 +525,9 @@ class TreeBlock:
     block's root. `fringe` holds the other members: none in a rooted tree
     or a run, layer i + 1 in layer block i. Each fringe member hangs off a
     core member, its supervertex, and shares that member's interval. A
+    member's interval is its supervertex's DFS start and end, doubled, in
+    the int columns `s` and `t`: lists over all vertices for a rooted
+    tree, dicts over the members otherwise, so no member holds a tuple. A
     chain block (a run, out-oriented) orders its members totally: b's
     predecessors in it are the members whose interval starts at or before
     b's.
@@ -531,7 +535,8 @@ class TreeBlock:
 
     orient: str
     fringe: frozenset
-    su_iv: dict | list  # member -> doubled DFS interval of its supervertex
+    s: dict | list  # member -> doubled DFS start of its supervertex
+    t: dict | list  # member -> doubled DFS end of its supervertex
     chain: bool
 
 
@@ -570,11 +575,11 @@ def tree_blocks(g):
     """(blocks, of): the blocks of a tree, and per vertex the ascending
     indices of the at most two blocks holding it.
 
-    A rooted tree is one block with no fringe, its `su_iv` a list over
-    all vertices, and a path one chain block with no fringe per maximal
-    run (a dipath is one run). An unoriented tree gives block i for layer
-    graph i: out-oriented for even i, in-oriented for odd i, core on layer
-    i and fringe on layer i + 1.
+    A rooted tree is one block with no fringe, its `s` and `t` lists over
+    all vertices doubled from `dfs_intervals`, and a path one chain block
+    with no fringe per maximal run (a dipath is one run). An unoriented
+    tree gives block i for layer graph i: out-oriented for even i,
+    in-oriented for odd i, core on layer i and fringe on layer i + 1.
     """
     if g.kind not in ("out-tree", "in-tree", "utree", "path"):
         raise GraphClassError("expected a tree")
@@ -583,9 +588,12 @@ def tree_blocks(g):
         blocks = []
         of = [[] for _ in range(n)]
         for j, run in enumerate(split_unoriented_path(g)):
-            # the DFS intervals of the run walked from its source, doubled
-            su_iv = {v: (2 * k + 2, 4 * len(run) - 2 * k) for k, v in enumerate(run)}
-            blocks.append(TreeBlock("out", frozenset(), su_iv, True))
+            # the DFS intervals of the run walked from its source, doubled:
+            # the k-th vertex enters at 2k + 2 and leaves at 4 len(run) - 2k
+            s = {v: 2 * k + 2 for k, v in enumerate(run)}
+            end = 4 * len(run) + 2
+            t = {v: end - x for v, x in s.items()}
+            blocks.append(TreeBlock("out", frozenset(), s, t, True))
             for v in run:
                 of[v].append(j)
         return blocks, of
@@ -597,19 +605,21 @@ def tree_blocks(g):
     elif all(len(s) <= 1 for s in g.out):
         orient, iv = "in", dfs_intervals(g, g.out.index(()))
     if orient is not None:
-        su_iv = [(2 * s, 2 * t) for s, t in zip(iv.s, iv.t)]
-        return [TreeBlock(orient, frozenset(), su_iv, False)], [(0,)] * n
+        s, t = [x + x for x in iv.s], [x + x for x in iv.t]
+        return [TreeBlock(orient, frozenset(), s, t, False)], [(0,)] * n
     dec = layer_decompose(g, 0)
     blocks = []
     of = [[] for _ in range(n)]
     for i, core in enumerate(dec.layers):
         fringe = frozenset(dec.layers[i + 1] if i + 1 < dec.mu else ())
         civ = contracted_intervals(dec, i)
-        su_iv = {v: (2 * civ[v][0], 2 * civ[v][1]) for v in core}
+        s = {v: 2 * civ[v][0] for v in core}
+        t = {v: 2 * civ[v][1] for v in core}
         for v in fringe:
-            su_iv[v] = su_iv[dec.fringe_root[v]]
-        blocks.append(TreeBlock("in" if i % 2 else "out", fringe, su_iv, False))
-        for v in su_iv:
+            root = dec.fringe_root[v]
+            s[v], t[v] = s[root], t[root]
+        blocks.append(TreeBlock("in" if i % 2 else "out", fringe, s, t, False))
+        for v in s:
             of[v].append(i)
     return blocks, of
 
@@ -630,12 +640,14 @@ def block_pairs(g1, g2):
     blocks2, of2 = tree_blocks(g2)
     if len(blocks1) == len(blocks2) == 1:
         return blocks1, blocks2, [((0, 0), list(range(g1.n)))] if g1.n > 1 else []
-    groups = {}
+    # pair (k1, k2) is grouped under the int k1 * w + k2, in the same order
+    w = len(blocks2)
+    groups = defaultdict(list)
     for v, (ks1, ks2) in enumerate(zip(of1, of2)):
         for k1 in ks1:
             for k2 in ks2:
-                groups.setdefault((k1, k2), []).append(v)
-    return blocks1, blocks2, sorted(kv for kv in groups.items() if len(kv[1]) > 1)
+                groups[k1 * w + k2].append(v)
+    return blocks1, blocks2, [(divmod(k, w), vs) for k, vs in sorted(groups.items()) if len(vs) > 1]
 
 
 @dataclass
@@ -688,7 +700,7 @@ def dfs_intervals(g, root=None):
             raise GraphClassError("not a tree: a vertex is reached twice")
         s[v] = clock
         stack.append(~v)
-        stack.extend(reversed(adj[v]))
+        stack += adj[v][::-1]
     if clock != 2 * n:
         raise GraphClassError("not a tree: disconnected")
     return DfsIntervals(s, t)

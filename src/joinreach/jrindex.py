@@ -4,12 +4,15 @@ Each builder returns a JRIndex whose query(b) reports exactly the
 vertices that reach b in both input graphs, b included. Paths and trees
 come as the blocks of `graph.tree_blocks`: a rooted tree or a dipath is
 one block, a path one chain block per maximal run, and an unoriented
-tree one block per layer graph; every vertex lies in at most two. The
-path and tree indexes split the join into pairs of blocks, the path-cover
-index into pairs of cover paths. A pair sharing only the query vertex
-could report only that vertex, which `JRIndex` adds to every answer
-anyway, so only pairs sharing at least two vertices are kept, and a path
-or tree query touches at most four, all within the blocks holding it.
+tree one block per layer graph; every vertex lies in at most two. A block
+keeps its members' doubled DFS starts and ends as two int columns, which
+the path and tree indexes read as point coordinates and predecessor
+ranges without a tuple per member. They split the join into pairs of
+blocks, the path-cover index into pairs of cover paths. A pair sharing
+only the query vertex could report only that vertex, which `JRIndex`
+adds to every answer anyway, so only pairs sharing at least two vertices
+are kept, and a path or tree query touches at most four, all within the
+blocks holding it.
 A cover against a rooted tree second goes through
 `cover.paths_against_tree`, which the heavy-path index shares, with the
 heavy paths of its out-tree as the cover.
@@ -102,26 +105,16 @@ def _rank(blk):
     return 2 if blk.chain else int(blk.orient == "in")
 
 
-def _pred_ranges(blk, members):
-    """Per member b, in order, (lo, hi): the interval starts of b's
-    predecessors in an in-oriented or chain block. A chain's run up to b;
-    otherwise b's interval, open at a core b and closed at a fringe one,
-    which its supervertex reaches."""
-    iv = blk.su_iv
-    if blk.chain:
-        return [(0, iv[b][0]) for b in members]
-    fringe = blk.fringe
-    return [iv[b] if b in fringe else (iv[b][0] + 1, iv[b][1] - 1) for b in members]
-
-
 class _BlockPairs(_Packed):
     """Pairs of path or tree blocks, packed by the roles of their sides.
 
     In an out-oriented block that is not a chain, b's predecessors are the
     members whose interval holds b's: a query stabs intervals. In an
     in-oriented or chain block they are the members whose interval start
-    lies in `_pred_ranges`. The join is symmetric, so each pair is ordered
-    out, in, chain by `_rank` and stored as
+    lies in b's predecessor range: a chain's run up to b, 0..s[b];
+    otherwise b's interval, open at a core b and closed at a fringe one,
+    which its supervertex reaches. The join is symmetric, so each pair is
+    ordered out, in, chain by `_rank` and stored as
     - out with out: rectangles, stabbed in the enclosure index in
       O(log^2 m + k) counted probes;
     - out with in or chain: segments over the first side's intervals at
@@ -132,7 +125,9 @@ class _BlockPairs(_Packed):
       query bounds the chain side from above.
     A fringe member stands at its supervertex's interval. It is stored
     only on out-oriented sides, where it reaches its supervertex, and an
-    out-oriented side holds no predecessor of its fringe.
+    out-oriented side holds no predecessor of its fringe. Coordinates and
+    predecessor ranges are read from the blocks' `s` and `t` columns in
+    the loop that writes each point or report entry.
     """
 
     def __init__(self, g1, g2):
@@ -143,42 +138,58 @@ class _BlockPairs(_Packed):
         rects, segs, rpts, pts = [], [], [], []
         for k, ((b1, b2), (_, members)) in enumerate(zip(sides, pairs)):
             base = k * stride
-            iv1, iv2 = b1.su_iv, b2.su_iv
+            s1, t1, s2, t2 = b1.s, b1.t, b2.s, b2.t
             f1 = b1.fringe if b1.orient == "in" else ()
             f2 = b2.fringe if b2.orient == "in" else ()
             stored = [v for v in members if v not in f1 and v not in f2] if f1 or f2 else members
             if _rank(b2) == 0:
-                rects += [(base + iv1[v][0], base + iv1[v][1], *iv2[v], v) for v in stored]
+                rects += [(base + s1[v], base + t1[v], s2[v], t2[v], v) for v in stored]
             elif _rank(b1) == 0:
-                segs += [(base + iv1[v][0], base + iv1[v][1], iv2[v][0], v) for v in stored]
+                segs += [(base + s1[v], base + t1[v], s2[v], v) for v in stored]
             else:
-                (rpts if _rank(b2) == 1 else pts).extend((base + iv1[v][0], iv2[v][0], v) for v in stored)
+                (rpts if _rank(b2) == 1 else pts).extend([(base + s1[v], s2[v], v) for v in stored])
         ct, seg = CartesianTree(pts), SegRayIndex(segs)
         enc, rt = EnclosureIndex(rects), RangeTree2D(rpts)
         lists = self.lists = [[] for _ in range(n)]
+        # d1 = 1 opens a core b's range; a fringe b's closed range on the
+        # second side is the block's own two ints, which the entry shares.
         for k, ((b1, b2), (key, members)) in enumerate(zip(sides, pairs)):
             base = k * stride
             r1, r2 = _rank(b1), _rank(b2)
-            iv1, f1, f2 = b1.su_iv, b1.fringe, b2.fringe
+            s1, t1, f1 = b1.s, b1.t, b1.fringe
+            s2, t2, f2 = b2.s, b2.t, b2.fringe
             if r2 == 0:
-                iv2 = b2.su_iv
                 for b in members:
                     if b not in f1 and b not in f2:
-                        lists[b].append((key, enc, "report", (base + iv1[b][0] + 1, iv2[b][0] + 1)))
+                        lists[b].append((key, enc, "report", (base + s1[b] + 1, s2[b] + 1)))
             elif r1 == 0:
-                for b, (lo2, hi2) in zip(members, _pred_ranges(b2, members)):
-                    if b not in f1:
-                        lists[b].append((key, seg, "report_at", (base + iv1[b][0] + 1, lo2, hi2)))
+                for b in members:
+                    if b in f1:
+                        continue
+                    if r2 == 2:
+                        lo2, hi2 = 0, s2[b]
+                    elif b in f2:
+                        lo2, hi2 = s2[b], t2[b]
+                    else:
+                        lo2, hi2 = s2[b] + 1, t2[b] - 1
+                    lists[b].append((key, seg, "report_at", (base + s1[b] + 1, lo2, hi2)))
+            elif r2 == 1:
+                for b in members:
+                    d1 = 0 if b in f1 else 1
+                    if b in f2:
+                        lo2, hi2 = s2[b], t2[b]
+                    else:
+                        lo2, hi2 = s2[b] + 1, t2[b] - 1
+                    lists[b].append((key, rt, "report", (base + s1[b] + d1, base + t1[b] - d1, lo2, hi2)))
             else:
-                ranges = zip(members, _pred_ranges(b1, members), _pred_ranges(b2, members))
-                if r2 == 1:
-                    for b, (lo, hi), (lo2, hi2) in ranges:
-                        lists[b].append((key, rt, "report", (base + lo, base + hi, lo2, hi2)))
-                else:
-                    for b, (lo, hi), (_, hi2) in ranges:
-                        lo, hi = ct.col_span(base + lo, base + hi)
-                        if lo <= hi:
-                            lists[b].append((key, ct, "report_range", (lo, hi, hi2)))
+                for b in members:
+                    if r1 == 2:
+                        lo, hi = ct.col_span(base, base + s1[b])
+                    else:
+                        d1 = 0 if b in f1 else 1
+                        lo, hi = ct.col_span(base + s1[b] + d1, base + t1[b] - d1)
+                    if lo <= hi:
+                        lists[b].append((key, ct, "report_range", (lo, hi, s2[b])))
 
 
 def index_two_paths(p1, p2):

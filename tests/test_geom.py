@@ -69,6 +69,7 @@ def test_ct_range_min_equals_scan_all_subranges():
             for hi in range(lo, n):
                 want = min(range(lo, hi + 1), key=lambda i: ys[i])
                 assert ct.colx[ct.range_min(lo, hi)] == want
+                assert ct.col_span_min(lo, hi) == (lo, hi, ys[want])
         for c in range(n):
             assert ct.range_min(*_subtree_span(ct, c)) == c
 
@@ -553,7 +554,7 @@ def test_range2d_random_matches_scan():
 
 
 def test_ct_min_x2_of_an_empty_range_is_none():
-    assert CartesianTree([]).min_x2_in_range(0, 0) is None
+    assert CartesianTree([]).col_span_min(0, 0) == (0, -1, None)
     ct = CartesianTree([(0, 5, "a"), (1, 3, "b")])
-    assert ct.min_x2_in_range(1, 0) is None
-    assert ct.min_x2_in_range(0, 1) == 3
+    assert ct.col_span_min(1, 0) == (1, 0, None)
+    assert ct.col_span_min(0, 1) == (0, 1, 3)

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import random
-import sys
 import tracemalloc
 from itertools import groupby
 
@@ -841,7 +840,7 @@ def test_tree_blocks_match_brute_force():
         for v in range(n):
             assert list(of[v]) == sorted(set(of[v])) and 1 <= len(of[v]) <= 2
         for k, blk in enumerate(blocks):
-            members = range(n) if isinstance(blk.su_iv, list) else blk.su_iv
+            members = range(n) if isinstance(blk.s, list) else blk.s
             assert sorted(members) == [v for v in range(n) if k in of[v]]
             if dec:
                 want = dec.layers[k + 1] if k + 1 < dec.mu else []
@@ -851,15 +850,16 @@ def test_tree_blocks_match_brute_force():
                 assert not blk.fringe and blk.chain == bool(runs)
                 if runs:
                     assert list(members) == runs[k] and blk.orient == "out"
-            iv = blk.su_iv
+            s, t = blk.s, blk.t
+            assert (sorted(t) if isinstance(t, dict) else list(range(len(t)))) == sorted(members)
             core = [v for v in members if v not in blk.fringe]
             for a in core:
                 for b in core:
-                    nested = iv[a][0] <= iv[b][0] and iv[b][1] <= iv[a][1]
+                    nested = s[a] <= s[b] and t[b] <= t[a]
                     assert nested == (bool(m[a] >> b & 1) if blk.orient == "out" else bool(m[b] >> a & 1)), (g, k, a, b)
             for v in blk.fringe:
                 root = dec.fringe_root[v]
-                assert dec.iota[root] == k and iv[v] == iv[root]
+                assert dec.iota[root] == k and (s[v], t[v]) == (s[root], t[root])
 
 
 def test_block_pairs_match_brute_force():
@@ -881,7 +881,7 @@ def test_block_pairs_match_brute_force():
                 blocks1, blocks2, pairs = block_pairs(g1, g2)
                 assert blocks1 == tree_blocks(g1)[0] and blocks2 == tree_blocks(g2)[0]
                 members1, members2 = (
-                    [set(range(n)) if isinstance(blk.su_iv, list) else set(blk.su_iv) for blk in blocks]
+                    [set(range(n)) if isinstance(blk.s, list) else set(blk.s) for blk in blocks]
                     for blocks in (blocks1, blocks2)
                 )
                 want = [
@@ -914,14 +914,14 @@ SLOT, INT = 8 * 9 / 8, 32
 
 
 def test_tree_blocks_held_bytes_per_vertex():
-    """A rooted tree's block keeps, per vertex, an `su_iv` slot holding a
-    2-tuple of two ints, and an `of` slot: 2 * 9 + 56 + 2 * 32 = 138 bytes
-    on CPython 3.11 (135 measured), so no per-vertex dict fits beside
-    them."""
+    """A rooted tree's block keeps, per vertex, an `s` and a `t` slot
+    holding an int each, and an `of` slot: 3 * 9 + 2 * 32 = 91 bytes
+    (87 measured on CPython 3.11), so neither a per-member tuple (135
+    bytes with one) nor a per-vertex dict fits beside them."""
     n = 1 << 12
     g = rand_tree(random.Random(12), n, "out-tree")
     held, _ = _held_bytes_per_vertex(lambda: tree_blocks(g), n)
-    assert held <= 2 * SLOT + sys.getsizeof((0, 0)) + 2 * INT, held
+    assert held <= 3 * SLOT + 2 * INT, held
 
 
 def test_cartesian_tree_held_bytes_per_vertex():

@@ -408,6 +408,44 @@ def test_each_index_builds_at_most_one_structure_of_each_kind(monkeypatch):
         assert_index_matches(idx, g1, g2)
 
 
+def test_tree_indexes_answer_as_pinned():
+    """Every vertex's `query_counted` triple (answer, probes, pairs
+    touched) from the path, tree and heavy-path indexes on seeded pairs,
+    adversarial shapes included, hashed; recorded before tree blocks kept
+    their doubled DFS clocks as two int columns."""
+    rng = random.Random(34)
+    digest = hashlib.sha256()
+    for n in (1, 2, 5, 45, 200):
+        out1, out2 = rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "out-tree")
+        in1, in2 = rand_tree(rng, n, "in-tree"), rand_tree(rng, n, "in-tree")
+        path1, path2 = rand_path(rng, n), rand_path(rng, n)
+        upath = rand_upath(rng, n)
+        order = list(range(n))
+        rng.shuffle(order)
+        deep = Digraph(n, list(zip(order, order[1:])), kind="out-tree")
+        cases = [
+            (index_two_trees, out1, out2),
+            (index_two_trees, out1, in1),
+            (index_two_trees, in1, out2),
+            (index_two_trees, in1, in2),
+            (index_tree_path, out2, path1),
+            (index_tree_path, in2, path1),
+            (index_two_paths, path1, path2),
+            (index_two_paths, upath, path2),
+            (index_two_trees, rand_utree(rng, n), rand_utree(rng, n)),
+            (index_tree_path, rand_utree(rng, n), upath),
+            (index_two_trees, *chain_star(rng, n)),
+            (index_two_paths, zigzag_path(n), upath),
+            (index_two_trees, deep, in1),
+            (index_hpd_two_trees, out1, in2),
+            (index_hpd_two_trees, out2, out1),
+        ]
+        for build, g1, g2 in cases:
+            idx = build(g1, g2)
+            digest.update(repr((idx.variant, [idx.query_counted(b) for b in range(n)])).encode())
+    assert digest.hexdigest() == "28ffd0fdcaadcb874e45861531a50dd3d494214f18bd66f594f7f6992f8b5ad2"
+
+
 def test_pathcover_kappa_one_behaves_as_two_paths():
     rng = random.Random(23)
     p1, p2 = rand_path(rng, 20), rand_path(rng, 20)
