@@ -8,8 +8,8 @@ trees for point enclosure in integer rectangles and a merge-sort range
 tree for orthogonal range reporting. Points, segments and rectangles are
 read as plain tuples; `HSegment` and `Rect` are optional named views of
 the last two. All structures are immutable after build. The Cartesian
-tree finds range minima in a sparse table over its column keys and
-descends whole subtrees through child links with no lookup. Every
+tree is stored in preorder: range minima come from a sparse table of
+preorder positions, and a whole subtree is one run of positions. Every
 report returns (payloads, probes) so callers can assert output
 sensitivity: a probe is one node, run or list entry visited, and the
 enclosure index and the range tree charge each binary search its bit
@@ -41,19 +41,19 @@ class HSegment(NamedTuple):
 class CartesianTree:
     """Binary tree over points: in-order by x1, heap order (min) on x2.
 
-    Each point is one column; x1 coordinates must be distinct. Ties in x2
-    go to the leftmost column. The points are kept only as the columns
-    `colx`, `x2` and `payload`, in x1 order.
-
-    Range minima come from a sparse table over the columns' x2 keys
-    (Bender and Farach-Colton): level k holds, per start column, the
-    leftmost minimum of the 2^k columns from there, so a lookup reads two
-    entries and the build is O(m log m) for m columns. Reports descend
-    whole subtrees through child links in heap order (Gabow, Bentley and
+    Each point is one column; x1 coordinates must be distinct, `colx`
+    holds them in order. Ties in x2 go to the leftmost column. Node p in
+    preorder has key `px2[p]`, payload `ppay[p]` and column `colp[p]`;
+    its subtree is the run p .. `pend[p]` - 1. A column range's leftmost
+    minimum is its lowest common ancestor, the first in preorder, so
+    range minima come from a sparse table of preorder positions (Bender
+    and Farach-Colton): level 0 maps columns to positions, level k holds
+    the smallest over each 2^k columns, and the O(m log m) build reads no
+    key. Reports walk whole subtrees as preorder runs (Gabow, Bentley and
     Tarjan). A probe is one node visited.
     """
 
-    __slots__ = ("colx", "x2", "payload", "left", "right", "root", "_table")
+    __slots__ = ("colx", "px2", "ppay", "pend", "colp", "_table")
 
     def __init__(self, points):
         pts = sorted(points)
@@ -61,35 +61,36 @@ class CartesianTree:
         m = len(colx)
         if len(set(colx)) < m:
             raise ValueError("duplicate x1 coordinate")
-        x2 = self.x2 = [p[1] for p in pts]
-        self.payload = [p[2] for p in pts]
-        left = self.left = [-1] * m
-        right = self.right = [-1] * m
-        # the child links hold the table's first-row ints: one int per column
-        table = self._table = [list(range(m))]
+        x2 = [p[1] for p in pts]
+        ids = list(range(m + 1))  # one int per position: pos, colp and pend share them
+        pos = [0] * m
+        colp, pend = self.colp, self.pend = [0] * m, [0] * m
+        # One pass from the right. Beneath column c on the stack lie its d
+        # ancestors right of it, the nearest (or m) one past its subtree.
+        # The column x that pops c is the one just before its subtree, so
+        # c's position is x + 1 + d. Columns never popped are the root's
+        # left spine, at positions 0, 1, ...
         stack = []
-        for i, key in zip(table[0], x2):
-            last = -1
-            while stack and x2[stack[-1]] > key:
-                last = stack.pop()
-            left[i] = last
-            if stack:
-                right[stack[-1]] = i
-            stack.append(i)
-        self.root = stack[0] if stack else -1
+        for x in range(m - 1, -1, -1):
+            key = x2[x]
+            while stack and x2[stack[-1]] >= key:
+                c = stack.pop()
+                d = len(stack)
+                p = ids[x + 1 + d]
+                pos[c], colp[p] = p, c
+                pend[p] = ids[d + (stack[-1] if stack else m)]
+            stack.append(ids[x])
+        for d, c in enumerate(stack):
+            pos[c], colp[d] = ids[d], c
+            pend[d] = ids[d + (stack[d - 1] if d else m)]
+        self.px2 = [x2[c] for c in colp]
+        self.ppay = [pts[c][2] for c in colp]
+        table = self._table = [pos]
         span = 1
         while 2 * span <= m:
             row = table[-1]
-            table.append([a if x2[a] <= x2[b] else b for a, b in zip(row, row[span:])])
+            table.append([a if a < b else b for a, b in zip(row, row[span:])])
             span *= 2
-
-    def range_min(self, lo, hi):
-        """Column index of the minimum-x2 point among columns lo..hi, the
-        leftmost one on ties."""
-        k = (hi - lo + 1).bit_length() - 1
-        row = self._table[k]
-        a, b = row[lo], row[hi - (1 << k) + 1]
-        return b if self.x2[b] < self.x2[a] else a
 
     def col_span(self, x1_lo, x1_hi):
         """(lo, hi): the columns whose x1 lies in [x1_lo, x1_hi]; lo > hi
@@ -104,8 +105,8 @@ class CartesianTree:
         if lo > hi:
             return lo, hi, None
         k = (hi - lo + 1).bit_length() - 1
-        row, x2 = self._table[k], self.x2
-        return lo, hi, min(x2[row[lo]], x2[row[hi - (1 << k) + 1]])
+        row = self._table[k]
+        return lo, hi, self.px2[min(row[lo], row[hi - (1 << k) + 1])]
 
     def report_range(self, lo_col, hi_col, x2_max):
         """Payloads of points in columns lo..hi with x2 <= x2_max, in
@@ -113,51 +114,51 @@ class CartesianTree:
 
         Only a pending range that is not one subtree costs a range-minimum
         lookup, and at most two are pending: those cut by lo_col and by
-        hi_col. With c the minimum of lo..hi, the columns lo..c-1 are c's
-        whole left subtree exactly when column lo-1 is missing or keyed
-        below c; likewise hi+1 on the right.
+        hi_col. With p the minimum of lo..hi, at column c, the columns
+        lo..c-1 are p's whole left subtree, one preorder run, exactly when
+        column lo-1 is missing or before p in preorder; likewise c+1..hi
+        when hi+1 is missing or outside p's subtree.
         """
         out = []
-        if self.root == -1 or lo_col > hi_col:
+        if lo_col > hi_col:
             return out, 0
-        x2, payload, table = self.x2, self.payload, self._table
-        left, right = self.left, self.right
-        last = len(x2) - 1
+        px2, ppay, pend, colp, table = self.px2, self.ppay, self.pend, self.colp, self._table
+        pos, last = table[0], len(px2) - 1
         probes = 0
-        nodes = []  # roots of whole subtrees inside the range
+        runs = []  # (start, end) of each whole subtree inside the range
         cuts = [(lo_col, hi_col)]
         while cuts:
             lo, hi = cuts.pop()
             k = (hi - lo + 1).bit_length() - 1
             row = table[k]
-            c, d = row[lo], row[hi - (1 << k) + 1]
-            if x2[d] < x2[c]:
-                c = d
+            a, b = row[lo], row[hi - (1 << k) + 1]
+            p = a if a < b else b
             probes += 1
-            key = x2[c]
-            if key > x2_max:
+            if px2[p] > x2_max:
                 continue
-            out.append(payload[c])
+            out.append(ppay[p])
+            c = colp[p]
             if lo < c:
-                if lo == 0 or x2[lo - 1] <= key:
-                    nodes.append(left[c])
+                if lo == 0 or pos[lo - 1] < p:
+                    runs.append((p + 1, p + 1 + c - lo))
                 else:
                     cuts.append((lo, c - 1))
             if c < hi:
-                if hi == last or x2[hi + 1] < key:
-                    nodes.append(right[c])
+                e = pend[p]
+                if hi == last or not p < pos[hi + 1] < e:
+                    runs.append((e - hi + c, e))
                 else:
                     cuts.append((c + 1, hi))
-        # the loop also visits the children it appends, each node once
-        for c in nodes:
-            if x2[c] > x2_max:
-                continue
-            out.append(payload[c])
-            if left[c] != -1:
-                nodes.append(left[c])
-            if right[c] != -1:
-                nodes.append(right[c])
-        return out, probes + len(nodes)
+        probes -= len(out)  # a run's node is reported, or skipped with its subtree
+        for i, j in runs:
+            while i < j:
+                if px2[i] <= x2_max:
+                    out.append(ppay[i])
+                    i += 1
+                else:
+                    i = pend[i]
+                    probes += 1
+        return out, probes + len(out)
 
     def report_dominated(self, x1_max, x2_max):
         """Payloads of points with x1 <= x1_max and x2 <= x2_max."""

@@ -485,7 +485,8 @@ def layer_decompose(g, v0=None):
 
 
 def contracted_intervals(dec, i):
-    """{core vertex: DFS interval} of layer graph i, fringe trees contracted.
+    """(s, t): {core vertex: doubled DFS start} and {core vertex: doubled
+    DFS end} of layer graph i, fringe trees contracted.
 
     Core vertices form a connected crown at the graph's root, so the
     contracted tree is the root plus layer i, each vertex below its `up`
@@ -499,20 +500,19 @@ def contracted_intervals(dec, i):
     top = []  # v0 in layer 0, else the vertices below the contracted root
     for v in core:
         (kids[up[v]] if up[v] >= 0 else top).append(v)
-    clock = 1 if i else 0
-    start = {}
-    iv = {}
+    clock = 2 if i else 0
+    s, t = {}, {}
     stack = top[::-1]
     while stack:
         v = stack.pop()
-        clock += 1
-        if v < 0:
-            iv[~v] = (start[~v], clock)
+        clock += 2
+        if v is None:  # leave the vertex beneath: the dicts share its int
+            t[stack.pop()] = clock
             continue
-        start[v] = clock
-        stack.append(~v)
+        s[v] = clock
+        stack += v, None
         stack += kids[v][::-1]
-    return iv
+    return s, t
 
 
 @dataclass
@@ -612,9 +612,7 @@ def tree_blocks(g):
     of = [[] for _ in range(n)]
     for i, core in enumerate(dec.layers):
         fringe = frozenset(dec.layers[i + 1] if i + 1 < dec.mu else ())
-        civ = contracted_intervals(dec, i)
-        s = {v: 2 * civ[v][0] for v in core}
-        t = {v: 2 * civ[v][1] for v in core}
+        s, t = contracted_intervals(dec, i)
         for v in fringe:
             root = dec.fringe_root[v]
             s[v], t[v] = s[root], t[root]

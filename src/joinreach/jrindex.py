@@ -254,19 +254,19 @@ class _PathCover(_Packed):
         stride = band_stride(len(fr1))
         path_of1, path_of2 = pc1.path_of, pc2.path_of
         shared = list(shared_vertices(pc1, pc2).items())
-        ct = CartesianTree(
-            [
-                (k * stride + path_of1[v][1], path_of2[v][1], v)
-                for k, (_, common) in enumerate(shared)
-                for v in common
-            ]
+        pts = sorted(
+            (k * stride + path_of1[v][1], path_of2[v][1], v)
+            for k, (_, common) in enumerate(shared)
+            for v in common
         )
+        ranks2 = [p[1] for p in pts]
         first, mins = [], []
         pair_of = [{} for _ in range(pc1.kappa)]  # i -> {j: k}
         for k, ((i, j), common) in enumerate(shared):
             pair_of[i][j] = k
             first.append(len(mins))
-            mins += accumulate(ct.x2[first[k] : first[k] + len(common)], min)
+            mins += accumulate(ranks2[first[k] : first[k] + len(common)], min)
+        ct = CartesianTree(pts)
         self.lists = []
         for row1, row2 in zip(fr1, fr2):
             hits = []

@@ -25,38 +25,42 @@ def bitrev(x, bits):
 
 
 def test_ct_diagonal_is_right_spine():
-    ct = CartesianTree([(i, i, i) for i in range(8)])
-    assert ct.payload[ct.root] == 0
-    node = ct.root
-    for i in range(8):
-        assert ct.payload[node] == i
-        assert ct.left[node] == -1
-        node = ct.right[node]
-    assert node == -1
+    """Keys rising with x1: each column's subtree is itself and every
+    column right of it, so preorder is column order and no node has a
+    left child."""
+    n = 8
+    ct = CartesianTree([(i, i, 10 + i) for i in range(n)])
+    assert ct.colp == list(range(n))
+    assert ct.pend == [n] * n
+    assert ct.px2 == list(range(n))
+    assert ct.ppay == [10 + i for i in range(n)]
 
 
 def test_ct_antidiagonal_is_left_spine():
+    """Keys falling with x1: the last column is the root, and each column's
+    subtree is itself and every column left of it, so preorder runs from
+    the last column to the first and no node has a right child."""
     n = 8
-    ct = CartesianTree([(i, n - 1 - i, i) for i in range(n)])
-    assert ct.payload[ct.root] == n - 1
-    node = ct.root
-    for i in range(n - 1, -1, -1):
-        assert ct.payload[node] == i
-        assert ct.right[node] == -1
-        node = ct.left[node]
+    ct = CartesianTree([(i, n - 1 - i, 10 + i) for i in range(n)])
+    assert ct.colp == list(range(n - 1, -1, -1))
+    assert ct.pend == [n] * n
+    assert ct.ppay == [10 + i for i in range(n - 1, -1, -1)]
 
 
-def _subtree_span(ct, c):
-    """(lo, hi): the columns of c's subtree, walked through left/right."""
+def _subtree_columns(ys, c):
+    """The columns of c's subtree when ties go to the leftmost column: it
+    reaches left over larger keys and right over keys at least c's."""
     lo = hi = c
-    while ct.left[lo] != -1:
-        lo = ct.left[lo]
-    while ct.right[hi] != -1:
-        hi = ct.right[hi]
-    return lo, hi
+    while lo > 0 and ys[lo - 1] > ys[c]:
+        lo -= 1
+    while hi < len(ys) - 1 and ys[hi + 1] >= ys[c]:
+        hi += 1
+    return list(range(lo, hi + 1))
 
 
 def test_ct_range_min_equals_scan_all_subranges():
+    """The smaller of a range's two table entries is the preorder position
+    of its leftmost minimum, and each node's subtree is its `pend` run."""
     rng = random.Random(13)
     n = 64
     shuffled = list(range(n))
@@ -68,10 +72,14 @@ def test_ct_range_min_equals_scan_all_subranges():
         for lo in range(n):
             for hi in range(lo, n):
                 want = min(range(lo, hi + 1), key=lambda i: ys[i])
-                assert ct.colx[ct.range_min(lo, hi)] == want
+                k = (hi - lo + 1).bit_length() - 1
+                row = ct._table[k]
+                assert ct.colp[min(row[lo], row[hi - (1 << k) + 1])] == want
                 assert ct.col_span_min(lo, hi) == (lo, hi, ys[want])
-        for c in range(n):
-            assert ct.range_min(*_subtree_span(ct, c)) == c
+        for p, c in enumerate(ct.colp):
+            assert ct._table[0][c] == p
+            assert (ct.px2[p], ct.ppay[p]) == (ys[c], c)
+            assert sorted(ct.colp[p : ct.pend[p]]) == _subtree_columns(ys, c)
 
 
 def dominance_scan(pts, bx1, bx2):
@@ -139,6 +147,48 @@ def test_ct_three_sided_matches_scan():
             want = sorted(p for x1, x2, p in pts if lo <= x1 <= hi and x2 <= bound)
             assert sorted(out) == want
             assert visits <= 3 * len(want) + 3
+
+
+def _range_tree_children(ys, lo, hi):
+    """{column: its children} in the Cartesian tree of columns lo..hi
+    alone, by leftmost-minimum splitting: a range's leftmost minimum is
+    the root, and its left and right parts root its children."""
+    children = {}
+    todo = [(lo, hi, None)]
+    while todo:
+        a, b, parent = todo.pop()
+        if a > b:
+            continue
+        c = min(range(a, b + 1), key=lambda i: ys[i])
+        children[c] = []
+        if parent is not None:
+            children[parent].append(c)
+        todo += [(a, c - 1, c), (c + 1, b, c)]
+    return children
+
+
+def test_ct_probes_are_the_nodes_a_report_visits():
+    """A report visits the root of its range's own Cartesian tree and
+    each child of a reported node, and reports exactly the scanned
+    points: its probes are those visits, checked against a tree built by
+    brute force, on 0, 1, 2 and more columns with tied keys."""
+    rng = random.Random(35)
+    for _ in range(400):
+        m = rng.choice((0, 1, 2, rng.randrange(3, 40)))
+        ys = [rng.randrange(rng.choice((1, 3, m + 1))) for _ in range(m)]
+        pts = [(3 * x, y, 100 + x) for x, y in enumerate(ys)]
+        ct = CartesianTree(pts)
+        for _ in range(12):
+            x1_lo = rng.randrange(-2, 3 * m + 2)
+            x1_hi = rng.randrange(x1_lo - 1, 3 * m + 3)
+            bound = rng.randrange(-1, max(ys, default=0) + 2)
+            lo, hi = ct.col_span(x1_lo, x1_hi)
+            out, probes = ct.report_range(lo, hi, bound)
+            want = [100 + x for x in range(lo, hi + 1) if ys[x] <= bound]
+            assert sorted(out) == want
+            children = _range_tree_children(ys, lo, hi)
+            visits = sum(len(kids) for c, kids in children.items() if ys[c] <= bound)
+            assert probes == (visits + 1 if children else 0)
 
 
 def test_ct_duplicate_columns():

@@ -382,7 +382,11 @@ def ref_contracted_intervals(lg, core):
 def _assert_intervals_match_reference(g, v0=0):
     dec = layer_decompose(g, v0)
     for lg, core in zip(layer_graphs(g, dec, v0), dec.layers):
-        assert contracted_intervals(dec, lg.index) == ref_contracted_intervals(lg, core)
+        ref = ref_contracted_intervals(lg, core)
+        assert contracted_intervals(dec, lg.index) == (
+            {v: 2 * start for v, (start, _) in ref.items()},
+            {v: 2 * end for v, (_, end) in ref.items()},
+        )
     return dec
 
 
@@ -395,7 +399,7 @@ def test_contracted_intervals_match_reference_on_random_utrees():
 
 
 def test_contracted_intervals_small_and_adversarial():
-    assert contracted_intervals(layer_decompose(Digraph(1, [], kind="utree")), 0) == {0: (1, 2)}
+    assert contracted_intervals(layer_decompose(Digraph(1, [], kind="utree")), 0) == ({0: 2}, {0: 4})
     for arcs, mu in (([(0, 1)], 1), ([(1, 0)], 2)):
         assert _assert_intervals_match_reference(Digraph(2, arcs, kind="utree")).mu == mu
     # a star with mixed directions: 0 -> 1, 2, 3 and 4, 5, 6 -> 0
@@ -408,7 +412,7 @@ def test_contracted_intervals_small_and_adversarial():
     dec = _assert_intervals_match_reference(zig)
     assert dec.mu == n - 1
     # the contracted root of a later layer takes tick 1
-    assert contracted_intervals(dec, 5) == {6: (2, 3)}
+    assert contracted_intervals(dec, 5) == ({6: 4}, {6: 6})
 
 
 def test_dfs_intervals_single_vertex():
@@ -926,10 +930,10 @@ def test_tree_blocks_held_bytes_per_vertex():
 
 def test_cartesian_tree_held_bytes_per_vertex():
     """A Cartesian tree keeps, per column, five column slots (`colx`,
-    `x2`, `payload`, `left`, `right`), its sparse table's entries and one
-    int (the child links hold the table's first-row ints): 176 bytes at
-    4,096 columns (161 measured), so no copy of its input fits beside
-    them."""
+    and by preorder position `px2`, `ppay`, `pend` and `colp`), its
+    sparse table's entries and one int (positions, columns and subtree
+    ends share one int per position): 176 bytes at 4,096 columns (161
+    measured), so no copy of its input fits beside them."""
     n = 1 << 12
     rng = random.Random(4096)
     ys = [rng.randrange(n) for _ in range(n)]

@@ -446,6 +446,37 @@ def test_tree_indexes_answer_as_pinned():
     assert digest.hexdigest() == "28ffd0fdcaadcb874e45861531a50dd3d494214f18bd66f594f7f6992f8b5ad2"
 
 
+def ladder(rng, n):
+    """Two dipaths over a shuffled vertex order, the first n // 2 vertices
+    and the rest, with a rung from the k-th vertex of the first to the
+    k-th of the second: a path cover of two paths."""
+    order = list(range(n))
+    rng.shuffle(order)
+    a, b = order[: n // 2], order[n // 2 :]
+    return Digraph(n, list(zip(a, a[1:])) + list(zip(b, b[1:])) + list(zip(a, b)))
+
+
+def test_pathcover_indexes_answer_as_pinned():
+    """Every vertex's `query_counted` triple from the path-cover index,
+    both cover sides and the Cartesian-tree side against an in-tree
+    included, hashed; recorded before the Cartesian tree was laid out in
+    preorder."""
+    rng = random.Random(35)
+    digest = hashlib.sha256()
+    for n in (1, 2, 45, 200):
+        p = min(1.0, 4 / n)
+        cases = [
+            (ladder(rng, n), ladder(rng, n)),
+            (rand_dag(rng, n, p), rand_dag(rng, n, p)),
+            (rand_dag(rng, n, p), rand_tree(rng, n, "in-tree")),
+            (rand_dag(rng, n, p), rand_tree(rng, n, "out-tree")),
+        ]
+        for g1, g2 in cases:
+            idx = index_pathcover(g1, g2)
+            digest.update(repr((idx.variant, [idx.query_counted(b) for b in range(n)])).encode())
+    assert digest.hexdigest() == "3cf10681f8549f33727efabc54bc8541f3c44ee4681362df73cdacc33d1a42ed"
+
+
 def test_pathcover_kappa_one_behaves_as_two_paths():
     rng = random.Random(23)
     p1, p2 = rand_path(rng, 20), rand_path(rng, 20)
