@@ -3,7 +3,6 @@
 from .graph import (
     CyclicGraphError,
     Digraph,
-    DfsIntervals,
     GraphClassError,
     condense_pair,
     dfs_intervals,
@@ -18,9 +17,7 @@ from .graph import (
 from .geom import (
     CartesianTree,
     EnclosureIndex,
-    HSegment,
     RangeTree2D,
-    Rect,
     SegRayIndex,
 )
 from .hpd import (
@@ -51,7 +48,7 @@ from .jrindex import (
     index_two_trees,
     kameda_labels,
 )
-from .gen import GENERATOR_KINDS, gen_bitreversal, generate
+from .gen import gen_bitreversal, generate
 from .classes import CLASSES, build, classify, index
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -178,8 +178,7 @@ def paths_against_tree(cover, rows, tree):
     paths, path_of = cover.paths, cover.path_of
     n = len(rows)
     stride = band_stride(n)
-    iv = dfs_intervals(tree)
-    s, t = iv.s, iv.t
+    s, t = dfs_intervals(tree)
     lists = [[] for _ in range(n)]
     keys = [(i, 0) for i in range(len(paths))]
     if tree.kind == "out-tree":

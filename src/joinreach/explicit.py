@@ -413,9 +413,6 @@ class VerifyReport:
     first_violation: tuple | None
     pairs_checked: int
 
-    def __bool__(self):
-        return self.ok
-
 
 def verify_join_graph(jg, g1, g2):
     """Check the defining equivalence of a join graph against the oracle.

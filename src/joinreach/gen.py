@@ -21,7 +21,6 @@ GENERATORS = {
     "bitrev": lambda rng, n, p: list(gen_bitreversal(n)),
     "sp-st": lambda rng, n, p: [rand_sp_st(rng, n)],
 }
-GENERATOR_KINDS = tuple(GENERATORS)
 
 
 def generate(kind, n, seed=0, p=0.2):

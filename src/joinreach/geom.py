@@ -6,8 +6,7 @@ disjoint) x1 spans versus vertical rays, its nodes keyed by one int per
 segment, and, both in O(log^2 m + k), an interval tree over segment
 trees for point enclosure in integer rectangles and a merge-sort range
 tree for orthogonal range reporting. Points, segments and rectangles are
-read as plain tuples; `HSegment` and `Rect` are optional named views of
-the last two. All structures are immutable after build. The Cartesian
+plain tuples. All structures are immutable after build. The Cartesian
 tree is stored in preorder: range minima come from a sparse table of
 preorder positions, and a whole subtree is one run of positions. Every
 report returns (payloads, probes) so callers can assert output
@@ -22,16 +21,6 @@ import random as _random
 from bisect import bisect_left, bisect_right
 from math import ceil, floor, inf
 from operator import index, itemgetter
-from typing import NamedTuple
-
-
-class HSegment(NamedTuple):
-    """A segment of `SegRayIndex`, named; any 4-sequence in this order serves."""
-
-    x1_lo: int
-    x1_hi: int
-    x2: int
-    payload: int
 
 
 # ----------------------------------------------------------------------
@@ -242,12 +231,12 @@ def _walk(stack, key_end):
 class SegRayIndex:
     """Horizontal segments queried by upward vertical rays.
 
-    A segment is any 4-sequence (x1_lo, x1_hi, x2, payload), such as an
-    `HSegment` or a plain tuple; its x2 is an integer, read through
-    `operator.index`, so a float raises TypeError. A query from (x, y)
-    reports exactly the segments with x1_lo < x < x1_hi and x2 >= y, in
-    increasing x2 order, ties by position in `segments`, up to a cap on
-    x2; y and the cap are reals or infinities. It finds the treap
+    A segment is a tuple (x1_lo, x1_hi, x2, payload); its x2 is an
+    integer, read through `operator.index`, so a float raises TypeError.
+    A query from (x, y) reports exactly the segments with
+    x1_lo < x < x1_hi and x2 >= y, in increasing x2 order, ties by
+    position in `segments`, up to a cap on x2; y and the cap are reals
+    or infinities. It finds the treap
     version at x by one binary search over the sweep's stops (persistent
     point location, Sarnak and Tarjan) and descends to the first key
     >= y; nothing is stored per query point. A node's key is the int
@@ -324,18 +313,6 @@ class SegRayIndex:
 # Rectangle point enclosure: an interval tree on x1 over segment trees on x2
 
 
-class Rect(NamedTuple):
-    """A rectangle with integer corners; it contains the points strictly
-    inside. A rectangle of `EnclosureIndex`, named; any 5-sequence in
-    this order serves."""
-
-    x1_lo: int
-    x1_hi: int
-    x2_lo: int
-    x2_hi: int
-    payload: int
-
-
 def _segment_tree(lo_entries, hi_entries):
     """A flat segment tree over the x2 ranges of one node's boxes, given
     as (key, x2 lo, x2 hi, payload) entries in two key orders.
@@ -379,7 +356,8 @@ def _segment_tree(lo_entries, hi_entries):
 class EnclosureIndex:
     """Rectangles reported by the points they strictly contain.
 
-    Coordinates are integers, read through `operator.index`, so a float
+    A rectangle is a tuple (x1_lo, x1_hi, x2_lo, x2_hi, payload). Its
+    coordinates are integers, read through `operator.index`, so a float
     raises TypeError. A rectangle's open spans are the closed ranges
     x1_lo + 1 .. x1_hi - 1 and x2_lo + 1 .. x2_hi - 1, its box, and a
     rectangle empty on either axis is dropped. The outer level is an

@@ -425,10 +425,6 @@ class LayerDecomposition:
     up: list
     fringe_root: list
 
-    @property
-    def mu(self):
-        return len(self.layers)
-
 
 def layer_decompose(g, v0=None):
     """Partition g into layers, the cores of its 2-layered graph sequence.
@@ -599,19 +595,19 @@ def tree_blocks(g):
         return blocks, of
     orient = {"out-tree": "out", "in-tree": "in"}.get(g.kind)
     if orient is not None:
-        iv = dfs_intervals(g)
+        s, t = dfs_intervals(g)
     elif all(len(p) <= 1 for p in g.inn):
-        orient, iv = "out", dfs_intervals(g, g.inn.index(()))
+        orient, (s, t) = "out", dfs_intervals(g, g.inn.index(()))
     elif all(len(s) <= 1 for s in g.out):
-        orient, iv = "in", dfs_intervals(g, g.out.index(()))
+        orient, (s, t) = "in", dfs_intervals(g, g.out.index(()))
     if orient is not None:
-        s, t = [x + x for x in iv.s], [x + x for x in iv.t]
+        s, t = [x + x for x in s], [x + x for x in t]
         return [TreeBlock(orient, frozenset(), s, t, False)], [(0,)] * n
     dec = layer_decompose(g, 0)
     blocks = []
     of = [[] for _ in range(n)]
     for i, core in enumerate(dec.layers):
-        fringe = frozenset(dec.layers[i + 1] if i + 1 < dec.mu else ())
+        fringe = frozenset(dec.layers[i + 1] if i + 1 < len(dec.layers) else ())
         s, t = contracted_intervals(dec, i)
         for v in fringe:
             root = dec.fringe_root[v]
@@ -648,20 +644,9 @@ def block_pairs(g1, g2):
     return blocks1, blocks2, [(divmod(k, w), vs) for k, vs in sorted(groups.items()) if len(vs) > 1]
 
 
-@dataclass
-class DfsIntervals:
-    """First/last visit times of a rooted-tree DFS, all 2n values distinct."""
-
-    s: list
-    t: list
-
-    def contains(self, a, b):
-        """True iff the interval of a contains the interval of b."""
-        return self.s[a] <= self.s[b] and self.t[b] <= self.t[a]
-
-
 def dfs_intervals(g, root=None):
-    """DFS intervals of a rooted tree g, walked away from `root`.
+    """(s, t): the first and last visit times of each vertex in a DFS of
+    the rooted tree g, walked away from `root`.
 
     The walk follows out-arcs from an out-root and in-arcs from an
     in-root, children in increasing vertex id. With no `root` it starts
@@ -701,7 +686,7 @@ def dfs_intervals(g, root=None):
         stack += adj[v][::-1]
     if clock != 2 * n:
         raise GraphClassError("not a tree: disconnected")
-    return DfsIntervals(s, t)
+    return s, t
 
 
 # ----------------------------------------------------------------------

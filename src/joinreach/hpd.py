@@ -29,8 +29,7 @@ def hpd_build(g):
     breadth-first order of their heads.
     """
     root = g.root()
-    iv = dfs_intervals(g)
-    s, t = iv.s, iv.t  # t - s = 2 * subtree size - 1
+    s, t = dfs_intervals(g)  # t - s = 2 * subtree size - 1
     kids = g.inn if g.kind == "in-tree" else g.out
     paths = [[root]]
     path_of = [None] * g.n

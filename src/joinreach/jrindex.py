@@ -32,7 +32,6 @@ counted, so a probe count is real work in every index.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .cover import band_stride, from_ranks, min_path_cover, paths_against_tree, shared_vertices
@@ -150,6 +149,7 @@ class _BlockPairs(_Packed):
                 (rpts if _rank(b2) == 1 else pts).extend([(base + s1[v], s2[v], v) for v in stored])
         ct, seg = CartesianTree(pts), SegRayIndex(segs)
         enc, rt = EnclosureIndex(rects), RangeTree2D(rpts)
+        del rects, segs, rpts, pts  # free the geometry before the lists grow
         lists = self.lists = [[] for _ in range(n)]
         # d1 = 1 opens a core b's range; a fringe b's closed range on the
         # second side is the block's own two ints, which the entry shares.
@@ -267,6 +267,7 @@ class _PathCover(_Packed):
             first.append(len(mins))
             mins += accumulate(ranks2[first[k] : first[k] + len(common)], min)
         ct = CartesianTree(pts)
+        del pts, ranks2
         self.lists = []
         for row1, row2 in zip(fr1, fr2):
             hits = []
@@ -287,14 +288,9 @@ def index_pathcover(g1, g2):
 # Planar st-graphs
 
 
-@dataclass
-class KamedaLabels:
-    l1: list
-    l2: list
-
-
 def kameda_labels(g):
-    """Two-label dominance characterization of planar st-graph reachability.
+    """(l1, l2): Kameda's two labels of a planar st-graph; a reaches b
+    iff l1[a] <= l1[b] and l2[a] <= l2[b].
 
     Labels come from two depth-first searches that scan out-arcs in
     leftmost-first and rightmost-first embedding order, numbering
@@ -319,7 +315,7 @@ def kameda_labels(g):
                 f"label equivalence fails at pair ({a},{b}); "
                 "input is not a validly embedded planar st-graph"
             )
-    return KamedaLabels(l1, l2)
+    return l1, l2
 
 
 def _suffix_masks(labels):
@@ -356,8 +352,7 @@ class _PlanarSt:
         if g1.n != p2.n:
             raise ValueError("vertex-set mismatch")
         n = g1.n
-        lab = kameda_labels(g1)
-        self.l1, self.l2 = lab.l1, lab.l2
+        self.l1, self.l2 = kameda_labels(g1)
         self.l3 = [0] * n
         for r, v in enumerate(path_order(p2)):
             self.l3[v] = r

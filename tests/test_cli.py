@@ -13,7 +13,7 @@ from joinreach import classes, cli, cover, explicit, jrindex
 from joinreach import graph as graph_mod
 from joinreach.classes import index
 from joinreach.cli import main
-from joinreach.gen import GENERATOR_KINDS, generate, rand_dag, rand_path, rand_sp_st, rand_upath
+from joinreach.gen import GENERATORS, generate, rand_dag, rand_path, rand_sp_st, rand_upath
 from joinreach.graph import Digraph, format_graph, read_graph, transitive_closure, write_graph
 from joinreach.explicit import read_join
 
@@ -64,7 +64,7 @@ PINNED_DIGESTS = {
 
 
 def test_generators_draw_as_pinned():
-    assert {kind for kind, _ in PINNED_DIGESTS} == set(GENERATOR_KINDS)
+    assert {kind for kind, _ in PINNED_DIGESTS} == set(GENERATORS)
     for (kind, p), want in PINNED_DIGESTS.items():
         h = hashlib.sha256()
         for n, seed in PIN_POINTS:
@@ -73,6 +73,15 @@ def test_generators_draw_as_pinned():
             for g in generate(kind, n, seed, p):
                 h.update(format_graph(g).encode())
         assert h.hexdigest() == want, (kind, p)
+
+
+def test_readme_quick_start_runs():
+    """The python block under "Library quick start" runs as written, so
+    the README names no public name the package lacks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from joinreach import" in block
+    exec(compile(block, "README.md quick start", "exec"), {})
 
 
 def test_cli_gen_build_verify_roundtrip(tmp_path):

@@ -866,7 +866,7 @@ def test_a_built_and_a_parsed_join_hold_only_their_rows():
 
     def verified(make):
         jg = make()
-        assert verify_join_graph(jg, p1, p2)
+        assert verify_join_graph(jg, p1, p2).ok
         return jg.graph
 
     def in_rows_read(make):

@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,15 @@ import pytest
 from joinreach.geom import (
     CartesianTree,
     EnclosureIndex,
-    HSegment,
     RangeTree2D,
-    Rect,
     SegRayIndex,
 )
 from joinreach.graph import Digraph, dfs_intervals
+
+# Segments and rectangles are plain tuples to the library; these name
+# their fields for the scans below.
+HSegment = namedtuple("HSegment", "x1_lo x1_hi x2 payload")
+Rect = namedtuple("Rect", "x1_lo x1_hi x2_lo x2_hi payload")
 
 
 def bitrev(x, bits):
@@ -231,12 +235,12 @@ def test_seg_random_tree_intervals_match_scan():
         n = rng.randrange(2, 50)
         parent = [-1] + [rng.randrange(v) for v in range(1, n)]
         g = Digraph(n, [(parent[v], v) for v in range(1, n)], kind="out-tree")
-        iv = dfs_intervals(g)
+        s, t = dfs_intervals(g)
         heights = list(range(n))
         rng.shuffle(heights)
-        segs = [HSegment(iv.s[a], iv.t[a], heights[a], a) for a in range(n)]
+        segs = [HSegment(s[a], t[a], heights[a], a) for a in range(n)]
         idx = SegRayIndex(segs)
-        for x, y in [(iv.s[b], heights[b]) for b in range(n)]:
+        for x, y in [(s[b], heights[b]) for b in range(n)]:
             out, visits = idx.report_at(x, y, math.inf)
             want = seg_scan(segs, x, y)
             assert out == want
@@ -374,11 +378,11 @@ def test_enclosure_tree_rectangles_match_scan():
     parent2 = [-1] + [rng.randrange(v) for v in range(1, n)]
     g1 = Digraph(n, [(parent1[v], v) for v in range(1, n)], kind="out-tree")
     g2 = Digraph(n, [(parent2[v], v) for v in range(1, n)], kind="out-tree")
-    iv1, iv2 = dfs_intervals(g1), dfs_intervals(g2)
-    rects = [Rect(iv1.s[a], iv1.t[a], iv2.s[a], iv2.t[a], a) for a in range(n)]
+    (s1, t1), (s2, t2) = dfs_intervals(g1), dfs_intervals(g2)
+    rects = [Rect(s1[a], t1[a], s2[a], t2[a], a) for a in range(n)]
     idx = EnclosureIndex(rects)
     for b in range(n):
-        qx, qy = iv1.s[b], iv2.s[b]
+        qx, qy = s1[b], s2[b]
         got = sorted(idx.report(qx, qy)[0])
         want = sorted(
             r.payload
@@ -491,19 +495,19 @@ def test_enclosure_chain_star_rectangles():
     rng.shuffle(order)
     chain = Digraph(n, list(zip(order, order[1:])), kind="out-tree")
     star = Digraph(n, [(order[0], v) for v in order[1:]], kind="out-tree")
-    iv1, iv2 = dfs_intervals(chain), dfs_intervals(star)
-    rects = [Rect(2 * iv1.s[a], 2 * iv1.t[a], 2 * iv2.s[a], 2 * iv2.t[a], a) for a in range(n)]
+    (s1, t1), (s2, t2) = dfs_intervals(chain), dfs_intervals(star)
+    rects = [Rect(2 * s1[a], 2 * t1[a], 2 * s2[a], 2 * t2[a], a) for a in range(n)]
     idx = EnclosureIndex(rects)
     by_x2 = sorted(rects, key=lambda r: r.x2_lo)
     x2_los = [r.x2_lo for r in by_x2]
     for b in range(n):
-        for qx, qy in ((2 * iv1.s[b] + 1, 2 * iv2.s[b] + 1), (2 * iv1.s[b], 2 * iv2.s[b])):
+        for qx, qy in ((2 * s1[b] + 1, 2 * s2[b] + 1), (2 * s1[b], 2 * s2[b])):
             # a rectangle holding (qx, qy) starts below qy on x2
             want = enclosure_scan(by_x2[: bisect_right(x2_los, qy)], qx, qy)
             got, probes = idx.report(qx, qy)
             assert sorted(got) == want, b
             assert probes <= enclosure_probe_bound(n, len(want))
-        assert b in idx.report(2 * iv1.s[b] + 1, 2 * iv2.s[b] + 1)[0], b
+        assert b in idx.report(2 * s1[b] + 1, 2 * s2[b] + 1)[0], b
 
 
 def test_enclosure_rejects_non_integer_coordinates():

@@ -5,7 +5,7 @@ import random
 
 from joinreach import explicit, graph
 from joinreach.explicit import format_join, parse_join
-from joinreach.gen import GENERATOR_KINDS, generate, rand_dag, rand_path, rand_tree, rand_utree
+from joinreach.gen import GENERATORS, generate, rand_dag, rand_path, rand_tree, rand_utree
 from joinreach.graph import format_graph, parse_graph
 
 PARSERS = (parse_graph, parse_join)
@@ -27,7 +27,7 @@ def _valid_texts():
     """(text, its parser) for graph files of every `gen` kind and join
     files from the five builders."""
     texts = []
-    for kind in GENERATOR_KINDS:
+    for kind in GENERATORS:
         for g in generate(kind, 16, seed=1):
             texts.append((format_graph(g), parse_graph))
     rng = random.Random(7)
