@@ -49,7 +49,9 @@ def _build_pathcover(g1, g2):
 
 
 class _CondensedQueries:
-    """Queries on a cyclic pair, answered by the index of its condensation."""
+    """Queries on a cyclic pair, answered by the index of its condensation:
+    each subcomponent in the condensed answer expands into its members,
+    which no other subcomponent holds, so no vertex is listed twice."""
 
     def __init__(self, sub_of, members, inner):
         self.sub_of = sub_of
@@ -58,7 +60,7 @@ class _CondensedQueries:
 
     def query_counted(self, b):
         subs, probes, pairs = self.inner.query_counted(self.sub_of[b])
-        return {v for s in subs for v in self.members[s]}, probes, pairs
+        return [v for s in subs for v in self.members[s]], probes, pairs
 
 
 def _index_pathcover(g1, g2):

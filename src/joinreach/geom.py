@@ -479,20 +479,20 @@ class EnclosureIndex:
 # ----------------------------------------------------------------------
 # Range tree for orthogonal range reporting, in the merge-sort layout
 
-_first = itemgetter(0)  # a point's x1, an (x2, payload) entry's x2
-
-
 class RangeTree2D:
     """Points reported by an axis-parallel closed rectangle.
 
-    The points are sorted by x1 once. Level k holds the (x2, payload)
-    pairs of each aligned run of 2^k points, run j being x1 ranks
-    j 2^k .. (j + 1) 2^k - 1, sorted by x2. Level 0 is x1 order, and each
-    level above sorts each pair of runs below, so a run is a range-tree
-    node's canonical list with no node stored (Bentley's merge-sort
-    layout). A query finds its x1 ranks by two searches of the x1 column,
-    covers them bottom up with at most two runs per level, and reports
-    each run's x2 span, found by two binary searches.
+    The points are sorted by x1 once. Level k holds each aligned run of
+    2^k points, run j being x1 ranks j 2^k .. (j + 1) 2^k - 1, sorted by
+    x2, ties in x1 order, as two parallel tuples: the x2 values and the
+    payloads. Level 0 is x1 order, and each level above sorts each pair
+    of runs below, so a run is a range-tree node's canonical list with no
+    node stored (Bentley's merge-sort layout). A query finds its x1 ranks
+    by two searches of the x1 column, covers them bottom up with at most
+    two whole runs per level, finds each run's x2 span by two binary
+    searches of its x2 values and reports the payload slice. A cover
+    never takes a run cut short by the end of the points, so a level
+    keeps only its whole runs, and there is no level of 2^k > m points.
 
     A probe is one run or list entry visited, a binary search charged its
     bit length. With G = ceil(lg m) + 1 for m points, a query reporting k
@@ -505,18 +505,21 @@ class RangeTree2D:
     bounds may be any numbers, infinities included.
     """
 
-    __slots__ = ("_x1", "_levels")
+    __slots__ = ("_x1", "_x2", "_pay")
 
     def __init__(self, points):
-        pts = sorted(points, key=_first)
-        self._x1 = [p[0] for p in pts]
-        level = [(p[1], p[2]) for p in pts]
-        levels = self._levels = [level]
-        m, width = len(pts), 1
-        while width < m:
+        x2_of, pay_of = itemgetter(1), itemgetter(2)
+        level = sorted(points, key=itemgetter(0))
+        m = len(level)
+        self._x1 = [p[0] for p in level]
+        x2s, pays = self._x2, self._pay = [], []
+        width = 1
+        while width <= m:
+            x2s.append(tuple(map(x2_of, level)))
+            pays.append(tuple(map(pay_of, level)))
             width *= 2
-            level = [e for j in range(0, m, width) for e in sorted(level[j : j + width], key=_first)]
-            levels.append(level)
+            runs = range(0, m - width + 1, width)
+            level = [p for j in runs for p in sorted(level[j : j + width], key=x2_of)]
 
     def report(self, x1_lo, x1_hi, x2_lo, x2_hi):
         """(payloads of the points with x1_lo <= x1 <= x1_hi and
@@ -534,10 +537,11 @@ class RangeTree2D:
                 runs.append((k, hi - 1))
             lo, hi, k = (lo + 1) >> 1, hi >> 1, k + 1
         out = []
+        x2s, pays = self._x2, self._pay
         for k, j in runs:
-            level, s, e = self._levels[k], j << k, (j + 1) << k
-            a = bisect_left(level, x2_lo, s, e, key=_first)
-            b = bisect_right(level, x2_hi, a, e, key=_first)
-            out += [p for _, p in level[a:b]]
+            x2, s, e = x2s[k], j << k, (j + 1) << k
+            a = bisect_left(x2, x2_lo, s, e)
+            b = bisect_right(x2, x2_hi, a, e)
+            out += pays[k][a:b]
             probes += 3 + 2 * k + b - a
         return out, probes

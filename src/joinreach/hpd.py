@@ -57,12 +57,15 @@ class HpdTwoTrees:
     there, so `cover.paths_against_tree` lays them out against the second
     tree. lists[b] holds the heavy paths on b's root path whose report
     for b is nonempty, as (key, structure, report method name, arguments).
+    Against an out-tree (`out_second`) b's own heavy path reports b;
+    against an in-tree each path reports proper descendants only.
     """
 
     lists: list
+    out_second: bool
 
     def query_counted(self, b):
-        """(predecessor set, probes, keys of the heavy paths touched)."""
+        """(predecessor list, probes, keys of the heavy paths touched)."""
         res, probes = hpd_two_trees_report(self, b)
         return res, probes, [key for key, *_ in self.lists[b]]
 
@@ -78,19 +81,22 @@ def hpd_two_trees_build(t1, t2):
     # Heads are numbered breadth first, so each head's parent lies on an
     # earlier path: the paths in turn are a topological order of t1.
     order = [v for path in hpd.paths for v in path]
-    return HpdTwoTrees(paths_against_tree(hpd, from_ranks(t1, hpd, order), t2))
+    lists = paths_against_tree(hpd, from_ranks(t1, hpd, order), t2)
+    return HpdTwoTrees(lists, t2.kind == "out-tree")
 
 
 def hpd_two_trees_report(idx, b):
-    """(set of the vertices reaching b in both trees, probe count).
+    """(list of the vertices reaching b in both trees, b exactly once,
+    probe count).
 
     Only heavy paths that report a vertex for b are listed, so a query
-    with k answers costs O(1 + k) probes.
+    with k answers costs O(1 + k) probes. The paths are vertex-disjoint,
+    so no vertex is reported twice.
     """
-    out = {b}
+    out = [] if idx.out_second else [b]
     probes = 0
     for _, struct, report, args in idx.lists[b]:
         hits, pr = getattr(struct, report)(*args)
-        out.update(hits)
+        out += hits
         probes += pr
     return out, probes

@@ -31,7 +31,7 @@ counted, so a probe count is real work in every index.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from .cover import band_stride, from_ranks, min_path_cover, paths_against_tree, shared_vertices
@@ -61,14 +61,24 @@ class JRIndex:
     def query_counted(self, b):
         """(sorted predecessor list, structure probes, pair-structures touched).
 
-        The implementation returns a fresh set of the predecessors it
-        found; b joins that set and it is sorted once.
+        The implementation returns a fresh list of the predecessors it
+        found, none twice but b, which it may hold once or not at all. b
+        is appended, the list sorted once, and b's second copy, if any,
+        dropped. An answer of at least n/4 vertices goes through a set
+        instead: CPython iterates a set of ints that dense almost in
+        order, which the sort then finishes in near-linear time.
         """
         if not (0 <= b < self.n):
             raise ValueError(f"query vertex {b} out of range")
         found, probes, pairs = self._impl.query_counted(b)
-        found.add(b)
-        return sorted(found), probes, pairs
+        found.append(b)
+        if 4 * len(found) >= self.n:
+            return sorted(set(found)), probes, pairs
+        found.sort()
+        i = bisect_left(found, b)
+        if i + 1 < len(found) and found[i + 1] == b:
+            del found[i]
+        return found, probes, pairs
 
 
 class _Packed:
@@ -80,17 +90,18 @@ class _Packed:
     pair that can report for b, (pair key, structure, method name,
     arguments): the named method of the structure holding the pair
     returns (payloads, probes). It is looked up at each query, so a
-    tracer installed after the build still sees it.
+    tracer installed after the build still sees it. A query concatenates
+    the reports into one list.
     """
 
     def query_counted(self, b):
-        out = set()
+        out = []
         probes = 0
         pairs = []
         for key, struct, report, args in self.lists[b]:
             res, pr = getattr(struct, report)(*args)
             pairs.append(key)
-            out.update(res)
+            out += res
             probes += pr
         return out, probes, pairs
 
@@ -127,6 +138,11 @@ class _BlockPairs(_Packed):
     out-oriented side holds no predecessor of its fringe. Coordinates and
     predecessor ranges are read from the blocks' `s` and `t` columns in
     the loop that writes each point or report entry.
+
+    A pair reports each of its members at most once, but a vertex in two
+    blocks of a tree can be reported by two pairs, so a query touching
+    more than one pair drops repeats through a set. With one block per
+    tree there is one pair.
     """
 
     def __init__(self, g1, g2):
@@ -191,6 +207,12 @@ class _BlockPairs(_Packed):
                     if lo <= hi:
                         lists[b].append((key, ct, "report_range", (lo, hi, s2[b])))
 
+    def query_counted(self, b):
+        out, probes, pairs = _Packed.query_counted(self, b)
+        if len(pairs) > 1:
+            out = list(set(out))
+        return out, probes, pairs
+
 
 def index_two_paths(p1, p2):
     return JRIndex("two-paths", p1.n, _BlockPairs(p1, p2))
@@ -250,7 +272,10 @@ class _PathCover(_Packed):
         """Pair k = (i, j) holds the vertices on both cover paths at
         (rank on i, rank on j). It is in I(v) when one of them has rank at
         most fr1(v, i) on i and at most fr2(v, j) on j, which one flat
-        array of prefix minima over each pair's columns answers."""
+        array of prefix minima over each pair's columns answers. Each of
+        v's pairs (i, j) is found by looking up the smaller of the two
+        dicts keyed by j in the larger, and v's two rows are released as
+        soon as its list is written."""
         stride = band_stride(len(fr1))
         path_of1, path_of2 = pc1.path_of, pc2.path_of
         shared = list(shared_vertices(pc1, pc2).items())
@@ -269,15 +294,19 @@ class _PathCover(_Packed):
         ct = CartesianTree(pts)
         del pts, ranks2
         self.lists = []
-        for row1, row2 in zip(fr1, fr2):
+        for v, (row1, row2) in enumerate(zip(fr1, fr2)):
             hits = []
             for i, f1 in row1.items():
-                for j in pair_of[i].keys() & row2.keys():
-                    k = pair_of[i][j]
-                    hi = bisect_right(ct.colx, k * stride + f1) - 1
-                    if hi >= first[k] and mins[hi] <= row2[j]:
-                        hits.append((shared[k][0], ct, "report_range", (first[k], hi, row2[j])))
+                pairs = pair_of[i]
+                small, large = (pairs, row2) if len(pairs) < len(row2) else (row2, pairs)
+                for j in small:
+                    if j in large:
+                        k, f2 = pairs[j], row2[j]
+                        hi = bisect_right(ct.colx, k * stride + f1) - 1
+                        if hi >= first[k] and mins[hi] <= f2:
+                            hits.append((shared[k][0], ct, "report_range", (first[k], hi, f2)))
             self.lists.append(sorted(hits))
+            fr1[v] = fr2[v] = None  # v's rows are read for the last time
 
 
 def index_pathcover(g1, g2):
@@ -360,8 +389,8 @@ class _PlanarSt:
 
     def query_counted(self, b):
         cands, probes = self.rt.report(1, self.l1[b], 1, self.l2[b])
-        out = {a for a in cands if self.l3[a] <= self.l3[b]}
-        return out, probes, [(0, 0)]
+        l3, rank = self.l3, self.l3[b]
+        return [a for a in cands if l3[a] <= rank], probes, [(0, 0)]
 
 
 def index_planar_st(g1, p2):

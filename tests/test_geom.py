@@ -1,8 +1,10 @@
+import hashlib
 import math
 import random
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -577,6 +579,40 @@ def test_range2d_never_compares_payloads():
         want = [p for x, y, p in pts if q[0] <= x <= q[1] and q[2] <= y <= q[3]]
         assert sorted(got, key=str) == sorted(want, key=str), q
         assert probes <= range_probe_bound(len(pts), len(want))
+
+
+def test_range2d_matches_brute_force_within_2g2_6g_k():
+    """Tied x2 values, float and infinite bounds and empty ranges against
+    a scan: the same payload multiset, repeated payloads counted, in at
+    most 2G^2 + 6G + k probes, G = ceil(lg m) + 1, the docstring's bound."""
+    rng = random.Random(91)
+    cuts = [-math.inf, -2.5, -1, 0, 0.5, 2, math.inf]
+    spans = list(combinations_with_replacement(cuts, 2))
+    for m in (0, 1, 2, 3, 8, 31, 64, 100):
+        pts = [(rng.randrange(-3, 4), rng.choice((-1, 0, 0, 1, 2)), k % 7) for k in range(m)]
+        idx = RangeTree2D(pts)
+        g = (m - 1).bit_length() + 1 if m else 1
+        for (x1_lo, x1_hi), (x2_lo, x2_hi) in product(spans, repeat=2):
+            want = Counter(p for x, y, p in pts if x1_lo <= x <= x1_hi and x2_lo <= y <= x2_hi)
+            got, probes = idx.report(x1_lo, x1_hi, x2_lo, x2_hi)
+            assert Counter(got) == want, (m, x1_lo, x1_hi, x2_lo, x2_hi)
+            assert probes <= 2 * g * g + 6 * g + len(got), (m, x1_lo, x1_hi, x2_lo, x2_hi, probes)
+
+
+def test_range2d_reports_in_run_order_as_pinned():
+    """Raw reports, payloads in the order the runs yield them, of seeded
+    point sets with ties on both axes, hashed; recorded while each level
+    was one list of (x2, payload) pairs."""
+    rng = random.Random(89)
+    digest = hashlib.sha256()
+    for m in (0, 1, 2, 7, 33, 200):
+        pts = [(rng.randrange(-5, 6), rng.randrange(-5, 6), k) for k in range(m)]
+        idx = RangeTree2D(pts)
+        for _ in range(60):
+            x1_lo, x1_hi = sorted((rng.randrange(-7, 8), rng.randrange(-7, 8)))
+            x2_lo, x2_hi = sorted((rng.randrange(-7, 8), rng.randrange(-7, 8)))
+            digest.update(repr(idx.report(x1_lo, x1_hi, x2_lo, x2_hi)).encode())
+    assert digest.hexdigest() == "59d822bbc977fba3bd8a8ac2cac414070c3c88d241bef73698c54811ad4ec7ca"
 
 
 def test_range2d_full_and_empty():

@@ -19,6 +19,8 @@ from joinreach.geom import CartesianTree, EnclosureIndex, RangeTree2D, SegRayInd
 
 from joinreach.explicit import build_unoriented_trees, verify_join_graph
 from joinreach.gen import (
+    GENERATORS,
+    generate,
     rand_dag,
     rand_path,
     rand_sp_st,
@@ -410,6 +412,49 @@ def test_caterpillars_against_the_oracle_within_6_k_plus_1_probes():
                 assert probes <= 6 * (len(res) + 1), (build.__name__, n, b, probes)
 
 
+def assert_answers_once_each_in_order(idx, g1, g2):
+    """Each list the index's implementation returns, before b is added,
+    holds no vertex twice, and each answer is the oracle's, which is
+    strictly ascending."""
+    n = g1.n
+    rows = [transitive_closure(Digraph(n, [(v, u) for u, v in g.arcs])) for g in (g1, g2)]
+    for b, (r1, r2) in enumerate(zip(*rows)):
+        both = r1 & r2  # the vertices reaching b in both graphs
+        want = [a for a in range(both.bit_length()) if both >> a & 1]
+        raw = idx._impl.query_counted(b)[0]
+        assert len(set(raw)) == len(raw), (idx.variant, n, b)
+        assert idx.query_counted(b)[0] == want, (idx.variant, n, b)
+
+
+def test_every_route_reports_each_vertex_once_and_answers_ascending():
+    """Every pair of `jr gen` kinds through `classes.index`, and the
+    heavy-path index where it applies, then bit-reversal, chain-star,
+    zigzag, caterpillar and cyclic pairs, at n <= 2^9."""
+    kinds = [kind for kind in GENERATORS if kind != "bitrev"]
+    for n in (2, 64, 1 << 9):
+        pairs = [
+            (generate(k1, n, 1, min(1.0, 4 / n))[0], generate(k2, n, 2, min(1.0, 4 / n))[0])
+            for k1, k2 in product(kinds, repeat=2)
+        ]
+        rng = random.Random(n)
+        upath, dipath = rand_upath(rng, n), rand_path(rng, n)
+        pairs += [
+            generate("bitrev", n),
+            chain_star(rng, n),
+            (zigzag_path(n), upath),
+            (zigzag_path(n), dipath),
+            (caterpillar(rng, n, "in-tree"), caterpillar(rng, n, "out-tree")),
+            (caterpillar(rng, n, "out-tree"), dipath),
+            (rand_dag(rng, n, 0.2), caterpillar(rng, n, "in-tree")),
+            (_cyclic_digraph(rng, n), _cyclic_digraph(rng, n)),
+            (_cyclic_digraph(rng, n), dipath),
+        ]
+        for g1, g2 in pairs:
+            assert_answers_once_each_in_order(classes.index(g1, g2), g1, g2)
+            if "out-tree" in (g1.kind, g2.kind) and {g1.kind, g2.kind} <= {"out-tree", "in-tree"}:
+                assert_answers_once_each_in_order(index_hpd_two_trees(g1, g2), g1, g2)
+
+
 def test_each_index_builds_at_most_one_structure_of_each_kind(monkeypatch):
     built = Counter()
     kinds = (CartesianTree, SegRayIndex, EnclosureIndex, RangeTree2D)
@@ -513,6 +558,43 @@ def test_pathcover_indexes_answer_as_pinned():
             idx = index_pathcover(g1, g2)
             digest.update(repr((idx.variant, [idx.query_counted(b) for b in range(n)])).encode())
     assert digest.hexdigest() == "3cf10681f8549f33727efabc54bc8541f3c44ee4681362df73cdacc33d1a42ed"
+
+
+def test_planar_st_index_answers_as_pinned():
+    """Every vertex's `query_counted` triple from the planar-st index,
+    against a random dipath and against a topological order of the first
+    graph and its reverse, hashed; recorded while every index answered
+    with a set."""
+    rng = random.Random(37)
+    digest = hashlib.sha256()
+    for n in (2, 3, 45, 200):
+        g1 = rand_sp_st(rng, n)
+        order = topo_order(g1)
+        for p2 in (rand_path(rng, n), dipath_of(order), dipath_of(order[::-1])):
+            idx = index_planar_st(g1, p2)
+            digest.update(repr((idx.variant, [idx.query_counted(b) for b in range(n)])).encode())
+    assert digest.hexdigest() == "50e89e6dfce2eb286425367af8a9424f45092b80d47d3ad19b924fcd5e6c8064"
+
+
+def test_cyclic_pairs_answer_as_pinned():
+    """Every vertex's `query_counted` triple for pairs with a cyclic side,
+    indexed through `classes.index`, which answers most of them on the
+    condensation, hashed with the query object's class; recorded while
+    every index answered with a set."""
+    rng = random.Random(38)
+    digest = hashlib.sha256()
+    for n in (1, 2, 45, 200):
+        cases = [
+            (_cyclic_digraph(rng, n), _cyclic_digraph(rng, n)),
+            (_cyclic_digraph(rng, n), rand_dag(rng, n, min(1.0, 4 / n))),
+            (_cyclic_digraph(rng, n), rand_path(rng, n)),
+            (rand_tree(rng, n, "in-tree"), _cyclic_digraph(rng, n)),
+        ]
+        for g1, g2 in cases:
+            idx = classes.index(g1, g2)
+            impl = type(idx._impl).__name__
+            digest.update(repr((idx.variant, impl, [idx.query_counted(b) for b in range(n)])).encode())
+    assert digest.hexdigest() == "ee91c2c8f0ad8672e002debb186d2cbe722180804f4732f6a60901f4f55f55c2"
 
 
 def test_pathcover_kappa_one_behaves_as_two_paths():
