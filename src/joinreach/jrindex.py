@@ -23,7 +23,11 @@ pair k's x1 shifted by k times a stride above every coordinate; a query
 within pair k's band never meets another pair's points. At build each
 vertex gets the list of pairs that can report for it, each with the
 structure holding the pair, the name of its report method and the
-arguments, so a query is one loop over that list. Probe counts and the
+arguments, so a query is one loop over that list. The lists skip pairs
+that cannot report: the path-cover lists test each pair by a prefix or
+range minimum, and the block pairs drop an in-oriented range holding no
+member start and test each Cartesian-tree range by its minimum, keeping
+only enclosure and chain-side entries untested. Probe counts and the
 list of pairs touched are exposed for output-sensitivity checks; every
 structure's `report` returns its payloads with the elementary work it
 counted, so a probe count is real work in every index.
@@ -62,15 +66,19 @@ class JRIndex:
         """(sorted predecessor list, structure probes, pair-structures touched).
 
         The implementation returns a fresh list of the predecessors it
-        found, none twice but b, which it may hold once or not at all. b
-        is appended, the list sorted once, and b's second copy, if any,
-        dropped. An answer of at least n/4 vertices goes through a set
-        instead: CPython iterates a set of ints that dense almost in
-        order, which the sort then finishes in near-linear time.
+        found, none twice but b, which it may hold once or not at all. An
+        empty list or [b] answers [b] at once, as most queries whose
+        lists hold no entry do. Otherwise b is appended, the list sorted
+        once, and b's second copy, if any, dropped. An answer of at least
+        n/4 vertices goes through a set instead: CPython iterates a set of
+        ints that dense almost in order, which the sort then finishes in
+        near-linear time.
         """
         if not (0 <= b < self.n):
             raise ValueError(f"query vertex {b} out of range")
         found, probes, pairs = self._impl.query_counted(b)
+        if not found or len(found) == 1 and found[0] == b:
+            return [b], probes, pairs
         found.append(b)
         if 4 * len(found) >= self.n:
             return sorted(set(found)), probes, pairs
@@ -115,6 +123,15 @@ def _rank(blk):
     return 2 if blk.chain else int(blk.orient == "in")
 
 
+_ENC, _SEG, _RT, _CT = range(4)
+
+
+def _role(b1, b2):
+    """The structure holding a pair whose sides are ordered by `_rank`."""
+    r1, r2 = _rank(b1), _rank(b2)
+    return _ENC if r2 == 0 else _SEG if r1 == 0 else _RT if r2 == 1 else _CT
+
+
 class _BlockPairs(_Packed):
     """Pairs of path or tree blocks, packed by the roles of their sides.
 
@@ -139,6 +156,19 @@ class _BlockPairs(_Packed):
     predecessor ranges are read from the blocks' `s` and `t` columns in
     the loop that writes each point or report entry.
 
+    lists[b] leaves out an entry whose range is known to hold no member
+    but b. Doubled DFS clocks are even and a leaf's end is its start
+    plus 2, so a core b at s .. s + 2 on an in-oriented side, a leaf of
+    its block, has no member start in its open range: it gets no segment
+    or range-tree entry. A Cartesian-tree entry is kept when the minimum
+    x2 over its columns, from the sparse table, is at most b's chain
+    start: exactly when it reports. A chain side's range 0 .. s[b] holds
+    b itself, and an out/out query reports b's common ancestors, which no
+    O(1) test finds, so those entries stay. Each structure is built from
+    a generator over the pairs of its role, so one structure's input is
+    alive at a time, and a block is freed once its last pair's entries
+    are written.
+
     A pair reports each of its members at most once, but a vertex in two
     blocks of a tree can be reported by two pairs, so a query touching
     more than one pair drops repeats through a set. With one block per
@@ -150,61 +180,74 @@ class _BlockPairs(_Packed):
         blocks1, blocks2, pairs = block_pairs(g1, g2)
         stride = band_stride(n)
         sides = [sorted((blocks1[i], blocks2[j]), key=_rank) for (i, j), _ in pairs]
-        rects, segs, rpts, pts = [], [], [], []
-        for k, ((b1, b2), (_, members)) in enumerate(zip(sides, pairs)):
-            base = k * stride
-            s1, t1, s2, t2 = b1.s, b1.t, b2.s, b2.t
-            f1 = b1.fringe if b1.orient == "in" else ()
-            f2 = b2.fringe if b2.orient == "in" else ()
-            stored = [v for v in members if v not in f1 and v not in f2] if f1 or f2 else members
-            if _rank(b2) == 0:
-                rects += [(base + s1[v], base + t1[v], s2[v], t2[v], v) for v in stored]
-            elif _rank(b1) == 0:
-                segs += [(base + s1[v], base + t1[v], s2[v], v) for v in stored]
-            else:
-                (rpts if _rank(b2) == 1 else pts).extend([(base + s1[v], s2[v], v) for v in stored])
-        ct, seg = CartesianTree(pts), SegRayIndex(segs)
-        enc, rt = EnclosureIndex(rects), RangeTree2D(rpts)
-        del rects, segs, rpts, pts  # free the geometry before the lists grow
+        roles = [_role(b1, b2) for b1, b2 in sides]
+        del blocks1, blocks2  # each block is freed after its last pair's entries
+
+        def placed(role):
+            """(x1 shift, s1, t1, s2, t2, stored members) of each pair in
+            the role, read as the role's structure is built."""
+            for k, ((b1, b2), (_, members)) in enumerate(zip(sides, pairs)):
+                if roles[k] == role:
+                    f1 = b1.fringe if b1.orient == "in" else ()
+                    f2 = b2.fringe if b2.orient == "in" else ()
+                    stored = [v for v in members if v not in f1 and v not in f2] if f1 or f2 else members
+                    yield k * stride, b1.s, b1.t, b2.s, b2.t, stored
+
+        enc = EnclosureIndex(
+            (x + s1[v], x + t1[v], s2[v], t2[v], v) for x, s1, t1, s2, t2, vs in placed(_ENC) for v in vs
+        )
+        seg = SegRayIndex((x + s1[v], x + t1[v], s2[v], v) for x, s1, t1, s2, _, vs in placed(_SEG) for v in vs)
+        rt = RangeTree2D((x + s1[v], s2[v], v) for x, s1, _, s2, _, vs in placed(_RT) for v in vs)
+        ct = CartesianTree((x + s1[v], s2[v], v) for x, s1, _, s2, _, vs in placed(_CT) for v in vs)
         lists = self.lists = [[] for _ in range(n)]
         # d1 = 1 opens a core b's range; a fringe b's closed range on the
         # second side is the block's own two ints, which the entry shares.
-        for k, ((b1, b2), (key, members)) in enumerate(zip(sides, pairs)):
+        for k, (key, members) in enumerate(pairs):
+            (b1, b2), sides[k], pairs[k] = sides[k], None, None
             base = k * stride
-            r1, r2 = _rank(b1), _rank(b2)
+            role = roles[k]
             s1, t1, f1 = b1.s, b1.t, b1.fringe
             s2, t2, f2 = b2.s, b2.t, b2.fringe
-            if r2 == 0:
+            if role == _ENC:
                 for b in members:
                     if b not in f1 and b not in f2:
                         lists[b].append((key, enc, "report", (base + s1[b] + 1, s2[b] + 1)))
-            elif r1 == 0:
+            elif role == _SEG:
                 for b in members:
                     if b in f1:
                         continue
-                    if r2 == 2:
+                    if b2.chain:
                         lo2, hi2 = 0, s2[b]
                     elif b in f2:
                         lo2, hi2 = s2[b], t2[b]
-                    else:
+                    elif t2[b] - s2[b] > 2:
                         lo2, hi2 = s2[b] + 1, t2[b] - 1
+                    else:
+                        continue
                     lists[b].append((key, seg, "report_at", (base + s1[b] + 1, lo2, hi2)))
-            elif r2 == 1:
+            elif role == _RT:
                 for b in members:
-                    d1 = 0 if b in f1 else 1
+                    if b in f1:
+                        d1 = 0
+                    elif t1[b] - s1[b] > 2:
+                        d1 = 1
+                    else:
+                        continue
                     if b in f2:
                         lo2, hi2 = s2[b], t2[b]
-                    else:
+                    elif t2[b] - s2[b] > 2:
                         lo2, hi2 = s2[b] + 1, t2[b] - 1
+                    else:
+                        continue
                     lists[b].append((key, rt, "report", (base + s1[b] + d1, base + t1[b] - d1, lo2, hi2)))
             else:
                 for b in members:
-                    if r1 == 2:
-                        lo, hi = ct.col_span(base, base + s1[b])
+                    if b1.chain:
+                        lo, hi, low = ct.col_span_min(base, base + s1[b])
                     else:
                         d1 = 0 if b in f1 else 1
-                        lo, hi = ct.col_span(base + s1[b] + d1, base + t1[b] - d1)
-                    if lo <= hi:
+                        lo, hi, low = ct.col_span_min(base + s1[b] + d1, base + t1[b] - d1)
+                    if low is not None and low <= s2[b]:  # None: no point in the range
                         lists[b].append((key, ct, "report_range", (lo, hi, s2[b])))
 
     def query_counted(self, b):

@@ -32,6 +32,7 @@ from joinreach.graph import (
     CondensedPair,
     Digraph,
     GraphClassError,
+    block_pairs,
     dipath_of,
     layer_decompose,
     topo_order,
@@ -332,10 +333,12 @@ def query_probe_bound(idx, b, k):
 
 def test_in_in_and_unoriented_tree_probes_within_the_derived_bounds():
     # The range tree serves in/in block pairs: every pair of two rooted
-    # in-trees, and the in-oriented layer graphs of unoriented trees.
+    # in-trees, and the in-oriented layer graphs of unoriented trees. Only
+    # a query whose rectangle can hold a member lists a range-tree entry,
+    # so 32 pairs of each kind keep the count of such queries above 500.
     rng = random.Random(57)
     range_queries = 0
-    for _ in range(16):
+    for _ in range(32):
         n = rng.randrange(2, 65)
         for g1, g2 in (
             (rand_tree(rng, n, "in-tree"), rand_tree(rng, n, "in-tree")),
@@ -455,6 +458,55 @@ def test_every_route_reports_each_vertex_once_and_answers_ascending():
                 assert_answers_once_each_in_order(index_hpd_two_trees(g1, g2), g1, g2)
 
 
+def test_block_pair_lists_hold_only_entries_that_can_report():
+    """Every ordered pair of the tree and path `jr gen` kinds, then
+    bit-reversal, caterpillar, chain-star and zigzag pairs, and a tree or
+    one dipath's arcs taken twice, so that every entry reaching a member
+    adds to an answer, at n <= 2^9: each Cartesian-tree entry of lists[b]
+    reports a vertex, a core b whose in-oriented side gives it the doubled
+    interval s .. s + 2 (no member start inside) has no segment or
+    range-tree entry, and each answer is the oracle's."""
+    kinds = ("path", "utree-random", "out-tree", "in-tree")
+    for n in (2, 64, 1 << 9):
+        pairs = [(generate(k1, n, 1)[0], generate(k2, n, 2)[0]) for k1, k2 in product(kinds, repeat=2)]
+        pairs += [(g, g) for k in kinds for g in generate(k, n, 3)]
+        rng = random.Random(n)
+        order = list(range(n))
+        rng.shuffle(order)
+        arcs = list(zip(order, order[1:]))
+        line_out, line_in, line = (Digraph(n, arcs, kind=k) for k in ("out-tree", "in-tree", "path"))
+        cat_in, cat_out = caterpillar(rng, n, "in-tree"), caterpillar(rng, n, "out-tree")
+        pairs += [
+            (line_out, line_in),
+            (line_in, line_out),
+            (line_in, line_in),
+            (line_in, line),
+            (cat_in, cat_in),
+            generate("bitrev", n),
+            (cat_in, caterpillar(rng, n, "in-tree")),
+            (cat_in, cat_out),
+            (cat_out, cat_in),
+            (cat_in, rand_path(rng, n)),
+            chain_star(rng, n),
+            (zigzag_path(n), rand_upath(rng, n)),
+            (zigzag_path(n), cat_in),
+            (rand_utree(rng, n), zigzag_path(n)),
+        ]
+        for g1, g2 in pairs:
+            idx = index_two_trees(g1, g2)
+            blocks1, blocks2, _ = block_pairs(g1, g2)
+            want = oracle_pred_sets(g1, g2)
+            for b in range(n):
+                for (i, j), struct, report, args in idx._impl.lists[b]:
+                    if isinstance(struct, CartesianTree):
+                        assert getattr(struct, report)(*args)[0], (g1.kind, g2.kind, n, b)
+                    elif isinstance(struct, (SegRayIndex, RangeTree2D)):
+                        for blk in (blocks1[i], blocks2[j]):
+                            if blk.orient == "in" and b not in blk.fringe:
+                                assert blk.t[b] - blk.s[b] > 2, (g1.kind, g2.kind, n, b)
+                assert idx.query(b) == want[b], (g1.kind, g2.kind, n, b)
+
+
 def test_each_index_builds_at_most_one_structure_of_each_kind(monkeypatch):
     built = Counter()
     kinds = (CartesianTree, SegRayIndex, EnclosureIndex, RangeTree2D)
@@ -491,13 +543,10 @@ def test_each_index_builds_at_most_one_structure_of_each_kind(monkeypatch):
         assert_index_matches(idx, g1, g2)
 
 
-def test_tree_indexes_answer_as_pinned():
-    """Every vertex's `query_counted` triple (answer, probes, pairs
-    touched) from the path, tree and heavy-path indexes on seeded pairs,
-    adversarial shapes included, hashed; recorded before tree blocks kept
-    their doubled DFS clocks as two int columns."""
+def tree_pin_cases():
+    """(n, build, g1, g2): the seeded path, tree and heavy-path index
+    inputs of the tree pins, adversarial shapes included."""
     rng = random.Random(34)
-    digest = hashlib.sha256()
     for n in (1, 2, 5, 45, 200):
         out1, out2 = rand_tree(rng, n, "out-tree"), rand_tree(rng, n, "out-tree")
         in1, in2 = rand_tree(rng, n, "in-tree"), rand_tree(rng, n, "in-tree")
@@ -524,9 +573,30 @@ def test_tree_indexes_answer_as_pinned():
             (index_hpd_two_trees, out2, out1),
         ]
         for build, g1, g2 in cases:
-            idx = build(g1, g2)
-            digest.update(repr((idx.variant, [idx.query_counted(b) for b in range(n)])).encode())
-    assert digest.hexdigest() == "28ffd0fdcaadcb874e45861531a50dd3d494214f18bd66f594f7f6992f8b5ad2"
+            yield n, build, g1, g2
+
+
+def test_tree_indexes_answer_as_pinned():
+    """Every vertex's `query_counted` triple (answer, probes, pairs
+    touched) from the indexes of `tree_pin_cases`, hashed; recorded once
+    block-pair report lists kept only the entries that can report."""
+    digest = hashlib.sha256()
+    for n, build, g1, g2 in tree_pin_cases():
+        idx = build(g1, g2)
+        digest.update(repr((idx.variant, [idx.query_counted(b) for b in range(n)])).encode())
+    assert digest.hexdigest() == "da12b17c978caf12ec3f94ed77f534165910a579fd1953a16275baeb99df365c"
+
+
+def test_tree_indexes_answers_alone_as_pinned():
+    """Only the answers of `test_tree_indexes_answer_as_pinned`'s
+    queries, hashed, so a change to probes or pairs touched leaves this
+    pin standing; recorded while every block pair listed an entry for
+    each shared member."""
+    digest = hashlib.sha256()
+    for n, build, g1, g2 in tree_pin_cases():
+        idx = build(g1, g2)
+        digest.update(repr((idx.variant, [idx.query_counted(b)[0] for b in range(n)])).encode())
+    assert digest.hexdigest() == "8cf0631dc9bbc2538c47f1bdd45d26223473cdb0e357471550bda3623440d366"
 
 
 def ladder(rng, n):
